@@ -41,8 +41,8 @@ from .gog import (
 from .group_ring import add
 from .quotients import (
     _iter_quotients,
-    _resolve_targets,
     coset_complement_functional,
+    default_targets,
     search_quotient,
 )
 from .structure_tree import (
@@ -504,7 +504,7 @@ def _factor_avoiding_quotient(g, x, found: list):
     for q in found:
         if suits(q):
             return q
-    for target in _resolve_targets(None):
+    for target in default_targets():
         for q in _iter_quotients(g, target):
             if suits(q):
                 found.append(q)

@@ -21,13 +21,16 @@ from .gog import (
     Report,
     Subgraph,
     Word,
+    _relators,
     ball,
     identity,
     invert,
+    invert_word,
     multiply,
     parse_word,
     presentation,
     reduce,
+    stable_letter,
     subgraph_group_membership,
     vertex_element,
     vertex_group_membership,
@@ -94,8 +97,7 @@ def _generator_value(
     vec = comp.values.get((LETTER, eid), zero)
     if exp > 0:
         return vec
-    letter_inv = reduce(g, Word(((LETTER, eid, -1),)))
-    return scale(_act(g, vec, letter_inv, comp.action), -1)
+    return scale(_act(g, vec, stable_letter(g, eid, -1), comp.action), -1)
 
 
 def evaluate(d: Derivation, x) -> list[RingVector]:
@@ -123,13 +125,12 @@ def is_zero(values: list[RingVector]) -> bool:
 
 
 def _generator_alphabet(g: GraphOfGroups) -> list[tuple]:
+    """The presentation's generators, each stable letter followed by its inverse."""
     out: list[tuple] = []
-    for vid in sorted(g.graph.vertices):
-        for h in g.vertex_groups[vid].generator_handles():
-            out.append((VERTEX, vid, h))
-    for eid in sorted(g.graph.edges):
-        out.append((LETTER, eid, 1))
-        out.append((LETTER, eid, -1))
+    for gen in presentation(g).generators:
+        out.append(gen)
+        if gen[0] == LETTER:
+            out.extend(invert_word(g, Word((gen,))).syllables)
     return out
 
 
@@ -193,29 +194,10 @@ def glue(g: GraphOfGroups, mod: int, components: list[tuple[str, dict[str, RingV
         _component_from_text_table(g, action, table) for action, table in components
     )
     d = Derivation(g, mod, built)
-    for eid in sorted(g.graph.edges):
-        if eid in g.tree.edges:
-            rel = Word(((LETTER, eid, 1),))
-            values = evaluate(d, rel)
-            for v in values:
-                if not v.is_zero():
-                    raise GluingConditionFailed(eid, None, v.text())
-    for eid in sorted(g.graph.edges):
-        d1v, d0v = g.graph.d1[eid], g.graph.d0[eid]
-        vg1 = g.vertex_groups[d1v]
-        for k in range(g.edge_groups[eid].order):
-            rel = Word(
-                (
-                    (VERTEX, d1v, vg1.inv(g.incl(eid, 1, k))),
-                    (LETTER, eid, -1),
-                    (VERTEX, d0v, g.incl(eid, 0, k)),
-                    (LETTER, eid, 1),
-                )
-            )
-            values = evaluate(d, rel)
-            for v in values:
-                if not v.is_zero():
-                    raise GluingConditionFailed(eid, k, v.text())
+    for eid, k, rel in _relators(g):
+        for v in evaluate(d, rel):
+            if not v.is_zero():
+                raise GluingConditionFailed(eid, k, v.text())
     return d
 
 
@@ -256,7 +238,7 @@ def dunwoody_derivation(g: GraphOfGroups, v: str, w: str, mod: int) -> Derivatio
             continue
         d0_pos = signs.vertex_signs[g.graph.d0[eid]] == POSITIVE
         d1_pos = signs.vertex_signs[g.graph.d1[eid]] == POSITIVE
-        letter = reduce(g, Word(((LETTER, eid, 1),)))
+        letter = stable_letter(g, eid)
         if d0_pos and d1_pos:
             values[(LETTER, eid)] = subtract(act_right(P, letter), P)
         elif d1_pos and not d0_pos:
@@ -274,7 +256,7 @@ def _letter_component(g: GraphOfGroups, eid: str, mod: int) -> Component:
     choice and vanishes on no reduced word using the letter.
     """
     P = _edge_image_sum(g, eid, mod)
-    letter = reduce(g, Word(((LETTER, eid, 1),)))
+    letter = stable_letter(g, eid)
     t_then_k = group_sum(
         g,
         [

@@ -12,7 +12,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .errors import DocumentError
+from .errors import Disconnected, DocumentError
 from .finite_group import FiniteGroup, make_group
 from .gog import (
     CompositeVertexGroup,
@@ -22,7 +22,6 @@ from .gog import (
     nf,
 )
 from .graph_core import FiniteGraph, SpanningTree
-from .errors import Disconnected
 from .graph_core import spanning_tree as build_spanning_tree
 
 
@@ -78,16 +77,22 @@ def parse_document(data) -> GogDocument:
     if "graph" not in data:
         raise DocumentError("document is missing the 'graph' section")
     graph_data = data["graph"]
+    if not isinstance(graph_data, dict):
+        raise DocumentError("the 'graph' section must be an object")
     for key in ("vertices", "edges"):
         if key not in graph_data:
             raise DocumentError(f"graph section is missing {key!r}")
+        if not isinstance(graph_data[key], list):
+            raise DocumentError(f"graph {key!r} must be a list")
 
     vertex_groups: dict[str, object] = {}
     vertex_ids: list[str] = []
     for entry in graph_data["vertices"]:
-        if "id" not in entry or "group" not in entry:
+        if not isinstance(entry, dict) or "id" not in entry or "group" not in entry:
             raise DocumentError("each vertex needs 'id' and 'group'")
         vid = entry["id"]
+        if not isinstance(vid, str):
+            raise DocumentError(f"vertex id {vid!r} must be a string")
         if vid in vertex_groups:
             raise DocumentError(f"duplicate vertex id {vid!r}")
         vertex_ids.append(vid)
@@ -100,13 +105,17 @@ def parse_document(data) -> GogDocument:
     raw_images: dict[str, tuple] = {}
     for entry in graph_data["edges"]:
         for key in ("id", "from", "to", "group", "d0_images", "d1_images"):
-            if key not in entry:
+            if not isinstance(entry, dict) or key not in entry:
                 raise DocumentError(f"each edge needs {key!r}")
         eid = entry["id"]
+        if not all(isinstance(entry[key], str) for key in ("id", "from", "to")):
+            raise DocumentError(f"edge {eid!r}: 'id', 'from' and 'to' must be strings")
         if eid in d0:
             raise DocumentError(f"duplicate edge id {eid!r}")
         if entry["from"] not in vertex_groups or entry["to"] not in vertex_groups:
             raise DocumentError(f"edge {eid!r} references an unknown vertex")
+        if not all(isinstance(entry[key], list) for key in ("d0_images", "d1_images")):
+            raise DocumentError(f"edge {eid!r}: image arrays must be lists")
         edge_ids.append(eid)
         d0[eid] = entry["from"]
         d1[eid] = entry["to"]
@@ -127,25 +136,18 @@ def parse_document(data) -> GogDocument:
             _images_from_spec(vertex_groups[d1[eid]], raw1, f"edge {eid!r} d1_images"),
         )
 
-    tree = None
     if "spanning_tree" in data:
         chosen = data["spanning_tree"]
-        if not isinstance(chosen, list) or not set(chosen) <= set(edge_ids):
-            raise DocumentError("spanning_tree must list edge ids")
-        tree = SpanningTree(graph, frozenset(chosen))
-        if len(chosen) != len(vertex_ids) - 1:
-            raise DocumentError("spanning_tree has the wrong number of edges")
-        reached = {vertex_ids[0]} if vertex_ids else set()
-        frontier = list(reached)
-        while frontier:
-            v = frontier.pop()
-            for e in chosen:
-                for other in (d1[e] if d0[e] == v else None, d0[e] if d1[e] == v else None):
-                    if other is not None and other not in reached:
-                        reached.add(other)
-                        frontier.append(other)
-        if reached != set(vertex_ids):
-            raise DocumentError("spanning_tree does not connect all vertices")
+        if (
+            not isinstance(chosen, list)
+            or not all(isinstance(e, str) and e in d0 for e in chosen)
+            or len(set(chosen)) != len(chosen)
+        ):
+            raise DocumentError("spanning_tree must list edge ids, each once")
+        try:
+            tree = SpanningTree(graph, frozenset(chosen))
+        except ValueError as exc:
+            raise DocumentError(str(exc)) from None
     else:
         try:
             tree = build_spanning_tree(graph)
@@ -153,7 +155,7 @@ def parse_document(data) -> GogDocument:
             raise DocumentError(str(exc)) from None
 
     basepoint = data.get("basepoint")
-    if basepoint is not None and basepoint not in vertex_groups:
+    if basepoint is not None and basepoint not in vertex_ids:
         raise DocumentError(f"basepoint {basepoint!r} is not a vertex")
     name = data.get("name", "")
     gog = GraphOfGroups(

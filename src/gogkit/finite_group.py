@@ -85,9 +85,6 @@ class GroupHom:
     def is_injective(self) -> bool:
         return len(set(self.images)) == len(self.images)
 
-    def image_subgroup(self) -> Subgroup:
-        return Subgroup(self.target, tuple(sorted(set(self.images))))
-
 
 def _validate_table(
     table: list[list[int]], check_associativity: bool = True

@@ -148,6 +148,8 @@ class GraphOfGroups:
         self.edge_groups = edge_groups
         self.inclusions = {e: (tuple(a), tuple(b)) for e, (a, b) in inclusions.items()}
         self.tree = tree if tree is not None else spanning_tree(graph)
+        if self.tree.graph != graph:
+            raise ValueError("spanning tree was built over a different graph")
         self.basepoint = basepoint if basepoint is not None else min(graph.vertices)
         self.name = name
         for v in graph.vertices:
@@ -161,6 +163,7 @@ class GraphOfGroups:
                 raise ValueError(f"edge {e!r}: inclusion image arrays must have length {n}")
         if self.basepoint not in graph.vertices:
             raise ValueError(f"basepoint {self.basepoint!r} is not a vertex")
+        self._presentation: Presentation | None = None
         self._preimages: dict[tuple[str, int], dict] = {}
         for e in graph.edges:
             for side in (0, 1):
@@ -441,17 +444,11 @@ def multiply(x: NormalForm, y: NormalForm) -> NormalForm:
 
 
 def invert(x: NormalForm) -> NormalForm:
-    g = x.owner
-    out = []
-    for syl in reversed(x.syllables):
-        if syl[0] == VERTEX:
-            out.append((VERTEX, syl[1], g.vertex_groups[syl[1]].inv(syl[2])))
-        else:
-            out.append((LETTER, syl[1], -syl[2]))
-    return reduce(g, Word(tuple(out)))
+    return reduce(x.owner, invert_word(x.owner, Word(x.syllables)))
 
 
 def invert_word(g: GraphOfGroups, w: Word) -> Word:
+    """The formal inverse: syllables reversed, each one inverted."""
     out = []
     for syl in reversed(w.syllables):
         if syl[0] == VERTEX:
@@ -478,34 +475,40 @@ class Presentation:
     relators: tuple[Word, ...]
 
 
-def presentation(g: GraphOfGroups) -> Presentation:
-    """Generators and relators: tree letters plus one conjugation family per edge."""
-    gens: list[tuple] = []
-    for vid in sorted(g.graph.vertices):
-        for h in g.vertex_groups[vid].generator_handles():
-            gens.append((VERTEX, vid, h))
-    for eid in sorted(g.graph.edges):
-        gens.append((LETTER, eid, 1))
-    relators: list[Word] = []
+def _relators(g: GraphOfGroups):
+    """(edge, k, word): t_e per tree edge (k None), then ∂1(k)⁻¹·t_e⁻¹·∂0(k)·t_e per k."""
     for eid in sorted(g.graph.edges):
         if eid in g.tree.edges:
-            relators.append(Word(((LETTER, eid, 1),)))
+            yield eid, None, Word(((LETTER, eid, 1),))
     for eid in sorted(g.graph.edges):
         d1v = g.graph.d1[eid]
         d0v = g.graph.d0[eid]
         vg1 = g.vertex_groups[d1v]
         for k in range(g.edge_groups[eid].order):
-            relators.append(
-                Word(
-                    (
-                        (VERTEX, d1v, vg1.inv(g.incl(eid, 1, k))),
-                        (LETTER, eid, -1),
-                        (VERTEX, d0v, g.incl(eid, 0, k)),
-                        (LETTER, eid, 1),
-                    )
+            yield eid, k, Word(
+                (
+                    (VERTEX, d1v, vg1.inv(g.incl(eid, 1, k))),
+                    (LETTER, eid, -1),
+                    (VERTEX, d0v, g.incl(eid, 0, k)),
+                    (LETTER, eid, 1),
                 )
             )
-    return Presentation(tuple(gens), tuple(relators))
+
+
+def presentation(g: GraphOfGroups) -> Presentation:
+    """Generators and relators: tree letters plus one conjugation family per edge.
+
+    Built once per graph of groups, which is immutable, and then shared.
+    """
+    if g._presentation is None:
+        gens: list[tuple] = []
+        for vid in sorted(g.graph.vertices):
+            for h in g.vertex_groups[vid].generator_handles():
+                gens.append((VERTEX, vid, h))
+        for eid in sorted(g.graph.edges):
+            gens.append((LETTER, eid, 1))
+        g._presentation = Presentation(tuple(gens), tuple(rel for _, _, rel in _relators(g)))
+    return g._presentation
 
 
 # ---------------------------------------------------------------------------
@@ -532,35 +535,8 @@ class Report:
 
 
 def validate(g: GraphOfGroups) -> Report:
-    """Check every structural invariant; returns a report, never raises."""
+    """Check the edge inclusions (the spanning tree checked itself); never raises."""
     report = Report()
-    comps = []
-    seen: set[str] = set()
-    for v in g.graph.vertices:
-        if v not in seen:
-            comp = {v}
-            frontier = [v]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for e in g.graph.incident(x):
-                        y = g.graph.other_end(e, x)
-                        if y not in comp:
-                            comp.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            comps.append(comp)
-            seen |= comp
-    if len(comps) != 1:
-        report.fail(f"graph is disconnected: {sorted(sorted(c) for c in comps)}")
-    if len(g.tree.edges) != len(g.graph.vertices) - 1:
-        report.fail(
-            f"spanning tree has {len(g.tree.edges)} edges for "
-            f"{len(g.graph.vertices)} vertices"
-        )
-    for e in sorted(g.tree.edges):
-        if g.graph.is_loop(e):
-            report.fail(f"tree edge {e!r} is a loop")
     for eid in sorted(g.graph.edges):
         K = g.edge_groups[eid]
         for side, vid in ((0, g.graph.d0[eid]), (1, g.graph.d1[eid])):
@@ -680,12 +656,7 @@ def vertex_group_membership(g: GraphOfGroups, vid: str, x: NormalForm) -> bool:
     Canonicalizes from ``vid`` itself, so this works for any vertex, not just
     the basepoint.
     """
-    if x.owner is not g:
-        raise MixedOwners("normal form belongs to a different graph of groups")
-    syllables = _reduce_from(g, Word(x.syllables), vid)
-    if not syllables:
-        return True
-    return len(syllables) == 1 and syllables[0][0] == VERTEX and syllables[0][1] == vid
+    return vertex_handle_of(g, vid, x) is not None
 
 
 def vertex_handle_of(g: GraphOfGroups, vid: str, x: NormalForm):

@@ -35,37 +35,60 @@ class FiniteGraph:
         """The endpoint of e across from v (v itself for a loop)."""
         return self.d1[e] if self.d0[e] == v else self.d0[e]
 
-    def is_loop(self, e: str) -> bool:
-        return self.d0[e] == self.d1[e]
-
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """A spanning edge subset of a connected graph."""
+    """|V| − 1 edges of ``graph`` that connect every vertex, checked on construction.
+
+    Such an edge set has no loops or cycles; any other raises ValueError.
+    """
 
     graph: FiniteGraph
     edges: frozenset[str]
 
-    def __contains__(self, e: str) -> bool:
-        return e in self.edges
+    def __post_init__(self):
+        stray = sorted(set(self.edges) - set(self.graph.edges))
+        if stray:
+            raise ValueError(f"spanning tree edges {stray} are not edges of the graph")
+        n = len(self.graph.vertices)
+        if len(self.edges) != n - 1:
+            raise ValueError(
+                f"spanning tree has the wrong number of edges: {len(self.edges)} for {n} vertices"
+            )
+        comps = _components(self.graph, self.edges)
+        if len(comps) != 1:
+            raise ValueError(f"spanning tree does not connect all vertices: {comps}")
 
 
-def _components(g: FiniteGraph) -> list[list[str]]:
+def _search(g: FiniteGraph, root: str, edges=None) -> tuple[set[str], set[str]]:
+    """Breadth-first search over ``edges`` (all when None), levels in vertex-id order.
+
+    Returns the vertices reached and the edges that first reached them.
+    """
+    seen = {root}
+    tree: set[str] = set()
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for e in g.incident(v):
+                if edges is not None and e not in edges:
+                    continue
+                w = g.other_end(e, v)
+                if w not in seen:
+                    seen.add(w)
+                    tree.add(e)
+                    nxt.append(w)
+        frontier = sorted(nxt)
+    return seen, tree
+
+
+def _components(g: FiniteGraph, edges=None) -> list[list[str]]:
+    """Connected components, each sorted; only ``edges`` count when given."""
     remaining = set(g.vertices)
     comps = []
     while remaining:
-        root = min(remaining)
-        seen = {root}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for e in g.incident(v):
-                    w = g.other_end(e, v)
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
+        seen, _ = _search(g, min(remaining), edges)
         comps.append(sorted(seen))
         remaining -= seen
     return comps
@@ -76,21 +99,7 @@ def spanning_tree(g: FiniteGraph) -> SpanningTree:
     comps = _components(g)
     if len(comps) != 1:
         raise Disconnected(comps)
-    root = min(g.vertices)
-    visited = {root}
-    tree: set[str] = set()
-    queue = [root]
-    while queue:
-        nxt = []
-        for v in queue:
-            for e in g.incident(v):
-                w = g.other_end(e, v)
-                if w not in visited:
-                    visited.add(w)
-                    tree.add(e)
-                    nxt.append(w)
-        queue = sorted(nxt)
-    return SpanningTree(g, frozenset(tree))
+    return SpanningTree(g, frozenset(_search(g, min(g.vertices))[1]))
 
 
 def _tree_adjacency(t: SpanningTree) -> dict[str, list[tuple[str, str]]]:

@@ -21,7 +21,6 @@ from .finite_group import (
     make_group,
 )
 from .gog import (
-    LETTER,
     VERTEX,
     GraphOfGroups,
     NormalForm,
@@ -29,6 +28,7 @@ from .gog import (
     TableVertexGroup,
     Word,
     _check_subgraph,
+    presentation,
 )
 from .graph_core import FiniteGraph, SpanningTree
 from .group_ring import RingVector, push_to_quotient
@@ -85,22 +85,18 @@ def quotient_from_images(
             for j in range(vg.group.order):
                 if images[vg.group.mul(i, j)] != target.mul(images[i], images[j]):
                     return None
-    for eid in g.graph.edges:
-        if eid in g.tree.edges and letter_images.get(eid, target.identity) != target.identity:
-            return None
-        if eid not in letter_images:
-            return None
-    if not _relators_die(g, q):
+    if any(not 0 <= letter_images.get(eid, -1) < target.order for eid in g.graph.edges):
+        return None
+    if any(q.image_of(r) != target.identity for r in presentation(g).relators):
         return None
     return q
 
 
 def _relators_die(g: GraphOfGroups, q: FiniteQuotient) -> bool:
+    """Edge relators die; the search maps tree letters to the identity itself."""
     t = q.target
     for eid in g.graph.edges:
         timg = q.letter_images[eid]
-        if eid in g.tree.edges and timg != t.identity:
-            return False
         for k in range(g.edge_groups[eid].order):
             lhs = q.vertex_images[g.graph.d1[eid]][g.incl(eid, 1, k)]
             rhs = t.mul(t.mul(t.inv(timg), q.vertex_images[g.graph.d0[eid]][g.incl(eid, 0, k)]), timg)
@@ -109,10 +105,10 @@ def _relators_die(g: GraphOfGroups, q: FiniteQuotient) -> bool:
     return True
 
 
-def default_targets() -> list[FiniteGroup]:
-    """Cyclic groups of order 2..24, then symmetric groups of degree 3..6."""
+def default_targets(degree: int = 6) -> list[FiniteGroup]:
+    """Cyclic groups of order 2..24, then symmetric groups of degree 3..degree."""
     out = [make_group(f"cyclic {n}") for n in range(2, 25)]
-    out.extend(make_group(f"symmetric {n}") for n in range(3, 7))
+    out.extend(make_group(f"symmetric {n}") for n in range(3, degree + 1))
     return out
 
 
@@ -120,9 +116,7 @@ def _resolve_targets(targets) -> list[FiniteGroup]:
     if targets is None:
         return default_targets()
     if isinstance(targets, int):
-        out = [make_group(f"cyclic {n}") for n in range(2, 25)]
-        out.extend(make_group(f"symmetric {n}") for n in range(3, targets + 1))
-        return out
+        return default_targets(targets)
     return [make_group(t) for t in targets]
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from .errors import BallTooLarge, MixedOwners, NotFinite
 from .finite_group import MAX_EXHAUSTIVE_ORDER
 from .gog import (
+    BALL_CAP,
     LETTER,
     GraphOfGroups,
     NormalForm,
@@ -23,8 +24,6 @@ from .gog import (
     vertex_element,
     vertex_group_membership,
 )
-
-BALL_CAP = 10**6
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from .gog import (
     _reduce_from,
     ball,
     invert,
+    invert_word,
     nf,
     parse_word,
     presentation,
@@ -91,13 +92,7 @@ def translate(witness_map: dict, g_from: GraphOfGroups, g_to: GraphOfGroups, w) 
         for key, sign in _atoms(g_from, syl):
             image = witness_map[key]
             if sign < 0:
-                image = Word(
-                    tuple(
-                        (s[0], s[1], -s[2]) if s[0] == LETTER
-                        else (VERTEX, s[1], g_to.vertex_groups[s[1]].inv(s[2]))
-                        for s in reversed(image.syllables)
-                    )
-                )
+                image = invert_word(g_to, image)
             out.extend(image.syllables)
     return reduce(g_to, Word(tuple(out)))
 
@@ -320,13 +315,8 @@ def expand_vertex(
             raise ValueError(f"edge id {w}.{eid} already exists")
 
     attach = dict(attach or {})
-    incident = []
-    for eid in sorted(g.graph.edges):
-        for i in (0, 1):
-            if (g.graph.d0[eid] if i == 0 else g.graph.d1[eid]) == w:
-                incident.append((eid, i))
     plans: dict[str, tuple[int, str, NormalForm, tuple]] = {}
-    for eid, i in incident:
+    for eid, (i,) in _edges_at(g, w):
         images = [g.incl(eid, i, k) for k in range(g.edge_groups[eid].order)]
         if eid in attach:
             tau, conj = attach[eid]

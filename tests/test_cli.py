@@ -36,6 +36,16 @@ def test_validate_unknown_reference(capsys):
     assert "error:" in err
 
 
+def test_validate_wrongly_typed_document_exits_2(capsys, tmp_path):
+    doc = json.loads(fixture_text("c4c6"))
+    doc["graph"]["edges"][0]["d0_images"] = 5
+    bad = tmp_path / "bad.gog.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert "image arrays must be lists" in err
+
+
 def test_nf_identity_example(capsys):
     code, out, _ = run(capsys, "nf", "c4c6", "--word", "v:g2 * w:g3")
     assert code == 0

@@ -165,6 +165,27 @@ def test_spanning_tree_must_connect():
         parse_document(doc)
 
 
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d["graph"]["edges"][0].update(d0_images=5), "image arrays must be lists"),
+        (lambda d: d["graph"].update(vertices=5), "'vertices' must be a list"),
+        (lambda d: d.update(graph=5), "'graph' section must be an object"),
+        (lambda d: d["graph"]["vertices"].__setitem__(0, 5), "each vertex needs 'id'"),
+        (lambda d: d["graph"]["vertices"][0].update(id=["v"]), "must be a string"),
+        (lambda d: d["graph"]["edges"][0].update({"from": ["v"]}), "must be strings"),
+        (lambda d: d.update(spanning_tree=[["e"]]), "spanning_tree must list edge ids"),
+        (lambda d: d.update(basepoint=["v"]), "is not a vertex"),
+    ],
+    ids=["images", "vertices", "graph", "vertex", "vertex-id", "edge-end", "tree", "basepoint"],
+)
+def test_wrongly_typed_fields_raise_document_error(mutate, message):
+    doc = base_doc()
+    mutate(doc)
+    with pytest.raises(DocumentError, match=message):
+        parse_document(doc)
+
+
 def test_basepoint_must_exist():
     doc = base_doc()
     doc["basepoint"] = "zz"

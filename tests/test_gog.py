@@ -30,6 +30,7 @@ from gogkit.gog import (
     presentation,
     reduce,
     subgraph_group_membership,
+    GraphOfGroups,
     validate,
     verify_relative_malnormality,
     vertex_element,
@@ -37,7 +38,8 @@ from gogkit.gog import (
     vertex_handle_of,
     word_text,
 )
-from gogkit.finite_group import subgroup_closure
+from gogkit.finite_group import make_group, subgroup_closure
+from gogkit.graph_core import FiniteGraph, SpanningTree
 
 from _oracles import (
     AFFINE_ID,
@@ -430,3 +432,42 @@ def test_validate_reports(c4c6):
 def test_vertex_element_and_identity_helpers(c4c6):
     assert vertex_element(c4c6, "v", 1).text() == "v:g1"
     assert identity(c4c6).syllables == ()
+
+
+def _path_with_double_edge(tree_edges):
+    """C2 at a, b and c with trivial edge groups; e1 and e2 run a→b, e3 runs b→c."""
+    graph = FiniteGraph(
+        ("a", "b", "c"),
+        ("e1", "e2", "e3"),
+        {"e1": "a", "e2": "a", "e3": "b"},
+        {"e1": "b", "e2": "b", "e3": "c"},
+    )
+    c1, c2 = make_group("cyclic 1"), make_group("cyclic 2")
+    return GraphOfGroups(
+        graph,
+        {v: c2 for v in graph.vertices},
+        {e: c1 for e in graph.edges},
+        {e: ((0,), (0,)) for e in graph.edges},
+        tree=SpanningTree(graph, frozenset(tree_edges)),
+    )
+
+
+def test_tree_missing_a_vertex_is_rejected():
+    # {e1, e2} has |V| - 1 edges but never reaches c, so c:g1 had no tree path.
+    with pytest.raises(ValueError, match="does not connect all vertices"):
+        _path_with_double_edge({"e1", "e2"})
+    g = _path_with_double_edge({"e1", "e3"})
+    assert validate(g).ok
+    assert nf(g, "c:g1").text() == "c:g1"
+
+
+def test_tree_over_another_graph_is_rejected(c4c6):
+    other = FiniteGraph(("v", "w"), ("f",), {"f": "v"}, {"f": "w"})
+    with pytest.raises(ValueError, match="different graph"):
+        GraphOfGroups(
+            c4c6.graph,
+            c4c6.vertex_groups,
+            c4c6.edge_groups,
+            c4c6.inclusions,
+            tree=SpanningTree(other, frozenset({"f"})),
+        )

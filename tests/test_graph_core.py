@@ -7,6 +7,7 @@ from gogkit.graph_core import (
     NEUTRAL,
     POSITIVE,
     FiniteGraph,
+    SpanningTree,
     classify,
     spanning_tree,
     tree_path,
@@ -60,6 +61,28 @@ def test_tree_paths():
 def test_loops_never_enter_tree():
     g = graph(["a", "b"], [("l", "a", "a"), ("e", "a", "b")])
     assert spanning_tree(g).edges == frozenset({"e"})
+
+
+def test_tree_must_connect_all_vertices():
+    # Two parallel edges a→b have the right count for three vertices but miss c.
+    g = graph(["a", "b", "c"], [("e1", "a", "b"), ("e2", "a", "b"), ("e3", "b", "c")])
+    with pytest.raises(ValueError, match="does not connect all vertices"):
+        SpanningTree(g, frozenset({"e1", "e2"}))
+    assert SpanningTree(g, frozenset({"e2", "e3"})).edges == frozenset({"e2", "e3"})
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ({"e", "zz"}, "not edges of the graph"),
+        ({"e", "l"}, "wrong number of edges"),
+        ({"l"}, "does not connect all vertices"),
+    ],
+)
+def test_tree_rejects_stray_extra_and_loop_edges(edges, message):
+    g = graph(["a", "b"], [("l", "a", "a"), ("e", "a", "b")])
+    with pytest.raises(ValueError, match=message):
+        SpanningTree(g, frozenset(edges))
 
 
 def test_classify_amalgam(c4c6):

@@ -217,3 +217,23 @@ def test_subgraph_gog_restriction(c4c2c4):
     assert list(restricted.graph.edges) == ["e1"]
     assert restricted.basepoint == "m"
     assert nf(restricted, "u:g2").text() == "m:g1"
+
+
+@pytest.mark.parametrize(
+    "name, count", [("c4c6", 96), ("c6hnn", 264), ("c4c2c4", 112), ("c2c2", 100)]
+)
+def test_search_filter_agrees_with_certifier(name, count, request):
+    # The search filters on its own relator check; the certifier reads the
+    # presentation.  Every hom the search yields must pass the certifier.
+    g = request.getfixturevalue(name)
+    s4 = make_group("symmetric 4")
+    homs = list(_iter_quotients(g, s4))
+    assert len(homs) == count
+    for q in homs:
+        assert quotient_from_images(g, s4, q.vertex_images, q.letter_images) == q
+
+
+@pytest.mark.parametrize("image", [12, -1])
+def test_quotient_from_images_rejects_letter_out_of_range(c6hnn, image):
+    c12 = make_group("cyclic 12")
+    assert quotient_from_images(c6hnn, c12, {"v": (0, 2, 4, 6, 8, 10)}, {"t": image}) is None
