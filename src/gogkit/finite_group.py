@@ -257,9 +257,14 @@ def make_group(spec) -> FiniteGroup:
         return _product([make_group(s) for s in spec])
     if isinstance(spec, dict):
         if "product" in spec:
+            if not isinstance(spec["product"], list):
+                raise ValueError("group spec 'product' must be a list of specs")
             return _product([make_group(s) for s in spec["product"]])
         if "table" in spec:
-            return _from_table(spec["table"], spec.get("labels"), spec.get("name", ""))
+            table = spec["table"]
+            if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+                raise ValueError("group spec 'table' must be a list of lists")
+            return _from_table(table, spec.get("labels"), spec.get("name", ""))
     raise ValueError(f"unrecognized group spec: {spec!r}")
 
 
@@ -356,7 +361,14 @@ def _extend_hom(
 
 
 def enumerate_homs(source: FiniteGroup, target: FiniteGroup) -> list[GroupHom]:
-    """All homomorphisms source → target, ordered by their image arrays."""
+    """All homomorphisms source → target, ordered by their image arrays.
+
+    No sort is needed: ``_generating_sequence`` is greedy, so every index below
+    the (i+1)-th generator lies in the span of the first i and its image is
+    fixed by theirs.  Generator-image order is therefore image-array order,
+    and distinct generator images give distinct arrays.  Quotient searches
+    rely on this order for their first hit.
+    """
     gens = _generating_sequence(source)
     if not gens:
         return [GroupHom(source, target, (target.identity,) * source.order)]
@@ -369,9 +381,7 @@ def enumerate_homs(source: FiniteGroup, target: FiniteGroup) -> list[GroupHom]:
         arr = _extend_hom(source, target, gens, list(combo))
         if arr is not None:
             out.append(GroupHom(source, target, arr))
-    out.sort(key=lambda h: h.images)
-    deduped = [h for i, h in enumerate(out) if i == 0 or h.images != out[i - 1].images]
-    return deduped
+    return out
 
 
 def enumerate_embeddings(source: FiniteGroup, target: FiniteGroup) -> list[GroupHom]:

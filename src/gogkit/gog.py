@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import BadSubgraph, BallTooLarge, MalformedWord, MixedOwners, NotFinite
-from .finite_group import FiniteGroup, Subgroup
+from .finite_group import FiniteGroup, Subgroup, is_conjugate_into
 from .graph_core import FiniteGraph, SpanningTree, spanning_tree, tree_path_oriented
 
 BALL_CAP = 10**6
@@ -688,7 +688,6 @@ def verify_relative_malnormality(
         report.fail(f"vertex group at {h_vertex!r} is not a finite table")
         return report
     H = vg.group
-    chi_set = set(chi.elements)
     elements = ball(g, radius)
     checked = 0
     for s in elements:
@@ -706,12 +705,8 @@ def verify_relative_malnormality(
                 intersection.append(i)
         if not intersection:
             continue
-        good = False
-        for h in range(H.order):
-            if all(H.conjugate(x, H.inv(h)) in chi_set for x in intersection):
-                good = True
-                break
-        if not good:
+        meet = Subgroup(H, tuple(sorted([H.identity, *intersection])))
+        if is_conjugate_into(meet, chi, H) is None:
             report.fail(
                 f"malnormality fails at s = {s.text()}: "
                 f"H ∩ H^s = {sorted(intersection)} not inside any χ-conjugate"

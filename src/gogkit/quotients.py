@@ -3,8 +3,9 @@
 A quotient is stored as one image array per vertex group plus one image per
 stable letter; tree letters always map to the identity.  Searches walk a
 deterministic candidate list (cyclic groups up to order 24, then symmetric
-groups up to degree 6 by default) and enumerate generator images in
-lexicographic order, so the first hit is reproducible.
+groups up to degree 6 by default).  For each target they walk the product of
+the vertex homs from ``finite_group.enumerate_homs`` and the stable-letter
+images, in lexicographic image order, so the first hit is reproducible.
 """
 from __future__ import annotations
 
@@ -13,13 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import Exhausted
-from .finite_group import (
-    FiniteGroup,
-    Subgroup,
-    _extend_hom,
-    _generating_sequence,
-    make_group,
-)
+from .finite_group import FiniteGroup, Subgroup, enumerate_homs, make_group
 from .gog import (
     VERTEX,
     GraphOfGroups,
@@ -73,20 +68,23 @@ def quotient_from_images(
     letter_images: dict[str, int],
 ) -> FiniteQuotient | None:
     """Assemble a quotient and check every defining relator; None if not a hom."""
-    q = FiniteQuotient(g, target, dict(vertex_images), dict(letter_images))
+    def is_element(i) -> bool:
+        return isinstance(i, int) and 0 <= i < target.order
+
+    if not all(is_element(letter_images.get(eid)) for eid in g.graph.edges):
+        return None
     for vid in g.graph.vertices:
         vg = g.vertex_groups[vid]
         if not isinstance(vg, TableVertexGroup):
             return None
         images = vertex_images.get(vid)
-        if images is None or len(images) != vg.group.order:
+        if images is None or len(images) != vg.group.order or not all(map(is_element, images)):
             return None
         for i in range(vg.group.order):
             for j in range(vg.group.order):
                 if images[vg.group.mul(i, j)] != target.mul(images[i], images[j]):
                     return None
-    if any(not 0 <= letter_images.get(eid, -1) < target.order for eid in g.graph.edges):
-        return None
+    q = FiniteQuotient(g, target, dict(vertex_images), dict(letter_images))
     if any(q.image_of(r) != target.identity for r in presentation(g).relators):
         return None
     return q
@@ -121,48 +119,25 @@ def _resolve_targets(targets) -> list[FiniteGroup]:
 
 
 def _iter_quotients(g: GraphOfGroups, target: FiniteGroup):
-    """All quotients onto a fixed target, in lexicographic image order."""
+    """All quotients onto a fixed target, in lexicographic image order.
+
+    A product over the homs of each vertex group (``enumerate_homs``, sorted
+    vertex ids) and one target element per non-tree letter (sorted edge ids),
+    filtered by the edge relators.  Each hom list is ordered by image array,
+    so quotients come out ordered by (vertex image arrays, letter images).
+    """
+    if not g.all_tables():
+        return
     vertex_ids = sorted(g.graph.vertices)
-    gens: list[tuple[str, list[int]]] = []
-    for vid in vertex_ids:
-        vg = g.vertex_groups[vid]
-        if not isinstance(vg, TableVertexGroup):
-            return
-        gens.append((vid, _generating_sequence(vg.group)))
-    candidate_lists = []
-    for vid, seq in gens:
-        group = g.vertex_groups[vid].group
-        for s in seq:
-            o = group.element_order(s)
-            candidate_lists.append(
-                [t for t in range(target.order) if o % target.element_order(t) == 0]
-            )
     letters = [e for e in sorted(g.graph.edges) if e not in g.tree.edges]
-    for e in letters:
-        candidate_lists.append(list(range(target.order)))
-    flat_gens = [(vid, s) for vid, seq in gens for s in seq]
-    for combo in itertools.product(*candidate_lists):
-        vertex_images: dict[str, tuple[int, ...]] = {}
-        pos = 0
-        ok = True
-        for vid, seq in gens:
-            images = combo[pos : pos + len(seq)]
-            pos += len(seq)
-            group = g.vertex_groups[vid].group
-            if not seq:
-                arr = (target.identity,) * group.order
-            else:
-                arr = _extend_hom(group, target, seq, list(images))
-            if arr is None:
-                ok = False
-                break
-            vertex_images[vid] = arr
-        if not ok:
-            continue
-        letter_images = {e: target.identity for e in g.graph.edges if e in g.tree.edges}
-        for e, img in zip(letters, combo[pos:]):
-            letter_images[e] = img
-        q = FiniteQuotient(g, target, vertex_images, letter_images)
+    choices = [
+        [h.images for h in enumerate_homs(g.vertex_groups[v].group, target)] for v in vertex_ids
+    ]
+    choices += [range(target.order)] * len(letters)
+    tree_images = {e: target.identity for e in g.graph.edges if e in g.tree.edges}
+    for combo in itertools.product(*choices):
+        letter_images = {**tree_images, **dict(zip(letters, combo[len(vertex_ids):]))}
+        q = FiniteQuotient(g, target, dict(zip(vertex_ids, combo)), letter_images)
         if _relators_die(g, q):
             yield q
 

@@ -20,7 +20,7 @@ from .errors import (
     TableInvalid,
     WrongShape,
 )
-from .finite_group import Subgroup, subgroup_as_group, subgroup_closure
+from .finite_group import Subgroup, is_conjugate_into, subgroup_as_group, subgroup_closure
 from .gog import (
     LETTER,
     VERTEX,
@@ -467,18 +467,10 @@ def find_delta_conjugators(
     group = vg.group
     if chi.parent is not group:
         raise ValueError("χ must be a subgroup of the vertex group at the given vertex")
-    chi_set = set(chi.elements)
     table = ConjugatorTable(g, v, chi)
     for eid, sides in _edges_at(g, v):
-        images = sorted({g.incl(eid, i, k) for i in sides for k in range(g.edge_groups[eid].order)})
-        span = subgroup_closure(group, images)
-        if len(chi.elements) % span.order != 0:
-            return None  # no conjugate of the generated subgroup fits inside χ
-        found = None
-        for d in range(group.order):
-            if all(group.conjugate(x, d) in chi_set for x in images):
-                found = d
-                break
+        images = {g.incl(eid, i, k) for i in sides for k in range(g.edge_groups[eid].order)}
+        found = is_conjugate_into(subgroup_closure(group, images), chi, group)
         if found is None:
             return None
         table.delta[eid] = found

@@ -2,7 +2,10 @@
 
 Everything here is deliberately built on different representations than the
 package itself: integer matrices, affine maps, and a hand-rolled free-product
-reducer.  Words are fed to both sides and the verdicts compared.
+reducer.  Words are fed to both sides and the verdicts compared.  The one
+exception is the brute-force quotient enumerator: it reuses the package's
+generating sequence and hom extension, but walks one product over every
+generator image instead of per-vertex hom lists.
 """
 from __future__ import annotations
 
@@ -151,3 +154,58 @@ def count_embeddings_brute(source_table, target_table) -> int:
         if ok:
             count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# Brute-force quotient enumerator: one product over every generator image
+
+
+def iter_quotients_brute(g, target):
+    """Quotients onto ``target`` in lexicographic generator-image order.
+
+    Each vertex generator ranges over the target elements whose order divides
+    its own, each non-tree letter over the whole target; every combination
+    extends each vertex hom afresh and keeps the ones killing the edge relators.
+    """
+    from gogkit.finite_group import _extend_hom, _generating_sequence
+    from gogkit.gog import TableVertexGroup
+    from gogkit.quotients import FiniteQuotient, _relators_die
+
+    vertex_ids = sorted(g.graph.vertices)
+    gens = []
+    for vid in vertex_ids:
+        vg = g.vertex_groups[vid]
+        if not isinstance(vg, TableVertexGroup):
+            return
+        gens.append((vid, _generating_sequence(vg.group)))
+    candidate_lists = []
+    for vid, seq in gens:
+        group = g.vertex_groups[vid].group
+        for s in seq:
+            o = group.element_order(s)
+            candidate_lists.append(
+                [t for t in range(target.order) if o % target.element_order(t) == 0]
+            )
+    letters = [e for e in sorted(g.graph.edges) if e not in g.tree.edges]
+    for e in letters:
+        candidate_lists.append(list(range(target.order)))
+    for combo in itertools.product(*candidate_lists):
+        vertex_images = {}
+        pos = 0
+        for vid, seq in gens:
+            images = combo[pos : pos + len(seq)]
+            pos += len(seq)
+            group = g.vertex_groups[vid].group
+            if not seq:
+                arr = (target.identity,) * group.order
+            else:
+                arr = _extend_hom(group, target, seq, list(images))
+            if arr is None:
+                break
+            vertex_images[vid] = arr
+        else:
+            letter_images = {e: target.identity for e in g.graph.edges if e in g.tree.edges}
+            letter_images.update(zip(letters, combo[pos:]))
+            q = FiniteQuotient(g, target, vertex_images, letter_images)
+            if _relators_die(g, q):
+                yield q

@@ -46,6 +46,16 @@ def test_validate_wrongly_typed_document_exits_2(capsys, tmp_path):
     assert "image arrays must be lists" in err
 
 
+def test_validate_malformed_group_spec_exits_2(capsys, tmp_path):
+    doc = json.loads(fixture_text("c4c6"))
+    doc["graph"]["vertices"][0]["group"] = {"table": 5}
+    bad = tmp_path / "bad.gog.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert "'table' must be a list of lists" in err
+
+
 def test_nf_identity_example(capsys):
     code, out, _ = run(capsys, "nf", "c4c6", "--word", "v:g2 * w:g3")
     assert code == 0
@@ -181,6 +191,26 @@ def test_quotient_embed_and_refine(capsys, tmp_path):
     )
     assert code == 0
     assert out.splitlines()[0] == "target C4 (order 4)"
+
+
+@pytest.mark.parametrize(
+    "given, message",
+    [
+        ({"target": "cyclic 4", "vertex_images": {"v": [0, 1, 2, 99]}, "letter_images": {}},
+         "do not define a homomorphism"),
+        ({"target": {"product": 5}, "vertex_images": {"v": [0, 1, 2, 3]}, "letter_images": {}},
+         "'product' must be a list"),
+    ],
+    ids=["image-out-of-range", "target-spec"],
+)
+def test_quotient_refine_rejects_bad_given_file(capsys, tmp_path, given, message):
+    path = tmp_path / "given.quot.json"
+    path.write_text(json.dumps(given))
+    code, _, err = run(
+        capsys, "quotient", "refine", "c4c6", "--subgraph", "v", "--given", str(path)
+    )
+    assert code == 2
+    assert message in err
 
 
 def test_surgery_collapse_writes_document_and_transcript(capsys, tmp_path):

@@ -176,8 +176,13 @@ def test_spanning_tree_must_connect():
         (lambda d: d["graph"]["edges"][0].update({"from": ["v"]}), "must be strings"),
         (lambda d: d.update(spanning_tree=[["e"]]), "spanning_tree must list edge ids"),
         (lambda d: d.update(basepoint=["v"]), "is not a vertex"),
+        (lambda d: d["graph"]["vertices"][0].update(group={"table": 5}), "list of lists"),
+        (lambda d: d["graph"]["edges"][0].update(group={"product": 5}), "list of specs"),
     ],
-    ids=["images", "vertices", "graph", "vertex", "vertex-id", "edge-end", "tree", "basepoint"],
+    ids=[
+        "images", "vertices", "graph", "vertex", "vertex-id", "edge-end", "tree", "basepoint",
+        "table-spec", "product-spec",
+    ],
 )
 def test_wrongly_typed_fields_raise_document_error(mutate, message):
     doc = base_doc()

@@ -128,6 +128,25 @@ def test_hom_enumeration_is_complete_and_sorted():
                 assert h.apply(c3.mul(i, j)) == s3.mul(h.apply(i), h.apply(j))
 
 
+HOM_SOURCES = [f"cyclic {n}" for n in range(1, 7)] + [
+    "dihedral 3", "dihedral 4", "dicyclic 2", "symmetric 3", ["cyclic 2", "cyclic 2"],
+    {"table": [[1, 0], [0, 1]]},
+]
+HOM_TARGETS = [f"cyclic {n}" for n in range(1, 9)] + [
+    "dihedral 4", "dicyclic 3", "symmetric 3", "symmetric 4",
+]
+
+
+@pytest.mark.parametrize("source", HOM_SOURCES, ids=str)
+def test_hom_enumeration_is_strictly_increasing(source):
+    # Quotient searches take their first hit from this order, unsorted:
+    # it holds only while the generating sequence stays greedy.
+    src = make_group(source)
+    for spec in HOM_TARGETS:
+        images = [h.images for h in enumerate_homs(src, make_group(spec))]
+        assert all(a < b for a, b in zip(images, images[1:])), (source, spec)
+
+
 def test_conjugacy_helpers():
     s3 = make_group("symmetric 3")
     # Order-2 subgroups of S3 are all conjugate.

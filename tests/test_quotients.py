@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from _oracles import iter_quotients_brute
+from gogkit.acceptance import _sl23
 from gogkit.derivation import accessibility_derivation, evaluate
 from gogkit.errors import Exhausted
 from gogkit.finite_group import make_group, subgroup_closure
@@ -233,7 +235,34 @@ def test_search_filter_agrees_with_certifier(name, count, request):
         assert quotient_from_images(g, s4, q.vertex_images, q.letter_images) == q
 
 
-@pytest.mark.parametrize("image", [12, -1])
-def test_quotient_from_images_rejects_letter_out_of_range(c6hnn, image):
+@pytest.mark.parametrize(
+    "name, vertex_images, letter_images",
+    [
+        pytest.param("c6hnn", {"v": (0, 2, 4, 6, 8, 10)}, {"t": 12}, id="12"),
+        pytest.param("c6hnn", {"v": (0, 2, 4, 6, 8, 10)}, {"t": -1}, id="-1"),
+        pytest.param(
+            "c4c6", {"v": (0, 3, 6, 99), "w": (0, 2, 4, 6, 8, 10)}, {"e": 0}, id="vertex-99"
+        ),
+    ],
+)
+def test_quotient_from_images_rejects_letter_out_of_range(
+    name, vertex_images, letter_images, request
+):
+    g = request.getfixturevalue(name)
     c12 = make_group("cyclic 12")
-    assert quotient_from_images(c6hnn, c12, {"v": (0, 2, 4, 6, 8, 10)}, {"t": image}) is None
+    assert quotient_from_images(g, c12, vertex_images, letter_images) is None
+
+
+DIFFERENTIAL_TARGETS = [f"cyclic {n}" for n in range(2, 25)] + ["symmetric 3", "symmetric 4"]
+
+
+@pytest.mark.parametrize("name", ["c4c6", "c6hnn", "c4c2c4", "c2c2"])
+def test_iter_quotients_matches_brute_force(name, request):
+    # Same quotients in the same order as one product over every generator
+    # image; c4c2c4 -> S5 (736 homs) is left to the benchmark's count check.
+    g = request.getfixturevalue(name)
+    targets = [make_group(spec) for spec in DIFFERENTIAL_TARGETS] + [_sl23()]
+    if name in ("c2c2", "c4c6", "c6hnn"):
+        targets.append(make_group("symmetric 5"))
+    for target in targets:
+        assert list(_iter_quotients(g, target)) == list(iter_quotients_brute(g, target)), target
