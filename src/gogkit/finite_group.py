@@ -264,7 +264,13 @@ def make_group(spec) -> FiniteGroup:
             table = spec["table"]
             if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
                 raise ValueError("group spec 'table' must be a list of lists")
-            return _from_table(table, spec.get("labels"), spec.get("name", ""))
+            labels = spec.get("labels")
+            if labels is not None and not (
+                isinstance(labels, list) and len(labels) == len(table)
+                and all(isinstance(label, str) for label in labels)
+            ):
+                raise ValueError("group spec 'labels' must be a list of one string per element")
+            return _from_table(table, labels, spec.get("name", ""))
     raise ValueError(f"unrecognized group spec: {spec!r}")
 
 

@@ -2,10 +2,11 @@
 
 Elements are represented by canonical normal forms computed with a fixed left
 transversal per edge inclusion (least element per coset).  Reduction follows
-the classical scheme: realize the word as a based loop (spanning-tree letters
-are trivial), eliminate pinches with a stack, then normalize syllables left to
-right against the transversals.  Two elements are equal iff their canonical
-words are identical.
+the classical scheme (Serre, *Trees*, §I.5) in one pass: a walk reads the word
+as a based loop (spanning-tree letters are trivial), stacks its edge crossings
+and cancels each pinch as it closes; then the surviving crossings are
+normalized left to right against the transversals.  Two elements are equal iff
+their canonical words are identical.
 """
 from __future__ import annotations
 
@@ -300,115 +301,72 @@ def parse_word(g: GraphOfGroups, text: str) -> Word:
 # Reduction
 
 
-def _word_to_path(g: GraphOfGroups, w: Word, base: str) -> list[tuple]:
-    """Realize a word as a based loop: Elem moves plus tree/letter crossings.
+def _reduce_from(g: GraphOfGroups, w: Word, base: str) -> tuple[tuple, ...]:
+    """Normal form of ``w`` read as a loop at ``base``.
 
-    Items are ("x", edge, dir) crossings and ("e", vertex, handle) elements.
+    Crossings (vertex, element before, edge, direction) go on a stack and each
+    pinch t_e·∂1(k)·t_e⁻¹ or t_e⁻¹·∂0(k)·t_e cancels as it closes; only the
+    crossings left are then normalized, left to right.
     """
-    path: list[tuple] = []
-    cur = base
+    groups, d0, d1 = g.vertex_groups, g.graph.d0, g.graph.d1
+    stack: list[tuple] = []
+    cur, h = base, groups[base].identity()
+
+    def cross(eid: str, direction: int):
+        nonlocal cur, h
+        src = 0 if direction > 0 else 1
+        if stack and stack[-1][2] == eid and stack[-1][3] == -direction:
+            k = g.incl_preimage(eid, src, h)
+            if k is not None:
+                cur, before, _, _ = stack.pop()
+                image = g.incl(eid, 1 - src, k)
+                h = image if groups[cur].is_identity(before) else groups[cur].mul(before, image)
+                return
+        stack.append((cur, h, eid, direction))
+        cur = d1[eid] if direction > 0 else d0[eid]
+        h = groups[cur].identity()
 
     def walk_to(target: str):
-        nonlocal cur
-        for e, direction in tree_path_oriented(g.tree, cur, target):
-            path.append(("x", e, direction))
-        cur = target
+        if target != cur:
+            for eid, direction in tree_path_oriented(g.tree, cur, target):
+                cross(eid, direction)
 
     for syl in w.syllables:
         if syl[0] == VERTEX:
-            _, vid, h = syl
-            if not g.vertex_groups[vid].contains_handle(h):
-                raise MalformedWord(f"bad element handle {h!r} at vertex {vid!r}")
+            _, vid, x = syl
+            if not groups[vid].contains_handle(x):
+                raise MalformedWord(f"bad element handle {x!r} at vertex {vid!r}")
             walk_to(vid)
-            path.append(("e", vid, h))
+            h = x if groups[vid].is_identity(h) else groups[vid].mul(h, x)
         else:
             _, eid, exp = syl
-            start = g.graph.d0[eid] if exp > 0 else g.graph.d1[eid]
-            end = g.graph.d1[eid] if exp > 0 else g.graph.d0[eid]
-            walk_to(start)
-            path.append(("x", eid, exp))
-            cur = end
+            walk_to(d0[eid] if exp > 0 else d1[eid])
+            cross(eid, exp)
     walk_to(base)
-    return path
 
-
-def _pinch_reduce(g: GraphOfGroups, path: list[tuple]) -> list[tuple]:
-    """Eliminate pinches t_e⁻¹·(∂0 image)·t_e and t_e·(∂1 image)·t_e⁻¹."""
-    stack: list[tuple] = []
-
-    def push_elem(vid: str, h):
-        vg = g.vertex_groups[vid]
-        if stack and stack[-1][0] == "e" and stack[-1][1] == vid:
-            h = vg.mul(stack.pop()[2], h)
-        if not vg.is_identity(h):
-            stack.append(("e", vid, h))
-
-    for item in path:
-        if item[0] == "e":
-            push_elem(item[1], item[2])
-            continue
-        _, eid, direction = item
-        # A crossing may close a pinch with the previous crossing of the same
-        # edge in the opposite direction, with an optional image element between.
-        middle = None
-        prev = None
-        if stack and stack[-1][0] == "x":
-            prev = stack[-1]
-        elif len(stack) >= 2 and stack[-1][0] == "e" and stack[-2][0] == "x":
-            middle, prev = stack[-1], stack[-2]
-        if prev is not None and prev[1] == eid and prev[2] == -direction:
-            src_side = 0 if direction > 0 else 1
-            dst_side = 1 - src_side
-            h = middle[2] if middle is not None else g.vertex_groups[
-                g.graph.d0[eid] if src_side == 0 else g.graph.d1[eid]
-            ].identity()
-            k = g.incl_preimage(eid, src_side, h)
-            if k is not None:
-                if middle is not None:
-                    stack.pop()
-                stack.pop()
-                dst_vertex = g.graph.d1[eid] if dst_side == 1 else g.graph.d0[eid]
-                push_elem(dst_vertex, g.incl(eid, dst_side, k))
-                continue
-        stack.append(item)
-    return stack
-
-
-def _normalize(g: GraphOfGroups, path: list[tuple], base: str) -> tuple[tuple, ...]:
-    """Left-to-right transversal normalization of a pinch-free path."""
     syllables: list[tuple] = []
-    cur = base
-    carry = g.vertex_groups[base].identity()
-    for item in path:
-        if item[0] == "e":
-            carry = g.vertex_groups[cur].mul(carry, item[2])
-            continue
-        _, eid, direction = item
-        src_side = 0 if direction > 0 else 1
-        dst_side = 1 - src_side
-        vg = g.vertex_groups[cur]
-        edge_group = g.edge_groups[eid]
+    carry = groups[base].identity()
+    for vid, before, eid, direction in stack:
+        vg = groups[vid]
+        if not vg.is_identity(before):
+            carry = vg.mul(carry, before)
+        src = 0 if direction > 0 else 1
         best_k, best_rep, best_key = None, None, None
-        for k in range(edge_group.order):
-            rep = vg.mul(carry, vg.inv(g.incl(eid, src_side, k)))
+        for k in range(g.edge_groups[eid].order):
+            rep = vg.mul(carry, vg.inv(g.incl(eid, src, k)))
             key = vg.sort_key(rep)
             if best_key is None or key < best_key:
                 best_k, best_rep, best_key = k, rep, key
         if not vg.is_identity(best_rep):
-            syllables.append((VERTEX, cur, best_rep))
+            syllables.append((VERTEX, vid, best_rep))
         if eid not in g.tree.edges:
             syllables.append((LETTER, eid, direction))
-        cur = g.graph.d1[eid] if dst_side == 1 else g.graph.d0[eid]
-        carry = g.incl(eid, dst_side, best_k)
-    if not g.vertex_groups[cur].is_identity(carry):
-        syllables.append((VERTEX, cur, carry))
+        carry = g.incl(eid, 1 - src, best_k)
+    if not groups[base].is_identity(h):
+        carry = groups[base].mul(carry, h)
+    if not groups[base].is_identity(carry):
+        syllables.append((VERTEX, base, carry))
     return tuple(syllables)
-
-
-def _reduce_from(g: GraphOfGroups, w: Word, base: str) -> tuple[tuple, ...]:
-    path = _word_to_path(g, w, base)
-    path = _pinch_reduce(g, path)
-    return _normalize(g, path, base)
 
 
 def reduce(g: GraphOfGroups, w: Word) -> NormalForm:

@@ -1,7 +1,7 @@
 """Finite directed graphs, spanning trees, tree paths, and sign classification."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import Disconnected, SameVertex
 
@@ -41,10 +41,13 @@ class SpanningTree:
     """|V| − 1 edges of ``graph`` that connect every vertex, checked on construction.
 
     Such an edge set has no loops or cycles; any other raises ValueError.
+    ``parent`` maps each vertex to the tree edge toward the least vertex (the
+    root maps to None); tree paths are read off it.
     """
 
     graph: FiniteGraph
     edges: frozenset[str]
+    parent: dict[str, str | None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         stray = sorted(set(self.edges) - set(self.graph.edges))
@@ -55,18 +58,19 @@ class SpanningTree:
             raise ValueError(
                 f"spanning tree has the wrong number of edges: {len(self.edges)} for {n} vertices"
             )
-        comps = _components(self.graph, self.edges)
-        if len(comps) != 1:
+        parent = _search(self.graph, min(self.graph.vertices), self.edges)
+        if len(parent) != n:
+            comps = _components(self.graph, self.edges)
             raise ValueError(f"spanning tree does not connect all vertices: {comps}")
+        object.__setattr__(self, "parent", parent)
 
 
-def _search(g: FiniteGraph, root: str, edges=None) -> tuple[set[str], set[str]]:
+def _search(g: FiniteGraph, root: str, edges=None) -> dict[str, str | None]:
     """Breadth-first search over ``edges`` (all when None), levels in vertex-id order.
 
-    Returns the vertices reached and the edges that first reached them.
+    Maps each vertex reached to the edge that first reached it (the root to None).
     """
-    seen = {root}
-    tree: set[str] = set()
+    parent: dict[str, str | None] = {root: None}
     frontier = [root]
     while frontier:
         nxt = []
@@ -75,12 +79,11 @@ def _search(g: FiniteGraph, root: str, edges=None) -> tuple[set[str], set[str]]:
                 if edges is not None and e not in edges:
                     continue
                 w = g.other_end(e, v)
-                if w not in seen:
-                    seen.add(w)
-                    tree.add(e)
+                if w not in parent:
+                    parent[w] = e
                     nxt.append(w)
         frontier = sorted(nxt)
-    return seen, tree
+    return parent
 
 
 def _components(g: FiniteGraph, edges=None) -> list[list[str]]:
@@ -88,9 +91,9 @@ def _components(g: FiniteGraph, edges=None) -> list[list[str]]:
     remaining = set(g.vertices)
     comps = []
     while remaining:
-        seen, _ = _search(g, min(remaining), edges)
+        seen = _search(g, min(remaining), edges)
         comps.append(sorted(seen))
-        remaining -= seen
+        remaining.difference_update(seen)
     return comps
 
 
@@ -99,48 +102,26 @@ def spanning_tree(g: FiniteGraph) -> SpanningTree:
     comps = _components(g)
     if len(comps) != 1:
         raise Disconnected(comps)
-    return SpanningTree(g, frozenset(_search(g, min(g.vertices))[1]))
-
-
-def _tree_adjacency(t: SpanningTree) -> dict[str, list[tuple[str, str]]]:
-    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in t.graph.vertices}
-    for e in sorted(t.edges):
-        a, b = t.graph.d0[e], t.graph.d1[e]
-        adj[a].append((e, b))
-        adj[b].append((e, a))
-    return adj
+    return SpanningTree(g, frozenset(_search(g, min(g.vertices)).values()) - {None})
 
 
 def tree_path_oriented(t: SpanningTree, v: str, w: str) -> list[tuple[str, int]]:
     """The unique tree path v → w as (edge, direction) pairs.
 
-    Direction +1 means the edge is crossed from d0 to d1.
+    Direction +1 means the edge is crossed from d0 to d1.  The path climbs
+    from v and from w toward the root and drops the part the climbs share.
     """
-    if v == w:
-        return []
-    adj = _tree_adjacency(t)
-    prev: dict[str, tuple[str, str]] = {}
-    seen = {v}
-    frontier = [v]
-    while frontier and w not in seen:
-        nxt = []
-        for x in frontier:
-            for e, y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    prev[y] = (e, x)
-                    nxt.append(y)
-        frontier = nxt
-    if w not in seen:
-        raise ValueError(f"no tree path between {v!r} and {w!r}")
-    path = []
-    cur = w
-    while cur != v:
-        e, parent = prev[cur]
-        direction = 1 if t.graph.d0[e] == parent else -1
-        path.append((e, direction))
-        cur = parent
-    return path[::-1]
+    up, down = [], []
+    for x, climb in ((v, up), (w, down)):
+        if x not in t.parent:
+            raise ValueError(f"{x!r} is not a vertex of the spanning tree")
+        while (e := t.parent[x]) is not None:
+            climb.append((e, 1 if t.graph.d0[e] == x else -1))
+            x = t.graph.other_end(e, x)
+    while up and down and up[-1] == down[-1]:
+        up.pop()
+        down.pop()
+    return up + [(e, -direction) for e, direction in reversed(down)]
 
 
 def tree_path(t: SpanningTree, v: str, w: str) -> list[str]:

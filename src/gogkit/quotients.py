@@ -321,10 +321,15 @@ def quotient_data(q: FiniteQuotient) -> dict:
 def quotient_from_data(g: GraphOfGroups, data) -> FiniteQuotient:
     if isinstance(data, str):
         data = json.loads(data)
+    if not isinstance(data, dict) or not all(
+        isinstance(data.get(key), dict) for key in ("vertex_images", "letter_images")
+    ):
+        raise ValueError("quotient data needs 'vertex_images' and 'letter_images' objects")
+    if not all(isinstance(arr, list) for arr in data["vertex_images"].values()):
+        raise ValueError("vertex image arrays must be lists")
     target = make_group(data["target"])
     vertex_images = {v: tuple(arr) for v, arr in data["vertex_images"].items()}
-    letter_images = {e: int(i) for e, i in data["letter_images"].items()}
-    q = quotient_from_images(g, target, vertex_images, letter_images)
+    q = quotient_from_images(g, target, vertex_images, dict(data["letter_images"]))
     if q is None:
         raise ValueError("image tables do not define a homomorphism")
     return q

@@ -2,14 +2,19 @@
 
 Everything here is deliberately built on different representations than the
 package itself: integer matrices, affine maps, and a hand-rolled free-product
-reducer.  Words are fed to both sides and the verdicts compared.  The one
-exception is the brute-force quotient enumerator: it reuses the package's
-generating sequence and hom extension, but walks one product over every
-generator image instead of per-vertex hom lists.
+reducer.  Words are fed to both sides and the verdicts compared.  Two
+exceptions keep an earlier design of the package as the reference: the
+brute-force quotient enumerator reuses the package's generating sequence and
+hom extension, but walks one product over every generator image instead of
+per-vertex hom lists; the three-pass reducer realizes a word as a path, then
+cancels pinches, then normalizes, where the package does it in one stack pass.
 """
 from __future__ import annotations
 
 import itertools
+
+from gogkit.errors import MalformedWord
+from gogkit.gog import LETTER, VERTEX
 
 # ---------------------------------------------------------------------------
 # 2x2 integer matrices
@@ -209,3 +214,162 @@ def iter_quotients_brute(g, target):
             q = FiniteQuotient(g, target, vertex_images, letter_images)
             if _relators_die(g, q):
                 yield q
+
+
+# ---------------------------------------------------------------------------
+# Three-pass reducer: the library's reduction before it became one stack pass
+
+
+def reduce_three_pass(g, w, base: str) -> tuple:
+    """Normal form syllables of ``w`` read as a loop at ``base``.
+
+    Realizes the word as a path with a fresh tree BFS per crossing, eliminates
+    pinches on a stack, then normalizes the whole path left to right.
+    """
+    return _normalize(g, _pinch_reduce(g, _word_to_path(g, w, base)), base)
+
+
+def _tree_adjacency(t) -> dict[str, list[tuple[str, str]]]:
+    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in t.graph.vertices}
+    for e in sorted(t.edges):
+        a, b = t.graph.d0[e], t.graph.d1[e]
+        adj[a].append((e, b))
+        adj[b].append((e, a))
+    return adj
+
+
+def _tree_path_bfs(t, v: str, w: str) -> list[tuple[str, int]]:
+    """The unique tree path v → w as (edge, direction) pairs.
+
+    Direction +1 means the edge is crossed from d0 to d1.
+    """
+    if v == w:
+        return []
+    adj = _tree_adjacency(t)
+    prev: dict[str, tuple[str, str]] = {}
+    seen = {v}
+    frontier = [v]
+    while frontier and w not in seen:
+        nxt = []
+        for x in frontier:
+            for e, y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    prev[y] = (e, x)
+                    nxt.append(y)
+        frontier = nxt
+    if w not in seen:
+        raise ValueError(f"no tree path between {v!r} and {w!r}")
+    path = []
+    cur = w
+    while cur != v:
+        e, parent = prev[cur]
+        direction = 1 if t.graph.d0[e] == parent else -1
+        path.append((e, direction))
+        cur = parent
+    return path[::-1]
+
+
+def _word_to_path(g, w, base: str) -> list[tuple]:
+    """Realize a word as a based loop: Elem moves plus tree/letter crossings.
+
+    Items are ("x", edge, dir) crossings and ("e", vertex, handle) elements.
+    """
+    path: list[tuple] = []
+    cur = base
+
+    def walk_to(target: str):
+        nonlocal cur
+        for e, direction in _tree_path_bfs(g.tree, cur, target):
+            path.append(("x", e, direction))
+        cur = target
+
+    for syl in w.syllables:
+        if syl[0] == VERTEX:
+            _, vid, h = syl
+            if not g.vertex_groups[vid].contains_handle(h):
+                raise MalformedWord(f"bad element handle {h!r} at vertex {vid!r}")
+            walk_to(vid)
+            path.append(("e", vid, h))
+        else:
+            _, eid, exp = syl
+            start = g.graph.d0[eid] if exp > 0 else g.graph.d1[eid]
+            end = g.graph.d1[eid] if exp > 0 else g.graph.d0[eid]
+            walk_to(start)
+            path.append(("x", eid, exp))
+            cur = end
+    walk_to(base)
+    return path
+
+
+def _pinch_reduce(g, path: list[tuple]) -> list[tuple]:
+    """Eliminate pinches t_e⁻¹·(∂0 image)·t_e and t_e·(∂1 image)·t_e⁻¹."""
+    stack: list[tuple] = []
+
+    def push_elem(vid: str, h):
+        vg = g.vertex_groups[vid]
+        if stack and stack[-1][0] == "e" and stack[-1][1] == vid:
+            h = vg.mul(stack.pop()[2], h)
+        if not vg.is_identity(h):
+            stack.append(("e", vid, h))
+
+    for item in path:
+        if item[0] == "e":
+            push_elem(item[1], item[2])
+            continue
+        _, eid, direction = item
+        # A crossing may close a pinch with the previous crossing of the same
+        # edge in the opposite direction, with an optional image element between.
+        middle = None
+        prev = None
+        if stack and stack[-1][0] == "x":
+            prev = stack[-1]
+        elif len(stack) >= 2 and stack[-1][0] == "e" and stack[-2][0] == "x":
+            middle, prev = stack[-1], stack[-2]
+        if prev is not None and prev[1] == eid and prev[2] == -direction:
+            src_side = 0 if direction > 0 else 1
+            dst_side = 1 - src_side
+            h = middle[2] if middle is not None else g.vertex_groups[
+                g.graph.d0[eid] if src_side == 0 else g.graph.d1[eid]
+            ].identity()
+            k = g.incl_preimage(eid, src_side, h)
+            if k is not None:
+                if middle is not None:
+                    stack.pop()
+                stack.pop()
+                dst_vertex = g.graph.d1[eid] if dst_side == 1 else g.graph.d0[eid]
+                push_elem(dst_vertex, g.incl(eid, dst_side, k))
+                continue
+        stack.append(item)
+    return stack
+
+
+def _normalize(g, path: list[tuple], base: str) -> tuple[tuple, ...]:
+    """Left-to-right transversal normalization of a pinch-free path."""
+    syllables: list[tuple] = []
+    cur = base
+    carry = g.vertex_groups[base].identity()
+    for item in path:
+        if item[0] == "e":
+            carry = g.vertex_groups[cur].mul(carry, item[2])
+            continue
+        _, eid, direction = item
+        src_side = 0 if direction > 0 else 1
+        dst_side = 1 - src_side
+        vg = g.vertex_groups[cur]
+        edge_group = g.edge_groups[eid]
+        best_k, best_rep, best_key = None, None, None
+        for k in range(edge_group.order):
+            rep = vg.mul(carry, vg.inv(g.incl(eid, src_side, k)))
+            key = vg.sort_key(rep)
+            if best_key is None or key < best_key:
+                best_k, best_rep, best_key = k, rep, key
+        if not vg.is_identity(best_rep):
+            syllables.append((VERTEX, cur, best_rep))
+        if eid not in g.tree.edges:
+            syllables.append((LETTER, eid, direction))
+        cur = g.graph.d1[eid] if dst_side == 1 else g.graph.d0[eid]
+        carry = g.incl(eid, dst_side, best_k)
+    if not g.vertex_groups[cur].is_identity(carry):
+        syllables.append((VERTEX, cur, carry))
+    return tuple(syllables)

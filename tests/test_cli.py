@@ -99,6 +99,15 @@ def test_deriv_build_eval_round_trip(capsys, tmp_path):
     assert out.strip() == "component 0: 4·[1] + 4·[v:g2] + 1·[w:g1] + 1·[w:g1 * v:g2]"
 
 
+def test_deriv_unknown_base_vertex_exits_2(capsys):
+    code, out, err = run(
+        capsys, "deriv", "dunwoody", "c4c6", "--base", "zz", "--target", "w", "--mod", "5"
+    )
+    assert code == 2
+    assert out == ""
+    assert "'zz'" in err
+
+
 def test_kernel_scan_clean(capsys):
     code, out, _ = run(
         capsys, "deriv", "kernel-scan", "c4c6", "--kind", "access",
@@ -200,8 +209,12 @@ def test_quotient_embed_and_refine(capsys, tmp_path):
          "do not define a homomorphism"),
         ({"target": {"product": 5}, "vertex_images": {"v": [0, 1, 2, 3]}, "letter_images": {}},
          "'product' must be a list"),
+        ({"target": "cyclic 4", "vertex_images": {"v": 5}, "letter_images": {}},
+         "vertex image arrays must be lists"),
+        ({"target": "cyclic 4", "vertex_images": [[0, 1, 2, 3]], "letter_images": {}},
+         "needs 'vertex_images' and 'letter_images' objects"),
     ],
-    ids=["image-out-of-range", "target-spec"],
+    ids=["image-out-of-range", "target-spec", "image-not-list", "images-not-object"],
 )
 def test_quotient_refine_rejects_bad_given_file(capsys, tmp_path, given, message):
     path = tmp_path / "given.quot.json"

@@ -178,10 +178,18 @@ def test_spanning_tree_must_connect():
         (lambda d: d.update(basepoint=["v"]), "is not a vertex"),
         (lambda d: d["graph"]["vertices"][0].update(group={"table": 5}), "list of lists"),
         (lambda d: d["graph"]["edges"][0].update(group={"product": 5}), "list of specs"),
+        (
+            lambda d: d["graph"]["edges"][0].update(group={"table": [[0, 1], [1, 0]], "labels": 5}),
+            "'labels' must be a list of one string per element",
+        ),
+        (
+            lambda d: d["graph"]["edges"][0].update(group={"table": [[0]], "labels": ["a", "b"]}),
+            "'labels' must be a list of one string per element",
+        ),
     ],
     ids=[
         "images", "vertices", "graph", "vertex", "vertex-id", "edge-end", "tree", "basepoint",
-        "table-spec", "product-spec",
+        "table-spec", "product-spec", "labels-not-list", "labels-wrong-length",
     ],
 )
 def test_wrongly_typed_fields_raise_document_error(mutate, message):

@@ -14,12 +14,14 @@ from gogkit.errors import (
     MixedOwners,
     NotFinite,
 )
-from gogkit.fixtures import load_fixture
+from gogkit.fixtures import FIXTURE_NAMES, load_fixture
 from gogkit.gog import (
     LETTER,
     VERTEX,
     Subgraph,
+    TableVertexGroup,
     Word,
+    _reduce_from,
     ball,
     equal,
     identity,
@@ -49,6 +51,7 @@ from _oracles import (
     c4c6_matrix,
     c6hnn_in_vertex,
     c6hnn_model,
+    reduce_three_pass,
 )
 
 # ---------------------------------------------------------------------------
@@ -62,6 +65,7 @@ def oracle_sylls(word: Word):
         if syl[0] == VERTEX:
             out.append((syl[1], syl[2]))
         # Stable letters of tree edges are trivial; these fixtures have no others.
+        # They are dropped here but still walked across by the reducer.
     return out
 
 
@@ -90,8 +94,9 @@ C4C2C4_ALPHABET = (
     [(VERTEX, "u", k) for k in range(1, 4)]
     + [(VERTEX, "m", 1)]
     + [(VERTEX, "w", k) for k in range(1, 4)]
+    + [(LETTER, e, s) for e in ("e1", "e2") for s in (1, -1)]
 )
-C2C2_ALPHABET = [(VERTEX, "u", 1), (VERTEX, "w", 1)]
+C2C2_ALPHABET = [(VERTEX, "u", 1), (VERTEX, "w", 1), (LETTER, "e", 1), (LETTER, "e", -1)]
 C6HNN_ALPHABET = [(VERTEX, "v", k) for k in range(1, 6)] + [
     (LETTER, "t", 1),
     (LETTER, "t", -1),
@@ -187,6 +192,33 @@ def test_hnn_vertex_membership_matches_split_model(w):
     assert vertex_group_membership(HNN, "v", x) == c6hnn_in_vertex(
         c6hnn_model(hnn_sylls(w))
     )
+
+
+def full_alphabet(g):
+    """Every vertex handle, the identity included, and every letter with both signs.
+
+    A nested vertex group contributes its radius-3 ball.
+    """
+    out = []
+    for vid in sorted(g.graph.vertices):
+        vg = g.vertex_groups[vid]
+        handles = vg.handles() if isinstance(vg, TableVertexGroup) else ball(vg.sub, 3)
+        out += [(VERTEX, vid, h) for h in handles]
+    return out + [(LETTER, e, s) for e in sorted(g.graph.edges) for s in (1, -1)]
+
+
+ORACLE_GRAPHS = {name: load_fixture(name) for name in FIXTURE_NAMES}
+ORACLE_ALPHABETS = {name: full_alphabet(g) for name, g in ORACLE_GRAPHS.items()}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@settings(deadline=None)
+@given(data=st.data())
+def test_one_pass_reduction_matches_three_pass_oracle(name, data):
+    g = ORACLE_GRAPHS[name]
+    w = data.draw(words_over(ORACLE_ALPHABETS[name], max_size=16))
+    for base in sorted(g.graph.vertices):
+        assert _reduce_from(g, w, base) == reduce_three_pass(g, w, base), base
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,19 @@ def test_tree_paths():
     assert tree_path_oriented(t, "a", "c") == [("e1", 1), ("e2", 1)]
     assert tree_path_oriented(t, "c", "a") == [("e2", -1), ("e1", -1)]
     assert tree_path(t, "b", "b") == []
+    with pytest.raises(ValueError, match="'zz' is not a vertex"):
+        tree_path_oriented(t, "a", "zz")
+    with pytest.raises(ValueError, match="'zz' is not a vertex"):
+        tree_path_oriented(t, "zz", "zz")
+    # Rooted at a, the paths from c and from d meet at b, not at the root.
+    g = graph(["a", "b", "c", "d"], [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "d", "b")])
+    t = spanning_tree(g)
+    assert tree_path_oriented(t, "c", "d") == [("e2", -1), ("e3", -1)]
+    assert tree_path_oriented(t, "d", "c") == [("e3", 1), ("e2", 1)]
+    assert tree_path_oriented(t, "c", "a") == [("e2", -1), ("e1", -1)]
+    assert tree_path_oriented(t, "a", "d") == [("e1", 1), ("e3", -1)]
+    assert tree_path_oriented(t, "b", "d") == [("e3", -1)]
+    assert tree_path_oriented(t, "c", "b") == [("e2", -1)]
 
 
 def test_loops_never_enter_tree():
