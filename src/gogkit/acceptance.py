@@ -40,9 +40,9 @@ from .gog import (
 )
 from .group_ring import add
 from .quotients import (
+    _default_pool,
     _iter_quotients,
     coset_complement_functional,
-    default_targets,
     search_quotient,
 )
 from .structure_tree import (
@@ -504,7 +504,7 @@ def _factor_avoiding_quotient(g, x, found: list):
     for q in found:
         if suits(q):
             return q
-    for target in default_targets():
+    for target in _default_pool():
         for q in _iter_quotients(g, target):
             if suits(q):
                 found.append(q)

@@ -124,7 +124,10 @@ def parse_document(data) -> GogDocument:
         edge_groups[eid] = _table_group_from_spec(entry["group"])
         raw_images[eid] = (entry["d0_images"], entry["d1_images"])
 
-    graph = FiniteGraph(tuple(vertex_ids), tuple(edge_ids), d0, d1)
+    try:
+        graph = FiniteGraph(tuple(vertex_ids), tuple(edge_ids), d0, d1)
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from None
     inclusions = {}
     for eid in edge_ids:
         raw0, raw1 = raw_images[eid]

@@ -55,6 +55,10 @@ class FiniteGroup:
         tag = self.name or "group"
         return f"FiniteGroup({tag}, order={self.order})"
 
+    def __hash__(self) -> int:
+        # O(n), where the generated hash walks the n² table; equal groups agree.
+        return hash((self.identity, self.inverse))
+
 
 @dataclass(frozen=True)
 class Subgroup:
@@ -373,11 +377,18 @@ def enumerate_homs(source: FiniteGroup, target: FiniteGroup) -> list[GroupHom]:
     the (i+1)-th generator lies in the span of the first i and its image is
     fixed by theirs.  Generator-image order is therefore image-array order,
     and distinct generator images give distinct arrays.  Quotient searches
-    rely on this order for their first hit.
+    rely on this order for their first hit.  Each (source, target) pair is
+    enumerated once per process; every call gets a fresh list.
     """
+    return list(_homs(source, target))
+
+
+@functools.lru_cache(maxsize=None)
+def _homs(source: FiniteGroup, target: FiniteGroup) -> tuple[GroupHom, ...]:
+    # Groups and homs are immutable, so sharing cached instances is safe.
     gens = _generating_sequence(source)
     if not gens:
-        return [GroupHom(source, target, (target.identity,) * source.order)]
+        return (GroupHom(source, target, (target.identity,) * source.order),)
     candidates: list[list[int]] = []
     for g in gens:
         o = source.element_order(g)
@@ -387,7 +398,7 @@ def enumerate_homs(source: FiniteGroup, target: FiniteGroup) -> list[GroupHom]:
         arr = _extend_hom(source, target, gens, list(combo))
         if arr is not None:
             out.append(GroupHom(source, target, arr))
-    return out
+    return tuple(out)
 
 
 def enumerate_embeddings(source: FiniteGroup, target: FiniteGroup) -> list[GroupHom]:

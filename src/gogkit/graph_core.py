@@ -20,6 +20,8 @@ class FiniteGraph:
     d1: dict[str, str]
 
     def __post_init__(self):
+        if not self.vertices:
+            raise ValueError("graph has no vertices")
         vs = set(self.vertices)
         for e in self.edges:
             if e not in self.d0 or e not in self.d1:

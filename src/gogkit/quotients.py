@@ -3,9 +3,13 @@
 A quotient is stored as one image array per vertex group plus one image per
 stable letter; tree letters always map to the identity.  Searches walk a
 deterministic candidate list (cyclic groups up to order 24, then symmetric
-groups up to degree 6 by default).  For each target they walk the product of
-the vertex homs from ``finite_group.enumerate_homs`` and the stable-letter
-images, in lexicographic image order, so the first hit is reproducible.
+groups up to degree 6 by default, each built only when a search reaches it).
+For each target they walk the product of the vertex homs from
+``finite_group.enumerate_homs`` and the stable-letter images, in lexicographic
+image order, so the first hit is reproducible.  A goal that constrains single
+vertex homs (injectivity) filters each vertex's hom list before the product;
+filtering the factors of a lexicographic product keeps the order of the
+combinations that survive, so the first hit does not change.
 """
 from __future__ import annotations
 
@@ -103,35 +107,53 @@ def _relators_die(g: GraphOfGroups, q: FiniteQuotient) -> bool:
     return True
 
 
+def _default_pool(degree: int = 6):
+    """Cyclic groups of order 2..24, then symmetric groups of degree 3..degree.
+
+    Each group is built when the walk reaches it, so a search that succeeds
+    early never builds S5 or S6.
+    """
+    for n in range(2, 25):
+        yield make_group(f"cyclic {n}")
+    for n in range(3, degree + 1):
+        yield make_group(f"symmetric {n}")
+
+
 def default_targets(degree: int = 6) -> list[FiniteGroup]:
-    """Cyclic groups of order 2..24, then symmetric groups of degree 3..degree."""
-    out = [make_group(f"cyclic {n}") for n in range(2, 25)]
-    out.extend(make_group(f"symmetric {n}") for n in range(3, degree + 1))
-    return out
+    """The default target pool as a list, every group built."""
+    return list(_default_pool(degree))
 
 
-def _resolve_targets(targets) -> list[FiniteGroup]:
+def _resolve_targets(targets):
     if targets is None:
-        return default_targets()
+        return _default_pool()
     if isinstance(targets, int):
-        return default_targets(targets)
+        return _default_pool(targets)
+    # Explicit specs are built up front, so a bad one fails before any search.
     return [make_group(t) for t in targets]
 
 
-def _iter_quotients(g: GraphOfGroups, target: FiniteGroup):
+def _iter_quotients(g: GraphOfGroups, target: FiniteGroup, keep=None):
     """All quotients onto a fixed target, in lexicographic image order.
 
     A product over the homs of each vertex group (``enumerate_homs``, sorted
     vertex ids) and one target element per non-tree letter (sorted edge ids),
     filtered by the edge relators.  Each hom list is ordered by image array,
     so quotients come out ordered by (vertex image arrays, letter images).
+    When given, ``keep(vertex id, image array)`` drops vertex homs before the
+    product; the surviving quotients come out in the same relative order.
     """
     if not g.all_tables():
         return
     vertex_ids = sorted(g.graph.vertices)
     letters = [e for e in sorted(g.graph.edges) if e not in g.tree.edges]
     choices = [
-        [h.images for h in enumerate_homs(g.vertex_groups[v].group, target)] for v in vertex_ids
+        [
+            h.images
+            for h in enumerate_homs(g.vertex_groups[v].group, target)
+            if keep is None or keep(v, h.images)
+        ]
+        for v in vertex_ids
     ]
     choices += [range(target.order)] * len(letters)
     tree_images = {e: target.identity for e in g.graph.edges if e in g.tree.edges}
@@ -212,7 +234,10 @@ def search_quotient(
     a designated subgroup of one vertex group), "refine" (the restriction to a
     designated subgraph group factors the given quotient of it).  Raises
     Exhausted when the candidate pool runs out; that is never a disproof.
+    Injectivity goals filter vertex homs before the product (``keep``);
+    ``accept`` tests what needs the whole quotient.
     """
+    keep = None
     if goal == "separate":
         if not elements:
             raise ValueError("separate needs a non-empty element list")
@@ -220,18 +245,26 @@ def search_quotient(
             if not x.syllables:
                 raise ValueError("cannot separate the identity from itself")
 
+        def keep(vid: str, images: tuple[int, ...]) -> bool:
+            return len(set(images)) == len(images)
+
         def accept(q: FiniteQuotient) -> bool:
-            if not q.is_vertex_injective():
-                return False
             return all(q.image_of(x) != q.target.identity for x in elements)
 
     elif goal == "embed":
         if vertex is None or subgroup is None:
             raise ValueError("embed needs a vertex id and a subgroup of its group")
+        if vertex not in g.vertex_groups:
+            raise ValueError(f"{vertex!r} is not a vertex")
+
+        def keep(vid: str, images: tuple[int, ...]) -> bool:
+            if vid != vertex:
+                return True
+            sub_images = [images[h] for h in subgroup.elements]
+            return len(set(sub_images)) == len(sub_images)
 
         def accept(q: FiniteQuotient) -> bool:
-            images = [q.vertex_images[vertex][h] for h in subgroup.elements]
-            return len(set(images)) == len(images)
+            return True
 
     elif goal == "refine":
         if subgraph is None or given is None:
@@ -243,11 +276,21 @@ def search_quotient(
     else:
         raise ValueError(f"unknown goal {goal!r}")
 
+    walked = tried = 0
     for target in _resolve_targets(targets):
-        for q in _iter_quotients(g, target):
+        walked += 1
+        for q in _iter_quotients(g, target, keep):
+            tried += 1
             if accept(q):
                 return q
-    raise Exhausted(f"no quotient in the candidate pool achieves goal {goal!r}")
+    raise Exhausted(
+        f"no quotient in the candidate pool achieves goal {goal!r} {_progress(walked, tried)}"
+    )
+
+
+def _progress(walked: int, tried: int) -> str:
+    """How far a search got, e.g. '(1 target, 96 quotients tried)'."""
+    return f"({walked} target{'s' * (walked != 1)}, {tried} quotient{'s' * (tried != 1)} tried)"
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +317,18 @@ def certify_nonkernel(d, x: NormalForm, targets=None) -> NonkernelCertificate:
     values = evaluate(d, x)
     if all(v.is_zero() for v in values):
         raise Exhausted("the value is zero; no certificate can exist")
+    walked = tried = 0
     for target in _resolve_targets(targets):
+        walked += 1
         for q in _iter_quotients(d.owner, target):
+            tried += 1
             for i, v in enumerate(values):
                 pushed = q.push(v)
                 if pushed:
                     return NonkernelCertificate(q, i, pushed)
-    raise Exhausted("no candidate quotient shows a nonzero push; inconclusive")
+    raise Exhausted(
+        f"no candidate quotient shows a nonzero push; inconclusive {_progress(walked, tried)}"
+    )
 
 
 def check_certificate(cert: NonkernelCertificate, d, x: NormalForm) -> bool:

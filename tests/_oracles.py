@@ -2,12 +2,14 @@
 
 Everything here is deliberately built on different representations than the
 package itself: integer matrices, affine maps, and a hand-rolled free-product
-reducer.  Words are fed to both sides and the verdicts compared.  Two
+reducer.  Words are fed to both sides and the verdicts compared.  Three
 exceptions keep an earlier design of the package as the reference: the
 brute-force quotient enumerator reuses the package's generating sequence and
 hom extension, but walks one product over every generator image instead of
-per-vertex hom lists; the three-pass reducer realizes a word as a path, then
-cancels pinches, then normalizes, where the package does it in one stack pass.
+per-vertex hom lists; the unfiltered quotient search tests every goal on
+whole quotients, where the package drops vertex homs before the product; the
+three-pass reducer realizes a word as a path, then cancels pinches, then
+normalizes, where the package does it in one stack pass.
 """
 from __future__ import annotations
 
@@ -214,6 +216,37 @@ def iter_quotients_brute(g, target):
             q = FiniteQuotient(g, target, vertex_images, letter_images)
             if _relators_die(g, q):
                 yield q
+
+
+def search_quotient_unfiltered(g, goal, *, elements=None, vertex=None, subgroup=None, targets=None):
+    """The first quotient for ``separate`` or ``embed``, every goal tested on
+    whole quotients: no vertex hom is dropped before the product."""
+    from gogkit.errors import Exhausted
+    from gogkit.finite_group import make_group
+    from gogkit.quotients import _iter_quotients, default_targets
+
+    if goal == "separate":
+
+        def accept(q):
+            if not q.is_vertex_injective():
+                return False
+            return all(q.image_of(x) != q.target.identity for x in elements)
+
+    elif goal == "embed":
+
+        def accept(q):
+            images = [q.vertex_images[vertex][h] for h in subgroup.elements]
+            return len(set(images)) == len(images)
+
+    else:
+        raise ValueError(f"unknown goal {goal!r}")
+
+    pool = default_targets() if targets is None else [make_group(t) for t in targets]
+    for target in pool:
+        for q in _iter_quotients(g, target):
+            if accept(q):
+                return q
+    raise Exhausted(f"no quotient in the candidate pool achieves goal {goal!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,17 @@ def test_wrongly_typed_fields_raise_document_error(mutate, message):
         parse_document(doc)
 
 
+@pytest.mark.parametrize("tree", [None, []], ids=["built-tree", "given-tree"])
+def test_graph_with_no_vertices_raises_document_error(tree):
+    doc = base_doc()
+    doc["graph"].update(vertices=[], edges=[])
+    doc.pop("spanning_tree")
+    if tree is not None:
+        doc["spanning_tree"] = tree
+    with pytest.raises(DocumentError, match="graph has no vertices"):
+        parse_document(doc)
+
+
 def test_basepoint_must_exist():
     doc = base_doc()
     doc["basepoint"] = "zz"

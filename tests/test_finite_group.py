@@ -147,6 +147,35 @@ def test_hom_enumeration_is_strictly_increasing(source):
         assert all(a < b for a, b in zip(images, images[1:])), (source, spec)
 
 
+def test_hom_lists_are_fresh_per_call():
+    c3, s3 = make_group("cyclic 3"), make_group("symmetric 3")
+    homs = enumerate_homs(c3, s3)
+    homs.append(homs[0])
+    homs[0] = None
+    again = enumerate_homs(c3, s3)
+    assert len(again) == 3
+    assert again == sorted(again, key=lambda h: h.images)
+
+
+def test_equal_tables_share_hash_and_hom_lists():
+    spec = {"table": [[(i + j) % 4 for j in range(4)] for i in range(4)]}
+    a, b = make_group(spec), make_group(spec)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    s4 = make_group("symmetric 4")
+    assert enumerate_homs(a, s4) == enumerate_homs(b, s4)
+    assert enumerate_homs(s4, a) == enumerate_homs(s4, b)
+
+
+def test_default_pool_hashes_are_stable():
+    from gogkit.quotients import default_targets
+
+    specs = [f"cyclic {n}" for n in range(2, 25)] + [f"symmetric {n}" for n in range(3, 7)]
+    for spec, group in zip(specs, default_targets()):
+        assert make_group(spec) == group
+        assert hash(make_group(spec)) == hash(make_group(spec)) == hash(group)
+
+
 def test_conjugacy_helpers():
     s3 = make_group("symmetric 3")
     # Order-2 subgroups of S3 are all conjugate.

@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from _oracles import iter_quotients_brute
-from gogkit.acceptance import _sl23
+import gogkit.quotients
+from _oracles import iter_quotients_brute, search_quotient_unfiltered
+from gogkit.acceptance import _sl23, separation_targets
 from gogkit.derivation import accessibility_derivation, evaluate
 from gogkit.errors import Exhausted
-from gogkit.finite_group import make_group, subgroup_closure
-from gogkit.gog import Subgraph, ball, invert, multiply, nf
+from gogkit.finite_group import Subgroup, make_group, subgroup_closure
+from gogkit.gog import Subgraph, ball, identity, invert, multiply, nf
 from gogkit.quotients import (
     FiniteQuotient,
     NonkernelCertificate,
@@ -266,3 +267,82 @@ def test_iter_quotients_matches_brute_force(name, request):
         targets.append(make_group("symmetric 5"))
     for target in targets:
         assert list(_iter_quotients(g, target)) == list(iter_quotients_brute(g, target)), target
+
+
+def test_default_pool_builds_targets_as_reached(c4c6, monkeypatch):
+    requested = []
+
+    def recording(spec):
+        requested.append(spec)
+        return make_group(spec)
+
+    monkeypatch.setattr(gogkit.quotients, "make_group", recording)
+    q = search_quotient(c4c6, "separate", elements=[nf(c4c6, "v:g1")])
+    assert q.target.name == "C12"
+    assert requested == [f"cyclic {n}" for n in range(2, 13)]
+
+
+def _first_hit(search, g, goal, **kwargs):
+    try:
+        return search(g, goal, **kwargs)
+    except Exhausted:
+        return None
+
+
+def _power(x, n: int):
+    out = identity(x.owner)
+    for _ in range(n):
+        out = multiply(out, x)
+    return out
+
+
+@pytest.mark.parametrize("name", ["c4c6", "c6hnn", "c4c2c4", "c2c2"])
+def test_filtered_search_matches_unfiltered_search(name, request):
+    # Dropping vertex homs before the product keeps the order of the
+    # quotients that survive, so first hits and Exhausted verdicts agree.
+    g = request.getfixturevalue(name)
+    pool = separation_targets()
+    elements = [x for x in ball(g, 3) if x.syllables]
+    for i, x in enumerate(elements):
+        for targets in (pool, None) if i < 25 else (pool,):
+            kwargs = {"elements": [x], "targets": targets}
+            assert _first_hit(search_quotient, g, "separate", **kwargs) == _first_hit(
+                search_quotient_unfiltered, g, "separate", **kwargs
+            ), (x.text(), targets)
+    for vid in sorted(g.graph.vertices):
+        group = g.vertex_groups[vid].group
+        for cyclic in sorted({subgroup_closure(group, [h]).elements for h in range(group.order)}):
+            kwargs = {"vertex": vid, "subgroup": Subgroup(group, cyclic)}
+            assert _first_hit(search_quotient, g, "embed", **kwargs) == _first_hit(
+                search_quotient_unfiltered, g, "embed", **kwargs
+            ), (vid, cyclic)
+
+
+def test_filtered_search_exhausts_like_unfiltered(c4c6):
+    y = _power(nf(c4c6, "v:g1 * w:g1"), 60)
+    for search in (search_quotient, search_quotient_unfiltered):
+        with pytest.raises(Exhausted):
+            search(c4c6, "separate", elements=[y], targets=["symmetric 4"])
+
+
+@pytest.mark.parametrize("name, word", [("c4c6", "v:g1 * w:g1"), ("c4c2c4", "u:g1 * w:g1")])
+def test_exhausted_search_reports_how_far_it_got(name, word, request):
+    g = request.getfixturevalue(name)
+    s4 = make_group("symmetric 4")
+    injective = sum(1 for q in _iter_quotients(g, s4) if q.is_vertex_injective())
+    y = _power(nf(g, word), 60)
+    with pytest.raises(Exhausted, match=rf"\(1 target, {injective} quotients tried\)"):
+        search_quotient(g, "separate", elements=[y], targets=["symmetric 4"])
+
+
+def test_exhausted_certifier_reports_how_far_it_got(c4c6):
+    # C1 has one quotient; into C2 the C6 generator must die (w:g3 = v:g2).
+    d = accessibility_derivation(c4c6, "v", 5)
+    with pytest.raises(Exhausted, match=r"\(2 targets, 3 quotients tried\)"):
+        certify_nonkernel(d, nf(c4c6, "w:g1"), targets=["cyclic 1", "cyclic 2"])
+
+
+def test_embed_rejects_unknown_vertex(c4c6):
+    sub = subgroup_closure(c4c6.vertex_groups["v"].group, [1])
+    with pytest.raises(ValueError, match="not a vertex"):
+        search_quotient(c4c6, "embed", vertex="zz", subgroup=sub)
