@@ -5,6 +5,7 @@ finite, seeded sampling where it is not, and zero tolerance either way.
 """
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
@@ -413,13 +414,14 @@ def _sl23() -> FiniteGroup:
     return make_group({"table": table, "labels": labels, "name": "SL23"})
 
 
-def separation_targets() -> list:
-    """Candidate quotients of order at most 24 for the separation sweep."""
-    pool: list = [f"cyclic {n}" for n in range(2, 25)]
-    pool.extend(["dicyclic 3", "symmetric 3", "symmetric 4", "dicyclic 6"])
-    pool.append(["cyclic 4", "symmetric 3"])
-    pool.append(_sl23())
-    return pool
+@functools.cache
+def separation_targets() -> tuple[FiniteGroup, ...]:
+    """Candidate quotients of order at most 24 for the separation sweep, built once."""
+    specs: list = [f"cyclic {n}" for n in range(2, 25)]
+    specs.extend(["dicyclic 3", "symmetric 3", "symmetric 4", "dicyclic 6"])
+    specs.append(["cyclic 4", "symmetric 3"])
+    specs.append(_sl23())
+    return tuple(make_group(spec) for spec in specs)
 
 
 def check_residual_finiteness(only: str | None = None) -> Report:

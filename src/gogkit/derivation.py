@@ -111,11 +111,7 @@ def evaluate(d: Derivation, x) -> list[RingVector]:
         for syl in reversed(syllables):
             vec = _generator_value(g, comp, d.mod, syl)
             value = add(value, _act(g, vec, suffix, comp.action))
-            if syl[0] == VERTEX:
-                elem = vertex_element(g, syl[1], syl[2])
-            else:
-                elem = reduce(g, Word((syl,)))
-            suffix = multiply(elem, suffix)
+            suffix = reduce(g, Word((syl,) + suffix.syllables))
         out.append(value)
     return out
 
@@ -354,7 +350,4 @@ def derivation_from_data(g: GraphOfGroups, data: dict) -> Derivation:
             for key, terms in entry.get("values", {}).items()
         }
         components.append((action, table))
-    built = tuple(
-        _component_from_text_table(g, action, table) for action, table in components
-    )
-    return Derivation(g, mod, built)
+    return glue(g, mod, components)

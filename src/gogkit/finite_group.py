@@ -329,45 +329,50 @@ def _generating_sequence(group: FiniteGroup) -> list[int]:
     return gens
 
 
-def _extend_hom(
-    source: FiniteGroup, target: FiniteGroup, gens: list[int], gen_images: list[int]
-) -> tuple[int, ...] | None:
-    """Grow generator images to a full image array, or None on conflict."""
-    images = {source.identity: target.identity}
+def extend_on_span(
+    source: FiniteGroup, gens: list[int], gen_images: list, mul, one
+) -> dict | None:
+    """The map on ⟨gens⟩ sending each generator to its image, or None on a conflict.
+
+    A frontier walk over the Cayley graph of ⟨gens⟩ that checks every edge
+    x → x·s, so the returned map is a homomorphism on the span (von Dyck).
+    ``mul`` and ``one`` are the product and identity where the images live.
+    """
+    images = {source.identity: one}
     frontier = [source.identity]
-    for g, im in zip(gens, gen_images):
-        if g in images:
-            if images[g] != im:
-                return None
-        else:
-            images[g] = im
-            frontier.append(g)
     while frontier:
         nxt = []
-        for x in list(images):
-            for g, im in zip(gens, gen_images):
-                y = source.mul(x, g)
-                v = target.mul(images[x], im)
+        for x in frontier:
+            for s, t in zip(gens, gen_images):
+                y = source.mul(x, s)
+                v = mul(images[x], t)
                 if y in images:
                     if images[y] != v:
                         return None
                 else:
                     images[y] = v
                     nxt.append(y)
-        if len(images) == source.order:
-            break
-        if not nxt:
-            break
         frontier = nxt
-    if len(images) != source.order:
+    return images
+
+
+def hom_defect(source: FiniteGroup, images, mul) -> tuple[int, int] | None:
+    """The first pair (i, j), row by row, with images[i·j] ≠ images[i]·images[j], or None."""
+    for i, row in enumerate(source.table):
+        for j, ij in enumerate(row):
+            if images[ij] != mul(images[i], images[j]):
+                return i, j
+    return None
+
+
+def _extend_hom(
+    source: FiniteGroup, target: FiniteGroup, gens: list[int], gen_images: list[int]
+) -> tuple[int, ...] | None:
+    """Grow generator images to a full image array, or None on conflict."""
+    images = extend_on_span(source, gens, gen_images, target.mul, target.identity)
+    if images is None or len(images) != source.order:
         return None
-    arr = tuple(images[i] for i in range(source.order))
-    for i in range(source.order):
-        row = source.table[i]
-        for j in range(source.order):
-            if arr[row[j]] != target.mul(arr[i], arr[j]):
-                return None
-    return arr
+    return tuple(images[i] for i in range(source.order))
 
 
 def enumerate_homs(source: FiniteGroup, target: FiniteGroup) -> list[GroupHom]:

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import BadSubgraph, BallTooLarge, MalformedWord, MixedOwners, NotFinite
-from .finite_group import FiniteGroup, Subgroup, is_conjugate_into
+from .finite_group import FiniteGroup, Subgroup, hom_defect, is_conjugate_into
 from .graph_core import FiniteGraph, SpanningTree, spanning_tree, tree_path_oriented
 
 BALL_CAP = 10**6
@@ -171,9 +171,6 @@ class GraphOfGroups:
                 self._preimages[(e, side)] = {
                     h: k for k, h in enumerate(self.inclusions[e][side])
                 }
-
-    def vertex_group(self, v: str):
-        return self.vertex_groups[v]
 
     def incl(self, e: str, side: int, k: int):
         """Image handle of edge-group element k under the side-inclusion of e."""
@@ -500,25 +497,19 @@ def validate(g: GraphOfGroups) -> Report:
         for side, vid in ((0, g.graph.d0[eid]), (1, g.graph.d1[eid])):
             vg = g.vertex_groups[vid]
             images = g.inclusions[eid][side]
-            for h in images:
-                if not vg.contains_handle(h):
-                    report.fail(f"edge {eid!r} side {side}: image {h!r} not in group at {vid!r}")
+            bad = [h for h in images if not vg.contains_handle(h)]
+            for h in bad:
+                report.fail(f"edge {eid!r} side {side}: image {h!r} not in group at {vid!r}")
+            if bad:
+                continue  # the checks below would index the bad handles
             if len({vg.sort_key(h) for h in images}) != K.order:
                 report.fail(f"edge {eid!r} side {side}: inclusion is not injective")
             if images and not vg.is_identity(images[K.identity]):
                 report.fail(f"edge {eid!r} side {side}: identity does not map to identity")
-            for i in range(K.order):
-                for j in range(K.order):
-                    lhs = images[K.mul(i, j)]
-                    rhs = vg.mul(images[i], images[j])
-                    if vg.sort_key(lhs) != vg.sort_key(rhs):
-                        report.fail(
-                            f"edge {eid!r} side {side}: not a homomorphism on pair ({i},{j})"
-                        )
-                        break
-                else:
-                    continue
-                break
+            defect = hom_defect(K, images, vg.mul)
+            if defect is not None:
+                i, j = defect
+                report.fail(f"edge {eid!r} side {side}: not a homomorphism on pair ({i},{j})")
     report.counts["vertices"] = len(g.graph.vertices)
     report.counts["edges"] = len(g.graph.edges)
     return report

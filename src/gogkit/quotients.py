@@ -6,10 +6,16 @@ deterministic candidate list (cyclic groups up to order 24, then symmetric
 groups up to degree 6 by default, each built only when a search reaches it).
 For each target they walk the product of the vertex homs from
 ``finite_group.enumerate_homs`` and the stable-letter images, in lexicographic
-image order, so the first hit is reproducible.  A goal that constrains single
-vertex homs (injectivity) filters each vertex's hom list before the product;
-filtering the factors of a lexicographic product keeps the order of the
-combinations that survive, so the first hit does not change.
+image order, so the first hit is reproducible, and keep a combination when
+every relator of ``gog.presentation`` maps to the identity.  A goal that
+constrains single vertex homs (injectivity) filters each vertex's hom list
+before the product; filtering the factors of a lexicographic product keeps the
+order of the combinations that survive, so the first hit does not change.
+
+Every homomorphism test goes through ``finite_group``: ``hom_defect`` checks
+a vertex image array pair by pair (``quotient_from_images``), and
+``extend_on_span`` decides whether a map defined on generators extends, which
+is how ``refine`` tests that a given quotient factors through a candidate.
 """
 from __future__ import annotations
 
@@ -18,7 +24,14 @@ import json
 from dataclasses import dataclass
 
 from .errors import Exhausted
-from .finite_group import FiniteGroup, Subgroup, enumerate_homs, make_group
+from .finite_group import (
+    FiniteGroup,
+    Subgroup,
+    enumerate_homs,
+    extend_on_span,
+    hom_defect,
+    make_group,
+)
 from .gog import (
     VERTEX,
     GraphOfGroups,
@@ -84,27 +97,12 @@ def quotient_from_images(
         images = vertex_images.get(vid)
         if images is None or len(images) != vg.group.order or not all(map(is_element, images)):
             return None
-        for i in range(vg.group.order):
-            for j in range(vg.group.order):
-                if images[vg.group.mul(i, j)] != target.mul(images[i], images[j]):
-                    return None
+        if hom_defect(vg.group, images, target.mul) is not None:
+            return None
     q = FiniteQuotient(g, target, dict(vertex_images), dict(letter_images))
     if any(q.image_of(r) != target.identity for r in presentation(g).relators):
         return None
     return q
-
-
-def _relators_die(g: GraphOfGroups, q: FiniteQuotient) -> bool:
-    """Edge relators die; the search maps tree letters to the identity itself."""
-    t = q.target
-    for eid in g.graph.edges:
-        timg = q.letter_images[eid]
-        for k in range(g.edge_groups[eid].order):
-            lhs = q.vertex_images[g.graph.d1[eid]][g.incl(eid, 1, k)]
-            rhs = t.mul(t.mul(t.inv(timg), q.vertex_images[g.graph.d0[eid]][g.incl(eid, 0, k)]), timg)
-            if lhs != rhs:
-                return False
-    return True
 
 
 def _default_pool(degree: int = 6):
@@ -138,8 +136,9 @@ def _iter_quotients(g: GraphOfGroups, target: FiniteGroup, keep=None):
 
     A product over the homs of each vertex group (``enumerate_homs``, sorted
     vertex ids) and one target element per non-tree letter (sorted edge ids),
-    filtered by the edge relators.  Each hom list is ordered by image array,
-    so quotients come out ordered by (vertex image arrays, letter images).
+    kept when every relator of ``presentation(g)`` maps to the identity.  Each
+    hom list is ordered by image array, so quotients come out ordered by
+    (vertex image arrays, letter images).
     When given, ``keep(vertex id, image array)`` drops vertex homs before the
     product; the surviving quotients come out in the same relative order.
     """
@@ -157,10 +156,11 @@ def _iter_quotients(g: GraphOfGroups, target: FiniteGroup, keep=None):
     ]
     choices += [range(target.order)] * len(letters)
     tree_images = {e: target.identity for e in g.graph.edges if e in g.tree.edges}
+    relators = presentation(g).relators
     for combo in itertools.product(*choices):
         letter_images = {**tree_images, **dict(zip(letters, combo[len(vertex_ids):]))}
         q = FiniteQuotient(g, target, dict(zip(vertex_ids, combo)), letter_images)
-        if _relators_die(g, q):
+        if all(q.image_of(r) == target.identity for r in relators):
             yield q
 
 
@@ -190,30 +190,19 @@ def _factors_through(g: GraphOfGroups, q: FiniteQuotient, sub: Subgraph, given: 
     Equivalently: a map θ with θ(q(s)) = given(s) exists on the subgroup of
     q.target generated by the subgraph generators.
     """
-    pairs: dict[int, int] = {q.target.identity: given.target.identity}
-    gen_pairs: list[tuple[int, int]] = []
+    gens: list[int] = []
+    gen_images: list[int] = []
     for vid in sorted(sub.vertices):
-        vg = g.vertex_groups[vid]
-        for h in vg.generator_handles():
-            gen_pairs.append((q.vertex_images[vid][h], given.vertex_images[vid][h]))
+        for h in g.vertex_groups[vid].generator_handles():
+            gens.append(q.vertex_images[vid][h])
+            gen_images.append(given.vertex_images[vid][h])
     for eid in sorted(sub.edges):
         if eid not in g.tree.edges:
-            gen_pairs.append((q.letter_images[eid], given.letter_images[eid]))
-    frontier = [q.target.identity]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for ga, gb in gen_pairs:
-                b = q.target.mul(a, ga)
-                v = given.target.mul(pairs[a], gb)
-                if b in pairs:
-                    if pairs[b] != v:
-                        return False
-                else:
-                    pairs[b] = v
-                    nxt.append(b)
-        frontier = nxt
-    return True
+            gens.append(q.letter_images[eid])
+            gen_images.append(given.letter_images[eid])
+    return extend_on_span(
+        q.target, gens, gen_images, given.target.mul, given.target.identity
+    ) is not None
 
 
 def search_quotient(

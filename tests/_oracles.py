@@ -2,14 +2,18 @@
 
 Everything here is deliberately built on different representations than the
 package itself: integer matrices, affine maps, and a hand-rolled free-product
-reducer.  Words are fed to both sides and the verdicts compared.  Three
+reducer.  Words are fed to both sides and the verdicts compared.  Some
 exceptions keep an earlier design of the package as the reference: the
-brute-force quotient enumerator reuses the package's generating sequence and
-hom extension, but walks one product over every generator image instead of
-per-vertex hom lists; the unfiltered quotient search tests every goal on
-whole quotients, where the package drops vertex homs before the product; the
-three-pass reducer realizes a word as a path, then cancels pinches, then
-normalizes, where the package does it in one stack pass.
+brute-force quotient enumerator reuses the package's generating sequence, but
+walks one product over every generator image instead of per-vertex hom lists,
+extends each vertex hom by re-walking every known element and checking all
+pairs, and tests the edge relators by hand instead of through the
+presentation; the subgroup factoring test has its own Cayley-graph walk; the
+unfiltered quotient search tests every goal on whole quotients, where the
+package drops vertex homs before the product; the three-pass reducer realizes
+a word as a path, then cancels pinches, then normalizes, where the package
+does it in one stack pass; the two-step derivation evaluator reduces each
+syllable on its own before multiplying it onto the suffix.
 """
 from __future__ import annotations
 
@@ -167,6 +171,89 @@ def count_embeddings_brute(source_table, target_table) -> int:
 # Brute-force quotient enumerator: one product over every generator image
 
 
+def extend_hom_reference(source, target, gens, gen_images):
+    """Grow generator images to a full image array, or None on conflict.
+
+    Re-walks every element found so far on each round, then checks all pairs.
+    """
+    images = {source.identity: target.identity}
+    frontier = [source.identity]
+    for g, im in zip(gens, gen_images):
+        if g in images:
+            if images[g] != im:
+                return None
+        else:
+            images[g] = im
+            frontier.append(g)
+    while frontier:
+        nxt = []
+        for x in list(images):
+            for g, im in zip(gens, gen_images):
+                y = source.mul(x, g)
+                v = target.mul(images[x], im)
+                if y in images:
+                    if images[y] != v:
+                        return None
+                else:
+                    images[y] = v
+                    nxt.append(y)
+        if len(images) == source.order:
+            break
+        if not nxt:
+            break
+        frontier = nxt
+    if len(images) != source.order:
+        return None
+    arr = tuple(images[i] for i in range(source.order))
+    for i in range(source.order):
+        row = source.table[i]
+        for j in range(source.order):
+            if arr[row[j]] != target.mul(arr[i], arr[j]):
+                return None
+    return arr
+
+
+def relators_die(g, q) -> bool:
+    """Edge relators die; the search maps tree letters to the identity itself."""
+    t = q.target
+    for eid in g.graph.edges:
+        timg = q.letter_images[eid]
+        for k in range(g.edge_groups[eid].order):
+            lhs = q.vertex_images[g.graph.d1[eid]][g.incl(eid, 1, k)]
+            rhs = t.mul(t.mul(t.inv(timg), q.vertex_images[g.graph.d0[eid]][g.incl(eid, 0, k)]), timg)
+            if lhs != rhs:
+                return False
+    return True
+
+
+def factors_through_reference(g, q, sub, given) -> bool:
+    """Whether the given subgraph quotient factors through q's restriction."""
+    pairs = {q.target.identity: given.target.identity}
+    gen_pairs = []
+    for vid in sorted(sub.vertices):
+        vg = g.vertex_groups[vid]
+        for h in vg.generator_handles():
+            gen_pairs.append((q.vertex_images[vid][h], given.vertex_images[vid][h]))
+    for eid in sorted(sub.edges):
+        if eid not in g.tree.edges:
+            gen_pairs.append((q.letter_images[eid], given.letter_images[eid]))
+    frontier = [q.target.identity]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for ga, gb in gen_pairs:
+                b = q.target.mul(a, ga)
+                v = given.target.mul(pairs[a], gb)
+                if b in pairs:
+                    if pairs[b] != v:
+                        return False
+                else:
+                    pairs[b] = v
+                    nxt.append(b)
+        frontier = nxt
+    return True
+
+
 def iter_quotients_brute(g, target):
     """Quotients onto ``target`` in lexicographic generator-image order.
 
@@ -174,9 +261,9 @@ def iter_quotients_brute(g, target):
     its own, each non-tree letter over the whole target; every combination
     extends each vertex hom afresh and keeps the ones killing the edge relators.
     """
-    from gogkit.finite_group import _extend_hom, _generating_sequence
+    from gogkit.finite_group import _generating_sequence
     from gogkit.gog import TableVertexGroup
-    from gogkit.quotients import FiniteQuotient, _relators_die
+    from gogkit.quotients import FiniteQuotient
 
     vertex_ids = sorted(g.graph.vertices)
     gens = []
@@ -206,7 +293,7 @@ def iter_quotients_brute(g, target):
             if not seq:
                 arr = (target.identity,) * group.order
             else:
-                arr = _extend_hom(group, target, seq, list(images))
+                arr = extend_hom_reference(group, target, seq, list(images))
             if arr is None:
                 break
             vertex_images[vid] = arr
@@ -214,7 +301,7 @@ def iter_quotients_brute(g, target):
             letter_images = {e: target.identity for e in g.graph.edges if e in g.tree.edges}
             letter_images.update(zip(letters, combo[pos:]))
             q = FiniteQuotient(g, target, vertex_images, letter_images)
-            if _relators_die(g, q):
+            if relators_die(g, q):
                 yield q
 
 
@@ -406,3 +493,35 @@ def _normalize(g, path: list[tuple], base: str) -> tuple[tuple, ...]:
     if not g.vertex_groups[cur].is_identity(carry):
         syllables.append((VERTEX, cur, carry))
     return tuple(syllables)
+
+
+# ---------------------------------------------------------------------------
+# Two-step derivation evaluation: each syllable reduced, then multiplied on
+
+
+def evaluate_two_step(d, x) -> list:
+    """Every component of ``d`` on a word or normal form.
+
+    Walks the syllables right to left, reducing each one on its own and then
+    multiplying it onto the suffix.
+    """
+    from gogkit.derivation import _act, _generator_value
+    from gogkit.gog import Word, identity, multiply, reduce, vertex_element
+    from gogkit.group_ring import add, ring_zero
+
+    g = d.owner
+    syllables = x.syllables if hasattr(x, "syllables") else tuple(x)
+    out = []
+    for comp in d.components:
+        value = ring_zero(g, d.mod)
+        suffix = identity(g)
+        for syl in reversed(syllables):
+            vec = _generator_value(g, comp, d.mod, syl)
+            value = add(value, _act(g, vec, suffix, comp.action))
+            if syl[0] == VERTEX:
+                elem = vertex_element(g, syl[1], syl[2])
+            else:
+                elem = reduce(g, Word((syl,)))
+            suffix = multiply(elem, suffix)
+        out.append(value)
+    return out

@@ -99,6 +99,16 @@ def test_deriv_build_eval_round_trip(capsys, tmp_path):
     assert out.strip() == "component 0: 4·[1] + 4·[v:g2] + 1·[w:g1] + 1·[w:g1 * v:g2]"
 
 
+def test_deriv_eval_rejects_unglued_derivation(capsys, tmp_path):
+    path = tmp_path / "bad.deriv.json"
+    path.write_text(json.dumps(
+        {"mod": 5, "components": [{"values": {"v:g2": [{"word": "1", "coeff": 1}]}}]}
+    ))
+    code, _, err = run(capsys, "deriv", "eval", "c4c6", "--deriv", str(path), "--word", "w:g1")
+    assert code == 2
+    assert "gluing condition fails on edge 'e'" in err
+
+
 def test_deriv_unknown_base_vertex_exits_2(capsys):
     code, out, err = run(
         capsys, "deriv", "dunwoody", "c4c6", "--base", "zz", "--target", "w", "--mod", "5"

@@ -2,6 +2,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _oracles import evaluate_two_step
+from gogkit.acceptance import _derivations
 from gogkit.errors import BadModulus, GluingConditionFailed
 from gogkit.derivation import (
     STANDARD,
@@ -18,7 +20,7 @@ from gogkit.derivation import (
     kernel_scan,
 )
 from gogkit.fixtures import load_fixture
-from gogkit.gog import LETTER, VERTEX, Subgraph, Word, multiply, nf, reduce, vertex_element
+from gogkit.gog import LETTER, VERTEX, Subgraph, Word, ball, multiply, nf, reduce, vertex_element
 from gogkit.group_ring import ring_one, ring_term, subtract
 
 AMALGAM = load_fixture("c4c6")
@@ -267,3 +269,18 @@ def test_derivation_round_trip_letter(c6hnn):
 def test_derivation_from_data_rejects_unknown_action(c4c6):
     with pytest.raises(ValueError):
         derivation_from_data(c4c6, {"mod": 5, "components": [{"action": "left"}]})
+
+
+def test_derivation_from_data_enforces_gluing(c4c6):
+    # v:g2 is the edge-group image, so its value must match w:g3's (zero).
+    data = {"mod": 5, "components": [{"values": {"v:g2": [{"word": "1", "coeff": 1}]}}]}
+    with pytest.raises(GluingConditionFailed) as info:
+        derivation_from_data(c4c6, data)
+    assert info.value.edge == "e"
+
+
+@pytest.mark.parametrize("name", ["c4c6", "c6hnn", "c4c2c4", "c2c2"])
+def test_evaluate_matches_two_step_reference(name):
+    for label, d in _derivations(name):
+        for x in ball(d.owner, 3):
+            assert evaluate(d, x) == evaluate_two_step(d, x), (label, x.text())

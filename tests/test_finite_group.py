@@ -1,9 +1,13 @@
 """Tests for table groups, homomorphism enumeration, and conjugacy helpers."""
+import itertools
+
 import pytest
 
 from gogkit.errors import NoIdentity, NonAssociative, NotPermutationRow
 from gogkit.finite_group import (
     Subgroup,
+    _extend_hom,
+    _generating_sequence,
     conjugate_subgroup,
     enumerate_embeddings,
     enumerate_homs,
@@ -14,7 +18,7 @@ from gogkit.finite_group import (
     trivial_group,
 )
 
-from _oracles import count_embeddings_brute
+from _oracles import count_embeddings_brute, extend_hom_reference
 
 
 def test_cyclic_basics():
@@ -145,6 +149,19 @@ def test_hom_enumeration_is_strictly_increasing(source):
     for spec in HOM_TARGETS:
         images = [h.images for h in enumerate_homs(src, make_group(spec))]
         assert all(a < b for a, b in zip(images, images[1:])), (source, spec)
+
+
+@pytest.mark.parametrize("source", HOM_SOURCES, ids=str)
+def test_extend_hom_matches_reference(source):
+    # Every generator-image tuple, homs or not, for the extension that
+    # enumerate_homs and hom_from_generator_images rely on.
+    src = make_group(source)
+    gens = _generating_sequence(src)
+    for spec in HOM_TARGETS:
+        tgt = make_group(spec)
+        for images in itertools.product(range(tgt.order), repeat=len(gens)):
+            expected = extend_hom_reference(src, tgt, gens, list(images))
+            assert _extend_hom(src, tgt, gens, list(images)) == expected, (source, spec, images)
 
 
 def test_hom_lists_are_fresh_per_call():

@@ -461,6 +461,14 @@ def test_validate_reports(c4c6):
     assert any("not a homomorphism" in p for p in report.problems)
 
 
+def test_validate_reports_out_of_range_image(c4c6):
+    # 7 is no element of C6; the checks after the range check never index it.
+    g = GraphOfGroups(c4c6.graph, c4c6.vertex_groups, c4c6.edge_groups, {"e": ((0, 2), (0, 7))})
+    report = validate(g)
+    assert not report.ok
+    assert report.problems == ["edge 'e' side 1: image 7 not in group at 'w'"]
+
+
 def test_vertex_element_and_identity_helpers(c4c6):
     assert vertex_element(c4c6, "v", 1).text() == "v:g1"
     assert identity(c4c6).syllables == ()

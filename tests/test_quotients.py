@@ -4,11 +4,11 @@ import random
 import pytest
 
 import gogkit.quotients
-from _oracles import iter_quotients_brute, search_quotient_unfiltered
+from _oracles import factors_through_reference, iter_quotients_brute, search_quotient_unfiltered
 from gogkit.acceptance import _sl23, separation_targets
 from gogkit.derivation import accessibility_derivation, evaluate
 from gogkit.errors import Exhausted
-from gogkit.finite_group import Subgroup, make_group, subgroup_closure
+from gogkit.finite_group import FiniteGroup, Subgroup, make_group, subgroup_closure
 from gogkit.gog import Subgraph, ball, identity, invert, multiply, nf
 from gogkit.quotients import (
     FiniteQuotient,
@@ -22,6 +22,7 @@ from gogkit.quotients import (
     quotient_from_images,
     search_quotient,
     subgraph_gog,
+    _factors_through,
     _iter_quotients,
 )
 
@@ -107,6 +108,20 @@ def test_refine_factors_given_quotient(c4c6):
     q2 = search_quotient(c4c6, "refine", subgraph=sub, given=full)
     assert q2.target.name == "C4"
     assert q2.vertex_images["v"] == (0, 1, 2, 3)
+
+
+def test_refine_verdict_matches_reference(c4c6):
+    sub = Subgraph.of({"v"})
+    subg = subgraph_gog(c4c6, sub)
+    givens = [p for spec in ("cyclic 2", "cyclic 4") for p in _iter_quotients(subg, make_group(spec))]
+    verdicts = set()
+    for spec in ("cyclic 2", "cyclic 4", "cyclic 12", "symmetric 3"):
+        for q in _iter_quotients(c4c6, make_group(spec)):
+            for given in givens:
+                verdict = _factors_through(c4c6, q, sub, given)
+                assert verdict == factors_through_reference(c4c6, q, sub, given), (q, given)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_unknown_goal_and_missing_args(c4c6):
@@ -254,6 +269,13 @@ def test_quotient_from_images_rejects_letter_out_of_range(
     assert quotient_from_images(g, c12, vertex_images, letter_images) is None
 
 
+def test_quotient_from_images_rejects_non_hom_vertex_images(c4c6):
+    # v:g2 and w:g3 both map to 6, so every relator dies, but 3 + 6 ≠ 1.
+    c12 = make_group("cyclic 12")
+    vertex_images = {"v": (0, 3, 6, 1), "w": (0, 2, 4, 6, 8, 10)}
+    assert quotient_from_images(c4c6, c12, vertex_images, {"e": 0}) is None
+
+
 DIFFERENTIAL_TARGETS = [f"cyclic {n}" for n in range(2, 25)] + ["symmetric 3", "symmetric 4"]
 
 
@@ -267,6 +289,13 @@ def test_iter_quotients_matches_brute_force(name, request):
         targets.append(make_group("symmetric 5"))
     for target in targets:
         assert list(_iter_quotients(g, target)) == list(iter_quotients_brute(g, target)), target
+
+
+def test_separation_pool_is_built_once():
+    first, second = separation_targets(), separation_targets()
+    assert first is second
+    assert all(isinstance(t, FiniteGroup) for t in first)
+    assert [t.order for t in first] == list(range(2, 25)) + [12, 6, 24, 24, 24, 24]
 
 
 def test_default_pool_builds_targets_as_reached(c4c6, monkeypatch):
