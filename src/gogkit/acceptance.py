@@ -41,8 +41,7 @@ from .gog import (
 )
 from .group_ring import add
 from .quotients import (
-    _default_pool,
-    _iter_quotients,
+    _first_quotient,
     coset_complement_functional,
     search_quotient,
 )
@@ -506,12 +505,12 @@ def _factor_avoiding_quotient(g, x, found: list):
     for q in found:
         if suits(q):
             return q
-    for target in _default_pool():
-        for q in _iter_quotients(g, target):
-            if suits(q):
-                found.append(q)
-                return q
-    return None
+    try:
+        q, _ = _first_quotient(g, None, suits, failure="no quotient pushes x off the v factor")
+    except Exhausted:
+        return None
+    found.append(q)
+    return q
 
 
 def check_coset_functional(only: str | None = None) -> Report:

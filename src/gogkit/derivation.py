@@ -101,18 +101,16 @@ def _generator_value(
 
 
 def evaluate(d: Derivation, x) -> list[RingVector]:
-    """Evaluate every component on a word or normal form."""
+    """Evaluate every component on a word or normal form; all share one walk of suffixes."""
     g = d.owner
     syllables = x.syllables if isinstance(x, (NormalForm, Word)) else tuple(x)
-    out = []
-    for comp in d.components:
-        value = ring_zero(g, d.mod)
-        suffix = identity(g)
-        for syl in reversed(syllables):
+    out = [ring_zero(g, d.mod) for _ in d.components]
+    suffix = identity(g)
+    for syl in reversed(syllables):
+        for i, comp in enumerate(d.components):
             vec = _generator_value(g, comp, d.mod, syl)
-            value = add(value, _act(g, vec, suffix, comp.action))
-            suffix = reduce(g, Word((syl,) + suffix.syllables))
-        out.append(value)
+            out[i] = add(out[i], _act(g, vec, suffix, comp.action))
+        suffix = reduce(g, Word((syl,) + suffix.syllables))
     return out
 
 

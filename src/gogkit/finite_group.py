@@ -297,23 +297,13 @@ def subgroup_as_group(sub: Subgroup) -> tuple[FiniteGroup, dict[int, int]]:
 
 
 def subgroup_closure(group: FiniteGroup, seeds) -> Subgroup:
-    """Smallest subgroup of ``group`` containing all seed indices."""
-    seen = {group.identity}
-    frontier = [group.identity]
-    for s in seeds:
-        if s not in seen:
-            seen.add(s)
-            frontier.append(s)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in list(seen):
-                for z in (group.mul(x, y), group.mul(y, x), group.inv(x)):
-                    if z not in seen:
-                        seen.add(z)
-                        nxt.append(z)
-        frontier = nxt
-    return Subgroup(group, tuple(sorted(seen)))
+    """Smallest subgroup of ``group`` containing all seed indices.
+
+    Their span under right multiplication, which a finite group closes under inverses.
+    """
+    seeds = list(seeds)
+    span = extend_on_span(group, seeds, seeds, group.mul, group.identity)
+    return Subgroup(group, tuple(sorted(span)))
 
 
 def _generating_sequence(group: FiniteGroup) -> list[int]:

@@ -1,9 +1,10 @@
 """Graphs of finite groups and the word problem for their fundamental groups.
 
 Elements are represented by canonical normal forms computed with a fixed left
-transversal per edge inclusion (least element per coset).  Reduction follows
-the classical scheme (Serre, *Trees*, §I.5) in one pass: a walk reads the word
-as a based loop (spanning-tree letters are trivial), stacks its edge crossings
+transversal per edge inclusion: ``coset_rep`` picks the least element per
+coset, for the reducer and the structure tree alike.  Reduction follows the
+classical scheme (Serre, *Trees*, §I.5) in one pass: a walk reads the word as
+a based loop (spanning-tree letters are trivial), stacks its edge crossings
 and cancels each pinch as it closes; then the surviving crossings are
 normalized left to right against the transversals.  Two elements are equal iff
 their canonical words are identical.
@@ -348,22 +349,30 @@ def _reduce_from(g: GraphOfGroups, w: Word, base: str) -> tuple[tuple, ...]:
         if not vg.is_identity(before):
             carry = vg.mul(carry, before)
         src = 0 if direction > 0 else 1
-        best_k, best_rep, best_key = None, None, None
-        for k in range(g.edge_groups[eid].order):
-            rep = vg.mul(carry, vg.inv(g.incl(eid, src, k)))
-            key = vg.sort_key(rep)
-            if best_key is None or key < best_key:
-                best_k, best_rep, best_key = k, rep, key
-        if not vg.is_identity(best_rep):
-            syllables.append((VERTEX, vid, best_rep))
+        rep, k = coset_rep(g, vid, eid, src, carry)
+        if not vg.is_identity(rep):
+            syllables.append((VERTEX, vid, rep))
         if eid not in g.tree.edges:
             syllables.append((LETTER, eid, direction))
-        carry = g.incl(eid, 1 - src, best_k)
+        carry = g.incl(eid, 1 - src, k)
     if not groups[base].is_identity(h):
         carry = groups[base].mul(carry, h)
     if not groups[base].is_identity(carry):
         syllables.append((VERTEX, base, carry))
     return tuple(syllables)
+
+
+def coset_rep(g: GraphOfGroups, vid: str, eid: str, side: int, x):
+    """The least element rep of x·∂side(𝒢(eid)) in 𝒢(vid), by ``sort_key``, and
+    the k with x = rep·∂side(k); ``vid`` is the endpoint of ``eid`` on that side."""
+    vg = g.vertex_groups[vid]
+    best_k, best_rep, best_key = None, None, None
+    for k in range(g.edge_groups[eid].order):
+        rep = vg.mul(x, vg.inv(g.incl(eid, side, k)))
+        key = vg.sort_key(rep)
+        if best_key is None or key < best_key:
+            best_k, best_rep, best_key = k, rep, key
+    return best_rep, best_k
 
 
 def reduce(g: GraphOfGroups, w: Word) -> NormalForm:

@@ -265,21 +265,29 @@ def search_quotient(
     else:
         raise ValueError(f"unknown goal {goal!r}")
 
+    failure = f"no quotient in the candidate pool achieves goal {goal!r}"
+    return _first_quotient(g, targets, accept, keep, failure=failure)[0]
+
+
+def _first_quotient(g: GraphOfGroups, targets, accept, keep=None, *, failure: str):
+    """The first quotient ``accept`` takes, walking the targets (a pool spec) in
+    order, with the verdict: the truthy value ``accept`` returned.
+
+    Raises Exhausted with ``failure`` and how far the walk got, e.g.
+    '(1 target, 96 quotients tried)', when the pool runs out.
+    """
     walked = tried = 0
     for target in _resolve_targets(targets):
         walked += 1
         for q in _iter_quotients(g, target, keep):
             tried += 1
-            if accept(q):
-                return q
+            verdict = accept(q)
+            if verdict:
+                return q, verdict
     raise Exhausted(
-        f"no quotient in the candidate pool achieves goal {goal!r} {_progress(walked, tried)}"
+        f"{failure} ({walked} target{'s' * (walked != 1)}, "
+        f"{tried} quotient{'s' * (tried != 1)} tried)"
     )
-
-
-def _progress(walked: int, tried: int) -> str:
-    """How far a search got, e.g. '(1 target, 96 quotients tried)'."""
-    return f"({walked} target{'s' * (walked != 1)}, {tried} quotient{'s' * (tried != 1)} tried)"
 
 
 # ---------------------------------------------------------------------------
@@ -306,18 +314,13 @@ def certify_nonkernel(d, x: NormalForm, targets=None) -> NonkernelCertificate:
     values = evaluate(d, x)
     if all(v.is_zero() for v in values):
         raise Exhausted("the value is zero; no certificate can exist")
-    walked = tried = 0
-    for target in _resolve_targets(targets):
-        walked += 1
-        for q in _iter_quotients(d.owner, target):
-            tried += 1
-            for i, v in enumerate(values):
-                pushed = q.push(v)
-                if pushed:
-                    return NonkernelCertificate(q, i, pushed)
-    raise Exhausted(
-        f"no candidate quotient shows a nonzero push; inconclusive {_progress(walked, tried)}"
-    )
+
+    def first_push(q):
+        return next(((i, pushed) for i, pushed in enumerate(map(q.push, values)) if pushed), None)
+
+    failure = "no candidate quotient shows a nonzero push; inconclusive"
+    q, (i, pushed) = _first_quotient(d.owner, targets, first_push, failure=failure)
+    return NonkernelCertificate(q, i, pushed)
 
 
 def check_certificate(cert: NonkernelCertificate, d, x: NormalForm) -> bool:

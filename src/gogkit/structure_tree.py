@@ -14,14 +14,15 @@ from .finite_group import MAX_EXHAUSTIVE_ORDER
 from .gog import (
     BALL_CAP,
     LETTER,
+    VERTEX,
     GraphOfGroups,
     NormalForm,
     Word,
+    coset_rep,
     identity,
     invert,
     multiply,
     reduce,
-    vertex_element,
     vertex_group_membership,
 )
 
@@ -48,55 +49,53 @@ class TreeEdge:
         return f"{self.rep.text()}·G({self.edge_id})"
 
 
-def _least_coset_rep(g: GraphOfGroups, x: NormalForm, members) -> NormalForm:
-    best = None
-    for m in members:
-        cand = multiply(x, m)
-        key = (len(cand.syllables), cand.text())
-        if best is None or key < best[0]:
-            best = (key, cand)
-    return best[1]
+def _least_coset_rep(g: GraphOfGroups, prefix: tuple, vid: str, handles) -> NormalForm:
+    """The least of prefix·h over the handles h at vid, by (syllables, text)."""
+    return min(
+        (reduce(g, Word(prefix + ((VERTEX, vid, h),))) for h in handles),
+        key=lambda c: (len(c.syllables), c.text()),
+    )
 
 
-def _vertex_group_elements(g: GraphOfGroups, vid: str) -> list[NormalForm]:
+def _handles(g: GraphOfGroups, vid: str) -> list:
     vg = g.vertex_groups[vid]
     if vg.order is None:
         raise NotFinite(f"vertex group at {vid!r} is not a finite table")
-    return [vertex_element(g, vid, h) for h in vg.handles()]
+    return vg.handles()
 
 
-def _edge_group_elements(g: GraphOfGroups, eid: str) -> list[NormalForm]:
-    d0v = g.graph.d0[eid]
-    return [
-        vertex_element(g, d0v, g.incl(eid, 0, k)) for k in range(g.edge_groups[eid].order)
-    ]
+def _vertex_at(g: GraphOfGroups, vid: str, prefix: tuple) -> TreeVertex:
+    return TreeVertex(vid, _least_coset_rep(g, prefix, vid, _handles(g, vid)))
+
+
+def _edge_at(g: GraphOfGroups, eid: str, prefix: tuple) -> TreeEdge:
+    return TreeEdge(eid, _least_coset_rep(g, prefix, g.graph.d0[eid], g.inclusions[eid][0]))
+
+
+def _check_rep(g: GraphOfGroups, x: NormalForm | None) -> tuple:
+    if x is None:
+        return ()
+    if x.owner is not g:
+        raise MixedOwners("representative belongs to a different graph of groups")
+    return x.syllables
 
 
 def tree_vertex(g: GraphOfGroups, vid: str, x: NormalForm | None = None) -> TreeVertex:
     """The tree vertex x·𝒢(vid), canonicalized."""
-    if x is None:
-        x = identity(g)
-    if x.owner is not g:
-        raise MixedOwners("representative belongs to a different graph of groups")
-    return TreeVertex(vid, _least_coset_rep(g, x, _vertex_group_elements(g, vid)))
+    return _vertex_at(g, vid, _check_rep(g, x))
 
 
 def tree_edge(g: GraphOfGroups, eid: str, x: NormalForm | None = None) -> TreeEdge:
     """The tree edge x·𝒢(eid), canonicalized."""
-    if x is None:
-        x = identity(g)
-    if x.owner is not g:
-        raise MixedOwners("representative belongs to a different graph of groups")
-    return TreeEdge(eid, _least_coset_rep(g, x, _edge_group_elements(g, eid)))
+    return _edge_at(g, eid, _check_rep(g, x))
 
 
 def edge_d0(g: GraphOfGroups, E: TreeEdge) -> TreeVertex:
-    return tree_vertex(g, g.graph.d0[E.edge_id], E.rep)
+    return _vertex_at(g, g.graph.d0[E.edge_id], E.rep.syllables)
 
 
 def edge_d1(g: GraphOfGroups, E: TreeEdge) -> TreeVertex:
-    letter = reduce(g, Word(((LETTER, E.edge_id, 1),)))
-    return tree_vertex(g, g.graph.d1[E.edge_id], multiply(E.rep, letter))
+    return _vertex_at(g, g.graph.d1[E.edge_id], E.rep.syllables + ((LETTER, E.edge_id, 1),))
 
 
 def act(g: GraphOfGroups, x: NormalForm, item):
@@ -137,25 +136,28 @@ class TreeBall:
 
 
 def _neighbors(g: GraphOfGroups, tv: TreeVertex):
-    """Tree edges at tv with their far endpoints, deduplicated and ordered."""
-    out = {}
-    v, rep = tv.vertex_id, tv.rep
+    """Tree edges at tv = a·𝒢(v) with their far endpoints, ordered.
+
+    They are a·r·𝒢(e) (leaving) and a·r·t_e⁻¹·𝒢(e) (arriving), r over the
+    transversal of ∂0(𝒢(e)) or ∂1(𝒢(e)) in 𝒢(v) (Serre, *Trees*, §I.4).
+    Distinct cosets give distinct edges, and none both leaves and arrives: it
+    would be a loop.
+    """
+    out = []
+    v, a = tv.vertex_id, tv.rep.syllables
+    handles = _handles(g, v)
+
+    def add_edges(eid: str, side: int, tail: tuple, far):
+        for r in sorted({coset_rep(g, v, eid, side, h)[0] for h in handles}):
+            E = _edge_at(g, eid, a + ((VERTEX, v, r),) + tail)
+            out.append((E, far(g, E)))
+
     for eid in g.graph.incident(v):
         if g.graph.d0[eid] == v:
-            for a in _vertex_group_elements(g, v):
-                E = tree_edge(g, eid, multiply(rep, a))
-                if E not in out:
-                    out[E] = edge_d1(g, E)
+            add_edges(eid, 0, (), edge_d1)
         if g.graph.d1[eid] == v:
-            letter_inv = reduce(g, Word(((LETTER, eid, -1),)))
-            for a in _vertex_group_elements(g, v):
-                E = tree_edge(g, eid, multiply(multiply(rep, a), letter_inv))
-                if E not in out:
-                    out[E] = edge_d0(g, E)
-    items = sorted(
-        out.items(), key=lambda kv: (kv[0].edge_id, len(kv[0].rep.syllables), kv[0].rep.text())
-    )
-    return items
+            add_edges(eid, 1, ((LETTER, eid, -1),), edge_d0)
+    return sorted(out, key=lambda kv: (kv[0].edge_id, len(kv[0].rep.syllables), kv[0].rep.text()))
 
 
 def tree_ball(
@@ -220,7 +222,8 @@ def fixed_vertex(
     return None
 
 
-def _close_finite(g: GraphOfGroups, elements: list[NormalForm]) -> list[NormalForm]:
+def _close_finite(g: GraphOfGroups, elements: list[NormalForm]) -> None:
+    """Raise NotFinite unless the elements generate a subgroup of order ≤ the cap."""
     closure = {identity(g)}
     frontier = [identity(g)]
     while frontier:
@@ -237,7 +240,6 @@ def _close_finite(g: GraphOfGroups, elements: list[NormalForm]) -> list[NormalFo
                             f"{MAX_EXHAUSTIVE_ORDER}; treating as infinite"
                         )
         frontier = nxt
-    return sorted(closure, key=lambda x: (len(x.syllables), x.text()))
 
 
 def conjugate_finite_into_vertex(

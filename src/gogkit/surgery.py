@@ -41,7 +41,6 @@ from .gog import (
     presentation,
     reduce,
     subgraph_group_membership,
-    vertex_group_membership,
     vertex_handle_of,
     word_text,
 )
@@ -617,8 +616,6 @@ class AmalgamDescription:
     lambda_subgraph: Subgraph
 
     def in_delta(self, x: NormalForm) -> bool:
-        if len(self.delta_vertices) == 1:
-            return vertex_group_membership(self.owner, self.delta_vertex, x)
         syllables = _reduce_from(self.owner, Word(x.syllables), self.delta_vertex)
         for s in syllables:
             if s[0] == VERTEX and s[1] not in self.delta_vertices:

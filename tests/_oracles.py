@@ -13,7 +13,12 @@ unfiltered quotient search tests every goal on whole quotients, where the
 package drops vertex homs before the product; the three-pass reducer realizes
 a word as a path, then cancels pinches, then normalizes, where the package
 does it in one stack pass; the two-step derivation evaluator reduces each
-syllable on its own before multiplying it onto the suffix.
+syllable on its own before multiplying it onto the suffix; the brute-force
+coset tree multiplies a representative by every element of a vertex or edge
+group and walks every vertex element to find neighbours, removing duplicate
+edges in a dict, where the package reads handles and one transversal; the
+subgroup closure multiplies on both sides and inverts, where the package only
+multiplies on the right by the seeds.
 """
 from __future__ import annotations
 
@@ -165,6 +170,30 @@ def count_embeddings_brute(source_table, target_table) -> int:
         if ok:
             count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# Two-sided subgroup closure
+
+
+def subgroup_closure_reference(group, seeds) -> tuple:
+    """Multiply every new element by every known one on both sides, and invert it."""
+    seen = {group.identity}
+    frontier = [group.identity]
+    for s in seeds:
+        if s not in seen:
+            seen.add(s)
+            frontier.append(s)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in list(seen):
+                for z in (group.mul(x, y), group.mul(y, x), group.inv(x)):
+                    if z not in seen:
+                        seen.add(z)
+                        nxt.append(z)
+        frontier = nxt
+    return tuple(sorted(seen))
 
 
 # ---------------------------------------------------------------------------
@@ -525,3 +554,69 @@ def evaluate_two_step(d, x) -> list:
             suffix = multiply(elem, suffix)
         out.append(value)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Brute-force coset tree: every group element multiplied on, neighbours deduplicated
+
+
+def least_coset_rep_brute(x, members):
+    """The least of x·m over the member normal forms, by (syllables, text)."""
+    from gogkit.gog import multiply
+
+    best = None
+    for m in members:
+        cand = multiply(x, m)
+        key = (len(cand.syllables), cand.text())
+        if best is None or key < best[0]:
+            best = (key, cand)
+    return best[1]
+
+
+def vertex_group_elements_brute(g, vid):
+    from gogkit.gog import vertex_element
+
+    return [vertex_element(g, vid, h) for h in g.vertex_groups[vid].handles()]
+
+
+def edge_group_elements_brute(g, eid):
+    from gogkit.gog import vertex_element
+
+    d0v = g.graph.d0[eid]
+    return [vertex_element(g, d0v, g.incl(eid, 0, k)) for k in range(g.edge_groups[eid].order)]
+
+
+def tree_vertex_brute(g, vid, x):
+    from gogkit.structure_tree import TreeVertex
+
+    return TreeVertex(vid, least_coset_rep_brute(x, vertex_group_elements_brute(g, vid)))
+
+
+def tree_edge_brute(g, eid, x):
+    from gogkit.structure_tree import TreeEdge
+
+    return TreeEdge(eid, least_coset_rep_brute(x, edge_group_elements_brute(g, eid)))
+
+
+def neighbors_brute(g, tv):
+    """Tree edges at tv with far endpoints: one candidate per vertex element."""
+    from gogkit.gog import multiply, stable_letter
+
+    out = {}
+    v, rep = tv.vertex_id, tv.rep
+    for eid in g.graph.incident(v):
+        letter = stable_letter(g, eid)
+        if g.graph.d0[eid] == v:
+            for a in vertex_group_elements_brute(g, v):
+                E = tree_edge_brute(g, eid, multiply(rep, a))
+                if E not in out:
+                    out[E] = tree_vertex_brute(g, g.graph.d1[eid], multiply(E.rep, letter))
+        if g.graph.d1[eid] == v:
+            letter_inv = stable_letter(g, eid, -1)
+            for a in vertex_group_elements_brute(g, v):
+                E = tree_edge_brute(g, eid, multiply(multiply(rep, a), letter_inv))
+                if E not in out:
+                    out[E] = tree_vertex_brute(g, g.graph.d0[eid], E.rep)
+    return sorted(
+        out.items(), key=lambda kv: (kv[0].edge_id, len(kv[0].rep.syllables), kv[0].rep.text())
+    )

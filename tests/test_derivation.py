@@ -279,8 +279,16 @@ def test_derivation_from_data_enforces_gluing(c4c6):
     assert info.value.edge == "e"
 
 
-@pytest.mark.parametrize("name", ["c4c6", "c6hnn", "c4c2c4", "c2c2"])
+def _mixed_actions_c6hnn():
+    """Rank 2 on c6hnn: the standard letter component beside the twisted t − 1."""
+    letter_value = evaluate(accessibility_derivation(HNN, "v", 5), nf(HNN, "t(t)"))[0]
+    tables = [(STANDARD, {"t(t)": letter_value}), (TWISTED, {"t(t)": t_minus_one(HNN, 5)})]
+    return [("standard + twisted", glue(HNN, 5, tables))]
+
+
+@pytest.mark.parametrize("name", ["c4c6", "c6hnn", "c4c2c4", "c2c2", "c6hnn-mixed"])
 def test_evaluate_matches_two_step_reference(name):
-    for label, d in _derivations(name):
+    derivations = _mixed_actions_c6hnn() if name == "c6hnn-mixed" else _derivations(name)
+    for label, d in derivations:
         for x in ball(d.owner, 3):
             assert evaluate(d, x) == evaluate_two_step(d, x), (label, x.text())

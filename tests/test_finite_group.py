@@ -18,7 +18,7 @@ from gogkit.finite_group import (
     trivial_group,
 )
 
-from _oracles import count_embeddings_brute, extend_hom_reference
+from _oracles import count_embeddings_brute, extend_hom_reference, subgroup_closure_reference
 
 
 def test_cyclic_basics():
@@ -88,6 +88,15 @@ def test_subgroup_closure():
     assert subgroup_closure(c6, []).elements == (0,)
     d4 = make_group("dihedral 4")
     assert subgroup_closure(d4, [4]).elements == (0, 4)
+
+
+@pytest.mark.parametrize("spec", ["cyclic 1", "cyclic 6", "dihedral 4", "dicyclic 3", "symmetric 4"])
+def test_subgroup_closure_matches_two_sided_reference(spec):
+    group = make_group(spec)
+    seed_sets = [()] + [(a,) for a in range(group.order)]
+    seed_sets += list(itertools.combinations(range(group.order), 2))
+    for seeds in seed_sets:
+        assert subgroup_closure(group, seeds).elements == subgroup_closure_reference(group, seeds)
 
 
 @pytest.mark.parametrize(

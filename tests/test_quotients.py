@@ -371,6 +371,20 @@ def test_exhausted_certifier_reports_how_far_it_got(c4c6):
         certify_nonkernel(d, nf(c4c6, "w:g1"), targets=["cyclic 1", "cyclic 2"])
 
 
+def test_exhausted_texts_name_the_goal(c4c6):
+    with pytest.raises(Exhausted) as info:
+        search_quotient(c4c6, "separate", elements=[nf(c4c6, "v:g1")], targets=["cyclic 1"])
+    assert str(info.value) == (
+        "no quotient in the candidate pool achieves goal 'separate' (1 target, 0 quotients tried)"
+    )
+    d = accessibility_derivation(c4c6, "v", 5)
+    with pytest.raises(Exhausted) as info:
+        certify_nonkernel(d, nf(c4c6, "w:g1"), targets=["cyclic 1", "cyclic 2"])
+    assert str(info.value) == (
+        "no candidate quotient shows a nonzero push; inconclusive (2 targets, 3 quotients tried)"
+    )
+
+
 def test_embed_rejects_unknown_vertex(c4c6):
     sub = subgroup_closure(c4c6.vertex_groups["v"].group, [1])
     with pytest.raises(ValueError, match="not a vertex"):

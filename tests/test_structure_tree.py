@@ -2,13 +2,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from _oracles import neighbors_brute, tree_edge_brute, tree_vertex_brute
 from gogkit.errors import BallTooLarge, NotFinite
 from gogkit.fixtures import load_fixture
 from gogkit.gog import ball, identity, invert, multiply, nf, vertex_group_membership
 from gogkit.structure_tree import (
     TreeEdge,
     TreeVertex,
+    _neighbors,
     act,
     ball_to_dot,
     conjugate_finite_into_vertex,
@@ -131,3 +134,32 @@ def test_dot_export(c4c6):
     assert 'label="1·G(v)"' in dot
     assert dot.count("--") == 2
     assert ball_to_dot(tree_ball(c4c6, 1)) == dot
+
+
+# ---------------------------------------------------------------------------
+# Differential checks against the brute-force coset tree
+
+TABLE_FIXTURES = ["c4c6", "c6hnn", "c4c2c4", "c2c2"]
+GRAPHS = {name: load_fixture(name) for name in TABLE_FIXTURES}
+BALLS = {name: ball(g, 3) for name, g in GRAPHS.items()}
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(TABLE_FIXTURES), st.data())
+def test_cosets_match_brute_force(name, data):
+    g = GRAPHS[name]
+    x = data.draw(st.sampled_from(BALLS[name]))
+    for vid in sorted(g.graph.vertices):
+        tv = tree_vertex(g, vid, x)
+        assert tv == tree_vertex_brute(g, vid, x)
+        assert _neighbors(g, tv) == neighbors_brute(g, tv)
+    for eid in sorted(g.graph.edges):
+        assert tree_edge(g, eid, x) == tree_edge_brute(g, eid, x)
+
+
+@pytest.mark.parametrize("name", TABLE_FIXTURES)
+def test_neighbors_match_brute_force_on_tree_ball(name):
+    # Equal lists: one edge per coset of the edge group, so no duplicates.
+    g = GRAPHS[name]
+    for tv in tree_ball(g, 3).vertices:
+        assert _neighbors(g, tv) == neighbors_brute(g, tv), tv.text()

@@ -370,6 +370,25 @@ def test_collapse_to_amalgam_multi_vertex_factor(expand_demo):
     assert not desc.in_lambda(nf(out, "m.w:g1"))
 
 
+def test_collapse_to_amalgam_one_vertex_factor_keeps_its_loops():
+    # Δ = {v} with the loop t: the loop letter is in Δ, u's element is not.
+    graph = FiniteGraph(("u", "v"), ("e", "t"), {"e": "u", "t": "v"}, {"e": "v", "t": "v"})
+    c2 = make_group("cyclic 2")
+    g = GraphOfGroups(
+        graph,
+        {"u": c2, "v": make_group("cyclic 6")},
+        {"e": make_group("cyclic 1"), "t": c2},
+        {"e": ((0,), (0,)), "t": ((0, 3), (0, 3))},
+        basepoint="u",
+    )
+    desc = collapse_to_amalgam(g, Subgraph.of({"u"}))
+    assert desc.delta_vertices == {"v"} and desc.delta_edges == {"t"}
+    assert desc.in_delta(nf(g, "t(t)"))
+    assert desc.in_delta(nf(g, "v:g1 * t(t)"))
+    assert not desc.in_delta(nf(g, "u:g1"))
+    assert not desc.in_delta(nf(g, "t(t) * u:g1"))
+
+
 def test_collapse_to_amalgam_shape_errors(c4c6, c4c2c4, c6hnn):
     with pytest.raises(WrongShape, match="covers every vertex"):
         collapse_to_amalgam(c4c6, Subgraph.of({"v", "w"}, {"e"}))
