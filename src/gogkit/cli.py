@@ -261,7 +261,7 @@ def cmd_surgery(args) -> int:
     elif args.op == "attach":
         vg = g.vertex_groups[args.vertex]
         chi = Subgroup(vg.group, _handles(args.chi))
-        table = find_delta_conjugators(g, args.vertex, chi, args.radius)
+        table = find_delta_conjugators(g, args.vertex, chi)
         if table is None:
             print(f"no conjugator table within the vertex group at {args.vertex}")
             return EXHAUSTED
@@ -396,6 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
             s.add_argument("--edge", required=True)
         if op in ("expand", "attach"):
             s.add_argument("--vertex", required=True)
+        if op == "expand":
             s.add_argument("--radius", type=int, default=8)
         if op == "attach":
             s.add_argument("--chi", required=True, help="subgroup handles like '0,2'")

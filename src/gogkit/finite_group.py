@@ -3,11 +3,16 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import NoIdentity, NonAssociative, NotPermutationRow
 
 MAX_EXHAUSTIVE_ORDER = 256
+# The largest group ``make_group`` builds: S6, the largest default quotient
+# target.  An order-n table holds n² entries (a further n³ checks for an
+# explicit table), so larger specs are refused before anything is built.
+MAX_GROUP_ORDER = 720
 
 
 @dataclass(frozen=True)
@@ -195,6 +200,11 @@ def _symmetric(n: int) -> FiniteGroup:
     return _from_table(table, labels, f"S{n}", trusted=True)
 
 
+def _check_order(order: int, what: str) -> None:
+    if order > MAX_GROUP_ORDER:
+        raise ValueError(f"{what} has more than {MAX_GROUP_ORDER} elements")
+
+
 def _product(factors: list[FiniteGroup]) -> FiniteGroup:
     orders = [g.order for g in factors]
     total = 1
@@ -231,7 +241,11 @@ def _product(factors: list[FiniteGroup]) -> FiniteGroup:
 
 @functools.lru_cache(maxsize=None)
 def _shorthand_group(kind: str, n: int) -> FiniteGroup:
-    # FiniteGroup is immutable, so sharing cached instances is safe.
+    # FiniteGroup is immutable, so sharing cached instances is safe.  n! is
+    # only computed for n up to the cap: past it, (cap)! is over the cap.
+    sizes = {"cyclic": n, "dihedral": 2 * n, "dicyclic": 4 * n,
+             "symmetric": math.factorial(min(n, MAX_GROUP_ORDER))}
+    _check_order(sizes.get(kind, 0), f"group '{kind} {n}'")
     if kind == "cyclic":
         return _cyclic(n)
     if kind == "dihedral":
@@ -257,17 +271,20 @@ def make_group(spec) -> FiniteGroup:
         if len(parts) != 2 or not parts[1].isdigit():
             raise ValueError(f"unrecognized group shorthand: {spec!r}")
         return _shorthand_group(parts[0], int(parts[1]))
+    if isinstance(spec, dict) and "product" in spec:
+        spec = spec["product"]
+        if not isinstance(spec, list):
+            raise ValueError("group spec 'product' must be a list of specs")
     if isinstance(spec, list):
-        return _product([make_group(s) for s in spec])
+        factors = [make_group(s) for s in spec]
+        _check_order(math.prod(f.order for f in factors), f"product of {len(factors)} groups")
+        return _product(factors)
     if isinstance(spec, dict):
-        if "product" in spec:
-            if not isinstance(spec["product"], list):
-                raise ValueError("group spec 'product' must be a list of specs")
-            return _product([make_group(s) for s in spec["product"]])
         if "table" in spec:
             table = spec["table"]
             if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
                 raise ValueError("group spec 'table' must be a list of lists")
+            _check_order(len(table), "group table")
             labels = spec.get("labels")
             if labels is not None and not (
                 isinstance(labels, list) and len(labels) == len(table)

@@ -18,20 +18,26 @@ class FiniteGraph:
     edges: tuple[str, ...]
     d0: dict[str, str]
     d1: dict[str, str]
+    _incident: dict[str, list[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.vertices:
             raise ValueError("graph has no vertices")
-        vs = set(self.vertices)
-        for e in self.edges:
-            if e not in self.d0 or e not in self.d1:
+        incident: dict[str, list[str]] = {v: [] for v in self.vertices}
+        for e in sorted(self.edges):
+            a, b = self.d0.get(e), self.d1.get(e)
+            if a is None or b is None:
                 raise ValueError(f"edge {e!r} is missing an endpoint map")
-            if self.d0[e] not in vs or self.d1[e] not in vs:
+            if a not in incident or b not in incident:
                 raise ValueError(f"edge {e!r} has an endpoint outside the vertex set")
+            incident[a].append(e)
+            if b != a:
+                incident[b].append(e)
+        object.__setattr__(self, "_incident", incident)
 
     def incident(self, v: str) -> list[str]:
-        """Edges touching v, in edge-id order."""
-        return [e for e in sorted(self.edges) if v in (self.d0[e], self.d1[e])]
+        """Edges touching v, in edge-id order; a loop is listed once."""
+        return self._incident.get(v, [])
 
     def other_end(self, e: str, v: str) -> str:
         """The endpoint of e across from v (v itself for a loop)."""

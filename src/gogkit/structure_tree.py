@@ -7,10 +7,12 @@ d1(g𝒢(e)) = g·t_e·𝒢(d1 e).  Cosets are stored by their least representat
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import BallTooLarge, MixedOwners, NotFinite
 from .finite_group import MAX_EXHAUSTIVE_ORDER
+from .graph_core import FiniteGraph, SpanningTree
 from .gog import (
     BALL_CAP,
     LETTER,
@@ -23,7 +25,7 @@ from .gog import (
     invert,
     multiply,
     reduce,
-    vertex_group_membership,
+    vertex_handle_of,
 )
 
 
@@ -51,10 +53,9 @@ class TreeEdge:
 
 def _least_coset_rep(g: GraphOfGroups, prefix: tuple, vid: str, handles) -> NormalForm:
     """The least of prefix·h over the handles h at vid, by (syllables, text)."""
-    return min(
-        (reduce(g, Word(prefix + ((VERTEX, vid, h),))) for h in handles),
-        key=lambda c: (len(c.syllables), c.text()),
-    )
+    candidates = [reduce(g, Word(prefix + ((VERTEX, vid, h),))) for h in handles]
+    least = min(len(c.syllables) for c in candidates)
+    return min((c for c in candidates if len(c.syllables) == least), key=NormalForm.text)
 
 
 def _handles(g: GraphOfGroups, vid: str) -> list:
@@ -118,25 +119,26 @@ class TreeBall:
     depth: dict[TreeVertex, int]
 
     def is_tree(self) -> bool:
-        """Connected with |E| = |V| − 1 and consistent incidence."""
-        if len(self.edges) != len(self.vertices) - 1:
+        """The edges, joined as ``incidence`` says, span the vertices as a tree.
+
+        ``graph_core.SpanningTree`` decides it on the graph of list positions.
+        """
+        index = {tv: str(i) for i, tv in enumerate(self.vertices)}
+        d0, d1 = {}, {}
+        try:
+            for j, E in enumerate(self.edges):
+                a, b = self.incidence[E]
+                d0[str(j)], d1[str(j)] = index[a], index[b]
+            graph = FiniteGraph(tuple(map(str, range(len(self.vertices)))), tuple(d0), d0, d1)
+            SpanningTree(graph, frozenset(d0))
+        except (KeyError, ValueError):
             return False
-        seen = {self.origin}
-        changed = True
-        while changed:
-            changed = False
-            for a, b in self.incidence.values():
-                if a in seen and b not in seen:
-                    seen.add(b)
-                    changed = True
-                elif b in seen and a not in seen:
-                    seen.add(a)
-                    changed = True
-        return len(seen) == len(self.vertices)
+        return True
 
 
 def _neighbors(g: GraphOfGroups, tv: TreeVertex):
-    """Tree edges at tv = a·𝒢(v) with their far endpoints, ordered.
+    """Tree edges at tv = a·𝒢(v), ordered, each with the map (``edge_d0`` or
+    ``edge_d1``) to its far endpoint.
 
     They are a·r·𝒢(e) (leaving) and a·r·t_e⁻¹·𝒢(e) (arriving), r over the
     transversal of ∂0(𝒢(e)) or ∂1(𝒢(e)) in 𝒢(v) (Serre, *Trees*, §I.4).
@@ -149,8 +151,7 @@ def _neighbors(g: GraphOfGroups, tv: TreeVertex):
 
     def add_edges(eid: str, side: int, tail: tuple, far):
         for r in sorted({coset_rep(g, v, eid, side, h)[0] for h in handles}):
-            E = _edge_at(g, eid, a + ((VERTEX, v, r),) + tail)
-            out.append((E, far(g, E)))
+            out.append((_edge_at(g, eid, a + ((VERTEX, v, r),) + tail), far))
 
     for eid in g.graph.incident(v):
         if g.graph.d0[eid] == v:
@@ -160,65 +161,67 @@ def _neighbors(g: GraphOfGroups, tv: TreeVertex):
     return sorted(out, key=lambda kv: (kv[0].edge_id, len(kv[0].rep.syllables), kv[0].rep.text()))
 
 
-def tree_ball(
-    g: GraphOfGroups,
-    radius: int,
-    origin: TreeVertex | None = None,
-    max_size: int = BALL_CAP,
-) -> TreeBall:
-    """Breadth-first ball of tree vertices and edges around the origin."""
+def _walk(g: GraphOfGroups, origin: TreeVertex, radius: int):
+    """Breadth-first walk of the tree out to ``radius`` edges from ``origin``.
+
+    Yields (depth, near, E, far) once per tree edge E, far being the endpoint
+    of E across from near, at that depth.  Far endpoints are computed only for
+    edges not walked yet.
+    """
+    seen, walked, frontier = {origin}, set(), [origin]
+    for depth in range(1, radius + 1):
+        nxt = []
+        for near in frontier:
+            for E, far_end in _neighbors(g, near):
+                if E in walked:
+                    continue
+                walked.add(E)
+                far = far_end(g, E)
+                yield depth, near, E, far
+                if far not in seen:
+                    seen.add(far)
+                    nxt.append(far)
+        frontier = nxt
+
+
+def tree_ball(g: GraphOfGroups, radius: int, max_size: int = BALL_CAP) -> TreeBall:
+    """Breadth-first ball of tree vertices and edges around the base vertex."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    if origin is None:
-        origin = tree_vertex(g, g.basepoint)
-    vertices = [origin]
-    depth = {origin: 0}
-    edges: list[TreeEdge] = []
-    incidence: dict[TreeEdge, tuple[TreeVertex, TreeVertex]] = {}
-    frontier = [origin]
-    for level in range(radius):
-        nxt = []
-        for tv in frontier:
-            for E, far in _neighbors(g, tv):
-                if E in incidence:
-                    continue
-                incidence[E] = (tv, far)
-                edges.append(E)
-                if far not in depth:
-                    depth[far] = level + 1
-                    vertices.append(far)
-                    nxt.append(far)
-                    if len(vertices) > max_size:
-                        raise BallTooLarge(f"tree ball exceeds cap of {max_size} vertices")
-        frontier = nxt
-    return TreeBall(origin, vertices, edges, incidence, depth)
+    origin = tree_vertex(g, g.basepoint)
+    tb = TreeBall(origin, [origin], [], {}, {origin: 0})
+    for depth, near, E, far in _walk(g, origin, radius):
+        tb.edges.append(E)
+        tb.incidence[E] = (near, far)
+        if far not in tb.depth:
+            tb.depth[far] = depth
+            tb.vertices.append(far)
+            if len(tb.vertices) > max_size:
+                raise BallTooLarge(f"tree ball exceeds cap of {max_size} vertices")
+    return tb
 
 
 def fixed_vertex(
     g: GraphOfGroups, elements: list[NormalForm], radius: int = 8
 ) -> TreeVertex | None:
-    """A tree vertex fixed by all given elements, searched outward from the base.
+    """The tree vertex nearest the base that all given elements fix.
 
-    The subgroup generated by the elements must be finite (else NotFinite);
-    returns None when no fixed vertex lies within the given radius.
+    The subgroup generated by the elements must be finite (else NotFinite).
+    Its fixed vertices form a nonempty subtree (Serre, *Trees*, §I.6), so the
+    nearest one is unique and the breadth-first walk meets it first.  A vertex
+    c·𝒢(v) is fixed when c⁻¹·x·c lies in 𝒢(v) for every x.  Returns None when
+    no fixed vertex lies within the given radius.
     """
     _close_finite(g, elements)
     origin = tree_vertex(g, g.basepoint)
-    seen = {origin}
-    frontier = [origin]
-    for _ in range(radius + 1):
-        for tv in frontier:
-            if all(act(g, x, tv) == tv for x in elements):
-                return tv
-        nxt = []
-        for tv in frontier:
-            for _, far in _neighbors(g, tv):
-                if far not in seen:
-                    seen.add(far)
-                    nxt.append(far)
-        frontier = sorted(nxt, key=lambda t: (t.vertex_id, t.rep.text()))
-        if not frontier:
-            break
+    met = itertools.chain([origin], (far for _, _, _, far in _walk(g, origin, radius)))
+    for tv in met:
+        c_inv = invert(tv.rep)
+        if all(
+            vertex_handle_of(g, tv.vertex_id, multiply(multiply(c_inv, x), tv.rep)) is not None
+            for x in elements
+        ):
+            return tv
     return None
 
 
@@ -247,22 +250,11 @@ def conjugate_finite_into_vertex(
 ) -> tuple[NormalForm, str] | None:
     """A conjugator c and vertex id with c⁻¹·⟨elements⟩·c inside that vertex group.
 
-    Uses the fixed vertex of the action; returns None when the search radius
-    is exhausted, raises NotFinite for infinite input.
+    Reads both off the nearest fixed vertex c·𝒢(v); returns None when the
+    search radius is exhausted, raises NotFinite for infinite input.
     """
     tv = fixed_vertex(g, elements, radius)
-    if tv is None:
-        return None
-    c = tv.rep
-    c_inv = invert(c)
-    for x in elements:
-        moved = multiply(multiply(c_inv, x), c)
-        if not vertex_group_membership(g, tv.vertex_id, moved):
-            raise AssertionError(
-                f"fixed vertex {tv.text()} does not conjugate {x.text()} into "
-                f"the vertex group; this is a bug"
-            )
-    return c, tv.vertex_id
+    return None if tv is None else (tv.rep, tv.vertex_id)
 
 
 def ball_to_dot(ball: TreeBall) -> str:

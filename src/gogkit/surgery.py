@@ -452,9 +452,7 @@ def _edges_at(g: GraphOfGroups, v: str) -> list[tuple[str, list[int]]]:
     return out
 
 
-def find_delta_conjugators(
-    g: GraphOfGroups, v: str, chi: Subgroup, radius: int = 8
-) -> ConjugatorTable | None:
+def find_delta_conjugators(g: GraphOfGroups, v: str, chi: Subgroup) -> ConjugatorTable | None:
     """Least element of 𝒢(v) conjugating each edge-group image at v into χ.
 
     Returns None when some edge admits no conjugator — inconclusive only in

@@ -18,7 +18,9 @@ coset tree multiplies a representative by every element of a vertex or edge
 group and walks every vertex element to find neighbours, removing duplicate
 edges in a dict, where the package reads handles and one transversal; the
 subgroup closure multiplies on both sides and inverts, where the package only
-multiplies on the right by the seeds.
+multiplies on the right by the seeds; the fixed-vertex search tests each
+vertex by the action and sorts every level of its walk, where the package
+tests membership of conjugates and stops at the first vertex its walk meets.
 """
 from __future__ import annotations
 
@@ -620,3 +622,29 @@ def neighbors_brute(g, tv):
     return sorted(
         out.items(), key=lambda kv: (kv[0].edge_id, len(kv[0].rep.syllables), kv[0].rep.text())
     )
+
+
+def fixed_vertex_by_action(g, elements, radius=8):
+    """The first vertex, level by level out to ``radius``, that every element
+    moves onto itself under ``act``; each level is sorted by (vertex id, text)."""
+    from gogkit.structure_tree import _close_finite, _neighbors, act, tree_vertex
+
+    _close_finite(g, elements)
+    origin = tree_vertex(g, g.basepoint)
+    seen = {origin}
+    frontier = [origin]
+    for _ in range(radius + 1):
+        for tv in frontier:
+            if all(act(g, x, tv) == tv for x in elements):
+                return tv
+        nxt = []
+        for tv in frontier:
+            for E, far_end in _neighbors(g, tv):
+                far = far_end(g, E)
+                if far not in seen:
+                    seen.add(far)
+                    nxt.append(far)
+        frontier = sorted(nxt, key=lambda t: (t.vertex_id, t.rep.text()))
+        if not frontier:
+            break
+    return None

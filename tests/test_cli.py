@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from gogkit import cli
+from gogkit import cli, finite_group
 from gogkit.fixtures import fixture_text
 
 
@@ -54,6 +54,24 @@ def test_validate_malformed_group_spec_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "validate", str(bad))
     assert code == 2
     assert "'table' must be a list of lists" in err
+
+
+def test_validate_refuses_a_group_over_the_order_cap(capsys, tmp_path, monkeypatch):
+    def refuse(n):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(finite_group, "_cyclic", refuse)
+    doc = {
+        "name": "big",
+        "graph": {"vertices": [{"id": "v", "group": "cyclic 30000"}], "edges": []},
+        "spanning_tree": [],
+        "basepoint": "v",
+    }
+    bad = tmp_path / "big.gog.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert "'cyclic 30000' has more than 720 elements" in err
 
 
 def test_nf_identity_example(capsys):
@@ -273,6 +291,11 @@ def test_surgery_attach_success_and_exhaustion(capsys):
     code, out, _ = run(capsys, "surgery", "attach", "c4c6", "--vertex", "v", "--chi", "0")
     assert code == 3
     assert "no conjugator table" in out
+
+
+def test_surgery_attach_has_no_radius():
+    with pytest.raises(SystemExit):
+        cli.main(["surgery", "attach", "c4c6", "--vertex", "v", "--chi", "0,2", "--radius", "3"])
 
 
 def test_surgery_amalgamate_reports_factors(capsys):

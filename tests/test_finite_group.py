@@ -3,8 +3,10 @@ import itertools
 
 import pytest
 
+from gogkit import finite_group
 from gogkit.errors import NoIdentity, NonAssociative, NotPermutationRow
 from gogkit.finite_group import (
+    MAX_GROUP_ORDER,
     Subgroup,
     _extend_hom,
     _generating_sequence,
@@ -240,3 +242,41 @@ def test_conjugate_convention():
     for x in range(6):
         for g in range(6):
             assert s3.conjugate(x, g) == s3.mul(s3.mul(s3.inv(g), x), g)
+
+
+@pytest.fixture
+def no_tables(monkeypatch):
+    """Fail every table builder, so a spec over the cap is never built."""
+
+    def refuse(*args):
+        raise AssertionError("a group table was built")
+
+    for builder in ("_cyclic", "_dihedral", "_dicyclic", "_symmetric", "_product", "_validate_table"):
+        monkeypatch.setattr(finite_group, builder, refuse)
+
+
+C31 = make_group("cyclic 31")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "cyclic 30000",
+        "dihedral 361",
+        "dicyclic 181",
+        "symmetric 7",
+        "symmetric 1000000000000",
+        [C31] * 6,
+        {"product": [C31, C31]},
+        {"table": [[0]] * 721},
+    ],
+)
+def test_make_group_refuses_orders_over_the_cap(no_tables, spec):
+    with pytest.raises(ValueError, match=f"more than {MAX_GROUP_ORDER} elements"):
+        make_group(spec)
+
+
+def test_make_group_builds_up_to_the_cap():
+    # S6 is the largest default quotient target.
+    assert make_group("symmetric 6").order == MAX_GROUP_ORDER == 720
+    assert make_group("cyclic 720").order == 720

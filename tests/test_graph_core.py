@@ -2,6 +2,7 @@
 import pytest
 
 from gogkit.errors import Disconnected, SameVertex
+from gogkit.fixtures import load_fixture
 from gogkit.graph_core import (
     NEGATIVE,
     NEUTRAL,
@@ -122,3 +123,15 @@ def test_classify_path_from_end(c4c2c4):
 def test_classify_same_vertex(c4c6):
     with pytest.raises(SameVertex):
         classify(c4c6.tree, "v", "v")
+
+
+def test_incident_keeps_edge_id_order_and_lists_a_loop_once():
+    g = graph(["a", "b", "c"], [("e3", "a", "b"), ("e1", "b", "a"), ("e2", "a", "a")])
+    assert g.incident("a") == ["e1", "e2", "e3"]
+    assert g.incident("b") == ["e1", "e3"]
+    assert g.incident("c") == []
+    for name in ("c4c6", "c6hnn", "c4c2c4", "c2c2", "expand_demo"):
+        fg = load_fixture(name).graph
+        for v in fg.vertices:
+            scan = [e for e in sorted(fg.edges) if v in (fg.d0[e], fg.d1[e])]
+            assert fg.incident(v) == scan, (name, v)

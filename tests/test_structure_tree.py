@@ -1,13 +1,23 @@
 """Tests for the coset tree: canonicalization, balls, actions, fixed points."""
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import neighbors_brute, tree_edge_brute, tree_vertex_brute
+from _oracles import fixed_vertex_by_action, neighbors_brute, tree_edge_brute, tree_vertex_brute
 from gogkit.errors import BallTooLarge, NotFinite
 from gogkit.fixtures import load_fixture
-from gogkit.gog import ball, identity, invert, multiply, nf, vertex_group_membership
+from gogkit.gog import (
+    ball,
+    identity,
+    invert,
+    multiply,
+    nf,
+    vertex_element,
+    vertex_group_membership,
+)
 from gogkit.structure_tree import (
     TreeEdge,
     TreeVertex,
@@ -74,6 +84,33 @@ def test_tree_ball_shapes(c4c6, c6hnn):
     hb = tree_ball(c6hnn, 2)
     assert len(hb.vertices) == 1 + 6 + 30
     assert hb.is_tree()
+
+
+def test_is_tree_rejects_broken_balls(c4c6):
+    tb = tree_ball(c4c6, 2)
+    assert tb.is_tree()
+    first, last = tb.edges[0], tb.edges[-1]
+    stranger = tree_vertex(c4c6, "v", nf(c4c6, "w:g1 * v:g1 * w:g1"))
+    extra = tree_edge(c4c6, "e", nf(c4c6, "w:g1 * v:g1 * w:g1"))
+    assert stranger not in tb.depth and extra not in tb.incidence
+    cycle = {**tb.incidence, extra: (tb.vertices[1], tb.vertices[-1])}
+    broken = {
+        "repeated edge": replace(tb, edges=tb.edges + [first]),
+        "repeated edge in place of another": replace(tb, edges=tb.edges[:-1] + [first]),
+        "extra edge closing a cycle": replace(tb, edges=tb.edges + [extra], incidence=cycle),
+        "vertex no edge reaches": replace(tb, vertices=tb.vertices + [stranger]),
+        "cycle beside an unreached vertex": replace(
+            tb, vertices=tb.vertices + [stranger], edges=tb.edges + [extra], incidence=cycle
+        ),
+        "endpoint missing from vertices": replace(
+            tb, incidence={**tb.incidence, last: (tb.incidence[last][0], stranger)}
+        ),
+        "edge without incidence": replace(
+            tb, incidence={E: ends for E, ends in tb.incidence.items() if E != last}
+        ),
+    }
+    for label, ball_ in broken.items():
+        assert ball_.is_tree() is False, label
 
 
 def test_tree_ball_cap(c6hnn):
@@ -144,6 +181,11 @@ GRAPHS = {name: load_fixture(name) for name in TABLE_FIXTURES}
 BALLS = {name: ball(g, 3) for name, g in GRAPHS.items()}
 
 
+def neighbors_with_ends(g, tv):
+    """The (edge, far endpoint) pairs of ``_neighbors``."""
+    return [(E, far_end(g, E)) for E, far_end in _neighbors(g, tv)]
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.sampled_from(TABLE_FIXTURES), st.data())
 def test_cosets_match_brute_force(name, data):
@@ -152,7 +194,7 @@ def test_cosets_match_brute_force(name, data):
     for vid in sorted(g.graph.vertices):
         tv = tree_vertex(g, vid, x)
         assert tv == tree_vertex_brute(g, vid, x)
-        assert _neighbors(g, tv) == neighbors_brute(g, tv)
+        assert neighbors_with_ends(g, tv) == neighbors_brute(g, tv)
     for eid in sorted(g.graph.edges):
         assert tree_edge(g, eid, x) == tree_edge_brute(g, eid, x)
 
@@ -162,4 +204,48 @@ def test_neighbors_match_brute_force_on_tree_ball(name):
     # Equal lists: one edge per coset of the edge group, so no duplicates.
     g = GRAPHS[name]
     for tv in tree_ball(g, 3).vertices:
-        assert _neighbors(g, tv) == neighbors_brute(g, tv), tv.text()
+        assert neighbors_with_ends(g, tv) == neighbors_brute(g, tv), tv.text()
+
+
+def _answer(search, g, elements, radius):
+    try:
+        return search(g, elements, radius)
+    except NotFinite:
+        return NotFinite
+
+
+@pytest.mark.parametrize("name", TABLE_FIXTURES)
+def test_fixed_vertices_match_the_action_search(name):
+    # Vertex groups, their single elements and the edge images, each
+    # conjugated by the radius-2 ball; then x = g1 at the last vertex with
+    # each c⁻¹·x·c, c in the radius-1 ball, some of which generate an
+    # infinite subgroup.  Deciding that takes _close_finite up to 0.4 s,
+    # so only these few inputs give NotFinite.
+    g = GRAPHS[name]
+    subgroups = []
+    for vid in sorted(g.graph.vertices):
+        elements = [vertex_element(g, vid, h) for h in g.vertex_groups[vid].handles()]
+        subgroups += [elements] + [[x] for x in elements]
+    for eid in sorted(g.graph.edges):
+        for side, vid in ((0, g.graph.d0[eid]), (1, g.graph.d1[eid])):
+            order = g.edge_groups[eid].order
+            subgroups.append([vertex_element(g, vid, g.incl(eid, side, k)) for k in range(order)])
+
+    def conjugate(H, c):
+        return [multiply(multiply(invert(c), x), c) for x in H]
+
+    inputs = [conjugate(H, c) for H in subgroups for c in ball(g, 2)]
+    x = nf(g, f"{max(g.graph.vertices)}:g1")
+    inputs += [[x] + conjugate([x], c) for c in ball(g, 1)]
+    kinds = Counter()
+    for elements in inputs:
+        for radius in (1, 2, 3, 8):
+            expected = _answer(fixed_vertex_by_action, g, elements, radius)
+            assert _answer(fixed_vertex, g, elements, radius) == expected
+            if isinstance(expected, TreeVertex):
+                expected = (expected.rep, expected.vertex_id)
+            assert _answer(conjugate_finite_into_vertex, g, elements, radius) == expected
+            kinds["found" if isinstance(expected, tuple) else expected] += 1
+            if expected is NotFinite:
+                break  # decided before any walk, at every radius alike
+    assert kinds["found"] and kinds[None] and kinds[NotFinite], kinds
