@@ -23,7 +23,6 @@ from .errors import Exhausted
 from .finite_group import FiniteGroup, Subgroup, make_group
 from .fixtures import load_fixture
 from .gog import (
-    LETTER,
     VERTEX,
     Report,
     Word,

@@ -24,7 +24,6 @@ from .gog import (
     _relators,
     ball,
     identity,
-    invert,
     invert_word,
     multiply,
     parse_word,
@@ -44,7 +43,6 @@ from .group_ring import (
     group_sum,
     ring_data,
     ring_from_data,
-    ring_term,
     ring_zero,
     scale,
     subtract,

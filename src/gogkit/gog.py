@@ -188,6 +188,35 @@ class GraphOfGroups:
         return f"GraphOfGroups({tag}, |V|={len(self.graph.vertices)}, |E|={len(self.graph.edges)})"
 
 
+def _rebuilt(
+    g: GraphOfGroups, *, vertices=None, edges=None, d0=None, d1=None, vertex_groups=None,
+    edge_groups=None, inclusions=None, tree=None, basepoint=None, name=None,
+) -> GraphOfGroups:
+    """A graph of groups derived from g: only the parts given differ.
+
+    Vertex and edge tuples and the spanning-tree edge set replace g's; the
+    maps override g's entries key by key and are then cut down to the new
+    vertices and edges.  Every rewrite builds its output here.
+    """
+    vertices = g.graph.vertices if vertices is None else tuple(vertices)
+    edges = g.graph.edges if edges is None else tuple(edges)
+
+    def part(own: dict, given, keys) -> dict:
+        merged = own if given is None else {**own, **given}
+        return {k: merged[k] for k in keys}
+
+    graph = FiniteGraph(vertices, edges, part(g.graph.d0, d0, edges), part(g.graph.d1, d1, edges))
+    return GraphOfGroups(
+        graph,
+        part(g.vertex_groups, vertex_groups, vertices),
+        part(g.edge_groups, edge_groups, edges),
+        part(g.inclusions, inclusions, edges),
+        tree=SpanningTree(graph, frozenset(g.tree.edges if tree is None else tree)),
+        basepoint=g.basepoint if basepoint is None else basepoint,
+        name=g.name if name is None else name,
+    )
+
+
 class NormalForm:
     """A canonical word together with its owning graph of groups."""
 

@@ -5,7 +5,7 @@ import json
 
 from .errors import MixedOwners, RingMismatch
 from .finite_group import FiniteGroup
-from .gog import GraphOfGroups, NormalForm, Word, identity, multiply, nf, reduce
+from .gog import GraphOfGroups, NormalForm, identity, multiply, nf
 
 
 class RingVector:

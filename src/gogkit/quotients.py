@@ -40,9 +40,9 @@ from .gog import (
     TableVertexGroup,
     Word,
     _check_subgraph,
+    _rebuilt,
     presentation,
 )
-from .graph_core import FiniteGraph, SpanningTree
 from .group_ring import RingVector, push_to_quotient
 
 
@@ -167,19 +167,11 @@ def _iter_quotients(g: GraphOfGroups, target: FiniteGroup, keep=None):
 def subgraph_gog(g: GraphOfGroups, sub: Subgraph) -> GraphOfGroups:
     """The restriction of g to a designated subgraph, sharing the basepoint."""
     _check_subgraph(g, sub)
-    vertices = tuple(v for v in g.graph.vertices if v in sub.vertices)
-    edges = tuple(e for e in g.graph.edges if e in sub.edges)
-    graph = FiniteGraph(
-        vertices, edges, {e: g.graph.d0[e] for e in edges}, {e: g.graph.d1[e] for e in edges}
-    )
-    tree = SpanningTree(graph, frozenset(e for e in g.tree.edges if e in sub.edges))
-    return GraphOfGroups(
-        graph,
-        {v: g.vertex_groups[v] for v in vertices},
-        {e: g.edge_groups[e] for e in edges},
-        {e: g.inclusions[e] for e in edges},
-        tree=tree,
-        basepoint=g.basepoint,
+    return _rebuilt(
+        g,
+        vertices=(v for v in g.graph.vertices if v in sub.vertices),
+        edges=(e for e in g.graph.edges if e in sub.edges),
+        tree=g.tree.edges & sub.edges,
         name=f"{g.name}|sub" if g.name else "sub",
     )
 

@@ -2,9 +2,10 @@
 
 Every operation returns the rewritten graph of groups together with a
 GogIsoWitness: generator-level word maps ψ (source → target) and φ (target →
-source).  Witnesses are validated mechanically — each relator must map to a
-word reducing to the identity, and φ∘ψ / ψ∘φ must fix every generator up to
-normal-form equality — so a bad transport formula cannot pass silently.
+source).  A rewrite lists only the generators it moves; every other generator
+maps to itself.  Witnesses are validated mechanically — each relator must map
+to a word reducing to the identity, and φ∘ψ / ψ∘φ must fix every generator up
+to normal-form equality — so a bad transport formula cannot pass silently.
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ from .gog import (
     TableVertexGroup,
     Word,
     _check_subgraph,
+    _rebuilt,
     _reduce_from,
     ball,
     invert,
@@ -44,7 +46,6 @@ from .gog import (
     vertex_handle_of,
     word_text,
 )
-from .graph_core import FiniteGraph, SpanningTree
 from .structure_tree import conjugate_finite_into_vertex
 
 
@@ -104,15 +105,45 @@ def apply_phi(w: GogIsoWitness, x) -> NormalForm:
     return translate(w.phi, w.target, w.source, x)
 
 
-def _identity_map(g: GraphOfGroups) -> dict[tuple, Word]:
-    return {gen: Word((gen,)) for gen in presentation(g).generators}
+def _witness(
+    g: GraphOfGroups, out: GraphOfGroups, psi: dict[tuple, Word], phi: dict[tuple, Word]
+) -> GogIsoWitness:
+    """The witness of a rewrite g → out: ψ and φ as listed, every other generator fixed."""
+    return GogIsoWitness(
+        g,
+        out,
+        {gen: psi.get(gen, Word((gen,))) for gen in presentation(g).generators},
+        {gen: phi.get(gen, Word((gen,))) for gen in presentation(out).generators},
+    )
 
 
 def validate_witness(w: GogIsoWitness) -> Report:
-    """Relator preservation both ways plus two-sided inverse on generators."""
+    """Complete maps, relator preservation both ways, two-sided inverse on generators.
+
+    Each generator a map misses and each key that is not a generator is a
+    problem line; when a map misses a generator, nothing is translated.
+    """
     report = Report()
     src = presentation(w.source)
     tgt = presentation(w.target)
+    report.counts["source_relators"] = len(src.relators)
+    report.counts["target_relators"] = len(tgt.relators)
+    report.counts["generators"] = len(src.generators) + len(tgt.generators)
+    complete = True
+    for label, side, g, mapping, gens in (
+        ("ψ", "source", w.source, w.psi, src.generators),
+        ("φ", "target", w.target, w.phi, tgt.generators),
+    ):
+        for gen in gens:
+            if gen not in mapping:
+                complete = False
+                report.fail(f"{label} has no image for {side} generator {_gen_text(g, gen)!r}")
+        known = set(gens)
+        for key in mapping:
+            if key not in known:
+                report.fail(f"{label} maps {key!r}, which is not a {side} generator")
+    if not complete:
+        return report
     for r in src.relators:
         image = translate(w.psi, w.source, w.target, r)
         if image.syllables:
@@ -131,9 +162,6 @@ def validate_witness(w: GogIsoWitness) -> Report:
         back = translate(w.psi, w.source, w.target, apply_phi(w, x))
         if back != x:
             report.fail(f"ψ∘φ moves target generator {x.text()!r} to {back.text()!r}")
-    report.counts["source_relators"] = len(src.relators)
-    report.counts["target_relators"] = len(tgt.relators)
-    report.counts["generators"] = len(src.generators) + len(tgt.generators)
     return report
 
 
@@ -182,26 +210,14 @@ def reverse_edge(g: GraphOfGroups, e: str) -> tuple[GraphOfGroups, GogIsoWitness
     """Flip the orientation of one edge; the stable letter maps to its inverse."""
     if e not in g.graph.edges:
         raise ValueError(f"unknown edge {e!r}")
-    d0 = dict(g.graph.d0)
-    d1 = dict(g.graph.d1)
-    d0[e], d1[e] = d1[e], d0[e]
-    inclusions = dict(g.inclusions)
-    inclusions[e] = (g.inclusions[e][1], g.inclusions[e][0])
-    graph = FiniteGraph(g.graph.vertices, g.graph.edges, d0, d1)
-    out = GraphOfGroups(
-        graph,
-        dict(g.vertex_groups),
-        dict(g.edge_groups),
-        inclusions,
-        tree=SpanningTree(graph, g.tree.edges),
-        basepoint=g.basepoint,
-        name=g.name,
+    out = _rebuilt(
+        g,
+        d0={e: g.graph.d1[e]},
+        d1={e: g.graph.d0[e]},
+        inclusions={e: g.inclusions[e][::-1]},
     )
-    psi = _identity_map(g)
-    psi[(LETTER, e, 1)] = Word(((LETTER, e, -1),))
-    phi = _identity_map(out)
-    phi[(LETTER, e, 1)] = Word(((LETTER, e, -1),))
-    return out, GogIsoWitness(g, out, psi, phi)
+    flip = {(LETTER, e, 1): Word(((LETTER, e, -1),))}
+    return out, _witness(g, out, flip, flip)
 
 
 # ---------------------------------------------------------------------------
@@ -219,55 +235,43 @@ def collapse_tree_edge(g: GraphOfGroups, e: str) -> tuple[GraphOfGroups, GogIsoW
     if e not in g.tree.edges:
         raise NotCollapsible(f"edge {e!r} is not in the spanning tree")
     order = g.edge_groups[e].order
+    ends = (g.graph.d0[e], g.graph.d1[e])
     side = None
     for s in (1, 0):
-        endpoint = g.graph.d1[e] if s == 1 else g.graph.d0[e]
-        vg = g.vertex_groups[endpoint]
+        vg = g.vertex_groups[ends[s]]
         if isinstance(vg, TableVertexGroup) and vg.group.order == order:
             side = s
             break
     if side is None:
         raise NotCollapsible(f"neither inclusion of {e!r} is onto its endpoint group")
-    gone = g.graph.d1[e] if side == 1 else g.graph.d0[e]
-    kept = g.graph.d0[e] if side == 1 else g.graph.d1[e]
+    gone, kept = ends[side], ends[1 - side]
 
     def iso(h):
-        k = g.incl_preimage(e, side, h)
-        return g.incl(e, 1 - side, k)
+        return g.incl(e, 1 - side, g.incl_preimage(e, side, h))
 
-    vertices = tuple(v for v in g.graph.vertices if v != gone)
-    edges = tuple(x for x in g.graph.edges if x != e)
-    d0, d1, inclusions = {}, {}, {}
-    for x in edges:
-        d0[x] = kept if g.graph.d0[x] == gone else g.graph.d0[x]
-        d1[x] = kept if g.graph.d1[x] == gone else g.graph.d1[x]
-        pair = []
-        for i in (0, 1):
-            images = g.inclusions[x][i]
-            if (g.graph.d0[x] if i == 0 else g.graph.d1[x]) == gone:
-                images = tuple(iso(h) for h in images)
-            pair.append(tuple(images))
-        inclusions[x] = (pair[0], pair[1])
-    graph = FiniteGraph(vertices, edges, d0, d1)
-    out = GraphOfGroups(
-        graph,
-        {v: g.vertex_groups[v] for v in vertices},
-        {x: g.edge_groups[x] for x in edges},
-        inclusions,
-        tree=SpanningTree(graph, frozenset(x for x in g.tree.edges if x != e)),
+    moved = [x for x in g.graph.incident(gone) if x != e]
+    out = _rebuilt(
+        g,
+        vertices=(v for v in g.graph.vertices if v != gone),
+        edges=(x for x in g.graph.edges if x != e),
+        d0={x: kept for x in moved if g.graph.d0[x] == gone},
+        d1={x: kept for x in moved if g.graph.d1[x] == gone},
+        inclusions={
+            x: tuple(
+                tuple(map(iso, images)) if end == gone else images
+                for end, images in zip((g.graph.d0[x], g.graph.d1[x]), g.inclusions[x])
+            )
+            for x in moved
+        },
+        tree=g.tree.edges - {e},
         basepoint=kept if g.basepoint == gone else g.basepoint,
-        name=g.name,
     )
-    psi: dict[tuple, Word] = {}
-    for gen in presentation(g).generators:
-        if gen[0] == VERTEX and gen[1] == gone:
-            psi[gen] = Word(((VERTEX, kept, iso(gen[2])),))
-        elif gen == (LETTER, e, 1):
-            psi[gen] = Word(())
-        else:
-            psi[gen] = Word((gen,))
-    phi = _identity_map(out)
-    return out, GogIsoWitness(g, out, psi, phi)
+    psi = {
+        (VERTEX, gone, h): Word(((VERTEX, kept, iso(h)),))
+        for h in g.vertex_groups[gone].generator_handles()
+    }
+    psi[(LETTER, e, 1)] = Word(())
+    return out, _witness(g, out, psi, {})
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +279,7 @@ def collapse_tree_edge(g: GraphOfGroups, e: str) -> tuple[GraphOfGroups, GogIsoW
 
 
 def _namespaced(prefix: str, syllables) -> tuple[tuple, ...]:
-    out = []
-    for s in syllables:
-        if s[0] == VERTEX:
-            out.append((VERTEX, f"{prefix}.{s[1]}", s[2]))
-        else:
-            out.append((LETTER, f"{prefix}.{s[1]}", s[2]))
-    return tuple(out)
+    return tuple((s[0], f"{prefix}.{s[1]}", s[2]) for s in syllables)
 
 
 def expand_vertex(
@@ -300,8 +298,8 @@ def expand_vertex(
     if not isinstance(host, CompositeVertexGroup):
         raise ValueError(f"vertex group at {w!r} is not a nested graph of groups")
     sub = host.sub
-    for eid in g.graph.edges:
-        if g.graph.d0[eid] == w and g.graph.d1[eid] == w:
+    for eid in g.graph.incident(w):
+        if g.graph.d0[eid] == g.graph.d1[eid]:
             raise BadAttachment(
                 f"loop {eid!r} at the expansion vertex is not supported; "
                 "split it off as an HNN layer first"
@@ -315,7 +313,8 @@ def expand_vertex(
 
     attach = dict(attach or {})
     plans: dict[str, tuple[int, str, NormalForm, tuple]] = {}
-    for eid, (i,) in _edges_at(g, w):
+    for eid in g.graph.incident(w):
+        i = 0 if g.graph.d0[eid] == w else 1
         images = [g.incl(eid, i, k) for k in range(g.edge_groups[eid].order)]
         if eid in attach:
             tau, conj = attach[eid]
@@ -346,79 +345,52 @@ def expand_vertex(
             handles.append(h)
         plans[eid] = (i, tau, conj, tuple(handles))
 
-    vertices = tuple(v for v in g.graph.vertices if v != w) + tuple(
-        f"{w}.{v}" for v in sub.graph.vertices
-    )
-    edges = tuple(g.graph.edges) + tuple(f"{w}.{e}" for e in sub.graph.edges)
     d0, d1, inclusions, edge_groups = {}, {}, {}, {}
-    for eid in g.graph.edges:
-        d0[eid] = g.graph.d0[eid]
-        d1[eid] = g.graph.d1[eid]
-        inclusions[eid] = g.inclusions[eid]
-        edge_groups[eid] = g.edge_groups[eid]
-        if eid in plans:
-            i, tau, _, handles = plans[eid]
-            if i == 0:
-                d0[eid] = f"{w}.{tau}"
-            else:
-                d1[eid] = f"{w}.{tau}"
-            pair = list(inclusions[eid])
-            pair[i] = handles
-            inclusions[eid] = (pair[0], pair[1])
+    ends = (d0, d1)
+    for eid, (i, tau, _, handles) in plans.items():
+        ends[i][eid] = f"{w}.{tau}"
+        pair = list(g.inclusions[eid])
+        pair[i] = handles
+        inclusions[eid] = tuple(pair)
     for eid in sub.graph.edges:
-        d0[f"{w}.{eid}"] = f"{w}.{sub.graph.d0[eid]}"
-        d1[f"{w}.{eid}"] = f"{w}.{sub.graph.d1[eid]}"
-        inclusions[f"{w}.{eid}"] = sub.inclusions[eid]
-        edge_groups[f"{w}.{eid}"] = sub.edge_groups[eid]
-    vertex_groups = {v: g.vertex_groups[v] for v in g.graph.vertices if v != w}
-    for vid in sub.graph.vertices:
-        vertex_groups[f"{w}.{vid}"] = sub.vertex_groups[vid]
-    tree = frozenset(g.tree.edges) | {f"{w}.{e}" for e in sub.tree.edges}
-    graph = FiniteGraph(vertices, edges, d0, d1)
-    out = GraphOfGroups(
-        graph,
-        vertex_groups,
-        edge_groups,
-        inclusions,
-        tree=SpanningTree(graph, tree),
+        inner = f"{w}.{eid}"
+        d0[inner], d1[inner] = f"{w}.{sub.graph.d0[eid]}", f"{w}.{sub.graph.d1[eid]}"
+        inclusions[inner] = sub.inclusions[eid]
+        edge_groups[inner] = sub.edge_groups[eid]
+    out = _rebuilt(
+        g,
+        vertices=[v for v in g.graph.vertices if v != w] + [f"{w}.{v}" for v in sub.graph.vertices],
+        edges=(*g.graph.edges, *(f"{w}.{e}" for e in sub.graph.edges)),
+        d0=d0,
+        d1=d1,
+        vertex_groups={f"{w}.{v}": sub.vertex_groups[v] for v in sub.graph.vertices},
+        edge_groups=edge_groups,
+        inclusions=inclusions,
+        tree=g.tree.edges | {f"{w}.{e}" for e in sub.tree.edges},
         basepoint=f"{w}.{sub.basepoint}" if g.basepoint == w else g.basepoint,
         name=f"{g.name}~expanded" if g.name else "expanded",
     )
 
-    psi: dict[tuple, Word] = {}
-    for gen in presentation(g).generators:
-        if gen[0] == VERTEX and gen[1] == w:
-            psi[gen] = Word(_namespaced(w, gen[2].syllables))
-        elif gen[0] == LETTER and gen[1] in plans:
-            eid = gen[1]
-            i, _, conj, _ = plans[eid]
-            if i == 0:
-                psi[gen] = Word(_namespaced(w, conj.syllables) + ((LETTER, eid, 1),))
-            else:
-                psi[gen] = Word(((LETTER, eid, 1),) + _namespaced(w, invert(conj).syllables))
+    psi = {
+        gen: Word(_namespaced(w, gen[2].syllables))
+        for gen in presentation(g).generators
+        if gen[:2] == (VERTEX, w)
+    }
+    phi = {}
+    for gen in presentation(sub).generators:
+        x = reduce(sub, Word((gen,)))
+        phi[_namespaced(w, (gen,))[0]] = Word(((VERTEX, w, x),) if x.syllables else ())
+    for eid, (i, _, conj, _) in plans.items():
+        if not conj.syllables:
+            continue
+        letter = (LETTER, eid, 1)
+        if i == 0:
+            psi[letter] = Word(_namespaced(w, conj.syllables) + (letter,))
+            phi[letter] = Word(((VERTEX, w, invert(conj)), letter))
         else:
-            psi[gen] = Word((gen,))
-    phi: dict[tuple, Word] = {}
-    for gen in presentation(out).generators:
-        if gen[0] == VERTEX and gen[1].startswith(f"{w}."):
-            vid = gen[1][len(w) + 1 :]
-            phi[gen] = Word(((VERTEX, w, reduce(sub, Word(((VERTEX, vid, gen[2]),)))),))
-        elif gen[0] == LETTER and gen[1].startswith(f"{w}."):
-            eid = gen[1][len(w) + 1 :]
-            handle = reduce(sub, Word(((LETTER, eid, 1),)))
-            phi[gen] = Word(()) if not handle.syllables else Word(((VERTEX, w, handle),))
-        elif gen[0] == LETTER and gen[1] in plans:
-            eid = gen[1]
-            i, _, conj, _ = plans[eid]
-            if not conj.syllables:
-                phi[gen] = Word((gen,))
-            elif i == 0:
-                phi[gen] = Word(((VERTEX, w, invert(conj)), (LETTER, eid, 1)))
-            else:
-                phi[gen] = Word(((LETTER, eid, 1), (VERTEX, w, conj)))
-        else:
-            phi[gen] = Word((gen,))
-    return out, GogIsoWitness(g, out, psi, phi)
+            psi[letter] = Word((letter,) + _namespaced(w, invert(conj).syllables))
+            phi[letter] = Word((letter, (VERTEX, w, conj)))
+    return out, _witness(g, out, psi, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -434,23 +406,6 @@ class ConjugatorTable:
     chi: Subgroup
     delta: dict[str, int] = field(default_factory=dict)
 
-    def gamma(self, eid: str, i: int) -> int:
-        """γ(η,i): δ(η)⁻¹ on sides incident to the designated vertex."""
-        endpoint = self.owner.graph.d0[eid] if i == 0 else self.owner.graph.d1[eid]
-        group = self.owner.vertex_groups[self.vertex].group
-        if endpoint == self.vertex:
-            return group.inv(self.delta[eid])
-        return group.identity
-
-
-def _edges_at(g: GraphOfGroups, v: str) -> list[tuple[str, list[int]]]:
-    out = []
-    for eid in sorted(g.graph.edges):
-        sides = [i for i in (0, 1) if (g.graph.d0[eid] if i == 0 else g.graph.d1[eid]) == v]
-        if sides:
-            out.append((eid, sides))
-    return out
-
 
 def find_delta_conjugators(g: GraphOfGroups, v: str, chi: Subgroup) -> ConjugatorTable | None:
     """Least element of 𝒢(v) conjugating each edge-group image at v into χ.
@@ -465,7 +420,9 @@ def find_delta_conjugators(g: GraphOfGroups, v: str, chi: Subgroup) -> Conjugato
     if chi.parent is not group:
         raise ValueError("χ must be a subgroup of the vertex group at the given vertex")
     table = ConjugatorTable(g, v, chi)
-    for eid, sides in _edges_at(g, v):
+    for eid in g.graph.incident(v):
+        ends = (g.graph.d0[eid], g.graph.d1[eid])
+        sides = [i for i in (0, 1) if ends[i] == v]
         images = {g.incl(eid, i, k) for i in sides for k in range(g.edge_groups[eid].order)}
         found = is_conjugate_into(subgroup_closure(group, images), chi, group)
         if found is None:
@@ -475,18 +432,13 @@ def find_delta_conjugators(g: GraphOfGroups, v: str, chi: Subgroup) -> Conjugato
 
 
 def attach_amalgam_vertex(
-    g: GraphOfGroups,
-    v: str,
-    chi: Subgroup,
-    table: ConjugatorTable,
-    new_vertex: str | None = None,
-    new_edge: str | None = None,
+    g: GraphOfGroups, v: str, chi: Subgroup, table: ConjugatorTable
 ) -> tuple[GraphOfGroups, GogIsoWitness]:
-    """Split 𝒢(v) off as an amalgam factor: v keeps χ, a new vertex carries Δ.
+    """Split 𝒢(v) off as an amalgam factor: v keeps χ, a new vertex v.delta carries Δ.
 
-    The output graph gains one vertex and one tree edge; edge inclusions at v
-    are conjugated into χ by the table's δ(η), and the stable letters absorb
-    the conjugators via γ(η,i).
+    The output graph gains the vertex v.delta and the tree edge v.chi; edge
+    inclusions at v are conjugated into χ by the table's δ(η), and the stable
+    letters absorb the conjugators.
     """
     vg = g.vertex_groups[v]
     if not isinstance(vg, TableVertexGroup):
@@ -499,15 +451,16 @@ def attach_amalgam_vertex(
     if table.chi.parent is not group or set(table.chi.elements) != set(chi.elements):
         raise TableInvalid("conjugator table was built for a different χ")
     chi_set = set(chi.elements)
-    at_v = _edges_at(g, v)
-    for eid, sides in at_v:
-        if 0 not in sides:
+    at_v = g.graph.incident(v)
+    for eid in at_v:
+        ends = (g.graph.d0[eid], g.graph.d1[eid])
+        if ends[0] != v:
             raise ValueError(
                 f"edge {eid!r} ends at {v!r} but does not start there; "
                 "apply reverse_edge first"
             )
         if eid in g.tree.edges and len(
-            {g.incl(eid, sides[0], k) for k in range(g.edge_groups[eid].order)}
+            {g.incl(eid, 0, k) for k in range(g.edge_groups[eid].order)}
         ) == group.order:
             raise ValueError(f"edge {eid!r} is superfluous at {v!r}; collapse it first")
         if eid not in table.delta:
@@ -515,86 +468,54 @@ def attach_amalgam_vertex(
         d = table.delta[eid]
         if not isinstance(d, int) or not 0 <= d < group.order:
             raise TableInvalid(f"conjugator for {eid!r} is not an element of Δ")
-        for i in sides:
+        for i in (0, 1) if ends[1] == v else (0,):
             for k in range(g.edge_groups[eid].order):
                 if group.conjugate(g.incl(eid, i, k), d) not in chi_set:
                     raise TableInvalid(
                         f"δ for {eid!r} does not move the side-{i} image into χ"
                     )
 
-    w_id = new_vertex if new_vertex is not None else f"{v}.delta"
-    e_id = new_edge if new_edge is not None else f"{v}.chi"
+    w_id, e_id = f"{v}.delta", f"{v}.chi"
     if w_id in g.graph.vertices:
         raise ValueError(f"vertex id {w_id!r} already exists")
     if e_id in g.graph.edges:
         raise ValueError(f"edge id {e_id!r} already exists")
 
     chi_group, to_local = subgroup_as_group(chi)
-    vertices = tuple(g.graph.vertices) + (w_id,)
-    edges = tuple(g.graph.edges) + (e_id,)
-    d0 = dict(g.graph.d0)
-    d1 = dict(g.graph.d1)
-    d0[e_id], d1[e_id] = v, w_id
-    inclusions = {}
-    for eid in g.graph.edges:
-        pair = [list(g.inclusions[eid][0]), list(g.inclusions[eid][1])]
-        for i in (0, 1):
-            if (g.graph.d0[eid] if i == 0 else g.graph.d1[eid]) == v:
-                d = table.delta[eid]
-                pair[i] = [to_local[group.conjugate(h, d)] for h in pair[i]]
-        inclusions[eid] = (tuple(pair[0]), tuple(pair[1]))
-    inclusions[e_id] = (
-        tuple(range(chi_group.order)),
-        tuple(chi.elements),
-    )
-    vertex_groups = {u: g.vertex_groups[u] for u in g.graph.vertices if u != v}
-    vertex_groups[v] = TableVertexGroup(chi_group)
-    vertex_groups[w_id] = TableVertexGroup(group)
-    edge_groups = dict(g.edge_groups)
-    edge_groups[e_id] = chi_group
-    graph = FiniteGraph(vertices, edges, d0, d1)
-    out = GraphOfGroups(
-        graph,
-        vertex_groups,
-        edge_groups,
-        inclusions,
-        tree=SpanningTree(graph, frozenset(g.tree.edges) | {e_id}),
-        basepoint=g.basepoint,
+    inclusions = {e_id: (tuple(range(chi_group.order)), chi.elements)}
+    for eid in at_v:
+        d = table.delta[eid]
+        inclusions[eid] = tuple(
+            tuple(to_local[group.conjugate(h, d)] for h in images) if end == v else images
+            for end, images in zip((g.graph.d0[eid], g.graph.d1[eid]), g.inclusions[eid])
+        )
+    out = _rebuilt(
+        g,
+        vertices=(*g.graph.vertices, w_id),
+        edges=(*g.graph.edges, e_id),
+        d0={e_id: v},
+        d1={e_id: w_id},
+        vertex_groups={v: chi_group, w_id: group},
+        edge_groups={e_id: chi_group},
+        inclusions=inclusions,
+        tree=g.tree.edges | {e_id},
         name=f"{g.name}~attached" if g.name else "attached",
     )
 
-    deltas = {eid: table.delta[eid] for eid, _ in at_v}
-    psi: dict[tuple, Word] = {}
-    for gen in presentation(g).generators:
-        if gen[0] == VERTEX and gen[1] == v:
-            psi[gen] = Word(((VERTEX, w_id, gen[2]),))
-        elif gen[0] == LETTER and gen[1] in deltas:
-            eid = gen[1]
-            d = deltas[eid]
-            syls: list[tuple] = [(VERTEX, w_id, d), (LETTER, eid, 1)]
-            if g.graph.d1[eid] == v:  # loop at v
-                syls.append((VERTEX, w_id, group.inv(d)))
-            psi[gen] = Word(tuple(syls))
-        else:
-            psi[gen] = Word((gen,))
-    phi: dict[tuple, Word] = {}
-    for gen in presentation(out).generators:
-        if gen[0] == VERTEX and gen[1] == v:
-            phi[gen] = Word(((VERTEX, v, chi.elements[gen[2]]),))
-        elif gen[0] == VERTEX and gen[1] == w_id:
-            phi[gen] = Word(((VERTEX, v, gen[2]),))
-        elif gen == (LETTER, e_id, 1):
-            phi[gen] = Word(())
-        elif gen[0] == LETTER and gen[1] in deltas:
-            eid = gen[1]
-            d = deltas[eid]
-            syls = [(VERTEX, v, group.inv(d)), (LETTER, eid, 1)]
-            if g.graph.d1[eid] == v:
-                syls.append((VERTEX, v, d))
-            phi[gen] = Word(tuple(syls))
-        else:
-            phi[gen] = Word((gen,))
-    return out, GogIsoWitness(g, out, psi, phi)
+    psi = {(VERTEX, v, h): Word(((VERTEX, w_id, h),)) for h in vg.generator_handles()}
+    phi = {(VERTEX, w_id, h): Word(((VERTEX, v, h),)) for h in vg.generator_handles()}
+    for j in out.vertex_groups[v].generator_handles():
+        phi[(VERTEX, v, j)] = Word(((VERTEX, v, chi.elements[j]),))
+    phi[(LETTER, e_id, 1)] = Word(())
+    for eid in at_v:
+        d, letter = table.delta[eid], (LETTER, eid, 1)
+        to_out = [(VERTEX, w_id, d), letter]
+        back = [(VERTEX, v, group.inv(d)), letter]
+        if g.graph.d1[eid] == v:  # a loop at v: conjugate on both sides
+            to_out.append((VERTEX, w_id, group.inv(d)))
+            back.append((VERTEX, v, d))
+        psi[letter], phi[letter] = Word(tuple(to_out)), Word(tuple(back))
+    return out, _witness(g, out, psi, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -648,8 +569,9 @@ def collapse_to_amalgam(g: GraphOfGroups, xi: Subgraph) -> AmalgamDescription:
     for x in sorted(extra_edges - {e}):
         if g.graph.d0[x] in xi.vertices or g.graph.d1[x] in xi.vertices:
             raise WrongShape(f"edge {x!r} straddles the factor boundary")
-    side = 0 if g.graph.d0[e] in delta_vertices else 1
-    delta_vertex = g.graph.d0[e] if side == 0 else g.graph.d1[e]
+    ends = (g.graph.d0[e], g.graph.d1[e])
+    side = 0 if ends[0] in delta_vertices else 1
+    delta_vertex = ends[side]
     vg = g.vertex_groups[delta_vertex]
     if not isinstance(vg, TableVertexGroup):
         raise WrongShape("the Δ-side endpoint of the joining edge must be a table group")

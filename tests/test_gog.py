@@ -21,6 +21,7 @@ from gogkit.gog import (
     Subgraph,
     TableVertexGroup,
     Word,
+    _rebuilt,
     _reduce_from,
     ball,
     equal,
@@ -313,6 +314,35 @@ def test_presentation_relators_reduce_to_identity():
         g = load_fixture(name)
         for rel in presentation(g).relators:
             assert reduce(g, rel).syllables == (), f"{name}: {word_text(g, rel)}"
+
+
+# ---------------------------------------------------------------------------
+# Derived graphs of groups
+
+
+def test_rebuilt_keeps_every_part_not_given(c4c6):
+    out = _rebuilt(c4c6)
+    assert out is not c4c6 and out.graph == c4c6.graph
+    assert out.vertex_groups == c4c6.vertex_groups and out.inclusions == c4c6.inclusions
+    assert out.tree.edges == c4c6.tree.edges
+    assert (out.basepoint, out.name) == (c4c6.basepoint, c4c6.name)
+
+
+def test_rebuilt_overrides_entries_and_leaves_the_source_alone(c4c6):
+    out = _rebuilt(
+        c4c6, d0={"e": "w"}, d1={"e": "v"}, inclusions={"e": c4c6.inclusions["e"][::-1]}
+    )
+    assert (out.graph.d0, out.graph.d1) == ({"e": "w"}, {"e": "v"})
+    assert (c4c6.graph.d0, c4c6.graph.d1) == ({"e": "v"}, {"e": "w"})
+    assert validate(out).ok
+
+
+def test_rebuilt_cuts_every_map_down_to_the_new_graph(c4c2c4):
+    out = _rebuilt(c4c2c4, vertices=("u", "m"), edges=("e1",), tree={"e1"}, name="part")
+    assert set(out.vertex_groups) == {"u", "m"}
+    assert set(out.edge_groups) == set(out.inclusions) == set(out.graph.d0) == {"e1"}
+    assert out.vertex_groups["u"] is c4c2c4.vertex_groups["u"]
+    assert (out.basepoint, out.name) == ("m", "part")
 
 
 # ---------------------------------------------------------------------------

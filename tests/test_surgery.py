@@ -1,4 +1,5 @@
 """Tests for surgery operations and their machine-checked isomorphism data."""
+import hashlib
 import json
 
 import pytest
@@ -12,9 +13,10 @@ from gogkit.errors import (
 )
 from gogkit.finite_group import Subgroup, make_group
 from gogkit.fixtures import load_fixture
-from gogkit.gog import GraphOfGroups, Subgraph, ball, nf, validate
+from gogkit.gog import GraphOfGroups, Subgraph, Word, ball, nf, validate
 from gogkit.graph_core import FiniteGraph
 from gogkit.surgery import (
+    GogIsoWitness,
     apply_phi,
     apply_psi,
     attach_amalgam_vertex,
@@ -170,6 +172,27 @@ def test_expand_rejects_bad_attachments(expand_demo):
         expand_vertex(expand_demo, "m", {"e0": ("w", "1")})
 
 
+def test_expand_keeps_a_vertex_whose_id_looks_nested(expand_demo):
+    # m.x is an ordinary vertex of the outer graph, not a vertex of m's decomposition.
+    graph = FiniteGraph(
+        ("z", "m", "m.x"), ("e0", "ex"), {"e0": "z", "ex": "m.x"}, {"e0": "m", "ex": "z"}
+    )
+    g = GraphOfGroups(
+        graph,
+        {"z": expand_demo.vertex_groups["z"], "m": expand_demo.vertex_groups["m"],
+         "m.x": make_group("cyclic 3")},
+        {"e0": expand_demo.edge_groups["e0"], "ex": make_group("cyclic 1")},
+        {"e0": expand_demo.inclusions["e0"], "ex": ((0,), (0,))},
+        basepoint="z",
+    )
+    out, w = expand_vertex(g, "m")
+    assert sorted(out.graph.vertices) == ["m.u", "m.w", "m.x", "z"]
+    assert w.phi[("v", "m.x", 1)] == Word((("v", "m.x", 1),))
+    assert apply_phi(w, nf(out, "m.w:g1")).text() == "m:{w:g1}"
+    assert validate_witness(w).ok
+    assert replay_transcript(witness_transcript("expand", w)).ok
+
+
 def test_expand_rejects_loops_at_the_vertex(expand_demo):
     sub = expand_demo.vertex_groups["m"]
     graph = FiniteGraph(("m",), ("l",), {"l": "m"}, {"l": "m"})
@@ -193,7 +216,6 @@ def test_find_delta_identity_suffices_in_abelian_vertex(c4c6):
     chi = Subgroup(c4c6.vertex_groups["v"].group, (0, 2))
     table = find_delta_conjugators(c4c6, "v", chi)
     assert table is not None and table.delta == {"e": 0}
-    assert table.gamma("e", 0) == 0 and table.gamma("e", 1) == 0
 
 
 def test_find_delta_order_obstruction(c4c6, c6hnn):
@@ -436,3 +458,83 @@ def test_transcript_detects_tampering(c4c6):
     report = replay_transcript(fresh)
     assert not report.ok
     assert "hash" in report.problems[0]
+
+
+@pytest.mark.parametrize("tamper, problem", [
+    (lambda psi: psi.pop("v:g1"), "ψ has no image for source generator 'v:g1'"),
+    (lambda psi: psi.update({"v:g0": "v:g0"}), "ψ maps ('v', 'v', 0), which is not a source generator"),
+], ids=["missing", "extra"])
+def test_replay_reports_malformed_witness_maps(c4c6, tamper, problem):
+    _, w = reverse_edge(c4c6, "e")
+    data = witness_transcript("reverse", w)
+    tamper(data["psi"])
+    report = replay_transcript(data)
+    assert not report.ok
+    assert report.problems == [problem]
+    assert report.counts == {
+        "source_relators": 3, "target_relators": 3, "generators": 18, "replayed": 1
+    }
+
+
+def test_validate_witness_skips_translation_of_incomplete_maps(c4c6):
+    # Without φ's entry for t(e), translating a target relator would need it.
+    _, w = reverse_edge(c4c6, "e")
+    phi = {gen: word for gen, word in w.phi.items() if gen != ("t", "e", 1)}
+    report = validate_witness(GogIsoWitness(w.source, w.target, w.psi, phi))
+    assert report.problems == ["φ has no image for target generator 't(e)'"]
+
+
+# ---------------------------------------------------------------------------
+# Frozen transcripts: SHA-256 of json.dumps(witness_transcript(op, w), sort_keys=True)
+
+FROZEN_TRANSCRIPTS = {
+    "reverse c4c6 e": "e7f66470fe6235bb629de51215fe973612281495d188c6d6a021e7b87ee5b1c8",
+    "reverse c6hnn t": "1412845eccec6631197f37365c224d785a3751783bb4ed8db276b967a58f486f",
+    "reverse c4c2c4 e1": "e084d24e3db05b67d0fab5d790bc72b63bf9ea2be3c27bc6a208f08f811619a7",
+    "reverse c4c2c4 e2": "ef832ba99e3f895c53fab96dec7fe2690d2a24dc2c13a3006901c85b7c4cc4f4",
+    "reverse c2c2 e": "f07b915f5b2b684ccb432f48776b13e7c125174680a7e56f27b8729ca8cb1fc9",
+    "collapse c4c2c4 e1": "4218a2cf07b1bc7a0921cdf1f8eeabe371bef83b633988a68e3ffe696a0a9175",
+    "collapse c4c2c4 e2": "b2d63232478836b39328bb891d83f19a1b7ab92cd436e0adfa225b8214646dbe",
+    "expand expand_demo m": "92b629f2aea2b61d277374546d1b398418ebca016b84fa37bd08acc4e3233e23",
+    "attach c4c6": "7a9cf56cca118ffdce51d68fcc1382c244b9de4f6ca43254c1b0cb1e84b25c9b",
+    "attach c4c6 collapse e": "9097d3931c125baa5a691eaf3389664dfa4344d8482f98aa08d9db200503225c",
+    "attach c4c6 composite": "41a262ef7500042455ceaff648fd6cd4317f11da010d10c61cd820aa609baa8b",
+    "attach c6hnn": "b1b7daaede8ee0032cbe509ccca7c6a4158f74148e1b08128c19d5f9158b3219",
+    "attach c6hnn collapse v.chi": "751330668e4a895e72513edfa2466fa1760b2404c78e98eaf105b6821582ff4c",
+    "attach c6hnn composite": "55022d098e09a9949e83e5d271568781aadf8b7130854c6286db7825d1233097",
+    "attach s3hnn": "1075e3a42c5b2e46fe80e1991e510bd4f2506d34312094ef3f3bcef594c3ec94",
+}
+
+
+def _attach(g, v, elements):
+    chi = Subgroup(g.vertex_groups[v].group, elements)
+    return attach_amalgam_vertex(g, v, chi, find_delta_conjugators(g, v, chi))
+
+
+def _frozen_cases():
+    """(label, op, witness) for every transcript in FROZEN_TRANSCRIPTS."""
+    for name in ("c4c6", "c6hnn", "c4c2c4", "c2c2"):
+        g = load_fixture(name)
+        for e in g.graph.edges:
+            yield f"reverse {name} {e}", "reverse", reverse_edge(g, e)[1]
+    for e in ("e1", "e2"):
+        yield f"collapse c4c2c4 {e}", "collapse", collapse_tree_edge(load_fixture("c4c2c4"), e)[1]
+    yield "expand expand_demo m", "expand", expand_vertex(load_fixture("expand_demo"), "m")[1]
+    for name, chi, e in (("c4c6", (0, 2), "e"), ("c6hnn", (0, 3), "v.chi")):
+        att, w1 = _attach(load_fixture(name), "v", chi)
+        _, w2 = collapse_tree_edge(att, e)
+        yield f"attach {name}", "attach", w1
+        yield f"attach {name} collapse {e}", "collapse", w2
+        yield f"attach {name} composite", "attach+collapse", compose_witness(w1, w2)
+    g, _ = _s3_hnn()
+    yield "attach s3hnn", "attach", _attach(g, "p", (0, 2))[1]
+
+
+def test_transcripts_match_their_frozen_digests():
+    digests = {
+        label: hashlib.sha256(
+            json.dumps(witness_transcript(op, w), sort_keys=True).encode()
+        ).hexdigest()
+        for label, op, w in _frozen_cases()
+    }
+    assert digests == FROZEN_TRANSCRIPTS
