@@ -8,6 +8,18 @@ a based loop (spanning-tree letters are trivial), stacks its edge crossings
 and cancels each pinch as it closes; then the surviving crossings are
 normalized left to right against the transversals.  Two elements are equal iff
 their canonical words are identical.
+
+A graph of groups is immutable, so three tables that depend only on its
+structure start empty, are filled on first use and are kept for its lifetime;
+a graph derived from another starts with empty ones:
+
+- ``coset_rep`` results per (edge, side) and carry, for finite table vertex
+  groups only: at most |𝒢(v)| entries each.  A nested vertex group's carries
+  are not stored; its own reductions fill its own tables.
+- tree paths per vertex pair, on the spanning tree: at most |V|² entries.
+- ``vertex_element`` and ``stable_letter`` values per syllable, for table
+  handles and letters only: at most Σ|𝒢(v)| + 2|E| entries.  A bad handle is
+  never stored, so it raises on every call.
 """
 from __future__ import annotations
 
@@ -16,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .errors import BadSubgraph, BallTooLarge, MalformedWord, MixedOwners, NotFinite
 from .finite_group import FiniteGroup, Subgroup, hom_defect, is_conjugate_into
-from .graph_core import FiniteGraph, SpanningTree, spanning_tree, tree_path_oriented
+from .graph_core import FiniteGraph, SpanningTree, spanning_tree
 
 BALL_CAP = 10**6
 
@@ -74,7 +86,7 @@ class CompositeVertexGroup:
         return None
 
     def identity(self) -> NormalForm:
-        return reduce(self.sub, Word(()))
+        return identity(self.sub)
 
     def mul(self, a: NormalForm, b: NormalForm) -> NormalForm:
         return multiply(a, b)
@@ -96,10 +108,10 @@ class CompositeVertexGroup:
         for vid in sorted(self.sub.graph.vertices):
             vg = self.sub.vertex_groups[vid]
             for h in vg.generator_handles():
-                out.append(reduce(self.sub, Word(((VERTEX, vid, h),))))
+                out.append(vertex_element(self.sub, vid, h))
         for eid in sorted(self.sub.graph.edges):
             if eid not in self.sub.tree.edges:
-                out.append(reduce(self.sub, Word(((LETTER, eid, 1),))))
+                out.append(stable_letter(self.sub, eid))
         return out
 
     def text(self, a: NormalForm) -> str:
@@ -167,11 +179,14 @@ class GraphOfGroups:
             raise ValueError(f"basepoint {self.basepoint!r} is not a vertex")
         self._presentation: Presentation | None = None
         self._preimages: dict[tuple[str, int], dict] = {}
+        self._transversals: dict[tuple[str, int], dict] = {}
         for e in graph.edges:
             for side in (0, 1):
                 self._preimages[(e, side)] = {
                     h: k for k, h in enumerate(self.inclusions[e][side])
                 }
+                self._transversals[(e, side)] = {}
+        self._units: dict[tuple, NormalForm] = {}
 
     def incl(self, e: str, side: int, k: int):
         """Image handle of edge-group element k under the side-inclusion of e."""
@@ -355,7 +370,7 @@ def _reduce_from(g: GraphOfGroups, w: Word, base: str) -> tuple[tuple, ...]:
 
     def walk_to(target: str):
         if target != cur:
-            for eid, direction in tree_path_oriented(g.tree, cur, target):
+            for eid, direction in g.tree.path(cur, target):
                 cross(eid, direction)
 
     for syl in w.syllables:
@@ -393,7 +408,15 @@ def _reduce_from(g: GraphOfGroups, w: Word, base: str) -> tuple[tuple, ...]:
 
 def coset_rep(g: GraphOfGroups, vid: str, eid: str, side: int, x):
     """The least element rep of x·∂side(𝒢(eid)) in 𝒢(vid), by ``sort_key``, and
-    the k with x = rep·∂side(k); ``vid`` is the endpoint of ``eid`` on that side."""
+    the k with x = rep·∂side(k); ``vid`` is the endpoint of ``eid`` on that side.
+
+    Memoised per (eid, side) when 𝒢(vid) is a finite table; a nested group's
+    handles are not stored (its own reductions hit its own tables).
+    """
+    memo = g._transversals[(eid, side)]
+    found = memo.get(x)
+    if found is not None:
+        return found
     vg = g.vertex_groups[vid]
     best_k, best_rep, best_key = None, None, None
     for k in range(g.edge_groups[eid].order):
@@ -401,6 +424,8 @@ def coset_rep(g: GraphOfGroups, vid: str, eid: str, side: int, x):
         key = vg.sort_key(rep)
         if best_key is None or key < best_key:
             best_k, best_rep, best_key = k, rep, key
+    if vg.order is not None:
+        memo[x] = (best_rep, best_k)
     return best_rep, best_k
 
 
@@ -419,11 +444,24 @@ def identity(g: GraphOfGroups) -> NormalForm:
 
 
 def vertex_element(g: GraphOfGroups, vid: str, handle) -> NormalForm:
-    return reduce(g, Word(((VERTEX, vid, handle),)))
+    if not g.vertex_groups[vid].contains_handle(handle):
+        raise MalformedWord(f"bad element handle {handle!r} at vertex {vid!r}")
+    return _unit(g, (VERTEX, vid, handle))
 
 
 def stable_letter(g: GraphOfGroups, eid: str, exp: int = 1) -> NormalForm:
-    return reduce(g, Word(((LETTER, eid, exp),)))
+    return _unit(g, (LETTER, eid, exp))
+
+
+def _unit(g: GraphOfGroups, syl: tuple) -> NormalForm:
+    """The normal form of the one-syllable word (syl,), reduced once per graph
+    unless syl holds a nested group's handle (those are never stored)."""
+    unit = g._units.get(syl)
+    if unit is None:
+        unit = reduce(g, Word((syl,)))
+        if syl[0] == LETTER or g.vertex_groups[syl[1]].order is not None:
+            g._units[syl] = unit
+    return unit
 
 
 def _check_owner(x: NormalForm, y: NormalForm):
@@ -614,7 +652,7 @@ def _check_subgraph(g: GraphOfGroups, sub: Subgraph):
     if g.basepoint not in sub.vertices:
         raise BadSubgraph("subgraph must contain the basepoint")
     for v in sub.vertices:
-        for e, _ in tree_path_oriented(g.tree, g.basepoint, v):
+        for e, _ in g.tree.path(g.basepoint, v):
             if e not in sub.edges:
                 raise BadSubgraph(
                     f"subgraph is not closed under tree paths to the basepoint "

@@ -50,12 +50,14 @@ class SpanningTree:
 
     Such an edge set has no loops or cycles; any other raises ValueError.
     ``parent`` maps each vertex to the tree edge toward the least vertex (the
-    root maps to None); tree paths are read off it.
+    root maps to None); tree paths are read off it and memoised per vertex
+    pair, at most |V|² of them.
     """
 
     graph: FiniteGraph
     edges: frozenset[str]
     parent: dict[str, str | None] = field(init=False, repr=False, compare=False)
+    _paths: dict[tuple[str, str], tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         stray = sorted(set(self.edges) - set(self.graph.edges))
@@ -71,6 +73,30 @@ class SpanningTree:
             comps = _components(self.graph, self.edges)
             raise ValueError(f"spanning tree does not connect all vertices: {comps}")
         object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "_paths", {})
+
+    def path(self, v: str, w: str) -> tuple[tuple[str, int], ...]:
+        """The unique tree path v → w as (edge, direction) pairs, computed once.
+
+        Direction +1 means the edge is crossed from d0 to d1.  The path climbs
+        from v and from w toward the root and drops the part the climbs share.
+        """
+        found = self._paths.get((v, w))
+        if found is not None:
+            return found
+        up, down = [], []
+        for x, climb in ((v, up), (w, down)):
+            if x not in self.parent:
+                raise ValueError(f"{x!r} is not a vertex of the spanning tree")
+            while (e := self.parent[x]) is not None:
+                climb.append((e, 1 if self.graph.d0[e] == x else -1))
+                x = self.graph.other_end(e, x)
+        while up and down and up[-1] == down[-1]:
+            up.pop()
+            down.pop()
+        found = tuple(up + [(e, -direction) for e, direction in reversed(down)])
+        self._paths[(v, w)] = found
+        return found
 
 
 def _search(g: FiniteGraph, root: str, edges=None) -> dict[str, str | None]:
@@ -114,27 +140,13 @@ def spanning_tree(g: FiniteGraph) -> SpanningTree:
 
 
 def tree_path_oriented(t: SpanningTree, v: str, w: str) -> list[tuple[str, int]]:
-    """The unique tree path v → w as (edge, direction) pairs.
-
-    Direction +1 means the edge is crossed from d0 to d1.  The path climbs
-    from v and from w toward the root and drops the part the climbs share.
-    """
-    up, down = [], []
-    for x, climb in ((v, up), (w, down)):
-        if x not in t.parent:
-            raise ValueError(f"{x!r} is not a vertex of the spanning tree")
-        while (e := t.parent[x]) is not None:
-            climb.append((e, 1 if t.graph.d0[e] == x else -1))
-            x = t.graph.other_end(e, x)
-    while up and down and up[-1] == down[-1]:
-        up.pop()
-        down.pop()
-    return up + [(e, -direction) for e, direction in reversed(down)]
+    """The unique tree path v → w as (edge, direction) pairs, in a fresh list."""
+    return list(t.path(v, w))
 
 
 def tree_path(t: SpanningTree, v: str, w: str) -> list[str]:
     """Edge ids along the unique tree path from v to w (empty when v == w)."""
-    return [e for e, _ in tree_path_oriented(t, v, w)]
+    return [e for e, _ in t.path(v, w)]
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     BadAttachment,
+    GogkitError,
     MixedOwners,
     NotCollapsible,
     NotFinite,
@@ -35,6 +36,7 @@ from .gog import (
     _check_subgraph,
     _rebuilt,
     _reduce_from,
+    _unit,
     ball,
     invert,
     invert_word,
@@ -42,6 +44,7 @@ from .gog import (
     parse_word,
     presentation,
     reduce,
+    stable_letter,
     subgraph_group_membership,
     vertex_handle_of,
     word_text,
@@ -76,11 +79,9 @@ def _atoms(g: GraphOfGroups, syllable: tuple):
     out = []
     for s in h.syllables:
         if s[0] == VERTEX:
-            key = reduce(vg.sub, Word((s,)))
-            out.append(((VERTEX, vid, key), 1))
+            out.append(((VERTEX, vid, _unit(vg.sub, s)), 1))
         else:
-            key = reduce(vg.sub, Word(((LETTER, s[1], 1),)))
-            out.append(((VERTEX, vid, key), s[2]))
+            out.append(((VERTEX, vid, stable_letter(vg.sub, s[1])), s[2]))
     return out
 
 
@@ -153,12 +154,12 @@ def validate_witness(w: GogIsoWitness) -> Report:
         if image.syllables:
             report.fail(f"φ sends target relator to {image.text()!r}")
     for gen in src.generators:
-        x = reduce(w.source, Word((gen,)))
+        x = _unit(w.source, gen)
         back = translate(w.phi, w.target, w.source, apply_psi(w, x))
         if back != x:
             report.fail(f"φ∘ψ moves source generator {x.text()!r} to {back.text()!r}")
     for gen in tgt.generators:
-        x = reduce(w.target, Word((gen,)))
+        x = _unit(w.target, gen)
         back = translate(w.psi, w.source, w.target, apply_phi(w, x))
         if back != x:
             report.fail(f"ψ∘φ moves target generator {x.text()!r} to {back.text()!r}")
@@ -378,7 +379,7 @@ def expand_vertex(
     }
     phi = {}
     for gen in presentation(sub).generators:
-        x = reduce(sub, Word((gen,)))
+        x = _unit(sub, gen)
         phi[_namespaced(w, (gen,))[0]] = Word(((VERTEX, w, x),) if x.syllables else ())
     for eid, (i, _, conj, _) in plans.items():
         if not conj.syllables:
@@ -621,30 +622,57 @@ def witness_transcript(op: str, w: GogIsoWitness) -> dict:
 
 
 def replay_transcript(data) -> Report:
-    """Rebuild both graphs and the witness from a transcript and re-validate."""
+    """Rebuild both graphs and the witness from a transcript and re-validate.
+
+    A malformed transcript (bad JSON, a missing part, a map that is not an
+    object, an entry that is not word text or does not parse) is a FAIL line.
+    """
     from .documents import parse_document
 
-    if isinstance(data, str):
-        data = json.loads(data)
-    source = parse_document(data["source"]).gog
-    target = parse_document(data["output"]).gog
-    payload = json.dumps(data["source"], sort_keys=True).encode()
     report = Report()
+    try:
+        if isinstance(data, str):
+            data = json.loads(data)
+        if not isinstance(data, dict):
+            raise ValueError("transcript is not a JSON object")
+        for part in ("source", "output", "input_sha256", "psi", "phi"):
+            if part not in data:
+                raise ValueError(f"transcript has no {part!r}")
+        source = parse_document(data["source"]).gog
+        target = parse_document(data["output"]).gog
+    except (GogkitError, ValueError) as exc:
+        report.fail(str(exc))
+        return report
+    payload = json.dumps(data["source"], sort_keys=True).encode()
     if hashlib.sha256(payload).hexdigest() != data["input_sha256"]:
         report.fail("input hash does not match the recorded source document")
         return report
 
-    def rebuild(g_from, g_to, table):
+    def rebuild(label, g_from, g_to, table):
+        if not isinstance(table, dict):
+            report.fail(f"{label} is not an object of generator and word texts")
+            return {}
         out = {}
-        for key_text, word_text_ in table.items():
-            key_word = parse_word(g_from, key_text)
+        for key_text, image_text in table.items():
+            if not isinstance(key_text, str) or not isinstance(image_text, str):
+                report.fail(f"{label} entry {key_text!r}: {image_text!r} is not word text")
+                continue
+            try:
+                key_word = parse_word(g_from, key_text)
+                image = parse_word(g_to, image_text)
+            except (GogkitError, ValueError) as exc:
+                report.fail(f"{label} entry {key_text!r}: {exc}")
+                continue
             if len(key_word.syllables) != 1:
-                raise ValueError(f"witness key {key_text!r} is not a single generator")
-            out[key_word.syllables[0]] = parse_word(g_to, word_text_)
+                report.fail(f"{label} key {key_text!r} is not a single generator")
+                continue
+            out[key_word.syllables[0]] = image
         return out
 
-    psi = rebuild(source, target, data["psi"])
-    phi = rebuild(target, source, data["phi"])
+    psi = rebuild("ψ", source, target, data["psi"])
+    phi = rebuild("φ", target, source, data["phi"])
+    if not report.ok:
+        return report
     inner = validate_witness(GogIsoWitness(source, target, psi, phi))
     inner.counts["replayed"] = 1
     return inner

@@ -12,8 +12,10 @@ presentation; the subgroup factoring test has its own Cayley-graph walk; the
 unfiltered quotient search tests every goal on whole quotients, where the
 package drops vertex homs before the product; the three-pass reducer realizes
 a word as a path, then cancels pinches, then normalizes, where the package
-does it in one stack pass; the two-step derivation evaluator reduces each
-syllable on its own before multiplying it onto the suffix; the brute-force
+does it in one stack pass, and its coset loop and tree BFS run afresh on
+every call, where the package memoises transversals and tree paths; the
+two-step derivation evaluator reduces each syllable on its own before
+multiplying it onto the suffix; the brute-force
 coset tree multiplies a representative by every element of a vertex or edge
 group and walks every vertex element to find neighbours, removing duplicate
 edges in a dict, where the package reads handles and one transversal; the
@@ -508,13 +510,7 @@ def _normalize(g, path: list[tuple], base: str) -> tuple[tuple, ...]:
         src_side = 0 if direction > 0 else 1
         dst_side = 1 - src_side
         vg = g.vertex_groups[cur]
-        edge_group = g.edge_groups[eid]
-        best_k, best_rep, best_key = None, None, None
-        for k in range(edge_group.order):
-            rep = vg.mul(carry, vg.inv(g.incl(eid, src_side, k)))
-            key = vg.sort_key(rep)
-            if best_key is None or key < best_key:
-                best_k, best_rep, best_key = k, rep, key
+        best_rep, best_k = coset_rep_loop(g, cur, eid, src_side, carry)
         if not vg.is_identity(best_rep):
             syllables.append((VERTEX, cur, best_rep))
         if eid not in g.tree.edges:
@@ -524,6 +520,19 @@ def _normalize(g, path: list[tuple], base: str) -> tuple[tuple, ...]:
     if not g.vertex_groups[cur].is_identity(carry):
         syllables.append((VERTEX, cur, carry))
     return tuple(syllables)
+
+
+def coset_rep_loop(g, vid: str, eid: str, side: int, x):
+    """The least rep of x·∂side(𝒢(eid)) in 𝒢(vid) by ``sort_key`` and the k with
+    x = rep·∂side(k), by a fresh loop over the edge group on every call."""
+    vg = g.vertex_groups[vid]
+    best_k, best_rep, best_key = None, None, None
+    for k in range(g.edge_groups[eid].order):
+        rep = vg.mul(x, vg.inv(g.incl(eid, side, k)))
+        key = vg.sort_key(rep)
+        if best_key is None or key < best_key:
+            best_k, best_rep, best_key = k, rep, key
+    return best_rep, best_k
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,183 @@
+"""The per-graph memos: transversals, tree paths and one-syllable elements.
+
+Each memo is compared with the loop it replaces, on a freshly parsed graph
+(cold memos) and again after a ball has filled them (warm memos), and its
+size is checked against the bound its owner documents.
+"""
+import random
+
+import pytest
+
+from gogkit.derivation import accessibility_derivation, kernel_scan
+from gogkit.errors import MalformedWord
+from gogkit.fixtures import FIXTURE_NAMES, load_fixture
+from gogkit.gog import (
+    LETTER,
+    VERTEX,
+    CompositeVertexGroup,
+    TableVertexGroup,
+    Word,
+    _rebuilt,
+    _reduce_from,
+    ball,
+    coset_rep,
+    reduce,
+    stable_letter,
+    vertex_element,
+)
+from gogkit.graph_core import tree_path_oriented
+from gogkit.structure_tree import tree_ball
+
+from _oracles import _tree_path_bfs, coset_rep_loop, reduce_three_pass
+
+def handles(vg):
+    """Every handle of a table group; the identity and generators of a nested one."""
+    if isinstance(vg, TableVertexGroup):
+        return vg.handles()
+    return [vg.identity(), *vg.generator_handles()]
+
+
+def alphabet(g):
+    out = []
+    for vid in sorted(g.graph.vertices):
+        out += [(VERTEX, vid, h) for h in handles(g.vertex_groups[vid])]
+    return out + [(LETTER, e, s) for e in sorted(g.graph.edges) for s in (1, -1)]
+
+
+def seeded_words(g, count=60, max_len=16, seed=20261018):
+    letters = alphabet(g)
+    rng = random.Random(seed)
+    return [
+        Word(tuple(rng.choice(letters) for _ in range(rng.randint(0, max_len))))
+        for _ in range(count)
+    ]
+
+
+def sides(g):
+    """(edge, side, vertex on that side) for every edge inclusion."""
+    for eid in sorted(g.graph.edges):
+        yield eid, 0, g.graph.d0[eid]
+        yield eid, 1, g.graph.d1[eid]
+
+
+def assert_memos_match_loops(g, words):
+    for eid, side, vid in sides(g):
+        vg = g.vertex_groups[vid]
+        if isinstance(vg, TableVertexGroup):
+            for x in vg.handles():
+                expected = coset_rep_loop(g, vid, eid, side, x)
+                assert coset_rep(g, vid, eid, side, x) == expected, (eid, side, x)
+                assert coset_rep(g, vid, eid, side, x) == expected, (eid, side, x)
+    for v in g.graph.vertices:
+        for w in g.graph.vertices:
+            expected = _tree_path_bfs(g.tree, v, w)
+            assert list(g.tree.path(v, w)) == expected, (v, w)
+            assert tree_path_oriented(g.tree, v, w) == expected, (v, w)
+    for w in words:
+        for base in sorted(g.graph.vertices):
+            assert _reduce_from(g, w, base) == reduce_three_pass(g, w, base), (w, base)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_memos_match_the_loops_cold_and_warm(name):
+    g = load_fixture(name)
+    words = seeded_words(g)
+    assert not g._units and not g.tree._paths
+    assert all(not memo for memo in g._transversals.values())
+    assert_memos_match_loops(g, words)
+    if g.all_tables():
+        ball(g, 3)
+    for w in words:
+        reduce(g, w)
+    assert any(g._transversals.values()) and g.tree._paths
+    assert_memos_match_loops(g, words)
+
+
+@pytest.mark.parametrize("name, base", [("c6hnn", "v"), ("c4c2c4", "m")])
+def test_memos_stay_within_their_bounds(name, base):
+    g = load_fixture(name)
+    ball(g, 5)
+    assert kernel_scan(accessibility_derivation(g, base, 5), base, 5).ok
+    tree_ball(g, 4)
+    for eid, side, vid in sides(g):
+        memo = g._transversals[(eid, side)]
+        assert memo, (eid, side)
+        assert len(memo) <= g.vertex_groups[vid].order
+        assert set(memo) <= set(g.vertex_groups[vid].handles())
+    n = len(g.graph.vertices)
+    assert len(g.tree._paths) <= n * n
+    assert set(g.tree._paths) <= {(v, w) for v in g.graph.vertices for w in g.graph.vertices}
+    assert g._units
+    for syl, unit in g._units.items():
+        assert len(syl) == 3 and syl[0] in (VERTEX, LETTER)
+        assert unit == reduce(g, Word((syl,)))
+
+
+def test_nested_vertex_carries_are_never_stored():
+    g = load_fixture("expand_demo")
+    for w in seeded_words(g):
+        reduce(g, w)
+    nested = [
+        (eid, side) for eid, side, vid in sides(g)
+        if isinstance(g.vertex_groups[vid], CompositeVertexGroup)
+    ]
+    assert nested
+    for key in nested:
+        assert g._transversals[key] == {}, key
+    assert any(g._transversals[key] for key in g._transversals if key not in nested)
+    for h in handles(g.vertex_groups["m"]):
+        assert vertex_element(g, "m", h) == reduce(g, Word(((VERTEX, "m", h),)))
+    assert all(g.vertex_groups[syl[1]].order is not None for syl in g._units if syl[0] == VERTEX)
+
+
+def test_rebuilt_graph_starts_with_its_own_empty_memos():
+    g = load_fixture("c4c6")
+    ball(g, 3)
+    vertex_element(g, "v", 1)
+    out = _rebuilt(g, name="copy")
+    assert not out._units and not out.tree._paths
+    assert all(not memo for memo in out._transversals.values())
+    assert out._transversals is not g._transversals
+    assert out.tree._paths is not g.tree._paths
+    ball(out, 2)
+    assert len(g._transversals[("e", 0)]) == g.vertex_groups["v"].order
+
+
+def test_tree_path_errors_are_not_cached():
+    t = load_fixture("c4c2c4").tree
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            t.path("u", "zz")
+    assert not t._paths
+
+
+def test_tree_path_oriented_returns_a_fresh_list():
+    t = load_fixture("c4c2c4").tree
+    path = tree_path_oriented(t, "u", "w")
+    path.clear()
+    assert tree_path_oriented(t, "u", "w") == list(t.path("u", "w")) != []
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_units_equal_reduced_one_syllable_words(name):
+    g = load_fixture(name)
+    for syl in alphabet(g):
+        make = vertex_element if syl[0] == VERTEX else stable_letter
+        unit, again = make(g, syl[1], syl[2]), make(g, syl[1], syl[2])
+        assert unit == again == reduce(g, Word((syl,))), syl
+        stored = syl[0] == LETTER or isinstance(g.vertex_groups[syl[1]], TableVertexGroup)
+        assert (unit is again) == stored, syl
+
+
+def test_out_of_range_handles_raise_on_every_call(expand_demo):
+    g = load_fixture("c4c6")
+    for handle in (99, -1, 1.0, "g1", [1]):
+        for _ in range(2):
+            with pytest.raises(MalformedWord):
+                vertex_element(g, "v", handle)
+    assert not g._units
+    nested = load_fixture("expand_demo")
+    foreign = expand_demo.vertex_groups["m"].generator_handles()[0]
+    for _ in range(2):
+        with pytest.raises(MalformedWord):
+            vertex_element(nested, "m", foreign)

@@ -484,6 +484,53 @@ def test_validate_witness_skips_translation_of_incomplete_maps(c4c6):
     assert report.problems == ["φ has no image for target generator 't(e)'"]
 
 
+def _pop(key):
+    return lambda data: data.pop(key)
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def tamper(data):
+        for part in path:
+            data = data[part]
+        data[key] = value
+    return tamper
+
+
+@pytest.mark.parametrize("tamper, problem", [
+    (_pop("psi"), "transcript has no 'psi'"),
+    (_pop("source"), "transcript has no 'source'"),
+    (lambda data: data.update(psi=list(data["psi"].items())),
+     "ψ is not an object of generator and word texts"),
+    (_set("phi", 7), "φ is not an object of generator and word texts"),
+    (_set("psi", "v:g1", 5), "ψ entry 'v:g1': 5 is not word text"),
+    (_set("psi", "v:g1", "v:g99"), "ψ entry 'v:g1': element index 99 out of range at 'v'"),
+    (_set("psi", "v:g1", "v:g1 * *"), "ψ entry 'v:g1': empty syllable in 'v:g1 * *'"),
+    (_set("phi", "w:g1 * w:g1", "w:g2"), "φ key 'w:g1 * w:g1' is not a single generator"),
+    (_set("output", "graph", None), "the 'graph' section must be an object"),
+], ids=[
+    "no-psi", "no-source", "psi-list", "phi-int", "image-int", "image-range", "image-syntax",
+    "key-word", "bad-output",
+])
+def test_replay_reports_malformed_transcripts(c4c6, tamper, problem):
+    _, w = reverse_edge(c4c6, "e")
+    data = witness_transcript("reverse", w)
+    tamper(data)
+    report = replay_transcript(data)
+    assert not report.ok
+    assert report.problems == [problem]
+
+
+@pytest.mark.parametrize("data, problem", [
+    ("{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("[]", "transcript is not a JSON object"),
+    (None, "transcript is not a JSON object"),
+])
+def test_replay_reports_transcripts_that_are_not_objects(data, problem):
+    assert replay_transcript(data).problems == [problem]
+
+
 # ---------------------------------------------------------------------------
 # Frozen transcripts: SHA-256 of json.dumps(witness_transcript(op, w), sort_keys=True)
 
