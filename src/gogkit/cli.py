@@ -198,23 +198,14 @@ def cmd_tree_ball(args) -> int:
 
 def cmd_tree_fix(args) -> int:
     g = _load(args.gog)
-    elements = _words(g, args.elements)
-    tv = fixed_vertex(g, elements, args.radius)
-    if tv is None:
-        print(f"no fixed vertex within radius {args.radius}")
-        return EXHAUSTED
+    tv = fixed_vertex(g, _words(g, args.elements))
     print(f"fixed vertex at {tv.vertex_id}, coset rep {tv.rep.text()}")
     return OK
 
 
 def cmd_tree_conj(args) -> int:
     g = _load(args.gog)
-    elements = _words(g, args.elements)
-    found = conjugate_finite_into_vertex(g, elements, args.radius)
-    if found is None:
-        print(f"no conjugator within radius {args.radius}")
-        return EXHAUSTED
-    conj, vid = found
+    conj, vid = conjugate_finite_into_vertex(g, _words(g, args.elements))
     print(f"conjugator {conj.text()} into vertex {vid}")
     return OK
 
@@ -257,7 +248,7 @@ def cmd_surgery(args) -> int:
     elif args.op == "collapse":
         out, witness = collapse_tree_edge(g, args.edge)
     elif args.op == "expand":
-        out, witness = expand_vertex(g, args.vertex, radius=args.radius)
+        out, witness = expand_vertex(g, args.vertex)
     elif args.op == "attach":
         vg = g.vertex_groups[args.vertex]
         chi = Subgroup(vg.group, _handles(args.chi))
@@ -365,12 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
     t = tsub.add_parser("fix")
     t.add_argument("gog")
     t.add_argument("--elements", required=True, help="words separated by ';'")
-    t.add_argument("--radius", type=int, default=8)
     t.set_defaults(handler=cmd_tree_fix)
     t = tsub.add_parser("conj")
     t.add_argument("gog")
     t.add_argument("--elements", required=True, help="words separated by ';'")
-    t.add_argument("--radius", type=int, default=8)
     t.set_defaults(handler=cmd_tree_conj)
 
     p = sub.add_parser("quotient", help="search finite quotients with a stated goal")
@@ -396,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
             s.add_argument("--edge", required=True)
         if op in ("expand", "attach"):
             s.add_argument("--vertex", required=True)
-        if op == "expand":
-            s.add_argument("--radius", type=int, default=8)
         if op == "attach":
             s.add_argument("--chi", required=True, help="subgroup handles like '0,2'")
         if op == "amalgamate":

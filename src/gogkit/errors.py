@@ -68,7 +68,7 @@ class BadModulus(GogkitError):
 
 
 class NotFinite(GogkitError):
-    """A subgroup expected to be finite did not close within the cap."""
+    """A group expected to be finite is not, or cannot be enumerated."""
 
 
 class Exhausted(GogkitError):

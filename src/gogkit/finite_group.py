@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 from .errors import NoIdentity, NonAssociative, NotPermutationRow
 
-MAX_EXHAUSTIVE_ORDER = 256
 # The largest group ``make_group`` builds: S6, the largest default quotient
 # target.  An order-n table holds n² entries (a further n³ checks for an
 # explicit table), so larger specs are refused before anything is built.
@@ -413,17 +412,6 @@ def _homs(source: FiniteGroup, target: FiniteGroup) -> tuple[GroupHom, ...]:
     return tuple(out)
 
 
-def enumerate_embeddings(source: FiniteGroup, target: FiniteGroup) -> list[GroupHom]:
-    """All injective homomorphisms source → target, deterministic order."""
-    return [h for h in enumerate_homs(source, target) if h.is_injective()]
-
-
-def conjugate_subgroup(sub: Subgroup, g: int) -> Subgroup:
-    """S^g = g⁻¹ S g inside the parent group."""
-    parent = sub.parent
-    return Subgroup(parent, tuple(sorted(parent.conjugate(s, g) for s in sub.elements)))
-
-
 def is_conjugate_into(sub: Subgroup, other: Subgroup, group: FiniteGroup) -> int | None:
     """Least h with sub^h ⊆ other, or None."""
     if sub.order > other.order or other.order % sub.order != 0:
@@ -433,20 +421,3 @@ def is_conjugate_into(sub: Subgroup, other: Subgroup, group: FiniteGroup) -> int
         if all(group.conjugate(s, h) in target for s in sub.elements):
             return h
     return None
-
-
-def hom_from_generator_images(
-    source: FiniteGroup, target: FiniteGroup, pairs: list[tuple[int, int]]
-) -> GroupHom | None:
-    """The unique hom sending each (element, image) pair, or None if none exists."""
-    gens = [p[0] for p in pairs]
-    if len(set(subgroup_closure(source, gens).elements)) != source.order:
-        raise ValueError("given elements do not generate the source group")
-    arr = _extend_hom(source, target, gens, [p[1] for p in pairs])
-    if arr is None:
-        return None
-    return GroupHom(source, target, arr)
-
-
-def trivial_group() -> FiniteGroup:
-    return make_group("cyclic 1")

@@ -7,7 +7,9 @@ classical scheme (Serre, *Trees*, §I.5) in one pass: a walk reads the word as
 a based loop (spanning-tree letters are trivial), stacks its edge crossings
 and cancels each pinch as it closes; then the surviving crossings are
 normalized left to right against the transversals.  Two elements are equal iff
-their canonical words are identical.
+their canonical words are identical.  The crossings left after cancellation
+are the tree geodesic from the base vertex (``_geodesic``), which the
+structure tree reads for fixed vertices.
 
 A graph of groups is immutable, so three tables that depend only on its
 structure start empty, are filled on first use and are kept for its lifetime;
@@ -278,6 +280,8 @@ def word_text(g: GraphOfGroups, w: Word) -> str:
 
 
 _LETTER_RE = re.compile(r"^t\(([^()\s]+)\)(\^-1)?$")
+# Canonical ASCII indices only: no leading zero, no other Unicode digit.
+_INDEX_RE = re.compile(r"g(0|[1-9][0-9]*)")
 
 
 def _split_word_text(text: str) -> list[str]:
@@ -329,7 +333,7 @@ def parse_word(g: GraphOfGroups, text: str) -> Word:
                 raise MalformedWord(f"vertex {vid!r} has a table group; got {elem!r}")
             handle = reduce(vg.sub, parse_word(vg.sub, elem[1:-1]))
         else:
-            if not elem.startswith("g") or not elem[1:].isdigit():
+            if not _INDEX_RE.fullmatch(elem):
                 raise MalformedWord(f"cannot parse element {elem!r} in {token!r}")
             idx = int(elem[1:])
             if not isinstance(vg, TableVertexGroup) or idx >= vg.group.order:
@@ -343,12 +347,14 @@ def parse_word(g: GraphOfGroups, text: str) -> Word:
 # Reduction
 
 
-def _reduce_from(g: GraphOfGroups, w: Word, base: str) -> tuple[tuple, ...]:
-    """Normal form of ``w`` read as a loop at ``base``.
+def _geodesic(g: GraphOfGroups, w: Word, base: str) -> tuple[list[tuple], object]:
+    """The crossings of ``w``, read as a loop at ``base``, left after every pinch
+    cancels, and the element left at ``base``.
 
     Crossings (vertex, element before, edge, direction) go on a stack and each
-    pinch t_e·∂1(k)·t_e⁻¹ or t_e⁻¹·∂0(k)·t_e cancels as it closes; only the
-    crossings left are then normalized, left to right.
+    pinch t_e·∂1(k)·t_e⁻¹ or t_e⁻¹·∂0(k)·t_e cancels as it closes.  The stack
+    left is the tree geodesic from o = 1·𝒢(base) to x·o, x the element of
+    ``w`` (Serre, *Trees*, §I.5): its length is the tree distance.
     """
     groups, d0, d1 = g.vertex_groups, g.graph.d0, g.graph.d1
     stack: list[tuple] = []
@@ -385,7 +391,14 @@ def _reduce_from(g: GraphOfGroups, w: Word, base: str) -> tuple[tuple, ...]:
             walk_to(d0[eid] if exp > 0 else d1[eid])
             cross(eid, exp)
     walk_to(base)
+    return stack, h
 
+
+def _reduce_from(g: GraphOfGroups, w: Word, base: str) -> tuple[tuple, ...]:
+    """Normal form of ``w`` read as a loop at ``base``: the crossings of its
+    geodesic, normalized left to right against the transversals."""
+    groups = g.vertex_groups
+    stack, h = _geodesic(g, w, base)
     syllables: list[tuple] = []
     carry = groups[base].identity()
     for vid, before, eid, direction in stack:
@@ -696,13 +709,14 @@ def vertex_handle_of(g: GraphOfGroups, vid: str, x: NormalForm):
     return None
 
 
-def verify_relative_malnormality(
-    g: GraphOfGroups, h_vertex: str, chi: Subgroup, radius: int
-) -> Report:
-    """Check H ∩ H^s ⊆ some H-conjugate of χ for all ball elements s outside H.
+def verify_relative_malnormality(g: GraphOfGroups, h_vertex: str, chi: Subgroup) -> Report:
+    """Check H ∩ H^s ⊆ some H-conjugate of χ for every s outside H (H^s = s⁻¹Hs).
 
-    ``g`` must be an amalgam (two vertices, one edge); H is the vertex group
-    at ``h_vertex`` and χ a subgroup of it.
+    ``g`` must be an amalgam A ∗_C B (two vertices, one edge); H = A is the
+    vertex group at ``h_vertex`` and χ a subgroup of it.  H ∩ H^s fixes the
+    tree path from o = 1·H to s⁻¹·o ≠ o, so it lies in H ∩ H^s' for the s'
+    with s'⁻¹·o the vertex two edges along that path.  Those vertices are
+    a·b·o, a over A/C and b over (B/C)∖C, so only s = (a·b)⁻¹ is checked.
     """
     report = Report()
     if len(g.graph.vertices) != 2 or len(g.graph.edges) != 1:
@@ -713,30 +727,36 @@ def verify_relative_malnormality(
         report.fail(f"vertex group at {h_vertex!r} is not a finite table")
         return report
     H = vg.group
-    elements = ball(g, radius)
+    (eid,) = g.graph.edges
+    side = 0 if g.graph.d0[eid] == h_vertex else 1
+    other = g.graph.d1[eid] if side == 0 else g.graph.d0[eid]
+
+    def transversal(vid: str, side: int) -> list:
+        return sorted({coset_rep(g, vid, eid, side, x)[0] for x in g.vertex_groups[vid].handles()})
+
     checked = 0
-    for s in elements:
-        if vertex_group_membership(g, h_vertex, s):
-            continue
-        checked += 1
-        s_inv = invert(s)
-        intersection = []
-        for i in range(H.order):
-            if i == H.identity:
+    for a in transversal(h_vertex, side):
+        for b in transversal(other, 1 - side):
+            if g.incl_preimage(eid, 1 - side, b) is not None:
+                continue  # b ∈ C: a·b·o = a·o = o
+            checked += 1
+            s_inv = multiply(vertex_element(g, h_vertex, a), vertex_element(g, other, b))
+            s = invert(s_inv)
+            # x ∈ H^s = s⁻¹·H·s iff s·x·s⁻¹ ∈ H.
+            intersection = [
+                i for i in range(H.order)
+                if i != H.identity and vertex_group_membership(
+                    g, h_vertex, multiply(multiply(s, vertex_element(g, h_vertex, i)), s_inv)
+                )
+            ]
+            if not intersection:
                 continue
-            x = vertex_element(g, h_vertex, i)
-            conj = multiply(multiply(s_inv, x), s)
-            if vertex_group_membership(g, h_vertex, conj):
-                intersection.append(i)
-        if not intersection:
-            continue
-        meet = Subgroup(H, tuple(sorted([H.identity, *intersection])))
-        if is_conjugate_into(meet, chi, H) is None:
-            report.fail(
-                f"malnormality fails at s = {s.text()}: "
-                f"H ∩ H^s = {sorted(intersection)} not inside any χ-conjugate"
-            )
-            return report
-    report.counts["ball"] = len(elements)
+            meet = Subgroup(H, tuple(sorted([H.identity, *intersection])))
+            if is_conjugate_into(meet, chi, H) is None:
+                report.fail(
+                    f"malnormality fails at s = {s.text()}: "
+                    f"H ∩ H^s = {sorted(intersection)} not inside any χ-conjugate"
+                )
+                return report
     report.counts["checked"] = checked
     return report

@@ -7,11 +7,9 @@ d1(g𝒢(e)) = g·t_e·𝒢(d1 e).  Cosets are stored by their least representat
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import BallTooLarge, MixedOwners, NotFinite
-from .finite_group import MAX_EXHAUSTIVE_ORDER
 from .graph_core import FiniteGraph, SpanningTree
 from .gog import (
     BALL_CAP,
@@ -20,12 +18,10 @@ from .gog import (
     GraphOfGroups,
     NormalForm,
     Word,
+    _geodesic,
     coset_rep,
-    identity,
-    invert,
     multiply,
     reduce,
-    vertex_handle_of,
 )
 
 
@@ -201,60 +197,56 @@ def tree_ball(g: GraphOfGroups, radius: int, max_size: int = BALL_CAP) -> TreeBa
     return tb
 
 
-def fixed_vertex(
-    g: GraphOfGroups, elements: list[NormalForm], radius: int = 8
-) -> TreeVertex | None:
+def _elliptic_crossings(g: GraphOfGroups, x: NormalForm) -> list[tuple]:
+    """The crossings of the geodesic [o, x·o], o = 1·𝒢(base), for elliptic x.
+
+    x is elliptic iff d(o, x²·o) ≤ d(o, x·o) (Culler and Morgan, *Proc. LMS*
+    55, 1987; Serre, *Trees*, §I.6.4); else NotFinite, since a finite-order
+    element fixes a vertex.
+    """
+    if x.owner is not g:
+        raise MixedOwners("element belongs to a different graph of groups")
+    crossings, _ = _geodesic(g, Word(x.syllables), g.basepoint)
+    if len(_geodesic(g, Word(x.syllables * 2), g.basepoint)[0]) > len(crossings):
+        raise NotFinite(f"{x.text()} has infinite order: it fixes no tree vertex")
+    return crossings
+
+
+def _midpoint(g: GraphOfGroups, crossings: list[tuple]) -> TreeVertex:
+    """The tree vertex after half of an elliptic x's crossings: the midpoint of
+    [o, x·o], which is x's fixed vertex nearest o."""
+    depth = len(crossings) // 2
+    prefix = ()
+    for vid, before, eid, direction in crossings[:depth]:
+        prefix += ((VERTEX, vid, before), (LETTER, eid, direction))
+    return _vertex_at(g, crossings[depth][0] if crossings else g.basepoint, prefix)
+
+
+def fixed_vertex(g: GraphOfGroups, elements: list[NormalForm]) -> TreeVertex:
     """The tree vertex nearest the base that all given elements fix.
 
-    The subgroup generated by the elements must be finite (else NotFinite).
-    Its fixed vertices form a nonempty subtree (Serre, *Trees*, §I.6), so the
-    nearest one is unique and the breadth-first walk meets it first.  A vertex
-    c·𝒢(v) is fixed when c⁻¹·x·c lies in 𝒢(v) for every x.  Returns None when
-    no fixed vertex lies within the given radius.
+    ⟨elements⟩ fixes a vertex iff every x and every x·y among them is
+    elliptic (Serre, *Trees*, §I.6.5); else NotFinite, naming an element of
+    infinite order.  Each x's nearest fixed vertex lies on the geodesic from
+    the base to the group's nearest one, which is therefore the deepest.
     """
-    _close_finite(g, elements)
-    origin = tree_vertex(g, g.basepoint)
-    met = itertools.chain([origin], (far for _, _, _, far in _walk(g, origin, radius)))
-    for tv in met:
-        c_inv = invert(tv.rep)
-        if all(
-            vertex_handle_of(g, tv.vertex_id, multiply(multiply(c_inv, x), tv.rep)) is not None
-            for x in elements
-        ):
-            return tv
-    return None
-
-
-def _close_finite(g: GraphOfGroups, elements: list[NormalForm]) -> None:
-    """Raise NotFinite unless the elements generate a subgroup of order ≤ the cap."""
-    closure = {identity(g)}
-    frontier = [identity(g)]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in elements:
-                y = multiply(x, s)
-                if y not in closure:
-                    closure.add(y)
-                    nxt.append(y)
-                    if len(closure) > MAX_EXHAUSTIVE_ORDER:
-                        raise NotFinite(
-                            "elements generate a subgroup larger than "
-                            f"{MAX_EXHAUSTIVE_ORDER}; treating as infinite"
-                        )
-        frontier = nxt
+    geodesics = [_elliptic_crossings(g, x) for x in elements]
+    for i, x in enumerate(elements):
+        for y in elements[i + 1:]:
+            _elliptic_crossings(g, multiply(x, y))
+    return _midpoint(g, max(geodesics, key=len, default=[]))
 
 
 def conjugate_finite_into_vertex(
-    g: GraphOfGroups, elements: list[NormalForm], radius: int = 8
-) -> tuple[NormalForm, str] | None:
+    g: GraphOfGroups, elements: list[NormalForm]
+) -> tuple[NormalForm, str]:
     """A conjugator c and vertex id with c⁻¹·⟨elements⟩·c inside that vertex group.
 
-    Reads both off the nearest fixed vertex c·𝒢(v); returns None when the
-    search radius is exhausted, raises NotFinite for infinite input.
+    Reads both off the nearest fixed vertex c·𝒢(v); raises NotFinite for
+    infinite input.
     """
-    tv = fixed_vertex(g, elements, radius)
-    return None if tv is None else (tv.rep, tv.vertex_id)
+    tv = fixed_vertex(g, elements)
+    return tv.rep, tv.vertex_id
 
 
 def ball_to_dot(ball: TreeBall) -> str:

@@ -284,14 +284,15 @@ def _namespaced(prefix: str, syllables) -> tuple[tuple, ...]:
 
 
 def expand_vertex(
-    g: GraphOfGroups, w: str, attach: dict | None = None, radius: int = 8
+    g: GraphOfGroups, w: str, attach: dict | None = None
 ) -> tuple[GraphOfGroups, GogIsoWitness]:
     """Flatten a vertex whose group is presented by a nested graph of groups.
 
     Each edge formerly at ``w`` is re-attached to a vertex of the nested
     decomposition fixed by its (conjugated) edge-group image.  ``attach`` maps
     edge ids at w to (vertex id in the nested graph, conjugator); omitted
-    entries are found via the structure-tree fixed-point search.
+    entries are read off the nested tree vertex nearest the base that the
+    image fixes, which exists because edge groups are finite.
     """
     if w not in g.graph.vertices:
         raise ValueError(f"unknown vertex {w!r}")
@@ -321,13 +322,7 @@ def expand_vertex(
             tau, conj = attach[eid]
             conj = nf(sub, conj) if isinstance(conj, str) else conj
         else:
-            found = conjugate_finite_into_vertex(sub, images, radius)
-            if found is None:
-                raise BadAttachment(
-                    f"no vertex of the nested decomposition fixed by the edge "
-                    f"group of {eid!r} within radius {radius}"
-                )
-            conj, tau = found
+            conj, tau = conjugate_finite_into_vertex(sub, images)
         if eid in g.tree.edges and conj.syllables:
             raise BadAttachment(
                 f"spanning-tree edge {eid!r} needs an identity conjugator; "

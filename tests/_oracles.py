@@ -20,9 +20,11 @@ coset tree multiplies a representative by every element of a vertex or edge
 group and walks every vertex element to find neighbours, removing duplicate
 edges in a dict, where the package reads handles and one transversal; the
 subgroup closure multiplies on both sides and inverts, where the package only
-multiplies on the right by the seeds; the fixed-vertex search tests each
-vertex by the action and sorts every level of its walk, where the package
-tests membership of conjugates and stops at the first vertex its walk meets.
+multiplies on the right by the seeds; the fixed-vertex search closes
+the subgroup by multiplication, then tests each vertex by the action and
+sorts every level of its walk, where the package reads the vertex off the
+elements' tree geodesics; the ball malnormality check tests every element of
+a ball, where the package tests only the vertices two edges from the base.
 """
 from __future__ import annotations
 
@@ -636,7 +638,7 @@ def neighbors_brute(g, tv):
 def fixed_vertex_by_action(g, elements, radius=8):
     """The first vertex, level by level out to ``radius``, that every element
     moves onto itself under ``act``; each level is sorted by (vertex id, text)."""
-    from gogkit.structure_tree import _close_finite, _neighbors, act, tree_vertex
+    from gogkit.structure_tree import _neighbors, act, tree_vertex
 
     _close_finite(g, elements)
     origin = tree_vertex(g, g.basepoint)
@@ -657,3 +659,51 @@ def fixed_vertex_by_action(g, elements, radius=8):
         if not frontier:
             break
     return None
+
+
+MAX_EXHAUSTIVE_ORDER = 256
+
+
+def _close_finite(g, elements) -> None:
+    """Raise NotFinite unless the elements generate a subgroup of order ≤ the cap."""
+    from gogkit.errors import NotFinite
+    from gogkit.gog import identity, multiply
+
+    closure = {identity(g)}
+    frontier = [identity(g)]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s in elements:
+                y = multiply(x, s)
+                if y not in closure:
+                    closure.add(y)
+                    nxt.append(y)
+                    if len(closure) > MAX_EXHAUSTIVE_ORDER:
+                        raise NotFinite(
+                            "elements generate a subgroup larger than "
+                            f"{MAX_EXHAUSTIVE_ORDER}; treating as infinite"
+                        )
+        frontier = nxt
+
+
+def malnormality_by_ball(g, h_vertex, chi, radius) -> bool:
+    """Whether H ∩ sHs⁻¹ lies in some H-conjugate of χ for every s outside H
+    in the radius ball: the sampled check the exact one replaced."""
+    from gogkit.finite_group import Subgroup, is_conjugate_into
+    from gogkit.gog import ball, invert, multiply, vertex_element, vertex_group_membership
+
+    H = g.vertex_groups[h_vertex].group
+    for s in ball(g, radius):
+        if vertex_group_membership(g, h_vertex, s):
+            continue
+        s_inv = invert(s)
+        meet = [
+            i for i in range(H.order)
+            if vertex_group_membership(
+                g, h_vertex, multiply(multiply(s_inv, vertex_element(g, h_vertex, i)), s)
+            )
+        ]
+        if is_conjugate_into(Subgroup(H, tuple(meet)), chi, H) is None:
+            return False
+    return True

@@ -168,22 +168,29 @@ def test_tree_ball_dot(capsys):
     assert 'n0 -- n2 [label="v:g1·G(e)"];' in out
 
 
-def test_tree_fix_within_and_beyond_radius(capsys):
+def test_tree_fix_finds_deep_vertices_without_a_radius(capsys):
     deep = "w:g5 * v:g3 * w:g5 * v:g1 * w:g1 * v:g1 * w:g1"
-    code, out, _ = run(capsys, "tree", "fix", "c4c6", "--elements", deep, "--radius", "6")
+    code, out, _ = run(capsys, "tree", "fix", "c4c6", "--elements", deep)
     assert code == 0
-    assert out.startswith("fixed vertex at v")
-    code, out, _ = run(capsys, "tree", "fix", "c4c6", "--elements", deep, "--radius", "1")
-    assert code == 3
-    assert "no fixed vertex within radius 1" in out
+    assert out == "fixed vertex at v, coset rep w:g2 * v:g1 * w:g2\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["tree", "fix", "c4c6", "--elements", "v:g1"],
+    ["tree", "conj", "c4c6", "--elements", "v:g1"],
+    ["surgery", "expand", "expand_demo", "--vertex", "m"],
+])
+def test_fixed_vertex_commands_have_no_radius(argv):
+    with pytest.raises(SystemExit):
+        cli.main(argv + ["--radius", "8"])
 
 
 def test_tree_fix_rejects_infinite_subgroups(capsys):
-    code, _, err = run(
-        capsys, "tree", "fix", "c4c6", "--elements", "v:g1 * w:g1", "--radius", "4"
-    )
-    assert code == 2
-    assert "treating as infinite" in err
+    for op in ("fix", "conj"):
+        code, out, err = run(capsys, "tree", op, "c4c6", "--elements", "v:g1 * w:g1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: v:g1 * w:g1 has infinite order: it fixes no tree vertex\n"
 
 
 def test_tree_conj_finds_vertex_representative(capsys):

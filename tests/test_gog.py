@@ -52,6 +52,7 @@ from _oracles import (
     c4c6_matrix,
     c6hnn_in_vertex,
     c6hnn_model,
+    malnormality_by_ball,
     reduce_three_pass,
 )
 
@@ -136,6 +137,19 @@ def test_parse_errors(c4c6):
     ):
         with pytest.raises(MalformedWord):
             parse_word(c4c6, bad)
+
+
+@pytest.mark.parametrize("bad", ["v:g01", "v:g\u0663", "v:g\u00b2"])
+def test_parse_accepts_canonical_ascii_indices_only(c4c6, bad):
+    # A leading zero, an Arabic-Indic three and a superscript two.
+    with pytest.raises(MalformedWord):
+        parse_word(c4c6, bad)
+
+
+def test_parse_accepts_g0_and_multi_digit_indices():
+    graph = FiniteGraph(("v",), (), {}, {})
+    g = GraphOfGroups(graph, {"v": make_group("cyclic 12")}, {}, {})
+    assert parse_word(g, "v:g0 * v:g11") == Word(((VERTEX, "v", 0), (VERTEX, "v", 11)))
 
 
 def test_normal_form_reparses_to_itself(c4c6):
@@ -440,27 +454,44 @@ def test_vertex_membership_away_from_basepoint(c4c6):
 
 def test_malnormality_amalgam(c4c6):
     chi = subgroup_closure(c4c6.vertex_groups["w"].group, [3])
-    report = verify_relative_malnormality(c4c6, "w", chi, radius=3)
+    report = verify_relative_malnormality(c4c6, "w", chi)
     assert report.ok, report.summary()
 
 
 def test_malnormality_free_product(c2c2):
     chi = subgroup_closure(c2c2.vertex_groups["u"].group, [])
-    report = verify_relative_malnormality(c2c2, "u", chi, radius=4)
+    report = verify_relative_malnormality(c2c2, "u", chi)
     assert report.ok, report.summary()
 
 
 def test_malnormality_counterexample(c4c6):
-    trivial = subgroup_closure(c4c6.vertex_groups["w"].group, [])
-    report = verify_relative_malnormality(c4c6, "w", trivial, radius=2)
-    assert not report.ok
-    assert "H ∩ H^s" in report.problems[0]
+    # The amalgamated C2 is central, so it lies in every H ∩ H^s.
+    for h_vertex in ("v", "w"):
+        trivial = subgroup_closure(c4c6.vertex_groups[h_vertex].group, [])
+        report = verify_relative_malnormality(c4c6, h_vertex, trivial)
+        assert not report.ok
+        assert "H ∩ H^s" in report.problems[0]
 
 
 def test_malnormality_wrong_shape(c4c2c4):
     chi = subgroup_closure(c4c2c4.vertex_groups["m"].group, [])
-    report = verify_relative_malnormality(c4c2c4, "m", chi, radius=2)
+    report = verify_relative_malnormality(c4c2c4, "m", chi)
     assert not report.ok
+
+
+@pytest.mark.parametrize("name, h_vertex, checked", [
+    ("c4c6", "v", 4), ("c4c6", "w", 3), ("c2c2", "u", 2), ("c2c2", "w", 2),
+])
+def test_malnormality_checks_the_vertices_two_edges_out(name, h_vertex, checked):
+    # |A:C|·(|B:C| − 1) conjugators, one per vertex a·b·o; the verdict for
+    # every subgroup χ of H agrees with the check over the radius-4 ball.
+    g = load_fixture(name)
+    H = g.vertex_groups[h_vertex].group
+    for chi in {subgroup_closure(H, [i]) for i in range(H.order)} | {subgroup_closure(H, [])}:
+        report = verify_relative_malnormality(g, h_vertex, chi)
+        assert report.ok == malnormality_by_ball(g, h_vertex, chi, 4), chi
+        if report.ok:
+            assert report.counts == {"checked": checked}
 
 
 # ---------------------------------------------------------------------------

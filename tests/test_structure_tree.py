@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _oracles import fixed_vertex_by_action, neighbors_brute, tree_edge_brute, tree_vertex_brute
+from gogkit.documents import parse_document
 from gogkit.errors import BallTooLarge, NotFinite
 from gogkit.fixtures import load_fixture
 from gogkit.gog import (
+    Word,
+    _geodesic,
     ball,
     identity,
     invert,
@@ -131,12 +134,23 @@ def test_fixed_vertex_of_subgroups(c4c6):
     assert fixed_vertex(c4c6, [conj]) == tree_vertex(c4c6, "w", nf(c4c6, "v:g1"))
 
 
-def test_fixed_vertex_radius_exhaustion(c4c6):
-    # A deep conjugate needs more radius than we allow here.
+def test_fixed_vertex_of_a_deep_conjugate(c4c6):
+    # x·w:g2·x⁻¹ fixes x·𝒢(w), four edges from the base.
     x = nf(c4c6, "w:g1 * v:g1 * w:g1 * v:g1")
     deep = multiply(multiply(x, nf(c4c6, "w:g2")), invert(x))
-    assert fixed_vertex(c4c6, [deep], radius=1) is None
-    assert fixed_vertex(c4c6, [deep], radius=8) is not None
+    assert fixed_vertex(c4c6, [deep]) == tree_vertex(c4c6, "w", x)
+
+
+def test_fixed_vertex_in_a_vertex_group_of_order_300():
+    # Fixed vertices come from geodesics alone, whatever the group's order.
+    g = parse_document({"graph": {
+        "vertices": [{"id": "v", "group": "cyclic 300"}, {"id": "w", "group": "cyclic 2"}],
+        "edges": [{"id": "e", "from": "v", "to": "w", "group": "cyclic 1",
+                   "d0_images": [0], "d1_images": [0]}],
+    }}).gog
+    assert fixed_vertex(g, [nf(g, "v:g1")]) == tree_vertex(g, "v")
+    conj = nf(g, "w:g1 * v:g7 * w:g1")
+    assert fixed_vertex(g, [conj]).text() == "w:g1·G(v)"
 
 
 def test_conjugate_finite_into_vertex(c4c6):
@@ -207,9 +221,23 @@ def test_neighbors_match_brute_force_on_tree_ball(name):
         assert neighbors_with_ends(g, tv) == neighbors_brute(g, tv), tv.text()
 
 
-def _answer(search, g, elements, radius):
+def test_crossing_stack_is_the_tree_geodesic():
+    # The fact fixed_vertex rests on: the crossings left after pinch
+    # cancellation number d(o, x·o), the depth of x·o in the tree ball.
+    checked = 0
+    for name, g in GRAPHS.items():
+        depth = tree_ball(g, 4).depth
+        for x in BALLS[name]:
+            tv = tree_vertex(g, g.basepoint, x)
+            if tv in depth:
+                assert len(_geodesic(g, Word(x.syllables), g.basepoint)[0]) == depth[tv], x
+                checked += 1
+    assert checked == 125
+
+
+def _answer(search, g, elements, *radius):
     try:
-        return search(g, elements, radius)
+        return search(g, elements, *radius)
     except NotFinite:
         return NotFinite
 
@@ -219,8 +247,8 @@ def test_fixed_vertices_match_the_action_search(name):
     # Vertex groups, their single elements and the edge images, each
     # conjugated by the radius-2 ball; then x = g1 at the last vertex with
     # each c⁻¹·x·c, c in the radius-1 ball, some of which generate an
-    # infinite subgroup.  Deciding that takes _close_finite up to 0.4 s,
-    # so only these few inputs give NotFinite.
+    # infinite subgroup.  Deciding that takes the oracle's closure up to
+    # 0.4 s, so only these few inputs give NotFinite.
     g = GRAPHS[name]
     subgroups = []
     for vid in sorted(g.graph.vertices):
@@ -239,13 +267,18 @@ def test_fixed_vertices_match_the_action_search(name):
     inputs += [[x] + conjugate([x], c) for c in ball(g, 1)]
     kinds = Counter()
     for elements in inputs:
+        exact = _answer(fixed_vertex, g, elements)
+        pair = exact if exact is NotFinite else (exact.rep, exact.vertex_id)
+        assert _answer(conjugate_finite_into_vertex, g, elements) == pair
         for radius in (1, 2, 3, 8):
             expected = _answer(fixed_vertex_by_action, g, elements, radius)
-            assert _answer(fixed_vertex, g, elements, radius) == expected
-            if isinstance(expected, TreeVertex):
-                expected = (expected.rep, expected.vertex_id)
-            assert _answer(conjugate_finite_into_vertex, g, elements, radius) == expected
-            kinds["found" if isinstance(expected, tuple) else expected] += 1
+            kinds["found" if isinstance(expected, TreeVertex) else expected] += 1
+            if expected is None:
+                # The oracle saw no fixed vertex within the radius, so the
+                # exact one, fixed under the action, lies deeper.
+                assert all(act(g, x, exact) == exact for x in elements)
+                continue
+            assert exact == expected
             if expected is NotFinite:
                 break  # decided before any walk, at every radius alike
     assert kinds["found"] and kinds[None] and kinds[NotFinite], kinds
