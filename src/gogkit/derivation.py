@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import BadModulus, GluingConditionFailed, NotFinite
 from .gog import (
@@ -21,14 +22,14 @@ from .gog import (
     Report,
     Subgraph,
     Word,
-    _relators,
+    alphabet,
     ball,
     identity,
-    invert_word,
     multiply,
     parse_word,
     presentation,
     reduce,
+    residues,
     stable_letter,
     subgraph_group_membership,
     vertex_element,
@@ -116,32 +117,21 @@ def is_zero(values: list[RingVector]) -> bool:
     return all(v.is_zero() for v in values)
 
 
-def _generator_alphabet(g: GraphOfGroups) -> list[tuple]:
-    """The presentation's generators, each stable letter followed by its inverse."""
-    out: list[tuple] = []
-    for gen in presentation(g).generators:
-        out.append(gen)
-        if gen[0] == LETTER:
-            out.extend(invert_word(g, Word((gen,))).syllables)
-    return out
-
-
 def check_well_defined(d: Derivation, samples: int = 500, seed: int = 0) -> Report:
     """Relator evaluation plus sampled equal-word pairs; zero everywhere passes."""
     g = d.owner
     report = Report()
-    pres = presentation(g)
-    for rel in pres.relators:
-        values = evaluate(d, rel)
+    zero = [ring_zero(g, d.mod)] * d.rank
+    for _, _, rel, values in residues(g, partial(evaluate, d), zero):
         for i, v in enumerate(values):
             if not v.is_zero():
                 report.fail(
                     f"component {i}: relator {word_text(g, rel)} evaluates to {v.text()}"
                 )
     rng = random.Random(seed)
-    alphabet = _generator_alphabet(g)
+    letters = alphabet(g)
     for _ in range(samples):
-        sylls = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
+        sylls = tuple(rng.choice(letters) for _ in range(rng.randint(0, 8)))
         w = Word(sylls)
         x = reduce(g, w)
         lhs = evaluate(d, w)
@@ -151,7 +141,7 @@ def check_well_defined(d: Derivation, samples: int = 500, seed: int = 0) -> Repo
                 f"law breaks on word {word_text(g, w)} vs its normal form {x.text()}"
             )
             break
-    report.counts["relators"] = len(pres.relators)
+    report.counts["relators"] = len(presentation(g).relators)
     report.counts["sampled_pairs"] = samples
     return report
 
@@ -186,10 +176,8 @@ def glue(g: GraphOfGroups, mod: int, components: list[tuple[str, dict[str, RingV
         _component_from_text_table(g, action, table) for action, table in components
     )
     d = Derivation(g, mod, built)
-    for eid, k, rel in _relators(g):
-        for v in evaluate(d, rel):
-            if not v.is_zero():
-                raise GluingConditionFailed(eid, k, v.text())
+    for eid, k, _, values in residues(g, partial(evaluate, d), [ring_zero(g, mod)] * d.rank):
+        raise GluingConditionFailed(eid, k, next(v for v in values if not v.is_zero()).text())
     return d
 
 
@@ -333,17 +321,24 @@ def derivation_data(d: Derivation) -> dict:
 
 
 def derivation_from_data(g: GraphOfGroups, data: dict) -> Derivation:
-    if "mod" not in data or "components" not in data:
+    if not isinstance(data, dict) or "mod" not in data or "components" not in data:
         raise ValueError("derivation data needs 'mod' and 'components'")
-    mod = int(data["mod"])
+    mod, entries = data["mod"], data["components"]
+    if not isinstance(mod, int):
+        raise ValueError(f"derivation 'mod' must be an integer, got {mod!r}")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError("derivation 'components' must be a list of objects")
     components = []
-    for entry in data["components"]:
+    for entry in entries:
         action = entry.get("action", STANDARD)
         if action not in (STANDARD, TWISTED):
             raise ValueError(f"unknown action {action!r}")
+        values = entry.get("values", {})
+        if not isinstance(values, dict) or not all(isinstance(t, list) for t in values.values()):
+            raise ValueError("derivation 'values' must map each generator to a list of terms")
         table = {
             key: ring_from_data(g, {"mod": mod, "terms": terms})
-            for key, terms in entry.get("values", {}).items()
+            for key, terms in values.items()
         }
         components.append((action, table))
     return glue(g, mod, components)

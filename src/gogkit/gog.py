@@ -106,15 +106,8 @@ class CompositeVertexGroup:
         raise NotFinite("vertex group is a nested graph of groups; cannot enumerate")
 
     def generator_handles(self) -> list[NormalForm]:
-        out = []
-        for vid in sorted(self.sub.graph.vertices):
-            vg = self.sub.vertex_groups[vid]
-            for h in vg.generator_handles():
-                out.append(vertex_element(self.sub, vid, h))
-        for eid in sorted(self.sub.graph.edges):
-            if eid not in self.sub.tree.edges:
-                out.append(stable_letter(self.sub, eid))
-        return out
+        """The units of the nested alphabet's vertex elements and positive letters."""
+        return [_unit(self.sub, s) for s in alphabet(self.sub) if s[0] == VERTEX or s[2] > 0]
 
     def text(self, a: NormalForm) -> str:
         return "{" + a.text() + "}"
@@ -513,46 +506,62 @@ def equal(x: NormalForm, y: NormalForm) -> bool:
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generators (vertex elements and stable letters) with defining relators."""
+    """Generators (vertex elements and stable letters) with defining relators,
+    each labelled (edge, k): k an edge-group element, None for a tree letter."""
 
     generators: tuple[tuple, ...]
     relators: tuple[Word, ...]
-
-
-def _relators(g: GraphOfGroups):
-    """(edge, k, word): t_e per tree edge (k None), then ∂1(k)⁻¹·t_e⁻¹·∂0(k)·t_e per k."""
-    for eid in sorted(g.graph.edges):
-        if eid in g.tree.edges:
-            yield eid, None, Word(((LETTER, eid, 1),))
-    for eid in sorted(g.graph.edges):
-        d1v = g.graph.d1[eid]
-        d0v = g.graph.d0[eid]
-        vg1 = g.vertex_groups[d1v]
-        for k in range(g.edge_groups[eid].order):
-            yield eid, k, Word(
-                (
-                    (VERTEX, d1v, vg1.inv(g.incl(eid, 1, k))),
-                    (LETTER, eid, -1),
-                    (VERTEX, d0v, g.incl(eid, 0, k)),
-                    (LETTER, eid, 1),
-                )
-            )
+    labels: tuple[tuple[str, int | None], ...]
 
 
 def presentation(g: GraphOfGroups) -> Presentation:
-    """Generators and relators: tree letters plus one conjugation family per edge.
-
-    Built once per graph of groups, which is immutable, and then shared.
-    """
+    """The one list of generators and relators: t_e per tree edge, then
+    ∂1(k)⁻¹·t_e⁻¹·∂0(k)·t_e per edge e and k; built once per (immutable) graph."""
     if g._presentation is None:
-        gens: list[tuple] = []
-        for vid in sorted(g.graph.vertices):
-            for h in g.vertex_groups[vid].generator_handles():
-                gens.append((VERTEX, vid, h))
-        for eid in sorted(g.graph.edges):
-            gens.append((LETTER, eid, 1))
-        g._presentation = Presentation(tuple(gens), tuple(rel for _, _, rel in _relators(g)))
+        edges = sorted(g.graph.edges)
+        gens = [
+            (VERTEX, vid, h)
+            for vid in sorted(g.graph.vertices)
+            for h in g.vertex_groups[vid].generator_handles()
+        ]
+        gens += [(LETTER, eid, 1) for eid in edges]
+        labels: list[tuple] = [(eid, None) for eid in edges if eid in g.tree.edges]
+        relators = [Word(((LETTER, eid, 1),)) for eid, _ in labels]
+        for eid in edges:
+            d0v, d1v = g.graph.d0[eid], g.graph.d1[eid]
+            for k in range(g.edge_groups[eid].order):
+                labels.append((eid, k))
+                relators.append(Word((
+                    (VERTEX, d1v, g.vertex_groups[d1v].inv(g.incl(eid, 1, k))),
+                    (LETTER, eid, -1),
+                    (VERTEX, d0v, g.incl(eid, 0, k)),
+                    (LETTER, eid, 1),
+                )))
+        g._presentation = Presentation(tuple(gens), tuple(relators), tuple(labels))
     return g._presentation
+
+
+def residues(g: GraphOfGroups, image, one):
+    """(edge, k, relator, value) per relator whose ``image`` is not ``one``, in
+    order: the one relator check.  A map given on generators is well defined
+    exactly when it kills every relator (von Dyck; Fox 1953 for derivations)."""
+    pres = presentation(g)
+    for (eid, k), rel in zip(pres.labels, pres.relators):
+        value = image(rel)
+        if value != one:
+            yield eid, k, rel, value
+
+
+def alphabet(g: GraphOfGroups) -> list[tuple]:
+    """The presentation's generators as syllables, tree letters dropped and
+    each stable letter followed by its inverse."""
+    out: list[tuple] = []
+    for gen in presentation(g).generators:
+        if gen[0] == VERTEX:
+            out.append(gen)
+        elif gen[1] not in g.tree.edges:
+            out += [gen, (LETTER, gen[1], -1)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -611,28 +620,21 @@ def validate(g: GraphOfGroups) -> Report:
 def ball(g: GraphOfGroups, radius: int, max_size: int = BALL_CAP) -> list[NormalForm]:
     """All distinct normal forms of elements expressible by ≤ radius syllables.
 
-    Breadth-first closure under right multiplication by one-syllable words;
-    deterministic order (syllable count, then word text).
+    Breadth-first closure under right multiplication by the letters of
+    ``alphabet(g)``; deterministic order (syllable count, then word text).
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
     if not g.all_tables():
         raise NotFinite("ball enumeration requires finite table vertex groups")
-    gens: list[Word] = []
-    for vid in sorted(g.graph.vertices):
-        for h in g.vertex_groups[vid].generator_handles():
-            gens.append(Word(((VERTEX, vid, h),)))
-    for eid in sorted(g.graph.edges):
-        if eid not in g.tree.edges:
-            gens.append(Word(((LETTER, eid, 1),)))
-            gens.append(Word(((LETTER, eid, -1),)))
+    letters = alphabet(g)
     seen = {identity(g)}
     frontier = [identity(g)]
     for _ in range(radius):
         nxt = []
         for x in frontier:
-            for s in gens:
-                y = reduce(g, Word(x.syllables + s.syllables))
+            for s in letters:
+                y = reduce(g, Word(x.syllables + (s,)))
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)

@@ -135,10 +135,14 @@ def ring_data(u: RingVector) -> dict:
 def ring_from_data(g: GraphOfGroups, data) -> RingVector:
     if isinstance(data, str):
         data = json.loads(data)
-    if "mod" not in data or "terms" not in data:
-        raise ValueError("ring vector data needs 'mod' and 'terms'")
+    if not (isinstance(data, dict) and isinstance(data.get("mod"), int)
+            and isinstance(data.get("terms"), list)):
+        raise ValueError("ring vector data needs an integer 'mod' and a list of 'terms'")
     terms: dict[NormalForm, int] = {}
     for entry in data["terms"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("word"), str)
+                and isinstance(entry.get("coeff"), int)):
+            raise ValueError(f"a term needs a 'word' string and an integer 'coeff': {entry!r}")
         word = nf(g, entry["word"])
-        terms[word] = terms.get(word, 0) + int(entry["coeff"])
-    return RingVector(g, int(data["mod"]), terms)
+        terms[word] = terms.get(word, 0) + entry["coeff"]
+    return RingVector(g, data["mod"], terms)

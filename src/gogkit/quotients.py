@@ -42,6 +42,7 @@ from .gog import (
     _check_subgraph,
     _rebuilt,
     presentation,
+    residues,
 )
 from .group_ring import RingVector, push_to_quotient
 
@@ -100,9 +101,7 @@ def quotient_from_images(
         if hom_defect(vg.group, images, target.mul) is not None:
             return None
     q = FiniteQuotient(g, target, dict(vertex_images), dict(letter_images))
-    if any(q.image_of(r) != target.identity for r in presentation(g).relators):
-        return None
-    return q
+    return q if next(residues(g, q.image_of, target.identity), None) is None else None
 
 
 def _default_pool(degree: int = 6):
@@ -156,11 +155,10 @@ def _iter_quotients(g: GraphOfGroups, target: FiniteGroup, keep=None):
     ]
     choices += [range(target.order)] * len(letters)
     tree_images = {e: target.identity for e in g.graph.edges if e in g.tree.edges}
-    relators = presentation(g).relators
     for combo in itertools.product(*choices):
         letter_images = {**tree_images, **dict(zip(letters, combo[len(vertex_ids):]))}
         q = FiniteQuotient(g, target, dict(zip(vertex_ids, combo)), letter_images)
-        if all(q.image_of(r) == target.identity for r in relators):
+        if next(residues(g, q.image_of, target.identity), None) is None:
             yield q
 
 
@@ -182,16 +180,11 @@ def _factors_through(g: GraphOfGroups, q: FiniteQuotient, sub: Subgraph, given: 
     Equivalently: a map θ with θ(q(s)) = given(s) exists on the subgroup of
     q.target generated by the subgraph generators.
     """
-    gens: list[int] = []
-    gen_images: list[int] = []
-    for vid in sorted(sub.vertices):
-        for h in g.vertex_groups[vid].generator_handles():
-            gens.append(q.vertex_images[vid][h])
-            gen_images.append(given.vertex_images[vid][h])
-    for eid in sorted(sub.edges):
-        if eid not in g.tree.edges:
-            gens.append(q.letter_images[eid])
-            gen_images.append(given.letter_images[eid])
+    letters = sub.edges - g.tree.edges
+    inside = [(gen,) for gen in presentation(g).generators
+              if gen[1] in (sub.vertices if gen[0] == VERTEX else letters)]
+    gens = [q.image_of(syl) for syl in inside]
+    gen_images = [given.image_of(syl) for syl in inside]
     return extend_on_span(
         q.target, gens, gen_images, given.target.mul, given.target.identity
     ) is not None
@@ -359,6 +352,8 @@ def quotient_from_data(g: GraphOfGroups, data) -> FiniteQuotient:
         raise ValueError("quotient data needs 'vertex_images' and 'letter_images' objects")
     if not all(isinstance(arr, list) for arr in data["vertex_images"].values()):
         raise ValueError("vertex image arrays must be lists")
+    if "target" not in data:
+        raise ValueError("quotient data needs a 'target' group spec")
     target = make_group(data["target"])
     vertex_images = {v: tuple(arr) for v, arr in data["vertex_images"].items()}
     q = quotient_from_images(g, target, vertex_images, dict(data["letter_images"]))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import (
     BadAttachment,
@@ -38,12 +39,14 @@ from .gog import (
     _reduce_from,
     _unit,
     ball,
+    identity,
     invert,
     invert_word,
     nf,
     parse_word,
     presentation,
     reduce,
+    residues,
     stable_letter,
     subgraph_group_membership,
     vertex_handle_of,
@@ -145,14 +148,12 @@ def validate_witness(w: GogIsoWitness) -> Report:
                 report.fail(f"{label} maps {key!r}, which is not a {side} generator")
     if not complete:
         return report
-    for r in src.relators:
-        image = translate(w.psi, w.source, w.target, r)
-        if image.syllables:
-            report.fail(f"ψ sends source relator to {image.text()!r}")
-    for r in tgt.relators:
-        image = translate(w.phi, w.target, w.source, r)
-        if image.syllables:
-            report.fail(f"φ sends target relator to {image.text()!r}")
+    for label, side, g, apply, g_to in (
+        ("ψ", "source", w.source, apply_psi, w.target),
+        ("φ", "target", w.target, apply_phi, w.source),
+    ):
+        for *_, image in residues(g, partial(apply, w), identity(g_to)):
+            report.fail(f"{label} sends {side} relator to {image.text()!r}")
     for gen in src.generators:
         x = _unit(w.source, gen)
         back = translate(w.phi, w.target, w.source, apply_psi(w, x))

@@ -24,7 +24,10 @@ multiplies on the right by the seeds; the fixed-vertex search closes
 the subgroup by multiplication, then tests each vertex by the action and
 sorts every level of its walk, where the package reads the vertex off the
 elements' tree geodesics; the ball malnormality check tests every element of
-a ball, where the package tests only the vertices two edges from the base.
+a ball, where the package tests only the vertices two edges from the base;
+the relator, sampler-alphabet, ball-alphabet and nested-generator lists are
+each enumerated by hand, where the package reads them all off one
+presentation.
 """
 from __future__ import annotations
 
@@ -707,3 +710,73 @@ def malnormality_by_ball(g, h_vertex, chi, radius) -> bool:
         if is_conjugate_into(Subgroup(H, tuple(meet)), chi, H) is None:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Generator and relator enumerations written out per caller, as they were
+# before ``gog.presentation`` became their one source
+
+
+def _relators(g):
+    """(edge, k, word): t_e per tree edge (k None), then ∂1(k)⁻¹·t_e⁻¹·∂0(k)·t_e per k."""
+    from gogkit.gog import Word
+
+    for eid in sorted(g.graph.edges):
+        if eid in g.tree.edges:
+            yield eid, None, Word(((LETTER, eid, 1),))
+    for eid in sorted(g.graph.edges):
+        d1v = g.graph.d1[eid]
+        d0v = g.graph.d0[eid]
+        vg1 = g.vertex_groups[d1v]
+        for k in range(g.edge_groups[eid].order):
+            yield eid, k, Word(
+                (
+                    (VERTEX, d1v, vg1.inv(g.incl(eid, 1, k))),
+                    (LETTER, eid, -1),
+                    (VERTEX, d0v, g.incl(eid, 0, k)),
+                    (LETTER, eid, 1),
+                )
+            )
+
+
+def _generator_alphabet(g) -> list[tuple]:
+    """The presentation's generators, each stable letter followed by its inverse."""
+    from gogkit.gog import Word, invert_word, presentation
+
+    out: list[tuple] = []
+    for gen in presentation(g).generators:
+        out.append(gen)
+        if gen[0] == LETTER:
+            out.extend(invert_word(g, Word((gen,))).syllables)
+    return out
+
+
+def ball_generators(g) -> list:
+    """The one-syllable words ``ball`` multiplied by: vertex generators, then
+    each non-tree letter and its inverse."""
+    from gogkit.gog import Word
+
+    gens = []
+    for vid in sorted(g.graph.vertices):
+        for h in g.vertex_groups[vid].generator_handles():
+            gens.append(Word(((VERTEX, vid, h),)))
+    for eid in sorted(g.graph.edges):
+        if eid not in g.tree.edges:
+            gens.append(Word(((LETTER, eid, 1),)))
+            gens.append(Word(((LETTER, eid, -1),)))
+    return gens
+
+
+def composite_generator_handles(self) -> list:
+    """A nested vertex group's generators: its vertex elements, then its stable letters."""
+    from gogkit.gog import stable_letter, vertex_element
+
+    out = []
+    for vid in sorted(self.sub.graph.vertices):
+        vg = self.sub.vertex_groups[vid]
+        for h in vg.generator_handles():
+            out.append(vertex_element(self.sub, vid, h))
+    for eid in sorted(self.sub.graph.edges):
+        if eid not in self.sub.tree.edges:
+            out.append(stable_letter(self.sub, eid))
+    return out

@@ -127,6 +127,30 @@ def test_deriv_eval_rejects_unglued_derivation(capsys, tmp_path):
     assert "gluing condition fails on edge 'e'" in err
 
 
+@pytest.mark.parametrize("data, error", [
+    ({"mod": 5, "components": "x"},
+     "derivation 'components' must be a list of objects"),
+    ({"mod": 5, "components": [{"values": {"v:g1": 7}}]},
+     "derivation 'values' must map each generator to a list of terms"),
+    ({"mod": 5, "components": [{"values": {"v:g1": [{"word": "1"}]}}]},
+     "a term needs a 'word' string and an integer 'coeff': {'word': '1'}"),
+], ids=["components-not-list", "value-not-list", "term-without-coeff"])
+def test_deriv_eval_rejects_malformed_files(capsys, tmp_path, data, error):
+    path = tmp_path / "bad.deriv.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "deriv", "eval", "c6hnn", "--deriv", str(path), "--word", "v:g1")
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
+def test_quotient_refine_rejects_a_given_file_without_target(capsys, tmp_path):
+    path = tmp_path / "given.quot.json"
+    path.write_text(json.dumps({"vertex_images": {"v": [0, 1, 2, 3]}, "letter_images": {}}))
+    code, out, err = run(
+        capsys, "quotient", "refine", "c4c6", "--subgraph", "v", "--given", str(path)
+    )
+    assert (code, out, err) == (2, "", "error: quotient data needs a 'target' group spec\n")
+
+
 def test_deriv_unknown_base_vertex_exits_2(capsys):
     code, out, err = run(
         capsys, "deriv", "dunwoody", "c4c6", "--base", "zz", "--target", "w", "--mod", "5"

@@ -8,6 +8,8 @@ from gogkit.errors import BadModulus, GluingConditionFailed
 from gogkit.derivation import (
     STANDARD,
     TWISTED,
+    Component,
+    Derivation,
     accessibility_derivation,
     check_well_defined,
     derivation_data,
@@ -135,6 +137,22 @@ def test_naive_standard_table_fails_gluing(c6hnn):
     assert exc.value.edge == "t"
     assert exc.value.element == 1
     assert exc.value.residue == "4·[1] + 1·[t(t)] + 1·[v:g3] + 4·[t(t) * v:g3]"
+
+
+def test_check_well_defined_reports_the_surviving_relator(c6hnn):
+    """The naive standard table, built without glue, as component 1 of 2."""
+    d = Derivation(c6hnn, 5, (
+        Component(STANDARD, {}),
+        Component(STANDARD, {(LETTER, "t"): t_minus_one(c6hnn, 5)}),
+    ))
+    report = check_well_defined(d, samples=50)
+    assert not report.ok
+    assert report.problems[0] == (
+        "component 1: relator v:g3 * t(t)^-1 * v:g3 * t(t) evaluates to "
+        "4·[1] + 1·[t(t)] + 1·[v:g3] + 4·[t(t) * v:g3]"
+    )
+    assert not any(line.startswith("component 0") for line in report.problems)
+    assert report.counts == {"relators": 2, "sampled_pairs": 50}
 
 
 def test_naive_twisted_table_is_blind_to_conjugates(c6hnn):

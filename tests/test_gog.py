@@ -18,11 +18,13 @@ from gogkit.fixtures import FIXTURE_NAMES, load_fixture
 from gogkit.gog import (
     LETTER,
     VERTEX,
+    CompositeVertexGroup,
     Subgraph,
     TableVertexGroup,
     Word,
     _rebuilt,
     _reduce_from,
+    alphabet,
     ball,
     equal,
     identity,
@@ -47,11 +49,15 @@ from gogkit.graph_core import FiniteGraph, SpanningTree
 from _oracles import (
     AFFINE_ID,
     I2,
+    _generator_alphabet,
+    _relators,
+    ball_generators,
     c2c2_affine,
     c4c2c4_matrix,
     c4c6_matrix,
     c6hnn_in_vertex,
     c6hnn_model,
+    composite_generator_handles,
     malnormality_by_ball,
     reduce_three_pass,
 )
@@ -328,6 +334,45 @@ def test_presentation_relators_reduce_to_identity():
         g = load_fixture(name)
         for rel in presentation(g).relators:
             assert reduce(g, rel).syllables == (), f"{name}: {word_text(g, rel)}"
+
+
+def _with_nested(name: str) -> list[GraphOfGroups]:
+    """The fixture and every graph of groups nested in its vertex groups."""
+    out = [load_fixture(name)]
+    for g in out:
+        out += [vg.sub for vg in g.vertex_groups.values() if isinstance(vg, CompositeVertexGroup)]
+    return out
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_presentation_relators_match_the_hand_enumeration(name):
+    for g in _with_nested(name):
+        pres = presentation(g)
+        labelled = [(eid, k, rel) for (eid, k), rel in zip(pres.labels, pres.relators)]
+        assert len(pres.labels) == len(pres.relators)
+        assert labelled == list(_relators(g))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_alphabet_matches_the_ball_and_sampler_lists(name):
+    for g in _with_nested(name):
+        letters = alphabet(g)
+        assert [Word((s,)) for s in letters] == ball_generators(g)
+        # The derivation sampler drew tree letters too; the alphabet drops them.
+        assert letters == [
+            s for s in _generator_alphabet(g) if s[0] == VERTEX or s[1] not in g.tree.edges
+        ]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_nested_generator_handles_match_the_hand_enumeration(name):
+    nested = [
+        vg for g in _with_nested(name) for vg in g.vertex_groups.values()
+        if isinstance(vg, CompositeVertexGroup)
+    ]
+    assert bool(nested) == (name == "expand_demo")
+    for vg in nested:
+        assert vg.generator_handles() == composite_generator_handles(vg)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from gogkit.errors import (
 )
 from gogkit.finite_group import Subgroup, make_group
 from gogkit.fixtures import load_fixture
-from gogkit.gog import GraphOfGroups, Subgraph, Word, ball, nf, validate
+from gogkit.gog import VERTEX, GraphOfGroups, Subgraph, Word, ball, nf, parse_word, validate
 from gogkit.graph_core import FiniteGraph
 from gogkit.surgery import (
     GogIsoWitness,
@@ -482,6 +482,35 @@ def test_validate_witness_skips_translation_of_incomplete_maps(c4c6):
     phi = {gen: word for gen, word in w.phi.items() if gen != ("t", "e", 1)}
     report = validate_witness(GogIsoWitness(w.source, w.target, w.psi, phi))
     assert report.problems == ["φ has no image for target generator 't(e)'"]
+
+
+def _relator_lines(report):
+    return [line for line in report.problems if " relator " in line]
+
+
+def test_validate_witness_reports_a_surviving_source_relator(c4c6):
+    # ψ(v:g2) = v:g1 no longer kills ∂1(1)⁻¹·t⁻¹·∂0(1)·t, with ∂0(1) = v:g2.
+    out, w = reverse_edge(c4c6, "e")
+    psi = {**w.psi, (VERTEX, "v", 2): parse_word(out, "v:g1")}
+    report = validate_witness(GogIsoWitness(w.source, w.target, psi, w.phi))
+    assert not report.ok
+    assert _relator_lines(report) == ["ψ sends source relator to 'v:g3'"]
+
+
+def test_validate_witness_reports_every_surviving_relator(c4c6, c4c2c4):
+    out, w = reverse_edge(c4c6, "e")
+    psi = {**w.psi, (VERTEX, "v", 2): parse_word(out, "v:g1")}
+    phi = {**w.phi, (VERTEX, "w", 3): parse_word(c4c6, "w:g1")}
+    report = validate_witness(GogIsoWitness(w.source, w.target, psi, phi))
+    assert _relator_lines(report) == [
+        "ψ sends source relator to 'v:g3'",
+        "φ sends target relator to 'w:g1 * v:g2'",
+    ]
+    # Two relators of one map survive: both are reported, not only the first.
+    out, w = reverse_edge(c4c2c4, "e1")
+    psi = {**w.psi, (VERTEX, "m", 1): parse_word(out, "u:g1")}
+    report = validate_witness(GogIsoWitness(w.source, w.target, psi, w.phi))
+    assert _relator_lines(report) == ["ψ sends source relator to 'u:g1 * m:g1'"] * 2
 
 
 def _pop(key):
