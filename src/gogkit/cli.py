@@ -22,7 +22,7 @@ from .documents import load_document, save_document
 from .errors import Exhausted, GogkitError
 from .finite_group import Subgroup
 from .fixtures import FIXTURE_NAMES, load_fixture
-from .gog import Subgraph, ball, nf, validate
+from .gog import Subgraph, TableVertexGroup, ball, nf, validate
 from .quotients import (
     quotient_data,
     quotient_from_data,
@@ -68,6 +68,16 @@ def _subgraph(g, text: str) -> Subgraph:
     vertices = {v.strip() for v in vertex_part.split(",") if v.strip()}
     edges = {e.strip() for e in edge_part.split(",") if e.strip()}
     return Subgraph.of(vertices, edges)
+
+
+def _table_group(g, vid: str):
+    """The finite group at vertex ``vid``, for options that name its elements."""
+    if vid not in g.vertex_groups:
+        raise ValueError(f"unknown vertex {vid!r}")
+    vg = g.vertex_groups[vid]
+    if not isinstance(vg, TableVertexGroup):
+        raise ValueError(f"vertex group at {vid!r} is not a finite table")
+    return vg.group
 
 
 def _handles(text: str) -> tuple[int, ...]:
@@ -220,9 +230,8 @@ def cmd_quotient(args) -> int:
     elif args.op == "embed":
         if not args.vertex or not args.subgroup:
             raise ValueError("embed needs --vertex and --subgroup")
-        vg = g.vertex_groups[args.vertex]
         kwargs["vertex"] = args.vertex
-        kwargs["subgroup"] = Subgroup(vg.group, _handles(args.subgroup))
+        kwargs["subgroup"] = Subgroup(_table_group(g, args.vertex), _handles(args.subgroup))
     else:
         if not args.subgraph or not args.given:
             raise ValueError("refine needs --subgraph and --given")
@@ -250,8 +259,7 @@ def cmd_surgery(args) -> int:
     elif args.op == "expand":
         out, witness = expand_vertex(g, args.vertex)
     elif args.op == "attach":
-        vg = g.vertex_groups[args.vertex]
-        chi = Subgroup(vg.group, _handles(args.chi))
+        chi = Subgroup(_table_group(g, args.vertex), _handles(args.chi))
         table = find_delta_conjugators(g, args.vertex, chi)
         if table is None:
             print(f"no conjugator table within the vertex group at {args.vertex}")
@@ -409,7 +417,7 @@ def main(argv=None) -> int:
     except Exhausted as ex:
         print(f"exhausted: {ex}", file=sys.stderr)
         return EXHAUSTED
-    except (GogkitError, ValueError, KeyError, OSError, json.JSONDecodeError) as ex:
+    except (GogkitError, ValueError, OSError, json.JSONDecodeError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return INVALID
 

@@ -22,6 +22,8 @@ from .gog import (
     Report,
     Subgraph,
     Word,
+    _check_handles,
+    _normal_form,
     alphabet,
     ball,
     identity,
@@ -76,8 +78,7 @@ class Derivation:
 
 def free_retract(g: GraphOfGroups, x: NormalForm) -> NormalForm:
     """Image of x under the retraction killing every vertex group."""
-    letters = tuple(syl for syl in x.syllables if syl[0] == LETTER)
-    return reduce(g, Word(letters))
+    return _normal_form(g, tuple(syl for syl in x.syllables if syl[0] == LETTER))
 
 
 def _act(g: GraphOfGroups, vec: RingVector, suffix: NormalForm, action: str) -> RingVector:
@@ -100,16 +101,22 @@ def _generator_value(
 
 
 def evaluate(d: Derivation, x) -> list[RingVector]:
-    """Evaluate every component on a word or normal form; all share one walk of suffixes."""
+    """Evaluate every component on a word or normal form; all share one walk of suffixes.
+
+    The handles of a word, a syllable tuple or another graph's normal form are
+    checked once, up front; a normal form of ``d.owner`` is trusted.
+    """
     g = d.owner
     syllables = x.syllables if isinstance(x, (NormalForm, Word)) else tuple(x)
+    if not (isinstance(x, NormalForm) and x.owner is g):
+        _check_handles(g, syllables)
     out = [ring_zero(g, d.mod) for _ in d.components]
     suffix = identity(g)
     for syl in reversed(syllables):
         for i, comp in enumerate(d.components):
             vec = _generator_value(g, comp, d.mod, syl)
             out[i] = add(out[i], _act(g, vec, suffix, comp.action))
-        suffix = reduce(g, Word((syl,) + suffix.syllables))
+        suffix = _normal_form(g, (syl,) + suffix.syllables)
     return out
 
 
@@ -279,6 +286,8 @@ def kernel_scan(d: Derivation, designation, radius: int) -> Report:
     Subgraph (membership in the subgraph's fundamental group).
     """
     g = d.owner
+    if not isinstance(designation, Subgraph) and designation not in g.vertex_groups:
+        raise ValueError(f"unknown vertex {designation!r}")
     report = Report()
     elements = ball(g, radius)
     mismatches = 0

@@ -11,10 +11,25 @@ their canonical words are identical.  The crossings left after cancellation
 are the tree geodesic from the base vertex (``_geodesic``), which the
 structure tree reads for fixed vertices.
 
-A graph of groups is immutable, so three tables that depend only on its
+Handles are checked where words enter, once per word: ``reduce`` on a
+``Word``, ``parse_word``, ``vertex_element``, ``derivation.evaluate`` on a
+word or another graph's normal form, and the structure tree's edge cosets,
+whose handles are inclusion images.  Inside, the reducer trusts its handles:
+words built from g's own normal forms (``multiply``, ``invert``, ``ball``,
+one-syllable units, ``evaluate``'s suffixes) go through the one trusted entry
+``_normal_form``, ``vertex_handle_of`` reads ``_reduce_from`` at its vertex,
+and neither ``_reduce_from`` nor ``_geodesic`` checks.  ``multiply`` returns
+the other factor when one is the identity, which is exact because normal
+forms are canonical.
+
+A graph of groups is immutable, so four tables that depend only on its
 structure start empty, are filled on first use and are kept for its lifetime;
 a graph derived from another starts with empty ones:
 
+- the kernel table: the identity and the product per vertex (``FiniteGroup.mul``
+  for a table, ``multiply`` for a nested group), |V| entries each.  The
+  reducer tests identity as ``h == one[v]``, which holds for nested handles
+  too, since their normal forms are canonical.
 - ``coset_rep`` results per (edge, side) and carry, for finite table vertex
   groups only: at most |𝒢(v)| entries each.  A nested vertex group's carries
   are not stored; its own reductions fill its own tables.
@@ -182,6 +197,7 @@ class GraphOfGroups:
                 }
                 self._transversals[(e, side)] = {}
         self._units: dict[tuple, NormalForm] = {}
+        self._kernel: tuple[dict, dict] | None = None
 
     def incl(self, e: str, side: int, k: int):
         """Image handle of edge-group element k under the side-inclusion of e."""
@@ -324,7 +340,7 @@ def parse_word(g: GraphOfGroups, text: str) -> Word:
         if elem.startswith("{") and elem.endswith("}"):
             if not isinstance(vg, CompositeVertexGroup):
                 raise MalformedWord(f"vertex {vid!r} has a table group; got {elem!r}")
-            handle = reduce(vg.sub, parse_word(vg.sub, elem[1:-1]))
+            handle = _normal_form(vg.sub, parse_word(vg.sub, elem[1:-1]).syllables)
         else:
             if not _INDEX_RE.fullmatch(elem):
                 raise MalformedWord(f"cannot parse element {elem!r} in {token!r}")
@@ -340,76 +356,81 @@ def parse_word(g: GraphOfGroups, text: str) -> Word:
 # Reduction
 
 
-def _geodesic(g: GraphOfGroups, w: Word, base: str) -> tuple[list[tuple], object]:
-    """The crossings of ``w``, read as a loop at ``base``, left after every pinch
-    cancels, and the element left at ``base``.
+def _tables(g: GraphOfGroups) -> tuple[dict, dict]:
+    """The kernel's per-graph table: the identity and the product per vertex
+    (``FiniteGroup.mul`` for a table, ``multiply`` for a nested group)."""
+    if g._kernel is None:
+        one, mul = {}, {}
+        for vid, vg in g.vertex_groups.items():
+            one[vid] = vg.identity()
+            mul[vid] = vg.group.mul if isinstance(vg, TableVertexGroup) else multiply
+        g._kernel = (one, mul)
+    return g._kernel
+
+
+def _geodesic(g: GraphOfGroups, syllables: tuple, base: str) -> tuple[list[tuple], object]:
+    """The crossings of the word ``syllables``, read as a loop at ``base``,
+    left after every pinch cancels, and the element left at ``base``.
 
     Crossings (vertex, element before, edge, direction) go on a stack and each
     pinch t_e·∂1(k)·t_e⁻¹ or t_e⁻¹·∂0(k)·t_e cancels as it closes.  The stack
     left is the tree geodesic from o = 1·𝒢(base) to x·o, x the element of
-    ``w`` (Serre, *Trees*, §I.5): its length is the tree distance.
+    the word (Serre, *Trees*, §I.5): its length is the tree distance.  Handles
+    are trusted; a final identity syllable at ``base`` walks the loop home.
     """
-    groups, d0, d1 = g.vertex_groups, g.graph.d0, g.graph.d1
+    one, mul = _tables(g)
+    d0, d1, path = g.graph.d0, g.graph.d1, g.tree.path
+    preimages, inclusions = g._preimages, g.inclusions
     stack: list[tuple] = []
-    cur, h = base, groups[base].identity()
-
-    def cross(eid: str, direction: int):
-        nonlocal cur, h
-        src = 0 if direction > 0 else 1
-        if stack and stack[-1][2] == eid and stack[-1][3] == -direction:
-            k = g.incl_preimage(eid, src, h)
-            if k is not None:
-                cur, before, _, _ = stack.pop()
-                image = g.incl(eid, 1 - src, k)
-                h = image if groups[cur].is_identity(before) else groups[cur].mul(before, image)
-                return
-        stack.append((cur, h, eid, direction))
-        cur = d1[eid] if direction > 0 else d0[eid]
-        h = groups[cur].identity()
-
-    def walk_to(target: str):
-        if target != cur:
-            for eid, direction in g.tree.path(cur, target):
-                cross(eid, direction)
-
-    for syl in w.syllables:
-        if syl[0] == VERTEX:
-            _, vid, x = syl
-            if not groups[vid].contains_handle(x):
-                raise MalformedWord(f"bad element handle {x!r} at vertex {vid!r}")
-            walk_to(vid)
-            h = x if groups[vid].is_identity(h) else groups[vid].mul(h, x)
+    cur, h = base, one[base]
+    for kind, a, b in syllables + ((VERTEX, base, one[base]),):
+        if kind == VERTEX:
+            steps = path(cur, a) if a != cur else ()
         else:
-            _, eid, exp = syl
-            walk_to(d0[eid] if exp > 0 else d1[eid])
-            cross(eid, exp)
-    walk_to(base)
+            start = d0[a] if b > 0 else d1[a]
+            steps = (path(cur, start) if start != cur else ()) + ((a, b),)
+        for eid, direction in steps:
+            src = 0 if direction > 0 else 1
+            if stack and stack[-1][2] == eid and stack[-1][3] == -direction:
+                k = preimages[eid, src].get(h)
+                if k is not None:
+                    cur, before, _, _ = stack.pop()
+                    image = inclusions[eid][1 - src][k]
+                    h = image if before == one[cur] else mul[cur](before, image)
+                    continue
+            stack.append((cur, h, eid, direction))
+            cur = d1[eid] if direction > 0 else d0[eid]
+            h = one[cur]
+        if kind == VERTEX:
+            h = b if h == one[cur] else mul[cur](h, b)
     return stack, h
 
 
-def _reduce_from(g: GraphOfGroups, w: Word, base: str) -> tuple[tuple, ...]:
-    """Normal form of ``w`` read as a loop at ``base``: the crossings of its
-    geodesic, normalized left to right against the transversals."""
-    groups = g.vertex_groups
-    stack, h = _geodesic(g, w, base)
-    syllables: list[tuple] = []
-    carry = groups[base].identity()
+def _reduce_from(g: GraphOfGroups, syllables: tuple, base: str) -> tuple[tuple, ...]:
+    """Normal form of the word ``syllables``, handles trusted, read as a loop
+    at ``base``: the crossings of its geodesic, normalized left to right
+    against the transversals."""
+    one, mul = _tables(g)
+    stack, h = _geodesic(g, syllables, base)
+    transversals, inclusions, tree_edges = g._transversals, g.inclusions, g.tree.edges
+    out: list[tuple] = []
+    carry = one[base]
     for vid, before, eid, direction in stack:
-        vg = groups[vid]
-        if not vg.is_identity(before):
-            carry = vg.mul(carry, before)
+        if before != one[vid]:
+            carry = mul[vid](carry, before)
         src = 0 if direction > 0 else 1
-        rep, k = coset_rep(g, vid, eid, src, carry)
-        if not vg.is_identity(rep):
-            syllables.append((VERTEX, vid, rep))
-        if eid not in g.tree.edges:
-            syllables.append((LETTER, eid, direction))
-        carry = g.incl(eid, 1 - src, k)
-    if not groups[base].is_identity(h):
-        carry = groups[base].mul(carry, h)
-    if not groups[base].is_identity(carry):
-        syllables.append((VERTEX, base, carry))
-    return tuple(syllables)
+        found = transversals[eid, src].get(carry)
+        rep, k = found if found is not None else coset_rep(g, vid, eid, src, carry)
+        if rep != one[vid]:
+            out.append((VERTEX, vid, rep))
+        if eid not in tree_edges:
+            out.append((LETTER, eid, direction))
+        carry = inclusions[eid][1 - src][k]
+    if h != one[base]:
+        carry = mul[base](carry, h)
+    if carry != one[base]:
+        out.append((VERTEX, base, carry))
+    return tuple(out)
 
 
 def coset_rep(g: GraphOfGroups, vid: str, eid: str, side: int, x):
@@ -435,14 +456,31 @@ def coset_rep(g: GraphOfGroups, vid: str, eid: str, side: int, x):
     return best_rep, best_k
 
 
+def _check_handles(g: GraphOfGroups, syllables: tuple):
+    """Raise MalformedWord at the first vertex syllable whose handle is not an
+    element of its vertex group."""
+    groups = g.vertex_groups
+    for syl in syllables:
+        if syl[0] == VERTEX and not groups[syl[1]].contains_handle(syl[2]):
+            raise MalformedWord(f"bad element handle {syl[2]!r} at vertex {syl[1]!r}")
+
+
+def _normal_form(g: GraphOfGroups, syllables: tuple) -> NormalForm:
+    """The trusted entry: the normal form of syllables whose handles are known
+    to be good, such as those of g's own normal forms."""
+    return NormalForm(g, _reduce_from(g, syllables, g.basepoint))
+
+
 def reduce(g: GraphOfGroups, w: Word) -> NormalForm:
-    """Canonical normal form of the element represented by ``w``."""
-    return NormalForm(g, _reduce_from(g, w, g.basepoint))
+    """Canonical normal form of the element represented by ``w``; its handles
+    are checked once, before reduction."""
+    _check_handles(g, w.syllables)
+    return _normal_form(g, w.syllables)
 
 
 def nf(g: GraphOfGroups, text: str) -> NormalForm:
     """Parse and reduce word text; convenience wrapper."""
-    return reduce(g, parse_word(g, text))
+    return _normal_form(g, parse_word(g, text).syllables)
 
 
 def identity(g: GraphOfGroups) -> NormalForm:
@@ -450,8 +488,7 @@ def identity(g: GraphOfGroups) -> NormalForm:
 
 
 def vertex_element(g: GraphOfGroups, vid: str, handle) -> NormalForm:
-    if not g.vertex_groups[vid].contains_handle(handle):
-        raise MalformedWord(f"bad element handle {handle!r} at vertex {vid!r}")
+    _check_handles(g, ((VERTEX, vid, handle),))
     return _unit(g, (VERTEX, vid, handle))
 
 
@@ -464,7 +501,7 @@ def _unit(g: GraphOfGroups, syl: tuple) -> NormalForm:
     unless syl holds a nested group's handle (those are never stored)."""
     unit = g._units.get(syl)
     if unit is None:
-        unit = reduce(g, Word((syl,)))
+        unit = _normal_form(g, (syl,))
         if syl[0] == LETTER or g.vertex_groups[syl[1]].order is not None:
             g._units[syl] = unit
     return unit
@@ -476,12 +513,17 @@ def _check_owner(x: NormalForm, y: NormalForm):
 
 
 def multiply(x: NormalForm, y: NormalForm) -> NormalForm:
+    """x·y; an identity factor returns the other, since normal forms are canonical."""
     _check_owner(x, y)
-    return reduce(x.owner, Word(x.syllables + y.syllables))
+    if not y.syllables:
+        return x
+    if not x.syllables:
+        return y
+    return _normal_form(x.owner, x.syllables + y.syllables)
 
 
 def invert(x: NormalForm) -> NormalForm:
-    return reduce(x.owner, invert_word(x.owner, Word(x.syllables)))
+    return _normal_form(x.owner, invert_word(x.owner, Word(x.syllables)).syllables)
 
 
 def invert_word(g: GraphOfGroups, w: Word) -> Word:
@@ -634,7 +676,7 @@ def ball(g: GraphOfGroups, radius: int, max_size: int = BALL_CAP) -> list[Normal
         nxt = []
         for x in frontier:
             for s in letters:
-                y = reduce(g, Word(x.syllables + (s,)))
+                y = _normal_form(g, x.syllables + (s,))
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
@@ -703,7 +745,7 @@ def vertex_handle_of(g: GraphOfGroups, vid: str, x: NormalForm):
     """The handle of x at vertex ``vid`` when x lies there, else None."""
     if x.owner is not g:
         raise MixedOwners("normal form belongs to a different graph of groups")
-    syllables = _reduce_from(g, Word(x.syllables), vid)
+    syllables = _reduce_from(g, x.syllables, vid)
     if not syllables:
         return g.vertex_groups[vid].identity()
     if len(syllables) == 1 and syllables[0][0] == VERTEX and syllables[0][1] == vid:

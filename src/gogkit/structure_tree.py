@@ -7,7 +7,7 @@ d1(g𝒢(e)) = g·t_e·𝒢(d1 e).  Cosets are stored by their least representat
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import BallTooLarge, MixedOwners, NotFinite
 from .graph_core import FiniteGraph, SpanningTree
@@ -17,11 +17,13 @@ from .gog import (
     VERTEX,
     GraphOfGroups,
     NormalForm,
-    Word,
+    _check_handles,
     _geodesic,
+    _normal_form,
     coset_rep,
+    invert,
     multiply,
-    reduce,
+    vertex_handle_of,
 )
 
 
@@ -31,6 +33,14 @@ class TreeVertex:
 
     vertex_id: str
     rep: NormalForm
+    # The generated hash, computed once: walks and balls key sets and dicts by it.
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.vertex_id, self.rep)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def text(self) -> str:
         return f"{self.rep.text()}·G({self.vertex_id})"
@@ -42,14 +52,22 @@ class TreeEdge:
 
     edge_id: str
     rep: NormalForm
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.edge_id, self.rep)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def text(self) -> str:
         return f"{self.rep.text()}·G({self.edge_id})"
 
 
 def _least_coset_rep(g: GraphOfGroups, prefix: tuple, vid: str, handles) -> NormalForm:
-    """The least of prefix·h over the handles h at vid, by (syllables, text)."""
-    candidates = [reduce(g, Word(prefix + ((VERTEX, vid, h),))) for h in handles]
+    """The least of prefix·h over the handles h at vid, by (syllables, text);
+    the prefix and the handles are trusted."""
+    candidates = [_normal_form(g, prefix + ((VERTEX, vid, h),)) for h in handles]
     least = min(len(c.syllables) for c in candidates)
     return min((c for c in candidates if len(c.syllables) == least), key=NormalForm.text)
 
@@ -66,7 +84,10 @@ def _vertex_at(g: GraphOfGroups, vid: str, prefix: tuple) -> TreeVertex:
 
 
 def _edge_at(g: GraphOfGroups, eid: str, prefix: tuple) -> TreeEdge:
-    return TreeEdge(eid, _least_coset_rep(g, prefix, g.graph.d0[eid], g.inclusions[eid][0]))
+    vid, images = g.graph.d0[eid], g.inclusions[eid][0]
+    # A graph built in code may hold inclusion images no check has seen.
+    _check_handles(g, tuple((VERTEX, vid, h) for h in images))
+    return TreeEdge(eid, _least_coset_rep(g, prefix, vid, images))
 
 
 def _check_rep(g: GraphOfGroups, x: NormalForm | None) -> tuple:
@@ -206,8 +227,8 @@ def _elliptic_crossings(g: GraphOfGroups, x: NormalForm) -> list[tuple]:
     """
     if x.owner is not g:
         raise MixedOwners("element belongs to a different graph of groups")
-    crossings, _ = _geodesic(g, Word(x.syllables), g.basepoint)
-    if len(_geodesic(g, Word(x.syllables * 2), g.basepoint)[0]) > len(crossings):
+    crossings, _ = _geodesic(g, x.syllables, g.basepoint)
+    if len(_geodesic(g, x.syllables * 2, g.basepoint)[0]) > len(crossings):
         raise NotFinite(f"{x.text()} has infinite order: it fixes no tree vertex")
     return crossings
 
@@ -229,12 +250,23 @@ def fixed_vertex(g: GraphOfGroups, elements: list[NormalForm]) -> TreeVertex:
     elliptic (Serre, *Trees*, §I.6.5); else NotFinite, naming an element of
     infinite order.  Each x's nearest fixed vertex lies on the geodesic from
     the base to the group's nearest one, which is therefore the deepest.
+
+    When every x fixes that midpoint, the group lies in its stabiliser and is
+    finite, so no pair needs a check; otherwise the pairs are checked in order
+    and one of them names the element of infinite order.
     """
     geodesics = [_elliptic_crossings(g, x) for x in elements]
+    tv = _midpoint(g, max(geodesics, key=len, default=[]))
+    rep, rep_inv = tv.rep, invert(tv.rep)
+    if all(
+        vertex_handle_of(g, tv.vertex_id, multiply(multiply(rep_inv, x), rep)) is not None
+        for x in elements
+    ):
+        return tv
     for i, x in enumerate(elements):
         for y in elements[i + 1:]:
             _elliptic_crossings(g, multiply(x, y))
-    return _midpoint(g, max(geodesics, key=len, default=[]))
+    return tv
 
 
 def conjugate_finite_into_vertex(

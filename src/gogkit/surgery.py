@@ -532,7 +532,9 @@ class AmalgamDescription:
     lambda_subgraph: Subgraph
 
     def in_delta(self, x: NormalForm) -> bool:
-        syllables = _reduce_from(self.owner, Word(x.syllables), self.delta_vertex)
+        if x.owner is not self.owner:
+            raise MixedOwners("normal form belongs to a different graph of groups")
+        syllables = _reduce_from(self.owner, x.syllables, self.delta_vertex)
         for s in syllables:
             if s[0] == VERTEX and s[1] not in self.delta_vertices:
                 return False

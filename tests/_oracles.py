@@ -664,6 +664,20 @@ def fixed_vertex_by_action(g, elements, radius=8):
     return None
 
 
+def fixed_vertex_pairwise(g, elements):
+    """``fixed_vertex`` checking every x and every pair product x·y for
+    ellipticity (Serre, *Trees*, §I.6.5) before it returns the deepest
+    midpoint: n(n−1)/2 products for n elements."""
+    from gogkit.gog import multiply
+    from gogkit.structure_tree import _elliptic_crossings, _midpoint
+
+    geodesics = [_elliptic_crossings(g, x) for x in elements]
+    for i, x in enumerate(elements):
+        for y in elements[i + 1:]:
+            _elliptic_crossings(g, multiply(x, y))
+    return _midpoint(g, max(geodesics, key=len, default=[]))
+
+
 MAX_EXHAUSTIVE_ORDER = 256
 
 

@@ -338,6 +338,21 @@ def test_surgery_amalgamate_reports_factors(capsys):
     assert "chi:   [0, 3] at w" in lines[2]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["quotient", "embed", "c4c6", "--vertex", "zz", "--subgroup", "0,2"], "unknown vertex 'zz'"),
+    (["surgery", "attach", "c4c6", "--vertex", "zz", "--chi", "0,2"], "unknown vertex 'zz'"),
+    (["deriv", "kernel-scan", "c4c6", "--kind", "access", "--base", "v", "--mod", "5",
+      "--subgroup", "zz", "--radius", "2"], "unknown vertex 'zz'"),
+    (["quotient", "embed", "expand_demo", "--vertex", "m", "--subgroup", "0"],
+     "vertex group at 'm' is not a finite table"),
+    (["surgery", "attach", "expand_demo", "--vertex", "m", "--chi", "0"],
+     "vertex group at 'm' is not a finite table"),
+])
+def test_vertex_options_name_a_bad_vertex(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_surgery_unknown_edge(capsys):
     code, _, err = run(capsys, "surgery", "collapse", "c4c6", "--edge", "zz")
     assert code == 2

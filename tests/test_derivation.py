@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from _oracles import evaluate_two_step
 from gogkit.acceptance import _derivations
-from gogkit.errors import BadModulus, GluingConditionFailed
+from gogkit.errors import BadModulus, GluingConditionFailed, MalformedWord
 from gogkit.derivation import (
     STANDARD,
     TWISTED,
@@ -120,6 +120,15 @@ def test_accessibility_amalgam_is_single_dunwoody(c4c6):
     d = dunwoody_derivation(c4c6, "v", "w", 5)
     assert acc.rank == 1
     assert acc.components[0].values == d.components[0].values
+
+
+@pytest.mark.parametrize("handle", [99, -1, 1.0, "g1"])
+def test_evaluate_rejects_a_bad_handle(c4c6, handle):
+    d = accessibility_derivation(c4c6, "v", 5)
+    syllables = ((VERTEX, "w", 1), (VERTEX, "v", handle))
+    for x in (Word(syllables), syllables):
+        with pytest.raises(MalformedWord):
+            evaluate(d, x)
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,13 @@ from gogkit.gog import (
     Word,
     _rebuilt,
     _reduce_from,
+    _unit,
     alphabet,
     ball,
     equal,
     identity,
     invert,
+    invert_word,
     multiply,
     nf,
     parse_word,
@@ -43,7 +45,9 @@ from gogkit.gog import (
     vertex_handle_of,
     word_text,
 )
+from gogkit.derivation import STANDARD, TWISTED, Component, Derivation, evaluate
 from gogkit.finite_group import make_group, subgroup_closure
+from gogkit.group_ring import ring_term
 from gogkit.graph_core import FiniteGraph, SpanningTree
 
 from _oracles import (
@@ -58,6 +62,7 @@ from _oracles import (
     c6hnn_in_vertex,
     c6hnn_model,
     composite_generator_handles,
+    evaluate_two_step,
     malnormality_by_ball,
     reduce_three_pass,
 )
@@ -239,7 +244,37 @@ def test_one_pass_reduction_matches_three_pass_oracle(name, data):
     g = ORACLE_GRAPHS[name]
     w = data.draw(words_over(ORACLE_ALPHABETS[name], max_size=16))
     for base in sorted(g.graph.vertices):
-        assert _reduce_from(g, w, base) == reduce_three_pass(g, w, base), base
+        assert _reduce_from(g, w.syllables, base) == reduce_three_pass(g, w, base), base
+
+
+def oracle_derivation(g):
+    """A standard and a twisted component with a value on every generator.
+
+    Not glued: ``evaluate`` and its two-step reference compute the same sum
+    whether or not the table is well defined.
+    """
+    values = {
+        gen if gen[0] == VERTEX else gen[:2]: ring_term(_unit(g, gen), 5, 1 + i % 4)
+        for i, gen in enumerate(presentation(g).generators)
+    }
+    return Derivation(g, 5, (Component(STANDARD, values), Component(TWISTED, values)))
+
+
+ORACLE_DERIVATIONS = {name: oracle_derivation(g) for name, g in ORACLE_GRAPHS.items()}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_products_and_evaluate_match_the_oracles(name, data):
+    g = ORACLE_GRAPHS[name]
+    w1, w2 = (data.draw(words_over(ORACLE_ALPHABETS[name], max_size=8)) for _ in range(2))
+    x, y = reduce(g, w1), reduce(g, w2)
+    assert multiply(x, y).syllables == reduce_three_pass(g, Word(x.syllables + y.syllables), g.basepoint)
+    assert invert(x).syllables == reduce_three_pass(g, invert_word(g, Word(x.syllables)), g.basepoint)
+    d = ORACLE_DERIVATIONS[name]
+    for arg in (w1, w1.syllables, x, multiply(x, y)):
+        assert evaluate(d, arg) == evaluate_two_step(d, arg)
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +613,32 @@ def test_validate_reports_out_of_range_image(c4c6):
 def test_vertex_element_and_identity_helpers(c4c6):
     assert vertex_element(c4c6, "v", 1).text() == "v:g1"
     assert identity(c4c6).syllables == ()
+
+
+# ---------------------------------------------------------------------------
+# Handle checks where words enter
+
+
+@pytest.mark.parametrize("handle", [99, -1, 1.0, "g1"])
+def test_reduce_rejects_a_bad_table_handle(c4c6, handle):
+    # -1 would index the last row of C4's table if nothing checked it.
+    for syllables in (
+        ((VERTEX, "v", handle),),
+        ((VERTEX, "w", 1), (LETTER, "e", 1), (VERTEX, "v", handle), (VERTEX, "w", 2)),
+    ):
+        with pytest.raises(MalformedWord):
+            reduce(c4c6, Word(syllables))
+
+
+def test_reduce_rejects_a_foreign_nested_handle(expand_demo):
+    other = load_fixture("expand_demo")
+    foreign = other.vertex_groups["m"].generator_handles()[0]
+    own = expand_demo.vertex_groups["m"].generator_handles()[0]
+    assert foreign == reduce(other.vertex_groups["m"].sub, Word(own.syllables))
+    for syllables in (((VERTEX, "m", foreign),), ((VERTEX, "z", 1), (VERTEX, "m", foreign))):
+        with pytest.raises(MalformedWord):
+            reduce(expand_demo, Word(syllables))
+    assert reduce(expand_demo, Word(((VERTEX, "m", own),))).syllables
 
 
 def _path_with_double_edge(tree_edges):

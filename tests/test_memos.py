@@ -75,7 +75,7 @@ def assert_memos_match_loops(g, words):
             assert tree_path_oriented(g.tree, v, w) == expected, (v, w)
     for w in words:
         for base in sorted(g.graph.vertices):
-            assert _reduce_from(g, w, base) == reduce_three_pass(g, w, base), (w, base)
+            assert _reduce_from(g, w.syllables, base) == reduce_three_pass(g, w, base), (w, base)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -6,11 +6,18 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import fixed_vertex_by_action, neighbors_brute, tree_edge_brute, tree_vertex_brute
+from _oracles import (
+    fixed_vertex_by_action,
+    fixed_vertex_pairwise,
+    neighbors_brute,
+    tree_edge_brute,
+    tree_vertex_brute,
+)
 from gogkit.documents import parse_document
-from gogkit.errors import BallTooLarge, NotFinite
+from gogkit.errors import BallTooLarge, MalformedWord, NotFinite
 from gogkit.fixtures import load_fixture
 from gogkit.gog import (
+    GraphOfGroups,
     Word,
     _geodesic,
     ball,
@@ -49,6 +56,15 @@ def test_edge_incidence_formulas(c4c6):
     E = tree_edge(c4c6, "e", nf(c4c6, "v:g1"))
     assert edge_d0(c4c6, E) == tree_vertex(c4c6, "v", nf(c4c6, "v:g1"))
     assert edge_d1(c4c6, E) == tree_vertex(c4c6, "w", nf(c4c6, "v:g1"))
+
+
+@pytest.mark.parametrize("image", [99, -1])
+def test_tree_edge_rejects_an_out_of_range_inclusion_image(c4c6, image):
+    # Built in code, so no document check saw the image; -1 would index C4.
+    g = GraphOfGroups(c4c6.graph, c4c6.vertex_groups, c4c6.edge_groups, {"e": ((0, image), (0, 3))})
+    for rep in (None, nf(g, "v:g1")):
+        with pytest.raises(MalformedWord):
+            tree_edge(g, "e", rep)
 
 
 def test_stabilizer_fixes_vertex(c4c6):
@@ -151,6 +167,11 @@ def test_fixed_vertex_in_a_vertex_group_of_order_300():
     assert fixed_vertex(g, [nf(g, "v:g1")]) == tree_vertex(g, "v")
     conj = nf(g, "w:g1 * v:g7 * w:g1")
     assert fixed_vertex(g, [conj]).text() == "w:g1·G(v)"
+    # One check per element: the pairwise reference takes n(n−1)/2 products.
+    conjugates = [nf(g, f"w:g1 * v:g{i} * w:g1") for i in range(1, 300)]
+    assert fixed_vertex(g, conjugates).text() == "w:g1·G(v)"
+    for elements in (conjugates[:30], conjugates[:30] + [nf(g, "v:g1")]):
+        assert _outcome(fixed_vertex, g, elements) == _outcome(fixed_vertex_pairwise, g, elements)
 
 
 def test_conjugate_finite_into_vertex(c4c6):
@@ -230,7 +251,7 @@ def test_crossing_stack_is_the_tree_geodesic():
         for x in BALLS[name]:
             tv = tree_vertex(g, g.basepoint, x)
             if tv in depth:
-                assert len(_geodesic(g, Word(x.syllables), g.basepoint)[0]) == depth[tv], x
+                assert len(_geodesic(g, x.syllables, g.basepoint)[0]) == depth[tv], x
                 checked += 1
     assert checked == 125
 
@@ -240,6 +261,14 @@ def _answer(search, g, elements, *radius):
         return search(g, elements, *radius)
     except NotFinite:
         return NotFinite
+
+
+def _outcome(search, g, elements):
+    """The vertex found, or the NotFinite text."""
+    try:
+        return search(g, elements)
+    except NotFinite as exc:
+        return str(exc)
 
 
 @pytest.mark.parametrize("name", TABLE_FIXTURES)
@@ -268,6 +297,7 @@ def test_fixed_vertices_match_the_action_search(name):
     kinds = Counter()
     for elements in inputs:
         exact = _answer(fixed_vertex, g, elements)
+        assert _outcome(fixed_vertex, g, elements) == _outcome(fixed_vertex_pairwise, g, elements)
         pair = exact if exact is NotFinite else (exact.rep, exact.vertex_id)
         assert _answer(conjugate_finite_into_vertex, g, elements) == pair
         for radius in (1, 2, 3, 8):

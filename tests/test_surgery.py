@@ -378,6 +378,11 @@ def test_collapse_to_amalgam_reads_the_two_factors(c4c6):
     assert not desc.in_delta(mixed) and not desc.in_lambda(mixed)
     # χ sits inside both factors under the edge identification.
     assert desc.in_delta(nf(c4c6, "v:g2")) and desc.in_lambda(nf(c4c6, "w:g3"))
+    # Both factors read x's syllables without a handle check, so x must be c4c6's.
+    foreign = nf(load_fixture("c4c6"), "w:g2")
+    for member in (desc.in_delta, desc.in_lambda):
+        with pytest.raises(MixedOwners):
+            member(foreign)
 
 
 def test_collapse_to_amalgam_multi_vertex_factor(expand_demo):
