@@ -20,7 +20,7 @@ from .derivation import (
 )
 from .documents import load_document, save_document
 from .errors import Exhausted, GogkitError
-from .finite_group import Subgroup
+from .finite_group import Subgroup, subgroup_closure
 from .fixtures import FIXTURE_NAMES, load_fixture
 from .gog import Subgraph, TableVertexGroup, ball, nf, validate
 from .quotients import (
@@ -80,8 +80,20 @@ def _table_group(g, vid: str):
     return vg.group
 
 
-def _handles(text: str) -> tuple[int, ...]:
-    return tuple(sorted(int(part) for part in text.split(",") if part.strip()))
+def _subgroup(g, vid: str, text: str) -> Subgroup:
+    """The subgroup of the table group at ``vid`` whose handles ``text`` lists
+    ('0,2'); they must be in range and closed under the product."""
+    group = _table_group(g, vid)
+    handles = tuple(sorted({int(part) for part in text.split(",") if part.strip()}))
+    for h in handles:
+        if not 0 <= h < group.order:
+            raise ValueError(f"element index {h} out of range at {vid!r}")
+    closure = subgroup_closure(group, handles).elements
+    if closure != handles:
+        raise ValueError(
+            f"handles {list(handles)} are not a subgroup at {vid!r}; they generate {list(closure)}"
+        )
+    return Subgroup(group, handles)
 
 
 def _print_quotient(q):
@@ -231,7 +243,7 @@ def cmd_quotient(args) -> int:
         if not args.vertex or not args.subgroup:
             raise ValueError("embed needs --vertex and --subgroup")
         kwargs["vertex"] = args.vertex
-        kwargs["subgroup"] = Subgroup(_table_group(g, args.vertex), _handles(args.subgroup))
+        kwargs["subgroup"] = _subgroup(g, args.vertex, args.subgroup)
     else:
         if not args.subgraph or not args.given:
             raise ValueError("refine needs --subgraph and --given")
@@ -259,7 +271,7 @@ def cmd_surgery(args) -> int:
     elif args.op == "expand":
         out, witness = expand_vertex(g, args.vertex)
     elif args.op == "attach":
-        chi = Subgroup(_table_group(g, args.vertex), _handles(args.chi))
+        chi = _subgroup(g, args.vertex, args.chi)
         table = find_delta_conjugators(g, args.vertex, chi)
         if table is None:
             print(f"no conjugator table within the vertex group at {args.vertex}")

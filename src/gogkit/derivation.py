@@ -26,7 +26,6 @@ from .gog import (
     _normal_form,
     alphabet,
     ball,
-    identity,
     multiply,
     parse_word,
     presentation,
@@ -42,7 +41,6 @@ from .graph_core import POSITIVE, classify
 from .group_ring import (
     RingVector,
     act_right,
-    add,
     group_sum,
     ring_data,
     ring_from_data,
@@ -87,21 +85,15 @@ def _act(g: GraphOfGroups, vec: RingVector, suffix: NormalForm, action: str) -> 
     return act_right(vec, suffix)
 
 
-def _generator_value(
-    g: GraphOfGroups, comp: Component, mod: int, syl: tuple
-) -> RingVector:
-    zero = ring_zero(g, mod)
-    if syl[0] == VERTEX:
-        return comp.values.get((VERTEX, syl[1], syl[2]), zero)
-    _, eid, exp = syl
-    vec = comp.values.get((LETTER, eid), zero)
-    if exp > 0:
-        return vec
-    return scale(_act(g, vec, stable_letter(g, eid, -1), comp.action), -1)
-
-
 def evaluate(d: Derivation, x) -> list[RingVector]:
-    """Evaluate every component on a word or normal form; all share one walk of suffixes.
+    """Evaluate every component on a word or normal form, by Fox's formula.
+
+    f(s₁⋯sₙ) = Σᵢ f(sᵢ)·α(sᵢ₊₁⋯sₙ) over the syllables as given, with
+    f(t⁻¹) = −f(t)·α(t⁻¹) (Fox, "Free differential calculus I", *Ann. Math.*
+    57, 1953).  One right-to-left pass moves each value by its raw tail: a
+    term w becomes the normal form of w·tail, so no suffix is normalized on
+    its own.  A twisted component moves by the tail's letters, since the
+    retraction is a homomorphism.
 
     The handles of a word, a syllable tuple or another graph's normal form are
     checked once, up front; a normal form of ``d.owner`` is trusted.
@@ -110,13 +102,27 @@ def evaluate(d: Derivation, x) -> list[RingVector]:
     syllables = x.syllables if isinstance(x, (NormalForm, Word)) else tuple(x)
     if not (isinstance(x, NormalForm) and x.owner is g):
         _check_handles(g, syllables)
-    out = [ring_zero(g, d.mod) for _ in d.components]
-    suffix = identity(g)
-    for syl in reversed(syllables):
-        for i, comp in enumerate(d.components):
-            vec = _generator_value(g, comp, d.mod, syl)
-            out[i] = add(out[i], _act(g, vec, suffix, comp.action))
-        suffix = _normal_form(g, (syl,) + suffix.syllables)
+    out = []
+    for comp in d.components:
+        values, twisted = comp.values, comp.action == TWISTED
+        terms: dict[NormalForm, int] = {}
+        tail: tuple = ()
+        for syl in reversed(syllables):
+            kind, name, exp = syl
+            head = tail if twisted and kind == VERTEX else (syl,) + tail
+            if kind == VERTEX:
+                vec, sign, by = values.get(syl), 1, tail
+            elif exp > 0:
+                vec, sign, by = values.get((LETTER, name)), 1, tail
+            else:
+                # f(t⁻¹) = −f(t)·α(t⁻¹): moved by the tail that starts at t⁻¹.
+                vec, sign, by = values.get((LETTER, name)), -1, head
+            if vec is not None:
+                for w, c in vec.terms.items():
+                    moved = _normal_form(g, w.syllables + by) if by else w
+                    terms[moved] = terms.get(moved, 0) + sign * c
+            tail = head
+        out.append(RingVector(g, d.mod, terms))
     return out
 
 

@@ -13,12 +13,15 @@ structure tree reads for fixed vertices.
 
 Handles are checked where words enter, once per word: ``reduce`` on a
 ``Word``, ``parse_word``, ``vertex_element``, ``derivation.evaluate`` on a
-word or another graph's normal form, and the structure tree's edge cosets,
+word or another graph's normal form, the public ``NormalForm`` constructor
+(which also demands a normal form), and the structure tree's edge cosets,
 whose handles are inclusion images.  Inside, the reducer trusts its handles:
 words built from g's own normal forms (``multiply``, ``invert``, ``ball``,
-one-syllable units, ``evaluate``'s suffixes) go through the one trusted entry
-``_normal_form``, ``vertex_handle_of`` reads ``_reduce_from`` at its vertex,
-and neither ``_reduce_from`` nor ``_geodesic`` checks.  ``multiply`` returns
+one-syllable units, ``evaluate``'s moved values) go through the one trusted
+entry ``_normal_form``, ``vertex_handle_of`` reads ``_reduce_from`` at its
+vertex, and neither ``_reduce_from`` nor ``_geodesic`` checks.  A tuple known
+to be canonical already, such as a normal form less its final base carry, is
+wrapped by ``_canonical`` without a reduction.  ``multiply`` returns
 the other factor when one is the identity, which is exact because normal
 forms are canonical.
 
@@ -244,11 +247,23 @@ def _rebuilt(
 
 
 class NormalForm:
-    """A canonical word together with its owning graph of groups."""
+    """A canonical word together with its owning graph of groups.
+
+    The constructor checks: it raises MalformedWord unless ``syllables`` are
+    syllables of ``owner`` with good handles and already its normal form.
+    Trusted code wraps a tuple known to be canonical with ``_canonical``.
+    """
 
     __slots__ = ("owner", "syllables", "_hash")
 
     def __init__(self, owner: GraphOfGroups, syllables: tuple[tuple, ...]):
+        syllables = tuple(syllables)
+        for syl in syllables:
+            if not _is_syllable(owner, syl):
+                raise MalformedWord(f"not a syllable of {owner!r}: {syl!r}")
+        _check_handles(owner, syllables)
+        if _reduce_from(owner, syllables, owner.basepoint) != syllables:
+            raise MalformedWord(f"{word_text(owner, Word(syllables))} is not a normal form")
         self.owner = owner
         self.syllables = syllables
         self._hash = hash(syllables)
@@ -271,6 +286,16 @@ class NormalForm:
 
     def __repr__(self) -> str:
         return f"nf({self.text()})"
+
+
+def _is_syllable(g: GraphOfGroups, syl) -> bool:
+    """``syl`` names a vertex of g, or an edge of g with exponent ±1."""
+    if not (isinstance(syl, tuple) and len(syl) == 3 and isinstance(syl[1], str)):
+        return False
+    kind, name, exp = syl
+    if kind == VERTEX:
+        return name in g.vertex_groups
+    return kind == LETTER and name in g.graph.edges and exp in (1, -1)
 
 
 def word_text(g: GraphOfGroups, w: Word) -> str:
@@ -465,10 +490,20 @@ def _check_handles(g: GraphOfGroups, syllables: tuple):
             raise MalformedWord(f"bad element handle {syl[2]!r} at vertex {syl[1]!r}")
 
 
+_new = object.__new__
+
+
+def _canonical(g: GraphOfGroups, syllables: tuple) -> NormalForm:
+    """Wrap a tuple known to be g's normal form, unchecked."""
+    x = _new(NormalForm)
+    x.owner, x.syllables, x._hash = g, syllables, hash(syllables)
+    return x
+
+
 def _normal_form(g: GraphOfGroups, syllables: tuple) -> NormalForm:
     """The trusted entry: the normal form of syllables whose handles are known
     to be good, such as those of g's own normal forms."""
-    return NormalForm(g, _reduce_from(g, syllables, g.basepoint))
+    return _canonical(g, _reduce_from(g, syllables, g.basepoint))
 
 
 def reduce(g: GraphOfGroups, w: Word) -> NormalForm:
@@ -484,7 +519,7 @@ def nf(g: GraphOfGroups, text: str) -> NormalForm:
 
 
 def identity(g: GraphOfGroups) -> NormalForm:
-    return NormalForm(g, ())
+    return _canonical(g, ())
 
 
 def vertex_element(g: GraphOfGroups, vid: str, handle) -> NormalForm:

@@ -17,6 +17,7 @@ from .gog import (
     VERTEX,
     GraphOfGroups,
     NormalForm,
+    _canonical,
     _check_handles,
     _geodesic,
     _normal_form,
@@ -80,7 +81,19 @@ def _handles(g: GraphOfGroups, vid: str) -> list:
 
 
 def _vertex_at(g: GraphOfGroups, vid: str, prefix: tuple) -> TreeVertex:
-    return TreeVertex(vid, _least_coset_rep(g, prefix, vid, _handles(g, vid)))
+    """The tree vertex prefix·𝒢(vid); the prefix is trusted.
+
+    At the base vertex every prefix·h walks the same crossings, so their
+    normal forms differ only in the final carry (Serre, *Trees*, §I.5): the
+    prefix's normal form less a trailing base syllable is the unique shortest.
+    """
+    handles = _handles(g, vid)
+    if vid != g.basepoint:
+        return TreeVertex(vid, _least_coset_rep(g, prefix, vid, handles))
+    rep = _normal_form(g, prefix).syllables
+    if rep and rep[-1][0] == VERTEX and rep[-1][1] == vid:
+        rep = rep[:-1]
+    return TreeVertex(vid, _canonical(g, rep))
 
 
 def _edge_at(g: GraphOfGroups, eid: str, prefix: tuple) -> TreeEdge:

@@ -15,19 +15,21 @@ a word as a path, then cancels pinches, then normalizes, where the package
 does it in one stack pass, and its coset loop and tree BFS run afresh on
 every call, where the package memoises transversals and tree paths; the
 two-step derivation evaluator reduces each syllable on its own before
-multiplying it onto the suffix; the brute-force
-coset tree multiplies a representative by every element of a vertex or edge
-group and walks every vertex element to find neighbours, removing duplicate
-edges in a dict, where the package reads handles and one transversal; the
-subgroup closure multiplies on both sides and inverts, where the package only
-multiplies on the right by the seeds; the fixed-vertex search closes
-the subgroup by multiplication, then tests each vertex by the action and
-sorts every level of its walk, where the package reads the vertex off the
-elements' tree geodesics; the ball malnormality check tests every element of
-a ball, where the package tests only the vertices two edges from the base;
-the relator, sampler-alphabet, ball-alphabet and nested-generator lists are
-each enumerated by hand, where the package reads them all off one
-presentation.
+multiplying it onto the suffix, and moves each value by that normalized
+suffix, where the package moves each term by the raw tail of the word; the
+brute-force coset tree multiplies a representative by every element of a
+vertex or edge group and walks every vertex element to find neighbours,
+removing duplicate edges in a dict, where the package reads handles and one
+transversal, and tries every coset member at the base vertex too, where the
+package drops the final base carry; the subgroup closure multiplies on both
+sides and inverts, where the package only multiplies on the right by the
+seeds; the fixed-vertex search closes the subgroup by multiplication, then
+tests each vertex by the action and sorts every level of its walk, where the
+package reads the vertex off the elements' tree geodesics; the ball
+malnormality check tests every element of a ball, where the package tests
+only the vertices two edges from the base; the relator, sampler-alphabet,
+ball-alphabet and nested-generator lists are each enumerated by hand, where
+the package reads them all off one presentation.
 """
 from __future__ import annotations
 
@@ -544,13 +546,29 @@ def coset_rep_loop(g, vid: str, eid: str, side: int, x):
 # Two-step derivation evaluation: each syllable reduced, then multiplied on
 
 
+def _generator_value(g, comp, mod: int, syl: tuple):
+    """The value of one syllable, f(t⁻¹) = −f(t)·α(t⁻¹) included."""
+    from gogkit.derivation import _act
+    from gogkit.gog import stable_letter
+    from gogkit.group_ring import ring_zero, scale
+
+    zero = ring_zero(g, mod)
+    if syl[0] == VERTEX:
+        return comp.values.get((VERTEX, syl[1], syl[2]), zero)
+    _, eid, exp = syl
+    vec = comp.values.get((LETTER, eid), zero)
+    if exp > 0:
+        return vec
+    return scale(_act(g, vec, stable_letter(g, eid, -1), comp.action), -1)
+
+
 def evaluate_two_step(d, x) -> list:
     """Every component of ``d`` on a word or normal form.
 
     Walks the syllables right to left, reducing each one on its own and then
     multiplying it onto the suffix.
     """
-    from gogkit.derivation import _act, _generator_value
+    from gogkit.derivation import _act
     from gogkit.gog import Word, identity, multiply, reduce, vertex_element
     from gogkit.group_ring import add, ring_zero
 

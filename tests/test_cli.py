@@ -353,6 +353,16 @@ def test_vertex_options_name_a_bad_vertex(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command, option", [("quotient embed", "--subgroup"), ("surgery attach", "--chi")])
+@pytest.mark.parametrize("handles, message", [
+    ("0,9", "element index 9 out of range at 'v'"),
+    ("0,1", "handles [0, 1] are not a subgroup at 'v'; they generate [0, 1, 2, 3]"),
+])
+def test_subgroup_handles_are_checked(capsys, command, option, handles, message):
+    code, out, err = run(capsys, *command.split(), "c4c6", "--vertex", "v", option, handles)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_surgery_unknown_edge(capsys):
     code, _, err = run(capsys, "surgery", "collapse", "c4c6", "--edge", "zz")
     assert code == 2

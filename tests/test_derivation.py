@@ -22,7 +22,18 @@ from gogkit.derivation import (
     kernel_scan,
 )
 from gogkit.fixtures import load_fixture
-from gogkit.gog import LETTER, VERTEX, Subgraph, Word, ball, multiply, nf, reduce, vertex_element
+from gogkit.gog import (
+    LETTER,
+    VERTEX,
+    Subgraph,
+    Word,
+    ball,
+    multiply,
+    nf,
+    parse_word,
+    reduce,
+    vertex_element,
+)
 from gogkit.group_ring import ring_one, ring_term, subtract
 
 AMALGAM = load_fixture("c4c6")
@@ -319,3 +330,16 @@ def test_evaluate_matches_two_step_reference(name):
     for label, d in derivations:
         for x in ball(d.owner, 3):
             assert evaluate(d, x) == evaluate_two_step(d, x), (label, x.text())
+
+
+def test_evaluate_reads_the_word_it_is_given(c4c6):
+    # glue accepts this table, since the presentation has no vertex-group
+    # relators yet, though it breaks the law: the word v:g1 * v:g1 and its
+    # normal form v:g2 get different values.  evaluate, like the two-step
+    # reference, evaluates the word as given.
+    d = glue(c4c6, 5, [(STANDARD, {"v:g1": ring_one(c4c6, 5)})])
+    word = parse_word(c4c6, "v:g1 * v:g1")
+    assert reduce(c4c6, word).text() == "v:g2"
+    for evaluator in (evaluate, evaluate_two_step):
+        assert ring_texts(evaluator(d, word)) == ["1·[1] + 1·[v:g1]"]
+        assert ring_texts(evaluator(d, reduce(c4c6, word))) == ["0"]

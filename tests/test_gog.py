@@ -38,6 +38,7 @@ from gogkit.gog import (
     reduce,
     subgraph_group_membership,
     GraphOfGroups,
+    NormalForm,
     validate,
     verify_relative_malnormality,
     vertex_element,
@@ -45,7 +46,14 @@ from gogkit.gog import (
     vertex_handle_of,
     word_text,
 )
-from gogkit.derivation import STANDARD, TWISTED, Component, Derivation, evaluate
+from gogkit.derivation import (
+    STANDARD,
+    TWISTED,
+    Component,
+    Derivation,
+    accessibility_derivation,
+    evaluate,
+)
 from gogkit.finite_group import make_group, subgroup_closure
 from gogkit.group_ring import ring_term
 from gogkit.graph_core import FiniteGraph, SpanningTree
@@ -639,6 +647,44 @@ def test_reduce_rejects_a_foreign_nested_handle(expand_demo):
         with pytest.raises(MalformedWord):
             reduce(expand_demo, Word(syllables))
     assert reduce(expand_demo, Word(((VERTEX, "m", own),))).syllables
+
+
+@pytest.mark.parametrize("syllables", [
+    ((VERTEX, "v", -1),),
+    ((VERTEX, "v", 99),),
+    ((VERTEX, "v", 1), (VERTEX, "v", 1)),  # v:g2 written as a product
+    ((VERTEX, "v", 0),),  # the identity written out
+    ((LETTER, "e", 1),),  # a spanning-tree letter
+    ((VERTEX, "w", 3),),  # the edge-group image, whose normal form is v:g2
+    ((LETTER, "zz", 1),),
+    ((VERTEX, "zz", 1),),
+    (("x", "v", 1),),
+    ((VERTEX, "v"),),
+    ("v:g1",),
+])
+def test_normal_form_constructor_rejects_what_is_not_a_normal_form(c4c6, syllables):
+    with pytest.raises(MalformedWord):
+        NormalForm(c4c6, syllables)
+
+
+def test_a_forged_normal_form_reaches_no_reader(c4c6):
+    d = accessibility_derivation(c4c6, "v", 5)
+    with pytest.raises(MalformedWord):
+        multiply(NormalForm(c4c6, ((VERTEX, "v", -1),)), nf(c4c6, "w:g1"))
+    with pytest.raises(MalformedWord):
+        evaluate(d, NormalForm(c4c6, ((VERTEX, "v", -1),)))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_normal_form_constructor_accepts_every_normal_form(name):
+    g = load_fixture(name)
+    if g.all_tables():
+        elements = ball(g, 3)
+    else:
+        elements = [reduce(g, Word((s,))) for s in alphabet(g)]
+        elements += [multiply(x, y) for x in elements for y in elements]
+    for x in elements:
+        assert NormalForm(g, list(x.syllables)) == x
 
 
 def _path_with_double_edge(tree_edges):

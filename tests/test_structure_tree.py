@@ -9,22 +9,29 @@ from hypothesis import given, settings, strategies as st
 from _oracles import (
     fixed_vertex_by_action,
     fixed_vertex_pairwise,
+    least_coset_rep_brute,
     neighbors_brute,
     tree_edge_brute,
     tree_vertex_brute,
+    vertex_group_elements_brute,
 )
 from gogkit.documents import parse_document
 from gogkit.errors import BallTooLarge, MalformedWord, NotFinite
 from gogkit.fixtures import load_fixture
 from gogkit.gog import (
+    LETTER,
+    VERTEX,
+    CompositeVertexGroup,
     GraphOfGroups,
     Word,
     _geodesic,
+    _rebuilt,
     ball,
     identity,
     invert,
     multiply,
     nf,
+    reduce,
     vertex_element,
     vertex_group_membership,
 )
@@ -32,6 +39,7 @@ from gogkit.structure_tree import (
     TreeEdge,
     TreeVertex,
     _neighbors,
+    _vertex_at,
     act,
     ball_to_dot,
     conjugate_finite_into_vertex,
@@ -254,6 +262,47 @@ def test_crossing_stack_is_the_tree_geodesic():
                 assert len(_geodesic(g, x.syllables, g.basepoint)[0]) == depth[tv], x
                 checked += 1
     assert checked == 125
+
+
+@pytest.mark.parametrize("name", TABLE_FIXTURES)
+def test_base_vertex_rule_matches_brute_force(name):
+    # At the base vertex the rep is the normal form less its final base
+    # carry; every other candidate is tried by the oracle.  The prefixes are
+    # normal forms, a normal form and a trailing letter (edge_d0/edge_d1),
+    # and unnormalized crossing prefixes of a geodesic (_midpoint's).
+    g = GRAPHS[name]
+    base = g.basepoint
+    members = vertex_group_elements_brute(g, base)
+
+    def brute(syllables):
+        return TreeVertex(base, least_coset_rep_brute(reduce(g, Word(syllables)), members))
+
+    checked = 0
+    for x in ball(g, 4):
+        assert tree_vertex(g, base, x) == brute(x.syllables), x
+        for eid in sorted(g.graph.edges):
+            E = tree_edge(g, eid, x)
+            if g.graph.d0[eid] == base:
+                assert edge_d0(g, E) == brute(E.rep.syllables), E.text()
+            if g.graph.d1[eid] == base:
+                assert edge_d1(g, E) == brute(E.rep.syllables + ((LETTER, eid, 1),)), E.text()
+        crossings, _ = _geodesic(g, x.syllables, base)
+        prefix = ()
+        for depth in range(len(crossings) + 1):
+            if depth == len(crossings) or crossings[depth][0] == base:
+                assert _vertex_at(g, base, prefix) == brute(prefix), (x, depth)
+                checked += 1
+            if depth < len(crossings):
+                vid, before, eid, direction = crossings[depth]
+                prefix += ((VERTEX, vid, before), (LETTER, eid, direction))
+    assert checked > len(ball(g, 4))
+
+
+def test_base_vertex_rule_still_refuses_a_nested_base_group(expand_demo):
+    g = _rebuilt(expand_demo, basepoint="m")
+    assert isinstance(g.vertex_groups[g.basepoint], CompositeVertexGroup)
+    with pytest.raises(NotFinite):
+        tree_vertex(g, "m")
 
 
 def _answer(search, g, elements, *radius):
