@@ -22,7 +22,7 @@ from .documents import load_document, save_document
 from .errors import Exhausted, GogkitError
 from .finite_group import Subgroup, subgroup_closure
 from .fixtures import FIXTURE_NAMES, load_fixture
-from .gog import Subgraph, TableVertexGroup, ball, nf, validate
+from .gog import Subgraph, ball, nf, table_group, validate
 from .quotients import (
     quotient_data,
     quotient_from_data,
@@ -70,20 +70,10 @@ def _subgraph(g, text: str) -> Subgraph:
     return Subgraph.of(vertices, edges)
 
 
-def _table_group(g, vid: str):
-    """The finite group at vertex ``vid``, for options that name its elements."""
-    if vid not in g.vertex_groups:
-        raise ValueError(f"unknown vertex {vid!r}")
-    vg = g.vertex_groups[vid]
-    if not isinstance(vg, TableVertexGroup):
-        raise ValueError(f"vertex group at {vid!r} is not a finite table")
-    return vg.group
-
-
 def _subgroup(g, vid: str, text: str) -> Subgroup:
     """The subgroup of the table group at ``vid`` whose handles ``text`` lists
     ('0,2'); they must be in range and closed under the product."""
-    group = _table_group(g, vid)
+    group = table_group(g, vid)
     handles = tuple(sorted({int(part) for part in text.split(",") if part.strip()}))
     for h in handles:
         if not 0 <= h < group.order:

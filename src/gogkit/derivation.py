@@ -22,7 +22,7 @@ from .gog import (
     Report,
     Subgraph,
     Word,
-    _check_handles,
+    _check_word,
     _normal_form,
     alphabet,
     ball,
@@ -95,13 +95,13 @@ def evaluate(d: Derivation, x) -> list[RingVector]:
     its own.  A twisted component moves by the tail's letters, since the
     retraction is a homomorphism.
 
-    The handles of a word, a syllable tuple or another graph's normal form are
-    checked once, up front; a normal form of ``d.owner`` is trusted.
+    A word, a syllable tuple or another graph's normal form goes through
+    ``_check_word`` once, up front; a normal form of ``d.owner`` is trusted.
     """
     g = d.owner
     syllables = x.syllables if isinstance(x, (NormalForm, Word)) else tuple(x)
     if not (isinstance(x, NormalForm) and x.owner is g):
-        _check_handles(g, syllables)
+        _check_word(g, syllables)
     out = []
     for comp in d.components:
         values, twisted = comp.values, comp.action == TWISTED

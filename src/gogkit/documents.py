@@ -161,6 +161,8 @@ def parse_document(data) -> GogDocument:
     if basepoint is not None and basepoint not in vertex_ids:
         raise DocumentError(f"basepoint {basepoint!r} is not a vertex")
     name = data.get("name", "")
+    if not isinstance(name, str):
+        raise DocumentError(f"document 'name' must be a string, got {name!r}")
     gog = GraphOfGroups(
         graph, vertex_groups, edge_groups, inclusions, tree=tree,
         basepoint=basepoint, name=name,

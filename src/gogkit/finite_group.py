@@ -290,7 +290,10 @@ def make_group(spec) -> FiniteGroup:
                 and all(isinstance(label, str) for label in labels)
             ):
                 raise ValueError("group spec 'labels' must be a list of one string per element")
-            return _from_table(table, labels, spec.get("name", ""))
+            name = spec.get("name", "")
+            if not isinstance(name, str):
+                raise ValueError(f"group spec 'name' must be a string, got {name!r}")
+            return _from_table(table, labels, name)
     raise ValueError(f"unrecognized group spec: {spec!r}")
 
 

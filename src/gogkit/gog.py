@@ -11,13 +11,15 @@ their canonical words are identical.  The crossings left after cancellation
 are the tree geodesic from the base vertex (``_geodesic``), which the
 structure tree reads for fixed vertices.
 
-Handles are checked where words enter, once per word: ``reduce`` on a
-``Word``, ``parse_word``, ``vertex_element``, ``derivation.evaluate`` on a
-word or another graph's normal form, the public ``NormalForm`` constructor
-(which also demands a normal form), and the structure tree's edge cosets,
-whose handles are inclusion images.  Inside, the reducer trusts its handles:
-words built from g's own normal forms (``multiply``, ``invert``, ``ball``,
-one-syllable units, ``evaluate``'s moved values) go through the one trusted
+Words are checked where they enter, once per word, by the one gate
+``_check_word``, called by ``reduce`` on a ``Word``, the public
+``NormalForm`` constructor (which also demands a normal form),
+``vertex_element``, ``stable_letter``, ``derivation.evaluate`` on a word or
+another graph's normal form, and the structure tree's edge cosets, whose
+handles are inclusion images.  ``table_group`` is the one test that a vertex
+carries a finite table.  Inside, the reducer trusts its handles: words built
+from g's own normal forms (``multiply``, ``invert``, ``ball``, one-syllable
+units, ``evaluate``'s moved values) go through the one trusted
 entry ``_normal_form``, ``vertex_handle_of`` reads ``_reduce_from`` at its
 vertex, and neither ``_reduce_from`` nor ``_geodesic`` checks.  A tuple known
 to be canonical already, such as a normal form less its final base carry, is
@@ -217,6 +219,18 @@ class GraphOfGroups:
         return f"GraphOfGroups({tag}, |V|={len(self.graph.vertices)}, |E|={len(self.graph.edges)})"
 
 
+def table_group(g: GraphOfGroups, vid: str) -> FiniteGroup:
+    """The finite group at vertex ``vid``: ValueError for an unknown vertex,
+    NotFinite for a nested graph of groups.  The one test that a vertex is a
+    finite table."""
+    if vid not in g.vertex_groups:
+        raise ValueError(f"unknown vertex {vid!r}")
+    vg = g.vertex_groups[vid]
+    if not isinstance(vg, TableVertexGroup):
+        raise NotFinite(f"vertex group at {vid!r} is not a finite table")
+    return vg.group
+
+
 def _rebuilt(
     g: GraphOfGroups, *, vertices=None, edges=None, d0=None, d1=None, vertex_groups=None,
     edge_groups=None, inclusions=None, tree=None, basepoint=None, name=None,
@@ -258,10 +272,7 @@ class NormalForm:
 
     def __init__(self, owner: GraphOfGroups, syllables: tuple[tuple, ...]):
         syllables = tuple(syllables)
-        for syl in syllables:
-            if not _is_syllable(owner, syl):
-                raise MalformedWord(f"not a syllable of {owner!r}: {syl!r}")
-        _check_handles(owner, syllables)
+        _check_word(owner, syllables)
         if _reduce_from(owner, syllables, owner.basepoint) != syllables:
             raise MalformedWord(f"{word_text(owner, Word(syllables))} is not a normal form")
         self.owner = owner
@@ -286,16 +297,6 @@ class NormalForm:
 
     def __repr__(self) -> str:
         return f"nf({self.text()})"
-
-
-def _is_syllable(g: GraphOfGroups, syl) -> bool:
-    """``syl`` names a vertex of g, or an edge of g with exponent ±1."""
-    if not (isinstance(syl, tuple) and len(syl) == 3 and isinstance(syl[1], str)):
-        return False
-    kind, name, exp = syl
-    if kind == VERTEX:
-        return name in g.vertex_groups
-    return kind == LETTER and name in g.graph.edges and exp in (1, -1)
 
 
 def word_text(g: GraphOfGroups, w: Word) -> str:
@@ -481,13 +482,20 @@ def coset_rep(g: GraphOfGroups, vid: str, eid: str, side: int, x):
     return best_rep, best_k
 
 
-def _check_handles(g: GraphOfGroups, syllables: tuple):
-    """Raise MalformedWord at the first vertex syllable whose handle is not an
-    element of its vertex group."""
-    groups = g.vertex_groups
+def _check_word(g: GraphOfGroups, syllables: tuple):
+    """The one syllable test: raise MalformedWord at the first entry that is
+    neither (VERTEX, v, h), v a vertex of g and h an element of 𝒢(v), nor
+    (LETTER, e, ±1), e an edge of g."""
+    groups, edges = g.vertex_groups, g.graph.edges
     for syl in syllables:
-        if syl[0] == VERTEX and not groups[syl[1]].contains_handle(syl[2]):
-            raise MalformedWord(f"bad element handle {syl[2]!r} at vertex {syl[1]!r}")
+        if not (isinstance(syl, tuple) and len(syl) == 3 and isinstance(syl[1], str)):
+            raise MalformedWord(f"not a syllable of {g!r}: {syl!r}")
+        kind, name, x = syl
+        if kind == VERTEX and name in groups:
+            if not groups[name].contains_handle(x):
+                raise MalformedWord(f"bad element handle {x!r} at vertex {name!r}")
+        elif not (kind == LETTER and name in edges and x in (1, -1)):
+            raise MalformedWord(f"not a syllable of {g!r}: {syl!r}")
 
 
 _new = object.__new__
@@ -509,7 +517,7 @@ def _normal_form(g: GraphOfGroups, syllables: tuple) -> NormalForm:
 def reduce(g: GraphOfGroups, w: Word) -> NormalForm:
     """Canonical normal form of the element represented by ``w``; its handles
     are checked once, before reduction."""
-    _check_handles(g, w.syllables)
+    _check_word(g, w.syllables)
     return _normal_form(g, w.syllables)
 
 
@@ -523,12 +531,15 @@ def identity(g: GraphOfGroups) -> NormalForm:
 
 
 def vertex_element(g: GraphOfGroups, vid: str, handle) -> NormalForm:
-    _check_handles(g, ((VERTEX, vid, handle),))
-    return _unit(g, (VERTEX, vid, handle))
+    syl = (VERTEX, vid, handle)
+    _check_word(g, (syl,))
+    return _unit(g, syl)
 
 
 def stable_letter(g: GraphOfGroups, eid: str, exp: int = 1) -> NormalForm:
-    return _unit(g, (LETTER, eid, exp))
+    syl = (LETTER, eid, exp)
+    _check_word(g, (syl,))
+    return _unit(g, syl)
 
 
 def _unit(g: GraphOfGroups, syl: tuple) -> NormalForm:
@@ -801,11 +812,11 @@ def verify_relative_malnormality(g: GraphOfGroups, h_vertex: str, chi: Subgroup)
     if len(g.graph.vertices) != 2 or len(g.graph.edges) != 1:
         report.fail("graph is not a two-factor amalgam (need 2 vertices, 1 edge)")
         return report
-    vg = g.vertex_groups[h_vertex]
-    if not isinstance(vg, TableVertexGroup):
-        report.fail(f"vertex group at {h_vertex!r} is not a finite table")
+    try:
+        H = table_group(g, h_vertex)
+    except (ValueError, NotFinite) as exc:
+        report.fail(str(exc))
         return report
-    H = vg.group
     (eid,) = g.graph.edges
     side = 0 if g.graph.d0[eid] == h_vertex else 1
     other = g.graph.d1[eid] if side == 0 else g.graph.d0[eid]

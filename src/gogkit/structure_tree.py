@@ -18,12 +18,13 @@ from .gog import (
     GraphOfGroups,
     NormalForm,
     _canonical,
-    _check_handles,
+    _check_word,
     _geodesic,
     _normal_form,
     coset_rep,
     invert,
     multiply,
+    table_group,
     vertex_handle_of,
 )
 
@@ -73,13 +74,6 @@ def _least_coset_rep(g: GraphOfGroups, prefix: tuple, vid: str, handles) -> Norm
     return min((c for c in candidates if len(c.syllables) == least), key=NormalForm.text)
 
 
-def _handles(g: GraphOfGroups, vid: str) -> list:
-    vg = g.vertex_groups[vid]
-    if vg.order is None:
-        raise NotFinite(f"vertex group at {vid!r} is not a finite table")
-    return vg.handles()
-
-
 def _vertex_at(g: GraphOfGroups, vid: str, prefix: tuple) -> TreeVertex:
     """The tree vertex prefix·𝒢(vid); the prefix is trusted.
 
@@ -87,9 +81,9 @@ def _vertex_at(g: GraphOfGroups, vid: str, prefix: tuple) -> TreeVertex:
     normal forms differ only in the final carry (Serre, *Trees*, §I.5): the
     prefix's normal form less a trailing base syllable is the unique shortest.
     """
-    handles = _handles(g, vid)
+    order = table_group(g, vid).order
     if vid != g.basepoint:
-        return TreeVertex(vid, _least_coset_rep(g, prefix, vid, handles))
+        return TreeVertex(vid, _least_coset_rep(g, prefix, vid, range(order)))
     rep = _normal_form(g, prefix).syllables
     if rep and rep[-1][0] == VERTEX and rep[-1][1] == vid:
         rep = rep[:-1]
@@ -99,7 +93,7 @@ def _vertex_at(g: GraphOfGroups, vid: str, prefix: tuple) -> TreeVertex:
 def _edge_at(g: GraphOfGroups, eid: str, prefix: tuple) -> TreeEdge:
     vid, images = g.graph.d0[eid], g.inclusions[eid][0]
     # A graph built in code may hold inclusion images no check has seen.
-    _check_handles(g, tuple((VERTEX, vid, h) for h in images))
+    _check_word(g, tuple((VERTEX, vid, h) for h in images))
     return TreeEdge(eid, _least_coset_rep(g, prefix, vid, images))
 
 
@@ -177,7 +171,7 @@ def _neighbors(g: GraphOfGroups, tv: TreeVertex):
     """
     out = []
     v, a = tv.vertex_id, tv.rep.syllables
-    handles = _handles(g, v)
+    handles = range(table_group(g, v).order)
 
     def add_edges(eid: str, side: int, tail: tuple, far):
         for r in sorted({coset_rep(g, v, eid, side, h)[0] for h in handles}):

@@ -23,7 +23,7 @@ from .errors import (
     TableInvalid,
     WrongShape,
 )
-from .finite_group import Subgroup, is_conjugate_into, subgroup_as_group, subgroup_closure
+from .finite_group import FiniteGroup, Subgroup, is_conjugate_into, subgroup_as_group, subgroup_closure
 from .gog import (
     LETTER,
     VERTEX,
@@ -49,6 +49,7 @@ from .gog import (
     residues,
     stable_letter,
     subgraph_group_membership,
+    table_group,
     vertex_handle_of,
     word_text,
 )
@@ -125,7 +126,9 @@ def validate_witness(w: GogIsoWitness) -> Report:
     """Complete maps, relator preservation both ways, two-sided inverse on generators.
 
     Each generator a map misses and each key that is not a generator is a
-    problem line; when a map misses a generator, nothing is translated.
+    problem line; when a map misses a generator, nothing is translated.  A
+    relator line names the relator's presentation label, a generator line the
+    generator.
     """
     report = Report()
     src = presentation(w.source)
@@ -152,18 +155,18 @@ def validate_witness(w: GogIsoWitness) -> Report:
         ("ψ", "source", w.source, apply_psi, w.target),
         ("φ", "target", w.target, apply_phi, w.source),
     ):
-        for *_, image in residues(g, partial(apply, w), identity(g_to)):
-            report.fail(f"{label} sends {side} relator to {image.text()!r}")
-    for gen in src.generators:
-        x = _unit(w.source, gen)
-        back = translate(w.phi, w.target, w.source, apply_psi(w, x))
-        if back != x:
-            report.fail(f"φ∘ψ moves source generator {x.text()!r} to {back.text()!r}")
-    for gen in tgt.generators:
-        x = _unit(w.target, gen)
-        back = translate(w.psi, w.source, w.target, apply_phi(w, x))
-        if back != x:
-            report.fail(f"ψ∘φ moves target generator {x.text()!r} to {back.text()!r}")
+        for eid, k, _, image in residues(g, partial(apply, w), identity(g_to)):
+            where = f"tree letter t({eid})" if k is None else f"edge {eid!r}, k={k}"
+            report.fail(f"{label} sends {side} relator ({where}) to {image.text()!r}")
+    for label, side, g, there, back in (
+        ("φ∘ψ", "source", w.source, apply_psi, apply_phi),
+        ("ψ∘φ", "target", w.target, apply_phi, apply_psi),
+    ):
+        for gen in presentation(g).generators:
+            x = _unit(g, gen)
+            y = back(w, there(w, x))
+            if y != x:
+                report.fail(f"{label} moves {side} generator {_gen_text(g, gen)!r} to {y.text()!r}")
     return report
 
 
@@ -404,18 +407,21 @@ class ConjugatorTable:
     delta: dict[str, int] = field(default_factory=dict)
 
 
+def _chi_parent(g: GraphOfGroups, v: str, chi: Subgroup) -> FiniteGroup:
+    """The finite table group at v, which χ must be a subgroup of."""
+    group = table_group(g, v)
+    if chi.parent is not group:
+        raise ValueError("χ must be a subgroup of the vertex group at the given vertex")
+    return group
+
+
 def find_delta_conjugators(g: GraphOfGroups, v: str, chi: Subgroup) -> ConjugatorTable | None:
     """Least element of 𝒢(v) conjugating each edge-group image at v into χ.
 
     Returns None when some edge admits no conjugator — inconclusive only in
     the sense that a larger ambient Δ might; within 𝒢(v) the scan is complete.
     """
-    vg = g.vertex_groups[v]
-    if not isinstance(vg, TableVertexGroup):
-        raise ValueError(f"vertex group at {v!r} must be a finite table group")
-    group = vg.group
-    if chi.parent is not group:
-        raise ValueError("χ must be a subgroup of the vertex group at the given vertex")
+    group = _chi_parent(g, v, chi)
     table = ConjugatorTable(g, v, chi)
     for eid in g.graph.incident(v):
         ends = (g.graph.d0[eid], g.graph.d1[eid])
@@ -437,12 +443,7 @@ def attach_amalgam_vertex(
     inclusions at v are conjugated into χ by the table's δ(η), and the stable
     letters absorb the conjugators.
     """
-    vg = g.vertex_groups[v]
-    if not isinstance(vg, TableVertexGroup):
-        raise ValueError(f"vertex group at {v!r} must be a finite table group")
-    group = vg.group
-    if chi.parent is not group:
-        raise ValueError("χ must be a subgroup of the vertex group at the given vertex")
+    group = _chi_parent(g, v, chi)
     if table.owner is not g or table.vertex != v:
         raise TableInvalid("conjugator table belongs to a different attachment")
     if table.chi.parent is not group or set(table.chi.elements) != set(chi.elements):
@@ -499,8 +500,9 @@ def attach_amalgam_vertex(
         name=f"{g.name}~attached" if g.name else "attached",
     )
 
-    psi = {(VERTEX, v, h): Word(((VERTEX, w_id, h),)) for h in vg.generator_handles()}
-    phi = {(VERTEX, w_id, h): Word(((VERTEX, v, h),)) for h in vg.generator_handles()}
+    gens = g.vertex_groups[v].generator_handles()
+    psi = {(VERTEX, v, h): Word(((VERTEX, w_id, h),)) for h in gens}
+    phi = {(VERTEX, w_id, h): Word(((VERTEX, v, h),)) for h in gens}
     for j in out.vertex_groups[v].generator_handles():
         phi[(VERTEX, v, j)] = Word(((VERTEX, v, chi.elements[j]),))
     phi[(LETTER, e_id, 1)] = Word(())
@@ -571,11 +573,8 @@ def collapse_to_amalgam(g: GraphOfGroups, xi: Subgraph) -> AmalgamDescription:
     ends = (g.graph.d0[e], g.graph.d1[e])
     side = 0 if ends[0] in delta_vertices else 1
     delta_vertex = ends[side]
-    vg = g.vertex_groups[delta_vertex]
-    if not isinstance(vg, TableVertexGroup):
-        raise WrongShape("the Δ-side endpoint of the joining edge must be a table group")
     chi = Subgroup(
-        vg.group,
+        table_group(g, delta_vertex),
         tuple(sorted({g.incl(e, side, k) for k in range(g.edge_groups[e].order)})),
     )
     return AmalgamDescription(

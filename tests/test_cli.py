@@ -56,6 +56,21 @@ def test_validate_malformed_group_spec_exits_2(capsys, tmp_path):
     assert "'table' must be a list of lists" in err
 
 
+@pytest.mark.parametrize("command, options", [
+    (["validate"], []),
+    (["surgery", "reverse"], ["--edge", "e", "--out", "x.gog.json"]),
+], ids=["validate", "surgery-reverse"])
+def test_a_group_name_that_is_not_a_string_exits_2(capsys, tmp_path, monkeypatch, command, options):
+    doc = json.loads(fixture_text("c4c6"))
+    c4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    doc["graph"]["vertices"][0]["group"] = {"table": c4, "name": 5}
+    bad = tmp_path / "bad.gog.json"
+    bad.write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *command, str(bad), *options)
+    assert (code, out, err) == (2, "", "error: group spec 'name' must be a string, got 5\n")
+
+
 def test_validate_refuses_a_group_over_the_order_cap(capsys, tmp_path, monkeypatch):
     def refuse(n):
         raise AssertionError("the table was built")

@@ -142,6 +142,15 @@ def test_evaluate_rejects_a_bad_handle(c4c6, handle):
             evaluate(d, x)
 
 
+def test_evaluate_rejects_what_is_not_a_syllable(c6hnn):
+    # Without the check, the unknown edge carries no value and evaluates to 0.
+    d = accessibility_derivation(c6hnn, "v", 5)
+    syllables = ((LETTER, "zz", 1),)
+    for x in (Word(syllables), syllables):
+        with pytest.raises(MalformedWord):
+            evaluate(d, x)
+
+
 # ---------------------------------------------------------------------------
 # The HNN letter component and the two naive tables
 

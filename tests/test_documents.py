@@ -186,10 +186,16 @@ def test_spanning_tree_must_connect():
             lambda d: d["graph"]["edges"][0].update(group={"table": [[0]], "labels": ["a", "b"]}),
             "'labels' must be a list of one string per element",
         ),
+        (
+            lambda d: d["graph"]["vertices"][0].update(group={"table": [[0]], "name": 5}),
+            "group spec 'name' must be a string, got 5",
+        ),
+        (lambda d: d.update(name=5), "document 'name' must be a string, got 5"),
     ],
     ids=[
         "images", "vertices", "graph", "vertex", "vertex-id", "edge-end", "tree", "basepoint",
-        "table-spec", "product-spec", "labels-not-list", "labels-wrong-length",
+        "table-spec", "product-spec", "labels-not-list", "labels-wrong-length", "group-name",
+        "document-name",
     ],
 )
 def test_wrongly_typed_fields_raise_document_error(mutate, message):

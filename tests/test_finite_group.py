@@ -77,6 +77,8 @@ def test_table_validation_errors():
         )
     with pytest.raises(ValueError):
         make_group("unitary 3")
+    with pytest.raises(ValueError, match="'name' must be a string"):
+        make_group({"table": [[0]], "name": 5})
 
 
 def test_subgroup_closure():

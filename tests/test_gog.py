@@ -36,6 +36,7 @@ from gogkit.gog import (
     parse_word,
     presentation,
     reduce,
+    stable_letter,
     subgraph_group_membership,
     GraphOfGroups,
     NormalForm,
@@ -561,6 +562,15 @@ def test_malnormality_counterexample(c4c6):
         assert "H ∩ H^s" in report.problems[0]
 
 
+@pytest.mark.parametrize("name, h_vertex, problem", [
+    ("c4c6", "zz", "unknown vertex 'zz'"),
+    ("expand_demo", "m", "vertex group at 'm' is not a finite table"),
+])
+def test_malnormality_needs_a_table_vertex(name, h_vertex, problem):
+    report = verify_relative_malnormality(load_fixture(name), h_vertex, None)
+    assert report.problems == [problem]
+
+
 def test_malnormality_wrong_shape(c4c2c4):
     chi = subgroup_closure(c4c2c4.vertex_groups["m"].group, [])
     report = verify_relative_malnormality(c4c2c4, "m", chi)
@@ -647,6 +657,27 @@ def test_reduce_rejects_a_foreign_nested_handle(expand_demo):
         with pytest.raises(MalformedWord):
             reduce(expand_demo, Word(syllables))
     assert reduce(expand_demo, Word(((VERTEX, "m", own),))).syllables
+
+
+@pytest.mark.parametrize("syllables", [
+    ((LETTER, "zz", 1),),
+    (("x", "v", 1),),
+    ((VERTEX, "v"),),
+    ((LETTER, "t", 2),),  # read as t(t) if nothing checked the exponent
+])
+def test_reduce_rejects_what_is_not_a_syllable(c6hnn, syllables):
+    with pytest.raises(MalformedWord):
+        reduce(c6hnn, Word(syllables))
+
+
+@pytest.mark.parametrize("unit", [
+    lambda g: vertex_element(g, "zz", 1),
+    lambda g: stable_letter(g, "zz"),
+    lambda g: stable_letter(g, "t", 2),
+], ids=["unknown-vertex", "unknown-edge", "exponent-2"])
+def test_units_reject_what_is_not_a_syllable(c6hnn, unit):
+    with pytest.raises(MalformedWord):
+        unit(c6hnn)
 
 
 @pytest.mark.parametrize("syllables", [

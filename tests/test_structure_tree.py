@@ -75,6 +75,11 @@ def test_tree_edge_rejects_an_out_of_range_inclusion_image(c4c6, image):
             tree_edge(g, "e", rep)
 
 
+def test_tree_vertex_names_an_unknown_vertex(c4c6):
+    with pytest.raises(ValueError, match="unknown vertex 'zz'"):
+        tree_vertex(c4c6, "zz")
+
+
 def test_stabilizer_fixes_vertex(c4c6):
     tw = tree_vertex(c4c6, "w")
     assert act(c4c6, nf(c4c6, "v:g2"), tw) == tw  # a² = b³ ∈ 𝒢(w)

@@ -8,12 +8,13 @@ from gogkit.errors import (
     BadAttachment,
     MixedOwners,
     NotCollapsible,
+    NotFinite,
     TableInvalid,
     WrongShape,
 )
 from gogkit.finite_group import Subgroup, make_group
 from gogkit.fixtures import load_fixture
-from gogkit.gog import VERTEX, GraphOfGroups, Subgraph, Word, ball, nf, parse_word, validate
+from gogkit.gog import LETTER, VERTEX, GraphOfGroups, Subgraph, Word, ball, nf, parse_word, validate
 from gogkit.graph_core import FiniteGraph
 from gogkit.surgery import (
     GogIsoWitness,
@@ -252,6 +253,15 @@ def test_find_delta_requires_matching_subgroup(c4c6):
         find_delta_conjugators(c4c6, "v", Subgroup(other, (0, 2, 4)))
 
 
+def test_conjugator_tables_name_an_unknown_vertex(c4c6):
+    chi = Subgroup(c4c6.vertex_groups["v"].group, (0, 2))
+    table = find_delta_conjugators(c4c6, "v", chi)
+    with pytest.raises(ValueError, match="unknown vertex 'zz'"):
+        find_delta_conjugators(c4c6, "zz", chi)
+    with pytest.raises(ValueError, match="unknown vertex 'zz'"):
+        attach_amalgam_vertex(c4c6, "zz", chi, table)
+
+
 # ---------------------------------------------------------------------------
 # Amalgam attachment
 
@@ -425,6 +435,11 @@ def test_collapse_to_amalgam_shape_errors(c4c6, c4c2c4, c6hnn):
         collapse_to_amalgam(c6hnn, Subgraph.of({"v"}))
 
 
+def test_collapse_to_amalgam_needs_a_table_delta_endpoint(expand_demo):
+    with pytest.raises(NotFinite, match="vertex group at 'm' is not a finite table"):
+        collapse_to_amalgam(expand_demo, Subgraph.of({"z"}))
+
+
 def test_collapse_to_amalgam_three_vertex_chain(c4c2c4):
     desc = collapse_to_amalgam(c4c2c4, Subgraph.of({"m", "u"}, {"e1"}))
     assert desc.edge == "e2" and desc.delta_vertex == "w"
@@ -499,7 +514,12 @@ def test_validate_witness_reports_a_surviving_source_relator(c4c6):
     psi = {**w.psi, (VERTEX, "v", 2): parse_word(out, "v:g1")}
     report = validate_witness(GogIsoWitness(w.source, w.target, psi, w.phi))
     assert not report.ok
-    assert _relator_lines(report) == ["ψ sends source relator to 'v:g3'"]
+    assert _relator_lines(report) == ["ψ sends source relator (edge 'e', k=1) to 'v:g3'"]
+    # v:g2 and w:g3 have one normal form; each generator line names its generator.
+    assert [line for line in report.problems if line.startswith("φ∘ψ")][:2] == [
+        "φ∘ψ moves source generator 'v:g2' to 'v:g1'",
+        "φ∘ψ moves source generator 'w:g3' to 'v:g1'",
+    ]
 
 
 def test_validate_witness_reports_every_surviving_relator(c4c6, c4c2c4):
@@ -508,14 +528,21 @@ def test_validate_witness_reports_every_surviving_relator(c4c6, c4c2c4):
     phi = {**w.phi, (VERTEX, "w", 3): parse_word(c4c6, "w:g1")}
     report = validate_witness(GogIsoWitness(w.source, w.target, psi, phi))
     assert _relator_lines(report) == [
-        "ψ sends source relator to 'v:g3'",
-        "φ sends target relator to 'w:g1 * v:g2'",
+        "ψ sends source relator (edge 'e', k=1) to 'v:g3'",
+        "φ sends target relator (edge 'e', k=1) to 'w:g1 * v:g2'",
     ]
     # Two relators of one map survive: both are reported, not only the first.
     out, w = reverse_edge(c4c2c4, "e1")
     psi = {**w.psi, (VERTEX, "m", 1): parse_word(out, "u:g1")}
     report = validate_witness(GogIsoWitness(w.source, w.target, psi, w.phi))
-    assert _relator_lines(report) == ["ψ sends source relator to 'u:g1 * m:g1'"] * 2
+    assert _relator_lines(report) == [
+        "ψ sends source relator (edge 'e1', k=1) to 'u:g1 * m:g1'",
+        "ψ sends source relator (edge 'e2', k=1) to 'u:g1 * m:g1'",
+    ]
+    # A tree letter's relator is the letter itself.
+    psi = {**w.psi, (LETTER, "e2", 1): parse_word(out, "u:g1")}
+    report = validate_witness(GogIsoWitness(w.source, w.target, psi, w.phi))
+    assert _relator_lines(report) == ["ψ sends source relator (tree letter t(e2)) to 'u:g1'"]
 
 
 def _pop(key):
