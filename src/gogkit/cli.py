@@ -419,7 +419,7 @@ def main(argv=None) -> int:
     except Exhausted as ex:
         print(f"exhausted: {ex}", file=sys.stderr)
         return EXHAUSTED
-    except (GogkitError, ValueError, OSError, json.JSONDecodeError) as ex:
+    except (GogkitError, ValueError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return INVALID
 

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import BadModulus, GluingConditionFailed, NotFinite
+from .errors import BadModulus, GluingConditionFailed, NotFinite, expect, member
 from .gog import (
     LETTER,
     VERTEX,
@@ -40,10 +40,10 @@ from .gog import (
 from .graph_core import POSITIVE, classify
 from .group_ring import (
     RingVector,
+    _ring_from_terms,
     act_right,
     group_sum,
     ring_data,
-    ring_from_data,
     ring_zero,
     scale,
     subtract,
@@ -336,23 +336,17 @@ def derivation_data(d: Derivation) -> dict:
 
 
 def derivation_from_data(g: GraphOfGroups, data: dict) -> Derivation:
-    if not isinstance(data, dict) or "mod" not in data or "components" not in data:
-        raise ValueError("derivation data needs 'mod' and 'components'")
-    mod, entries = data["mod"], data["components"]
-    if not isinstance(mod, int):
-        raise ValueError(f"derivation 'mod' must be an integer, got {mod!r}")
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise ValueError("derivation 'components' must be a list of objects")
+    expect(data, dict, ())
+    mod = member(data, "mod", int, ())
     components = []
-    for entry in entries:
-        action = entry.get("action", STANDARD)
+    for i, entry in enumerate(member(data, "components", list, ())):
+        where = ("components", i)
+        action = expect(entry, dict, where).get("action", STANDARD)
         if action not in (STANDARD, TWISTED):
             raise ValueError(f"unknown action {action!r}")
-        values = entry.get("values", {})
-        if not isinstance(values, dict) or not all(isinstance(t, list) for t in values.values()):
-            raise ValueError("derivation 'values' must map each generator to a list of terms")
+        values = expect(entry.get("values", {}), dict, where + ("values",))
         table = {
-            key: ring_from_data(g, {"mod": mod, "terms": terms})
+            key: _ring_from_terms(g, mod, terms, where + ("values", key))
             for key, terms in values.items()
         }
         components.append((action, table))

@@ -12,162 +12,113 @@ import json
 import re
 from dataclasses import dataclass
 
-from .errors import Disconnected, DocumentError
-from .finite_group import FiniteGroup, make_group
+from .errors import Disconnected, DocumentError, GogkitError, expect, json_path, member
+from .finite_group import FiniteGroup, _shorthand_group, make_group
 from .gog import (
     CompositeVertexGroup,
     GraphOfGroups,
     NormalForm,
-    TableVertexGroup,
+    inclusion_problems,
     nf,
 )
 from .graph_core import FiniteGraph, SpanningTree
-from .graph_core import spanning_tree as build_spanning_tree
 
 
 @dataclass
 class GogDocument:
-    """A parsed document: its name, raw data, and the constructed graph of groups."""
+    """A parsed document: its name and the constructed graph of groups."""
 
     name: str
-    data: dict
     gog: GraphOfGroups
 
 
-def _vertex_group_from_spec(spec) -> object:
-    if isinstance(spec, dict) and "gog" in spec:
-        return CompositeVertexGroup(parse_document(spec["gog"]).gog)
-    return TableVertexGroup(_table_group_from_spec(spec))
-
-
-def _table_group_from_spec(spec) -> FiniteGroup:
+def _table_group_from_spec(spec, path: tuple) -> FiniteGroup:
     try:
         return make_group(spec)
     except ValueError as exc:
-        raise DocumentError(str(exc)) from None
+        raise DocumentError(f"{json_path(path)}: {exc}") from None
 
 
-def _images_from_spec(vg, images, where: str):
-    out = []
-    for item in images:
-        if isinstance(vg, CompositeVertexGroup):
-            if not isinstance(item, str):
-                raise DocumentError(
-                    f"{where}: images into a nested group must be word strings"
-                )
-            out.append(nf(vg.sub, item))
-        else:
-            if not isinstance(item, int):
-                raise DocumentError(f"{where}: images must be element indices")
-            if not 0 <= item < vg.group.order:
-                raise DocumentError(f"{where}: element index {item} out of range")
-            out.append(item)
-    return tuple(out)
+def _images_from_spec(vg, entry: dict, key: str, path: tuple) -> tuple:
+    """The handles entry[key] lists: word strings reduced in a nested group, else
+    element indices, whose range ``inclusion_problems`` checks."""
+    images, path = member(entry, key, list, path), path + (key,)
+    if isinstance(vg, CompositeVertexGroup):
+        return tuple(nf(vg.sub, expect(h, str, path + (i,))) for i, h in enumerate(images))
+    return tuple(expect(h, int, path + (i,)) for i, h in enumerate(images))
 
 
 def parse_document(data) -> GogDocument:
-    """Build a graph of groups from document data (a dict or JSON string)."""
+    """Build a graph of groups from document data (a dict or JSON string).
+
+    Every shape error names its JSON path, and the edge inclusions must pass
+    ``inclusion_problems``: DocumentError otherwise.
+    """
     if isinstance(data, str):
         try:
             data = json.loads(data)
         except json.JSONDecodeError as exc:
             raise DocumentError(f"invalid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise DocumentError("document must be a JSON object")
-    if "graph" not in data:
-        raise DocumentError("document is missing the 'graph' section")
-    graph_data = data["graph"]
-    if not isinstance(graph_data, dict):
-        raise DocumentError("the 'graph' section must be an object")
-    for key in ("vertices", "edges"):
-        if key not in graph_data:
-            raise DocumentError(f"graph section is missing {key!r}")
-        if not isinstance(graph_data[key], list):
-            raise DocumentError(f"graph {key!r} must be a list")
+    return _parse(data, ())
 
+
+def _parse(data, path: tuple) -> GogDocument:
+    """parse_document on data found at ``path``: the root, a nested vertex
+    group or a part of a transcript."""
+    expect(data, dict, path)
+    at = path + ("graph",)
+    graph_data = member(data, "graph", dict, path)
     vertex_groups: dict[str, object] = {}
-    vertex_ids: list[str] = []
-    for entry in graph_data["vertices"]:
-        if not isinstance(entry, dict) or "id" not in entry or "group" not in entry:
-            raise DocumentError("each vertex needs 'id' and 'group'")
-        vid = entry["id"]
-        if not isinstance(vid, str):
-            raise DocumentError(f"vertex id {vid!r} must be a string")
+    for i, entry in enumerate(member(graph_data, "vertices", list, at)):
+        where = at + ("vertices", i)
+        vid = member(expect(entry, dict, where), "id", str, where)
         if vid in vertex_groups:
             raise DocumentError(f"duplicate vertex id {vid!r}")
-        vertex_ids.append(vid)
-        vertex_groups[vid] = _vertex_group_from_spec(entry["group"])
+        spec = member(entry, "group", object, where)
+        if isinstance(spec, dict) and "gog" in spec:
+            sub = _parse(spec["gog"], where + ("group", "gog")).gog
+            vertex_groups[vid] = CompositeVertexGroup(sub)
+        else:
+            vertex_groups[vid] = _table_group_from_spec(spec, where + ("group",))
 
-    edge_ids: list[str] = []
     d0: dict[str, str] = {}
     d1: dict[str, str] = {}
     edge_groups: dict[str, FiniteGroup] = {}
-    raw_images: dict[str, tuple] = {}
-    for entry in graph_data["edges"]:
-        for key in ("id", "from", "to", "group", "d0_images", "d1_images"):
-            if not isinstance(entry, dict) or key not in entry:
-                raise DocumentError(f"each edge needs {key!r}")
-        eid = entry["id"]
-        if not all(isinstance(entry[key], str) for key in ("id", "from", "to")):
-            raise DocumentError(f"edge {eid!r}: 'id', 'from' and 'to' must be strings")
+    inclusions: dict[str, tuple] = {}
+    for i, entry in enumerate(member(graph_data, "edges", list, at)):
+        where = at + ("edges", i)
+        eid = member(expect(entry, dict, where), "id", str, where)
         if eid in d0:
             raise DocumentError(f"duplicate edge id {eid!r}")
-        if entry["from"] not in vertex_groups or entry["to"] not in vertex_groups:
-            raise DocumentError(f"edge {eid!r} references an unknown vertex")
-        if not all(isinstance(entry[key], list) for key in ("d0_images", "d1_images")):
-            raise DocumentError(f"edge {eid!r}: image arrays must be lists")
-        edge_ids.append(eid)
-        d0[eid] = entry["from"]
-        d1[eid] = entry["to"]
-        if isinstance(entry["group"], dict) and "gog" in entry["group"]:
+        d0[eid], d1[eid] = member(entry, "from", str, where), member(entry, "to", str, where)
+        spec = member(entry, "group", object, where)
+        if isinstance(spec, dict) and "gog" in spec:
             raise DocumentError(f"edge {eid!r}: edge groups must be finite tables")
-        edge_groups[eid] = _table_group_from_spec(entry["group"])
-        raw_images[eid] = (entry["d0_images"], entry["d1_images"])
-
-    try:
-        graph = FiniteGraph(tuple(vertex_ids), tuple(edge_ids), d0, d1)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from None
-    inclusions = {}
-    for eid in edge_ids:
-        raw0, raw1 = raw_images[eid]
-        n = edge_groups[eid].order
-        if len(raw0) != n or len(raw1) != n:
-            raise DocumentError(f"edge {eid!r}: image arrays must have length {n}")
+        edge_groups[eid] = _table_group_from_spec(spec, where + ("group",))
         inclusions[eid] = (
-            _images_from_spec(vertex_groups[d0[eid]], raw0, f"edge {eid!r} d0_images"),
-            _images_from_spec(vertex_groups[d1[eid]], raw1, f"edge {eid!r} d1_images"),
+            _images_from_spec(vertex_groups.get(d0[eid]), entry, "d0_images", where),
+            _images_from_spec(vertex_groups.get(d1[eid]), entry, "d1_images", where),
         )
 
+    tree = None
     if "spanning_tree" in data:
-        chosen = data["spanning_tree"]
-        if (
-            not isinstance(chosen, list)
-            or not all(isinstance(e, str) and e in d0 for e in chosen)
-            or len(set(chosen)) != len(chosen)
-        ):
-            raise DocumentError("spanning_tree must list edge ids, each once")
-        try:
-            tree = SpanningTree(graph, frozenset(chosen))
-        except ValueError as exc:
-            raise DocumentError(str(exc)) from None
-    else:
-        try:
-            tree = build_spanning_tree(graph)
-        except Disconnected as exc:
-            raise DocumentError(str(exc)) from None
-
-    basepoint = data.get("basepoint")
-    if basepoint is not None and basepoint not in vertex_ids:
-        raise DocumentError(f"basepoint {basepoint!r} is not a vertex")
-    name = data.get("name", "")
-    if not isinstance(name, str):
-        raise DocumentError(f"document 'name' must be a string, got {name!r}")
-    gog = GraphOfGroups(
-        graph, vertex_groups, edge_groups, inclusions, tree=tree,
-        basepoint=basepoint, name=name,
-    )
-    return GogDocument(name=name, data=data, gog=gog)
+        chosen = member(data, "spanning_tree", list, path)
+        tree = frozenset(expect(e, str, path + ("spanning_tree", i)) for i, e in enumerate(chosen))
+        if len(tree) != len(chosen):
+            raise DocumentError("spanning_tree lists an edge twice")
+    name = expect(data.get("name", ""), str, path + ("name",))
+    try:
+        graph = FiniteGraph(tuple(vertex_groups), tuple(d0), d0, d1)
+        gog = GraphOfGroups(
+            graph, vertex_groups, edge_groups, inclusions,
+            tree=None if tree is None else SpanningTree(graph, tree),
+            basepoint=data.get("basepoint"), name=name,
+        )
+    except (ValueError, Disconnected) as exc:
+        raise DocumentError(str(exc)) from None
+    for problem in inclusion_problems(gog):
+        raise DocumentError(problem)
+    return GogDocument(name=name, gog=gog)
 
 
 _SHORTHAND_RE = re.compile(r"^([CDS])(\d+)$")
@@ -175,10 +126,15 @@ _SHORTHAND_KIND = {"C": "cyclic", "D": "dihedral", "S": "symmetric"}
 
 
 def _group_spec(group: FiniteGroup):
+    """The shorthand when the group's name gives one with its table, else the table."""
     m = _SHORTHAND_RE.match(group.name or "")
     if m:
-        n = int(m.group(2))
-        return f"{_SHORTHAND_KIND[m.group(1)]} {n}"
+        kind, n = _SHORTHAND_KIND[m.group(1)], int(m.group(2))
+        try:
+            if _shorthand_group(kind, n).table == group.table:
+                return f"{kind} {n}"
+        except (GogkitError, ValueError):
+            pass  # no such group, as C0, or one over the order cap
     spec = {"table": [list(row) for row in group.table]}
     if group.labels is not None:
         spec["labels"] = list(group.labels)

@@ -91,5 +91,30 @@ class WrongShape(GogkitError):
     """The graph does not have the expected vertex/edge shape."""
 
 
-class DocumentError(GogkitError):
-    """A JSON document does not describe a valid graph of groups."""
+class DocumentError(GogkitError, ValueError):
+    """JSON data does not describe the object its loader builds."""
+
+
+_KIND_TEXT = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def json_path(path: tuple) -> str:
+    """Object keys and list indices as text: graph.edges[0].d0_images."""
+    text = "".join(f".{p}" if str(p).isidentifier() else f"[{p!r}]" for p in path)
+    return text.lstrip(".") or "the top level"
+
+
+def expect(value, kind: type, path: tuple):
+    """``value`` when it has the JSON type ``kind`` (dict, list, str or int;
+    object accepts any), else DocumentError naming its path.  The one shape
+    check of the loaders; the path text is built only when raising."""
+    if isinstance(value, kind):
+        return value
+    raise DocumentError(f"{json_path(path)} must be {_KIND_TEXT[kind]}, got {value!r}")
+
+
+def member(obj: dict, key: str, kind: type, path: tuple):
+    """``obj[key]`` checked by :func:`expect`; a missing key names its path too."""
+    if key not in obj:
+        raise DocumentError(f"{json_path(path + (key,))} is missing")
+    return expect(obj[key], kind, path + (key,))

@@ -17,11 +17,13 @@ Words are checked where they enter, once per word, by the one gate
 ``vertex_element``, ``stable_letter``, ``derivation.evaluate`` on a word or
 another graph's normal form, and the structure tree's edge cosets, whose
 handles are inclusion images.  ``table_group`` is the one test that a vertex
-carries a finite table.  Inside, the reducer trusts its handles: words built
-from g's own normal forms (``multiply``, ``invert``, ``ball``, one-syllable
-units, ``evaluate``'s moved values) go through the one trusted
-entry ``_normal_form``, ``vertex_handle_of`` reads ``_reduce_from`` at its
-vertex, and neither ``_reduce_from`` nor ``_geodesic`` checks.  A tuple known
+carries a finite table, and ``inclusion_problems`` the one check of the edge
+inclusions, read by ``validate`` and by ``parse_document``.  Inside, the
+reducer trusts its handles: words built from g's own normal forms
+(``multiply``, ``invert``, ``ball``, one-syllable units, ``evaluate``'s moved
+values) go through the one trusted entry ``_normal_form``,
+``vertex_handle_of`` reads ``_reduce_from`` at its vertex, and neither
+``_reduce_from`` nor ``_geodesic`` checks.  A tuple known
 to be canonical already, such as a normal form less its final base carry, is
 wrapped by ``_canonical`` without a reduction.  ``multiply`` returns
 the other factor when one is the identity, which is exact because normal
@@ -156,7 +158,7 @@ class GraphOfGroups:
     ``inclusions[e]`` is a pair of handle tuples (into the d0 and d1 vertex
     groups), indexed by the elements of the edge group.  Immutable after
     construction; structural validity is checked here, while the homomorphism
-    invariants are checked by :func:`validate` (report-based).
+    invariants are checked by :func:`inclusion_problems`.
     """
 
     def __init__(
@@ -485,7 +487,9 @@ def coset_rep(g: GraphOfGroups, vid: str, eid: str, side: int, x):
 def _check_word(g: GraphOfGroups, syllables: tuple):
     """The one syllable test: raise MalformedWord at the first entry that is
     neither (VERTEX, v, h), v a vertex of g and h an element of 𝒢(v), nor
-    (LETTER, e, ±1), e an edge of g."""
+    (LETTER, e, ±1), e an edge of g, or at a container that is not a tuple."""
+    if not isinstance(syllables, tuple):
+        raise MalformedWord(f"syllables must be a tuple, got {type(syllables).__name__}")
     groups, edges = g.vertex_groups, g.graph.edges
     for syl in syllables:
         if not (isinstance(syl, tuple) and len(syl) == 3 and isinstance(syl[1], str)):
@@ -675,9 +679,11 @@ class Report:
         return "\n".join(lines)
 
 
-def validate(g: GraphOfGroups) -> Report:
-    """Check the edge inclusions (the spanning tree checked itself); never raises."""
-    report = Report()
+def inclusion_problems(g: GraphOfGroups):
+    """Yield a line per fault of an edge inclusion: an image outside its vertex
+    group, or a map that is not injective, misses the identity or is not a
+    homomorphism.  The one inclusion check, read by ``validate`` and by
+    ``parse_document``."""
     for eid in sorted(g.graph.edges):
         K = g.edge_groups[eid]
         for side, vid in ((0, g.graph.d0[eid]), (1, g.graph.d1[eid])):
@@ -685,20 +691,24 @@ def validate(g: GraphOfGroups) -> Report:
             images = g.inclusions[eid][side]
             bad = [h for h in images if not vg.contains_handle(h)]
             for h in bad:
-                report.fail(f"edge {eid!r} side {side}: image {h!r} not in group at {vid!r}")
+                yield f"edge {eid!r} side {side}: image {h!r} not in group at {vid!r}"
             if bad:
                 continue  # the checks below would index the bad handles
             if len({vg.sort_key(h) for h in images}) != K.order:
-                report.fail(f"edge {eid!r} side {side}: inclusion is not injective")
+                yield f"edge {eid!r} side {side}: inclusion is not injective"
             if images and not vg.is_identity(images[K.identity]):
-                report.fail(f"edge {eid!r} side {side}: identity does not map to identity")
+                yield f"edge {eid!r} side {side}: identity does not map to identity"
             defect = hom_defect(K, images, vg.mul)
             if defect is not None:
                 i, j = defect
-                report.fail(f"edge {eid!r} side {side}: not a homomorphism on pair ({i},{j})")
-    report.counts["vertices"] = len(g.graph.vertices)
-    report.counts["edges"] = len(g.graph.edges)
-    return report
+                yield f"edge {eid!r} side {side}: not a homomorphism on pair ({i},{j})"
+
+
+def validate(g: GraphOfGroups) -> Report:
+    """Check the edge inclusions (the spanning tree checked itself); never raises."""
+    problems = list(inclusion_problems(g))
+    counts = {"vertices": len(g.graph.vertices), "edges": len(g.graph.edges)}
+    return Report(not problems, problems, counts)
 
 
 # ---------------------------------------------------------------------------

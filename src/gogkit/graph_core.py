@@ -139,11 +139,6 @@ def spanning_tree(g: FiniteGraph) -> SpanningTree:
     return SpanningTree(g, frozenset(_search(g, min(g.vertices)).values()) - {None})
 
 
-def tree_path_oriented(t: SpanningTree, v: str, w: str) -> list[tuple[str, int]]:
-    """The unique tree path v → w as (edge, direction) pairs, in a fresh list."""
-    return list(t.path(v, w))
-
-
 def tree_path(t: SpanningTree, v: str, w: str) -> list[str]:
     """Edge ids along the unique tree path from v to w (empty when v == w)."""
     return [e for e, _ in t.path(v, w)]

@@ -3,9 +3,9 @@ from __future__ import annotations
 
 import json
 
-from .errors import MixedOwners, RingMismatch
+from .errors import MixedOwners, RingMismatch, expect, member
 from .finite_group import FiniteGroup
-from .gog import GraphOfGroups, NormalForm, identity, multiply, nf
+from .gog import GraphOfGroups, NormalForm, multiply, nf
 
 
 class RingVector:
@@ -70,10 +70,6 @@ def ring_term(x: NormalForm, mod: int, coeff: int = 1) -> RingVector:
     return RingVector(x.owner, mod, {x: coeff})
 
 
-def ring_one(g: GraphOfGroups, mod: int) -> RingVector:
-    return ring_term(identity(g), mod)
-
-
 def add(u: RingVector, v: RingVector) -> RingVector:
     _check_pair(u, v)
     terms = dict(u.terms)
@@ -135,14 +131,15 @@ def ring_data(u: RingVector) -> dict:
 def ring_from_data(g: GraphOfGroups, data) -> RingVector:
     if isinstance(data, str):
         data = json.loads(data)
-    if not (isinstance(data, dict) and isinstance(data.get("mod"), int)
-            and isinstance(data.get("terms"), list)):
-        raise ValueError("ring vector data needs an integer 'mod' and a list of 'terms'")
-    terms: dict[NormalForm, int] = {}
-    for entry in data["terms"]:
-        if not (isinstance(entry, dict) and isinstance(entry.get("word"), str)
-                and isinstance(entry.get("coeff"), int)):
-            raise ValueError(f"a term needs a 'word' string and an integer 'coeff': {entry!r}")
-        word = nf(g, entry["word"])
-        terms[word] = terms.get(word, 0) + entry["coeff"]
-    return RingVector(g, data["mod"], terms)
+    expect(data, dict, ())
+    mod = member(data, "mod", int, ())
+    return _ring_from_terms(g, mod, member(data, "terms", object, ()), ("terms",))
+
+
+def _ring_from_terms(g: GraphOfGroups, mod: int, terms, path: tuple) -> RingVector:
+    """The vector of a JSON list of {"word", "coeff"} terms found at ``path``."""
+    out: dict[NormalForm, int] = {}
+    for i, entry in enumerate(expect(terms, list, path)):
+        word = nf(g, member(expect(entry, dict, path + (i,)), "word", str, path + (i,)))
+        out[word] = out.get(word, 0) + member(entry, "coeff", int, path + (i,))
+    return RingVector(g, mod, out)

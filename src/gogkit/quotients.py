@@ -23,7 +23,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .errors import Exhausted
+from .errors import Exhausted, expect, member
 from .finite_group import (
     FiniteGroup,
     Subgroup,
@@ -346,17 +346,14 @@ def quotient_data(q: FiniteQuotient) -> dict:
 def quotient_from_data(g: GraphOfGroups, data) -> FiniteQuotient:
     if isinstance(data, str):
         data = json.loads(data)
-    if not isinstance(data, dict) or not all(
-        isinstance(data.get(key), dict) for key in ("vertex_images", "letter_images")
-    ):
-        raise ValueError("quotient data needs 'vertex_images' and 'letter_images' objects")
-    if not all(isinstance(arr, list) for arr in data["vertex_images"].values()):
-        raise ValueError("vertex image arrays must be lists")
-    if "target" not in data:
-        raise ValueError("quotient data needs a 'target' group spec")
-    target = make_group(data["target"])
-    vertex_images = {v: tuple(arr) for v, arr in data["vertex_images"].items()}
-    q = quotient_from_images(g, target, vertex_images, dict(data["letter_images"]))
+    expect(data, dict, ())
+    vertex_images = {
+        v: tuple(expect(arr, list, ("vertex_images", v)))
+        for v, arr in member(data, "vertex_images", dict, ()).items()
+    }
+    letter_images = dict(member(data, "letter_images", dict, ()))
+    target = make_group(member(data, "target", object, ()))
+    q = quotient_from_images(g, target, vertex_images, letter_images)
     if q is None:
         raise ValueError("image tables do not define a homomorphism")
     return q

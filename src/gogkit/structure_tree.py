@@ -91,6 +91,8 @@ def _vertex_at(g: GraphOfGroups, vid: str, prefix: tuple) -> TreeVertex:
 
 
 def _edge_at(g: GraphOfGroups, eid: str, prefix: tuple) -> TreeEdge:
+    if eid not in g.inclusions:
+        raise ValueError(f"unknown edge {eid!r}")
     vid, images = g.graph.d0[eid], g.inclusions[eid][0]
     # A graph built in code may hold inclusion images no check has seen.
     _check_word(g, tuple((VERTEX, vid, h) for h in images))

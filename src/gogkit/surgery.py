@@ -22,6 +22,8 @@ from .errors import (
     NotFinite,
     TableInvalid,
     WrongShape,
+    expect,
+    member,
 )
 from .finite_group import FiniteGroup, Subgroup, is_conjugate_into, subgroup_as_group, subgroup_closure
 from .gog import (
@@ -624,39 +626,31 @@ def replay_transcript(data) -> Report:
     A malformed transcript (bad JSON, a missing part, a map that is not an
     object, an entry that is not word text or does not parse) is a FAIL line.
     """
-    from .documents import parse_document
+    from .documents import _parse
 
     report = Report()
     try:
         if isinstance(data, str):
             data = json.loads(data)
-        if not isinstance(data, dict):
-            raise ValueError("transcript is not a JSON object")
-        for part in ("source", "output", "input_sha256", "psi", "phi"):
-            if part not in data:
-                raise ValueError(f"transcript has no {part!r}")
-        source = parse_document(data["source"]).gog
-        target = parse_document(data["output"]).gog
+        expect(data, dict, ())
+        source = _parse(member(data, "source", object, ()), ("source",)).gog
+        target = _parse(member(data, "output", object, ()), ("output",)).gog
+        recorded = member(data, "input_sha256", str, ())
+        tables = {part: member(data, part, dict, ()) for part in ("psi", "phi")}
     except (GogkitError, ValueError) as exc:
         report.fail(str(exc))
         return report
     payload = json.dumps(data["source"], sort_keys=True).encode()
-    if hashlib.sha256(payload).hexdigest() != data["input_sha256"]:
+    if hashlib.sha256(payload).hexdigest() != recorded:
         report.fail("input hash does not match the recorded source document")
         return report
 
-    def rebuild(label, g_from, g_to, table):
-        if not isinstance(table, dict):
-            report.fail(f"{label} is not an object of generator and word texts")
-            return {}
+    def rebuild(label, part, g_from, g_to):
         out = {}
-        for key_text, image_text in table.items():
-            if not isinstance(key_text, str) or not isinstance(image_text, str):
-                report.fail(f"{label} entry {key_text!r}: {image_text!r} is not word text")
-                continue
+        for key_text, image_text in tables[part].items():
             try:
-                key_word = parse_word(g_from, key_text)
-                image = parse_word(g_to, image_text)
+                key_word = parse_word(g_from, expect(key_text, str, (part, key_text)))
+                image = parse_word(g_to, expect(image_text, str, (part, key_text)))
             except (GogkitError, ValueError) as exc:
                 report.fail(f"{label} entry {key_text!r}: {exc}")
                 continue
@@ -666,8 +660,8 @@ def replay_transcript(data) -> Report:
             out[key_word.syllables[0]] = image
         return out
 
-    psi = rebuild("ψ", source, target, data["psi"])
-    phi = rebuild("φ", target, source, data["phi"])
+    psi = rebuild("ψ", "psi", source, target)
+    phi = rebuild("φ", "phi", target, source)
     if not report.ok:
         return report
     inner = validate_witness(GogIsoWitness(source, target, psi, phi))

@@ -30,6 +30,19 @@ def test_validate_rejects_non_homomorphic_inclusion(capsys, tmp_path):
     assert "(1,1)" in out + err
 
 
+@pytest.mark.parametrize("command", [["eq", "--w1", "v:g2", "--w2", "1"], ["validate"]],
+                         ids=["eq", "validate"])
+def test_every_command_refuses_an_inclusion_that_is_not_a_homomorphism(capsys, tmp_path, command):
+    # The involution of C2 goes to a, of order 4: the document presents a group
+    # with a² = 1, where v:g2 = 1.
+    doc = json.loads(fixture_text("c4c6"))
+    doc["graph"]["edges"][0]["d0_images"] = [0, 1]
+    bad = tmp_path / "bad.gog.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command[0], str(bad), *command[1:])
+    assert (code, out, err) == (2, "", "error: edge 'e' side 0: not a homomorphism on pair (1,1)\n")
+
+
 def test_validate_unknown_reference(capsys):
     code, _, err = run(capsys, "validate", "no_such_fixture")
     assert code == 2
@@ -43,7 +56,7 @@ def test_validate_wrongly_typed_document_exits_2(capsys, tmp_path):
     bad.write_text(json.dumps(doc))
     code, _, err = run(capsys, "validate", str(bad))
     assert code == 2
-    assert "image arrays must be lists" in err
+    assert err == "error: graph.edges[0].d0_images must be a list, got 5\n"
 
 
 def test_validate_malformed_group_spec_exits_2(capsys, tmp_path):
@@ -53,7 +66,7 @@ def test_validate_malformed_group_spec_exits_2(capsys, tmp_path):
     bad.write_text(json.dumps(doc))
     code, _, err = run(capsys, "validate", str(bad))
     assert code == 2
-    assert "'table' must be a list of lists" in err
+    assert err == "error: graph.vertices[0].group: group spec 'table' must be a list of lists\n"
 
 
 @pytest.mark.parametrize("command, options", [
@@ -68,7 +81,9 @@ def test_a_group_name_that_is_not_a_string_exits_2(capsys, tmp_path, monkeypatch
     bad.write_text(json.dumps(doc))
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *command, str(bad), *options)
-    assert (code, out, err) == (2, "", "error: group spec 'name' must be a string, got 5\n")
+    assert (code, out, err) == (2, "", (
+        "error: graph.vertices[0].group: group spec 'name' must be a string, got 5\n"
+    ))
 
 
 def test_validate_refuses_a_group_over_the_order_cap(capsys, tmp_path, monkeypatch):
@@ -144,11 +159,11 @@ def test_deriv_eval_rejects_unglued_derivation(capsys, tmp_path):
 
 @pytest.mark.parametrize("data, error", [
     ({"mod": 5, "components": "x"},
-     "derivation 'components' must be a list of objects"),
+     "components must be a list, got 'x'"),
     ({"mod": 5, "components": [{"values": {"v:g1": 7}}]},
-     "derivation 'values' must map each generator to a list of terms"),
+     "components[0].values['v:g1'] must be a list, got 7"),
     ({"mod": 5, "components": [{"values": {"v:g1": [{"word": "1"}]}}]},
-     "a term needs a 'word' string and an integer 'coeff': {'word': '1'}"),
+     "components[0].values['v:g1'][0].coeff is missing"),
 ], ids=["components-not-list", "value-not-list", "term-without-coeff"])
 def test_deriv_eval_rejects_malformed_files(capsys, tmp_path, data, error):
     path = tmp_path / "bad.deriv.json"
@@ -163,7 +178,7 @@ def test_quotient_refine_rejects_a_given_file_without_target(capsys, tmp_path):
     code, out, err = run(
         capsys, "quotient", "refine", "c4c6", "--subgraph", "v", "--given", str(path)
     )
-    assert (code, out, err) == (2, "", "error: quotient data needs a 'target' group spec\n")
+    assert (code, out, err) == (2, "", "error: target is missing\n")
 
 
 def test_deriv_unknown_base_vertex_exits_2(capsys):
@@ -284,9 +299,9 @@ def test_quotient_embed_and_refine(capsys, tmp_path):
         ({"target": {"product": 5}, "vertex_images": {"v": [0, 1, 2, 3]}, "letter_images": {}},
          "'product' must be a list"),
         ({"target": "cyclic 4", "vertex_images": {"v": 5}, "letter_images": {}},
-         "vertex image arrays must be lists"),
+         "error: vertex_images.v must be a list, got 5\n"),
         ({"target": "cyclic 4", "vertex_images": [[0, 1, 2, 3]], "letter_images": {}},
-         "needs 'vertex_images' and 'letter_images' objects"),
+         "error: vertex_images must be an object, got [[0, 1, 2, 3]]\n"),
     ],
     ids=["image-out-of-range", "target-spec", "image-not-list", "images-not-object"],
 )

@@ -28,13 +28,14 @@ from gogkit.gog import (
     Subgraph,
     Word,
     ball,
+    identity,
     multiply,
     nf,
     parse_word,
     reduce,
     vertex_element,
 )
-from gogkit.group_ring import ring_one, ring_term, subtract
+from gogkit.group_ring import ring_term, subtract
 
 AMALGAM = load_fixture("c4c6")
 HNN = load_fixture("c6hnn")
@@ -156,7 +157,7 @@ def test_evaluate_rejects_what_is_not_a_syllable(c6hnn):
 
 
 def t_minus_one(g, mod):
-    return subtract(ring_term(nf(g, "t(t)"), mod), ring_one(g, mod))
+    return subtract(ring_term(nf(g, "t(t)"), mod), ring_term(identity(g), mod))
 
 
 def test_naive_standard_table_fails_gluing(c6hnn):
@@ -229,7 +230,7 @@ def test_glue_rejects_tree_letter_values(c4c6):
         glue(
             c4c6,
             5,
-            [(STANDARD, {"t(e)": ring_one(c4c6, 5)})],
+            [(STANDARD, {"t(e)": ring_term(identity(c4c6), 5)})],
         )
     assert exc.value.edge == "e"
     assert exc.value.element is None
@@ -247,11 +248,11 @@ def test_glue_accepts_dunwoody_table(c4c6):
 
 def test_glue_rejects_badly_keyed_tables(c4c6):
     with pytest.raises(ValueError):
-        glue(c4c6, 5, [(STANDARD, {"v:g1 * v:g2": ring_one(c4c6, 5)})])
+        glue(c4c6, 5, [(STANDARD, {"v:g1 * v:g2": ring_term(identity(c4c6), 5)})])
     with pytest.raises(ValueError):
-        glue(c4c6, 5, [(STANDARD, {"v:g0": ring_one(c4c6, 5)})])
+        glue(c4c6, 5, [(STANDARD, {"v:g0": ring_term(identity(c4c6), 5)})])
     with pytest.raises(ValueError):
-        glue(c4c6, 5, [(STANDARD, {"t(e)^-1": ring_one(c4c6, 5)})])
+        glue(c4c6, 5, [(STANDARD, {"t(e)^-1": ring_term(identity(c4c6), 5)})])
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +347,7 @@ def test_evaluate_reads_the_word_it_is_given(c4c6):
     # relators yet, though it breaks the law: the word v:g1 * v:g1 and its
     # normal form v:g2 get different values.  evaluate, like the two-step
     # reference, evaluates the word as given.
-    d = glue(c4c6, 5, [(STANDARD, {"v:g1": ring_one(c4c6, 5)})])
+    d = glue(c4c6, 5, [(STANDARD, {"v:g1": ring_term(identity(c4c6), 5)})])
     word = parse_word(c4c6, "v:g1 * v:g1")
     assert reduce(c4c6, word).text() == "v:g2"
     for evaluator in (evaluate, evaluate_two_step):

@@ -1,5 +1,6 @@
 """Document parsing, serialization round trips, and schema error messages."""
 import json
+import re
 
 import pytest
 
@@ -42,32 +43,53 @@ def test_composite_round_trip_keeps_word_images():
     assert nf(again, "m:{u:g1}").text() == "z:g1"
 
 
+KLEIN = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+
+
+def test_a_shorthand_name_is_written_only_with_its_table():
+    klein = base_doc()
+    klein["graph"]["vertices"][0]["group"] = {"table": KLEIN, "name": "C4"}
+    klein["graph"]["edges"][0]["d0_images"] = [0, 1]
+    trivial = {"graph": {"vertices": [{"id": "v", "group": {"table": [[0]], "name": "C0"}}],
+                         "edges": []}}
+    for data in (klein, trivial):
+        g = parse_document(data).gog
+        written = document_data(g)
+        assert written["graph"]["vertices"][0]["group"] == data["graph"]["vertices"][0]["group"]
+        again = parse_document(written).gog
+        for vid in g.graph.vertices:
+            assert again.vertex_groups[vid].group.table == g.vertex_groups[vid].group.table
+        for eid in g.graph.edges:
+            assert again.edge_groups[eid].table == g.edge_groups[eid].table
+    assert document_data(load_fixture("c4c6"))["graph"]["vertices"][0]["group"] == "cyclic 4"
+
+
 def test_parse_rejects_invalid_json():
     with pytest.raises(DocumentError, match="invalid JSON"):
         parse_document("{nope")
 
 
 def test_parse_rejects_non_object():
-    with pytest.raises(DocumentError, match="must be a JSON object"):
+    with pytest.raises(DocumentError, match=re.escape("the top level must be an object, got [1, 2]")):
         parse_document("[1, 2]")
 
 
 def test_missing_graph_section():
-    with pytest.raises(DocumentError, match="missing the 'graph' section"):
+    with pytest.raises(DocumentError, match="^graph is missing$"):
         parse_document({"name": "x"})
 
 
 def test_missing_edges_key():
     doc = base_doc()
     del doc["graph"]["edges"]
-    with pytest.raises(DocumentError, match="missing 'edges'"):
+    with pytest.raises(DocumentError, match="^graph.edges is missing$"):
         parse_document(doc)
 
 
 def test_vertex_needs_id_and_group():
     doc = base_doc()
     del doc["graph"]["vertices"][0]["group"]
-    with pytest.raises(DocumentError, match="needs 'id' and 'group'"):
+    with pytest.raises(DocumentError, match=re.escape("graph.vertices[0].group is missing")):
         parse_document(doc)
 
 
@@ -88,14 +110,14 @@ def test_duplicate_edge_id():
 def test_edge_with_unknown_endpoint():
     doc = base_doc()
     doc["graph"]["edges"][0]["to"] = "zz"
-    with pytest.raises(DocumentError, match="references an unknown vertex"):
+    with pytest.raises(DocumentError, match="edge 'e' has an endpoint outside the vertex set"):
         parse_document(doc)
 
 
 def test_edge_missing_images():
     doc = base_doc()
     del doc["graph"]["edges"][0]["d1_images"]
-    with pytest.raises(DocumentError, match="each edge needs 'd1_images'"):
+    with pytest.raises(DocumentError, match=re.escape("graph.edges[0].d1_images is missing")):
         parse_document(doc)
 
 
@@ -113,6 +135,15 @@ def test_unknown_group_spec_is_a_document_error():
         parse_document(doc)
 
 
+def test_an_inclusion_that_is_not_a_homomorphism_is_refused():
+    bad = base_doc()
+    bad["graph"]["edges"][0]["d0_images"] = [0, 1]
+    nested = {"graph": {"vertices": [{"id": "m", "group": {"gog": bad}}], "edges": []}}
+    for data in (bad, nested):
+        with pytest.raises(DocumentError, match=r"^edge 'e' side 0: not a homomorphism on pair \(1,1\)$"):
+            parse_document(data)
+
+
 def test_image_array_length_checked():
     doc = base_doc()
     doc["graph"]["edges"][0]["d0_images"] = [0]
@@ -123,28 +154,31 @@ def test_image_array_length_checked():
 def test_image_index_range_checked():
     doc = base_doc()
     doc["graph"]["edges"][0]["d1_images"] = [0, 9]
-    with pytest.raises(DocumentError, match="element index 9 out of range"):
+    with pytest.raises(DocumentError, match="edge 'e' side 1: image 9 not in group at 'w'"):
         parse_document(doc)
 
 
 def test_table_images_must_be_indices():
     doc = base_doc()
     doc["graph"]["edges"][0]["d1_images"] = [0, "w:g3"]
-    with pytest.raises(DocumentError, match="images must be element indices"):
+    message = "graph.edges[0].d1_images[1] must be an integer, got 'w:g3'"
+    with pytest.raises(DocumentError, match=re.escape(message)):
         parse_document(doc)
 
 
 def test_composite_images_must_be_words():
     doc = json.loads(fixture_text("expand_demo"))
     doc["graph"]["edges"][0]["d1_images"] = [0, 1]
-    with pytest.raises(DocumentError, match="must be word strings"):
+    message = "graph.edges[0].d1_images[0] must be a string, got 0"
+    with pytest.raises(DocumentError, match=re.escape(message)):
         parse_document(doc)
 
 
 def test_spanning_tree_must_list_edge_ids():
     doc = base_doc()
     doc["spanning_tree"] = ["zz"]
-    with pytest.raises(DocumentError, match="spanning_tree must list edge ids"):
+    message = "spanning tree edges ['zz'] are not edges of the graph"
+    with pytest.raises(DocumentError, match=re.escape(message)):
         parse_document(doc)
 
 
@@ -168,29 +202,36 @@ def test_spanning_tree_must_connect():
 @pytest.mark.parametrize(
     "mutate, message",
     [
-        (lambda d: d["graph"]["edges"][0].update(d0_images=5), "image arrays must be lists"),
-        (lambda d: d["graph"].update(vertices=5), "'vertices' must be a list"),
-        (lambda d: d.update(graph=5), "'graph' section must be an object"),
-        (lambda d: d["graph"]["vertices"].__setitem__(0, 5), "each vertex needs 'id'"),
-        (lambda d: d["graph"]["vertices"][0].update(id=["v"]), "must be a string"),
-        (lambda d: d["graph"]["edges"][0].update({"from": ["v"]}), "must be strings"),
-        (lambda d: d.update(spanning_tree=[["e"]]), "spanning_tree must list edge ids"),
-        (lambda d: d.update(basepoint=["v"]), "is not a vertex"),
-        (lambda d: d["graph"]["vertices"][0].update(group={"table": 5}), "list of lists"),
-        (lambda d: d["graph"]["edges"][0].update(group={"product": 5}), "list of specs"),
+        (lambda d: d["graph"]["edges"][0].update(d0_images=5),
+         re.escape("graph.edges[0].d0_images must be a list, got 5")),
+        (lambda d: d["graph"].update(vertices=5), "graph.vertices must be a list, got 5"),
+        (lambda d: d.update(graph=5), "graph must be an object, got 5"),
+        (lambda d: d["graph"]["vertices"].__setitem__(0, 5),
+         re.escape("graph.vertices[0] must be an object, got 5")),
+        (lambda d: d["graph"]["vertices"][0].update(id=["v"]),
+         re.escape("graph.vertices[0].id must be a string, got ['v']")),
+        (lambda d: d["graph"]["edges"][0].update({"from": ["v"]}),
+         re.escape("graph.edges[0].from must be a string, got ['v']")),
+        (lambda d: d.update(spanning_tree=[["e"]]),
+         re.escape("spanning_tree[0] must be a string, got ['e']")),
+        (lambda d: d.update(basepoint=["v"]), re.escape("basepoint ['v'] is not a vertex")),
+        (lambda d: d["graph"]["vertices"][0].update(group={"table": 5}),
+         re.escape("graph.vertices[0].group: group spec 'table' must be a list of lists")),
+        (lambda d: d["graph"]["edges"][0].update(group={"product": 5}),
+         re.escape("graph.edges[0].group: group spec 'product' must be a list of specs")),
         (
             lambda d: d["graph"]["edges"][0].update(group={"table": [[0, 1], [1, 0]], "labels": 5}),
-            "'labels' must be a list of one string per element",
+            re.escape("graph.edges[0].group: group spec 'labels' must be a list of one string per element"),
         ),
         (
             lambda d: d["graph"]["edges"][0].update(group={"table": [[0]], "labels": ["a", "b"]}),
-            "'labels' must be a list of one string per element",
+            re.escape("graph.edges[0].group: group spec 'labels' must be a list of one string per element"),
         ),
         (
             lambda d: d["graph"]["vertices"][0].update(group={"table": [[0]], "name": 5}),
-            "group spec 'name' must be a string, got 5",
+            re.escape("graph.vertices[0].group: group spec 'name' must be a string, got 5"),
         ),
-        (lambda d: d.update(name=5), "document 'name' must be a string, got 5"),
+        (lambda d: d.update(name=5), "^name must be a string, got 5$"),
     ],
     ids=[
         "images", "vertices", "graph", "vertex", "vertex-id", "edge-end", "tree", "basepoint",

@@ -670,6 +670,12 @@ def test_reduce_rejects_what_is_not_a_syllable(c6hnn, syllables):
         reduce(c6hnn, Word(syllables))
 
 
+def test_reduce_rejects_syllables_that_are_not_a_tuple(c4c6):
+    # A list would reach the reducer, whose tuple concatenation raises TypeError.
+    with pytest.raises(MalformedWord, match="^syllables must be a tuple, got list$"):
+        reduce(c4c6, Word([(VERTEX, "v", 1)]))
+
+
 @pytest.mark.parametrize("unit", [
     lambda g: vertex_element(g, "zz", 1),
     lambda g: stable_letter(g, "zz"),

@@ -12,7 +12,6 @@ from gogkit.graph_core import (
     classify,
     spanning_tree,
     tree_path,
-    tree_path_oriented,
 )
 
 
@@ -54,22 +53,22 @@ def test_tree_paths():
     g = graph(["a", "b", "c"], [("e1", "a", "b"), ("e2", "b", "c")])
     t = spanning_tree(g)
     assert tree_path(t, "a", "c") == ["e1", "e2"]
-    assert tree_path_oriented(t, "a", "c") == [("e1", 1), ("e2", 1)]
-    assert tree_path_oriented(t, "c", "a") == [("e2", -1), ("e1", -1)]
+    assert list(t.path("a", "c")) == [("e1", 1), ("e2", 1)]
+    assert list(t.path("c", "a")) == [("e2", -1), ("e1", -1)]
     assert tree_path(t, "b", "b") == []
     with pytest.raises(ValueError, match="'zz' is not a vertex"):
-        tree_path_oriented(t, "a", "zz")
+        t.path("a", "zz")
     with pytest.raises(ValueError, match="'zz' is not a vertex"):
-        tree_path_oriented(t, "zz", "zz")
+        t.path("zz", "zz")
     # Rooted at a, the paths from c and from d meet at b, not at the root.
     g = graph(["a", "b", "c", "d"], [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "d", "b")])
     t = spanning_tree(g)
-    assert tree_path_oriented(t, "c", "d") == [("e2", -1), ("e3", -1)]
-    assert tree_path_oriented(t, "d", "c") == [("e3", 1), ("e2", 1)]
-    assert tree_path_oriented(t, "c", "a") == [("e2", -1), ("e1", -1)]
-    assert tree_path_oriented(t, "a", "d") == [("e1", 1), ("e3", -1)]
-    assert tree_path_oriented(t, "b", "d") == [("e3", -1)]
-    assert tree_path_oriented(t, "c", "b") == [("e2", -1)]
+    assert list(t.path("c", "d")) == [("e2", -1), ("e3", -1)]
+    assert list(t.path("d", "c")) == [("e3", 1), ("e2", 1)]
+    assert list(t.path("c", "a")) == [("e2", -1), ("e1", -1)]
+    assert list(t.path("a", "d")) == [("e1", 1), ("e3", -1)]
+    assert list(t.path("b", "d")) == [("e3", -1)]
+    assert list(t.path("c", "b")) == [("e2", -1)]
 
 
 def test_loops_never_enter_tree():

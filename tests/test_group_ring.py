@@ -11,7 +11,6 @@ from gogkit.group_ring import (
     push_to_quotient,
     ring_data,
     ring_from_data,
-    ring_one,
     ring_term,
     ring_zero,
     scale,
@@ -51,7 +50,7 @@ def test_terms_merge_under_reduction(c4c6):
 
 
 def test_act_right(c4c6):
-    one = ring_one(c4c6, 5)
+    one = ring_term(identity(c4c6), 5)
     moved = act_right(one, nf(c4c6, "w:g1"))
     assert moved.terms == {nf(c4c6, "w:g1"): 1}
     # Right action is a ring action: (u·x)·x⁻¹ = u.

@@ -2,7 +2,8 @@
 
 Malformed data reaching ``parse_document``, ``derivation_from_data``,
 ``quotient_from_data`` or ``replay_transcript`` may raise only GogkitError or
-ValueError, and every document that parses serializes again.  The inputs are a
+ValueError, and every document that parses has valid inclusions and serializes
+to a document with the same vertex and edge tables.  The inputs are a
 valid document, derivation, quotient and transcript of c4c6, c6hnn and c4c2c4.
 Each input gets every one-field mutation (each field replaced by each value of
 REPLACEMENTS, or deleted) and TWO_FIELD seeded two-field mutations.
@@ -17,7 +18,7 @@ from gogkit.derivation import accessibility_derivation, derivation_data, derivat
 from gogkit.documents import document_to_json, parse_document
 from gogkit.errors import GogkitError
 from gogkit.fixtures import fixture_text, load_fixture
-from gogkit.gog import nf
+from gogkit.gog import nf, validate
 from gogkit.quotients import quotient_data, quotient_from_data, search_quotient
 from gogkit.surgery import replay_transcript, reverse_edge, witness_transcript
 
@@ -47,10 +48,17 @@ def _base(kind, name):
     return witness_transcript("reverse", reverse_edge(g, edge)[1])
 
 
+def _tables(g):
+    vertex_tables = {v: vg.group.table for v, vg in g.vertex_groups.items() if vg.order}
+    return vertex_tables, {e: K.table for e, K in g.edge_groups.items()}
+
+
 def _load(kind, g, data):
     if kind == "document":
         doc = parse_document(data)
-        document_to_json(doc.gog, name=doc.name)
+        assert validate(doc.gog).ok
+        again = parse_document(document_to_json(doc.gog, name=doc.name)).gog
+        assert _tables(again) == _tables(doc.gog)
     elif kind == "derivation":
         derivation_from_data(g, data)
     elif kind == "quotient":

@@ -25,7 +25,6 @@ from gogkit.gog import (
     stable_letter,
     vertex_element,
 )
-from gogkit.graph_core import tree_path_oriented
 from gogkit.structure_tree import tree_ball
 
 from _oracles import _tree_path_bfs, coset_rep_loop, reduce_three_pass
@@ -72,7 +71,7 @@ def assert_memos_match_loops(g, words):
         for w in g.graph.vertices:
             expected = _tree_path_bfs(g.tree, v, w)
             assert list(g.tree.path(v, w)) == expected, (v, w)
-            assert tree_path_oriented(g.tree, v, w) == expected, (v, w)
+            assert list(g.tree.path(v, w)) == expected, (v, w)  # the memoised path
     for w in words:
         for base in sorted(g.graph.vertices):
             assert _reduce_from(g, w.syllables, base) == reduce_three_pass(g, w, base), (w, base)
@@ -149,13 +148,6 @@ def test_tree_path_errors_are_not_cached():
         with pytest.raises(ValueError):
             t.path("u", "zz")
     assert not t._paths
-
-
-def test_tree_path_oriented_returns_a_fresh_list():
-    t = load_fixture("c4c2c4").tree
-    path = tree_path_oriented(t, "u", "w")
-    path.clear()
-    assert tree_path_oriented(t, "u", "w") == list(t.path("u", "w")) != []
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -80,6 +80,11 @@ def test_tree_vertex_names_an_unknown_vertex(c4c6):
         tree_vertex(c4c6, "zz")
 
 
+def test_tree_edge_names_an_unknown_edge(c4c6):
+    with pytest.raises(ValueError, match="^unknown edge 'zz'$"):
+        tree_edge(c4c6, "zz")
+
+
 def test_stabilizer_fixes_vertex(c4c6):
     tw = tree_vertex(c4c6, "w")
     assert act(c4c6, nf(c4c6, "v:g2"), tw) == tw  # a² = b³ ∈ 𝒢(w)

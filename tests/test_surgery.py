@@ -560,16 +560,18 @@ def _set(*path_and_value):
 
 
 @pytest.mark.parametrize("tamper, problem", [
-    (_pop("psi"), "transcript has no 'psi'"),
-    (_pop("source"), "transcript has no 'source'"),
+    (_pop("psi"), "psi is missing"),
+    (_pop("source"), "source is missing"),
     (lambda data: data.update(psi=list(data["psi"].items())),
-     "ψ is not an object of generator and word texts"),
-    (_set("phi", 7), "φ is not an object of generator and word texts"),
-    (_set("psi", "v:g1", 5), "ψ entry 'v:g1': 5 is not word text"),
+     "psi must be an object, got [('t(e)', 't(e)^-1'), ('v:g1', 'v:g1'), ('v:g2', 'v:g2'), "
+     "('v:g3', 'v:g3'), ('w:g1', 'w:g1'), ('w:g2', 'w:g2'), ('w:g3', 'w:g3'), "
+     "('w:g4', 'w:g4'), ('w:g5', 'w:g5')]"),
+    (_set("phi", 7), "phi must be an object, got 7"),
+    (_set("psi", "v:g1", 5), "ψ entry 'v:g1': psi['v:g1'] must be a string, got 5"),
     (_set("psi", "v:g1", "v:g99"), "ψ entry 'v:g1': element index 99 out of range at 'v'"),
     (_set("psi", "v:g1", "v:g1 * *"), "ψ entry 'v:g1': empty syllable in 'v:g1 * *'"),
     (_set("phi", "w:g1 * w:g1", "w:g2"), "φ key 'w:g1 * w:g1' is not a single generator"),
-    (_set("output", "graph", None), "the 'graph' section must be an object"),
+    (_set("output", "graph", None), "output.graph must be an object, got None"),
 ], ids=[
     "no-psi", "no-source", "psi-list", "phi-int", "image-int", "image-range", "image-syntax",
     "key-word", "bad-output",
@@ -585,8 +587,8 @@ def test_replay_reports_malformed_transcripts(c4c6, tamper, problem):
 
 @pytest.mark.parametrize("data, problem", [
     ("{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
-    ("[]", "transcript is not a JSON object"),
-    (None, "transcript is not a JSON object"),
+    pytest.param("[]", "the top level must be an object, got []", id="list"),
+    pytest.param(None, "the top level must be an object, got None", id="null"),
 ])
 def test_replay_reports_transcripts_that_are_not_objects(data, problem):
     assert replay_transcript(data).problems == [problem]
