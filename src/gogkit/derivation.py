@@ -162,6 +162,8 @@ def check_well_defined(d: Derivation, samples: int = 500, seed: int = 0) -> Repo
 def _component_from_text_table(
     g: GraphOfGroups, action: str, table: dict[str, RingVector]
 ) -> Component:
+    if action not in (STANDARD, TWISTED):
+        raise ValueError(f"unknown action {action!r}")
     values: dict[tuple, RingVector] = {}
     for key, vec in table.items():
         w = parse_word(g, key)
@@ -342,8 +344,6 @@ def derivation_from_data(g: GraphOfGroups, data: dict) -> Derivation:
     for i, entry in enumerate(member(data, "components", list, ())):
         where = ("components", i)
         action = expect(entry, dict, where).get("action", STANDARD)
-        if action not in (STANDARD, TWISTED):
-            raise ValueError(f"unknown action {action!r}")
         values = expect(entry.get("values", {}), dict, where + ("values",))
         table = {
             key: _ring_from_terms(g, mod, terms, where + ("values", key))

@@ -12,7 +12,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .errors import Disconnected, DocumentError, GogkitError, expect, json_path, member
+from .errors import Disconnected, DocumentError, expect, json_path, member
 from .finite_group import FiniteGroup, _shorthand_group, make_group
 from .gog import (
     CompositeVertexGroup,
@@ -117,7 +117,7 @@ def _parse(data, path: tuple) -> GogDocument:
     except (ValueError, Disconnected) as exc:
         raise DocumentError(str(exc)) from None
     for problem in inclusion_problems(gog):
-        raise DocumentError(problem)
+        raise DocumentError(f"{json_path(path)}: {problem}" if path else problem)
     return GogDocument(name=name, gog=gog)
 
 
@@ -133,7 +133,7 @@ def _group_spec(group: FiniteGroup):
         try:
             if _shorthand_group(kind, n).table == group.table:
                 return f"{kind} {n}"
-        except (GogkitError, ValueError):
+        except ValueError:
             pass  # no such group, as C0, or one over the order cap
     spec = {"table": [list(row) for row in group.table]}
     if group.labels is not None:

@@ -148,6 +148,8 @@ def _from_table(
 
 
 def _cyclic(n: int) -> FiniteGroup:
+    if n < 1:
+        raise ValueError("cyclic parameter must be >= 1")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     labels = ["e"] + [f"x{'' if i == 1 else i}" for i in range(1, n)]
     return _from_table(table, labels, f"C{n}", trusted=True)

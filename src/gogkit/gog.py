@@ -205,6 +205,8 @@ class GraphOfGroups:
                 self._transversals[(e, side)] = {}
         self._units: dict[tuple, NormalForm] = {}
         self._kernel: tuple[dict, dict] | None = None
+        # The quotient walk's plan and its vertex hom lists (quotients._walk).
+        self._walk: tuple | None = None
 
     def incl(self, e: str, side: int, k: int):
         """Image handle of edge-group element k under the side-inclusion of e."""
@@ -633,14 +635,17 @@ def presentation(g: GraphOfGroups) -> Presentation:
     return g._presentation
 
 
-def residues(g: GraphOfGroups, image, one):
+def residues(g: GraphOfGroups, image, one, only=None):
     """(edge, k, relator, value) per relator whose ``image`` is not ``one``, in
     order: the one relator check.  A map given on generators is well defined
-    exactly when it kills every relator (von Dyck; Fox 1953 for derivations)."""
+    exactly when it kills every relator (von Dyck; Fox 1953 for derivations).
+    ``only`` lists the positions (indices into ``labels``) to check instead."""
     pres = presentation(g)
-    for (eid, k), rel in zip(pres.labels, pres.relators):
+    for i in range(len(pres.labels)) if only is None else only:
+        rel = pres.relators[i]
         value = image(rel)
         if value != one:
+            eid, k = pres.labels[i]
             yield eid, k, rel, value
 
 

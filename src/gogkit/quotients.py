@@ -4,13 +4,14 @@ A quotient is stored as one image array per vertex group plus one image per
 stable letter; tree letters always map to the identity.  Searches walk a
 deterministic candidate list (cyclic groups up to order 24, then symmetric
 groups up to degree 6 by default, each built only when a search reaches it).
-For each target they walk the product of the vertex homs from
-``finite_group.enumerate_homs`` and the stable-letter images, in lexicographic
-image order, so the first hit is reproducible, and keep a combination when
-every relator of ``gog.presentation`` maps to the identity.  A goal that
-constrains single vertex homs (injectivity) filters each vertex's hom list
-before the product; filtering the factors of a lexicographic product keeps the
-order of the combinations that survive, so the first hit does not change.
+For each target they walk its homomorphisms depth first (``_iter_quotients``;
+Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, 2005),
+testing each edge relator as soon as its ends and letter are assigned, and
+yield them in lexicographic image order, so the first hit is reproducible.  A
+goal that constrains single vertex homs (injectivity) filters each vertex's
+hom list before the walk; filtering the factors of a lexicographic product
+keeps the order of the combinations that survive.  The walk's plan and its
+filtered hom lists are built once per graph (``_walk``).
 
 Every homomorphism test goes through ``finite_group``: ``hom_defect`` checks
 a vertex image array pair by pair (``quotient_from_images``), and
@@ -19,7 +20,6 @@ is how ``refine`` tests that a given quotient factors through a candidate.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -59,15 +59,15 @@ class FiniteQuotient:
     def image_of(self, x) -> int:
         """Image of a word or normal form in the target group."""
         syllables = x.syllables if isinstance(x, (NormalForm, Word)) else tuple(x)
+        table, inverse = self.target.table, self.target.inverse
+        vertex_images, letter_images = self.vertex_images, self.letter_images
         out = self.target.identity
-        for syl in syllables:
-            if syl[0] == VERTEX:
-                out = self.target.mul(out, self.vertex_images[syl[1]][syl[2]])
+        for kind, key, h in syllables:
+            if kind == VERTEX:
+                out = table[out][vertex_images[key][h]]
             else:
-                img = self.letter_images[syl[1]]
-                if syl[2] < 0:
-                    img = self.target.inv(img)
-                out = self.target.mul(out, img)
+                img = letter_images[key]
+                out = table[out][img if h > 0 else inverse[img]]
         return out
 
     def is_vertex_injective(self) -> bool:
@@ -130,36 +130,82 @@ def _resolve_targets(targets):
     return [make_group(t) for t in targets]
 
 
-def _iter_quotients(g: GraphOfGroups, target: FiniteGroup, keep=None):
+def _walk(g: GraphOfGroups) -> tuple:
+    """The walk's per-graph plan, built once: the variables (sorted vertex ids,
+    then sorted non-tree letters), how many are vertices, the tree letters, the
+    presentation positions each variable completes, and ``_choices``' lists."""
+    if g._walk is None:
+        vertex_ids = sorted(g.graph.vertices)
+        names = vertex_ids + [e for e in sorted(g.graph.edges) if e not in g.tree.edges]
+        depth = {name: i for i, name in enumerate(names)}
+        checks: list[list[int]] = [[] for _ in names]
+        for i, (eid, k) in enumerate(presentation(g).labels):
+            ends = (g.graph.d0[eid], g.graph.d1[eid])
+            if k is None or all(
+                g.vertex_groups[v].is_identity(g.incl(eid, side, k)) for side, v in enumerate(ends)
+            ):
+                continue  # t_e = 1 on the tree, and t⁻¹·1·t = 1 on any edge
+            checks[max(depth[v] for v in (*ends, eid) if v in depth)].append(i)
+        tree = [e for e in g.graph.edges if e in g.tree.edges]
+        g._walk = (names, len(vertex_ids), tree, tuple(map(tuple, checks)), {})
+    return g._walk
+
+
+def _choices(g: GraphOfGroups, target: FiniteGroup, keep: tuple) -> list:
+    """Per variable, its choices in ``target``: the image arrays of the vertex
+    homs that keep each (vertex, handles) pair of ``keep`` distinct, then every
+    element per letter.  A nested vertex group leaves nothing to walk."""
+    names, n_vertices, _, _, cache = _walk(g)
+    key = (target, keep)
+    if key not in cache:
+        if not g.all_tables():
+            cache[key] = [[]]
+        else:
+            cache[key] = [
+                [
+                    h.images
+                    for h in enumerate_homs(g.vertex_groups[v].group, target)
+                    if all(len({h.images[x] for x in xs}) == len(xs) for u, xs in keep if u == v)
+                ]
+                for v in names[:n_vertices]
+            ] + [range(target.order)] * (len(names) - n_vertices)
+    return cache[key]
+
+
+def _iter_quotients(g: GraphOfGroups, target: FiniteGroup, keep: tuple = ()):
     """All quotients onto a fixed target, in lexicographic image order.
 
-    A product over the homs of each vertex group (``enumerate_homs``, sorted
-    vertex ids) and one target element per non-tree letter (sorted edge ids),
-    kept when every relator of ``presentation(g)`` maps to the identity.  Each
-    hom list is ordered by image array, so quotients come out ordered by
-    (vertex image arrays, letter images).
-    When given, ``keep(vertex id, image array)`` drops vertex homs before the
-    product; the surviving quotients come out in the same relative order.
+    A depth-first walk over one hom per vertex group (sorted vertex ids), then
+    one target element per non-tree letter (sorted edge ids).  After each
+    assignment ``residues`` tests the relators it completes, and a survivor
+    cuts the branch; the relators never tested hold by construction (tree
+    letters, k = 1).  The quotients come out as from the filtered product of
+    every choice.  ``keep`` lists (vertex id, handles) pairs whose images must
+    stay distinct; it drops vertex homs before the walk, which keeps the
+    relative order of the rest.
     """
-    if not g.all_tables():
-        return
-    vertex_ids = sorted(g.graph.vertices)
-    letters = [e for e in sorted(g.graph.edges) if e not in g.tree.edges]
-    choices = [
-        [
-            h.images
-            for h in enumerate_homs(g.vertex_groups[v].group, target)
-            if keep is None or keep(v, h.images)
-        ]
-        for v in vertex_ids
-    ]
-    choices += [range(target.order)] * len(letters)
-    tree_images = {e: target.identity for e in g.graph.edges if e in g.tree.edges}
-    for combo in itertools.product(*choices):
-        letter_images = {**tree_images, **dict(zip(letters, combo[len(vertex_ids):]))}
-        q = FiniteQuotient(g, target, dict(zip(vertex_ids, combo)), letter_images)
-        if next(residues(g, q.image_of, target.identity), None) is None:
-            yield q
+    choices = _choices(g, target, keep)
+    if not all(choices):
+        return  # an empty factor empties the product
+    names, n_vertices, tree, checks, _ = _walk(g)
+    one, last = target.identity, len(names) - 1
+    vertex_images: dict[str, tuple[int, ...]] = {}
+    letter_images = dict.fromkeys(tree, one)
+    image = FiniteQuotient(g, target, vertex_images, letter_images).image_of
+
+    def walk(depth: int):
+        store = vertex_images if depth < n_vertices else letter_images
+        name, positions = names[depth], checks[depth]
+        for choice in choices[depth]:
+            store[name] = choice
+            if positions and next(residues(g, image, one, positions), None) is not None:
+                continue
+            if depth == last:
+                yield FiniteQuotient(g, target, dict(vertex_images), dict(letter_images))
+            else:
+                yield from walk(depth + 1)
+
+    yield from walk(0)
 
 
 def subgraph_gog(g: GraphOfGroups, sub: Subgraph) -> GraphOfGroups:
@@ -208,19 +254,19 @@ def search_quotient(
     a designated subgroup of one vertex group), "refine" (the restriction to a
     designated subgraph group factors the given quotient of it).  Raises
     Exhausted when the candidate pool runs out; that is never a disproof.
-    Injectivity goals filter vertex homs before the product (``keep``);
-    ``accept`` tests what needs the whole quotient.
+    Injectivity goals filter vertex homs before the walk (``keep``: the
+    handles whose images must stay distinct); ``accept`` tests what needs the
+    whole quotient.
     """
-    keep = None
+    keep = ()
     if goal == "separate":
         if not elements:
             raise ValueError("separate needs a non-empty element list")
         for x in elements:
             if not x.syllables:
                 raise ValueError("cannot separate the identity from itself")
-
-        def keep(vid: str, images: tuple[int, ...]) -> bool:
-            return len(set(images)) == len(images)
+        if g.all_tables():
+            keep = tuple((v, tuple(vg.handles())) for v, vg in sorted(g.vertex_groups.items()))
 
         def accept(q: FiniteQuotient) -> bool:
             return all(q.image_of(x) != q.target.identity for x in elements)
@@ -230,12 +276,7 @@ def search_quotient(
             raise ValueError("embed needs a vertex id and a subgroup of its group")
         if vertex not in g.vertex_groups:
             raise ValueError(f"{vertex!r} is not a vertex")
-
-        def keep(vid: str, images: tuple[int, ...]) -> bool:
-            if vid != vertex:
-                return True
-            sub_images = [images[h] for h in subgroup.elements]
-            return len(set(sub_images)) == len(sub_images)
+        keep = ((vertex, subgroup.elements),)
 
         def accept(q: FiniteQuotient) -> bool:
             return True
@@ -254,7 +295,7 @@ def search_quotient(
     return _first_quotient(g, targets, accept, keep, failure=failure)[0]
 
 
-def _first_quotient(g: GraphOfGroups, targets, accept, keep=None, *, failure: str):
+def _first_quotient(g: GraphOfGroups, targets, accept, keep=(), *, failure: str):
     """The first quotient ``accept`` takes, walking the targets (a pool spec) in
     order, with the verdict: the truthy value ``accept`` returned.
 

@@ -8,9 +8,12 @@ brute-force quotient enumerator reuses the package's generating sequence, but
 walks one product over every generator image instead of per-vertex hom lists,
 extends each vertex hom by re-walking every known element and checking all
 pairs, and tests the edge relators by hand instead of through the
-presentation; the subgroup factoring test has its own Cayley-graph walk; the
-unfiltered quotient search tests every goal on whole quotients, where the
-package drops vertex homs before the product; the three-pass reducer realizes
+presentation; the product quotient walk tests every relator on every
+combination of vertex homs and letter images, where the package walks them
+depth first and tests each edge's relators once its ends are assigned; the
+subgroup factoring test has its own Cayley-graph walk; the unfiltered
+quotient search tests every goal on whole quotients, where the package drops
+vertex homs before the walk; the three-pass reducer realizes
 a word as a path, then cancels pinches, then normalizes, where the package
 does it in one stack pass, and its coset loop and tree BFS run afresh on
 every call, where the package memoises transversals and tree paths; the
@@ -343,6 +346,42 @@ def iter_quotients_brute(g, target):
             q = FiniteQuotient(g, target, vertex_images, letter_images)
             if relators_die(g, q):
                 yield q
+
+
+def iter_quotients_product(g, target, keep=None):
+    """All quotients onto a fixed target, in lexicographic image order.
+
+    A product over the homs of each vertex group (``enumerate_homs``, sorted
+    vertex ids) and one target element per non-tree letter (sorted edge ids),
+    kept when every relator of ``presentation(g)`` maps to the identity.  Each
+    hom list is ordered by image array, so quotients come out ordered by
+    (vertex image arrays, letter images).
+    When given, ``keep(vertex id, image array)`` drops vertex homs before the
+    product; the surviving quotients come out in the same relative order.
+    """
+    from gogkit.finite_group import enumerate_homs
+    from gogkit.gog import residues
+    from gogkit.quotients import FiniteQuotient
+
+    if not g.all_tables():
+        return
+    vertex_ids = sorted(g.graph.vertices)
+    letters = [e for e in sorted(g.graph.edges) if e not in g.tree.edges]
+    choices = [
+        [
+            h.images
+            for h in enumerate_homs(g.vertex_groups[v].group, target)
+            if keep is None or keep(v, h.images)
+        ]
+        for v in vertex_ids
+    ]
+    choices += [range(target.order)] * len(letters)
+    tree_images = {e: target.identity for e in g.graph.edges if e in g.tree.edges}
+    for combo in itertools.product(*choices):
+        letter_images = {**tree_images, **dict(zip(letters, combo[len(vertex_ids):]))}
+        q = FiniteQuotient(g, target, dict(zip(vertex_ids, combo)), letter_images)
+        if next(residues(g, q.image_of, target.identity), None) is None:
+            yield q
 
 
 def search_quotient_unfiltered(g, goal, *, elements=None, vertex=None, subgroup=None, targets=None):

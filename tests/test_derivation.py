@@ -319,6 +319,11 @@ def test_derivation_from_data_rejects_unknown_action(c4c6):
         derivation_from_data(c4c6, {"mod": 5, "components": [{"action": "left"}]})
 
 
+def test_glue_rejects_unknown_action(c4c6):
+    with pytest.raises(ValueError, match=r"^unknown action 'sideways'$"):
+        glue(c4c6, 5, [("sideways", {})])
+
+
 def test_derivation_from_data_enforces_gluing(c4c6):
     # v:g2 is the edge-group image, so its value must match w:g3's (zero).
     data = {"mod": 5, "components": [{"values": {"v:g2": [{"word": "1", "coeff": 1}]}}]}

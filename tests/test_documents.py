@@ -136,12 +136,22 @@ def test_unknown_group_spec_is_a_document_error():
 
 
 def test_an_inclusion_that_is_not_a_homomorphism_is_refused():
+    # At the top level the line is the bare problem; a nested one names its path.
     bad = base_doc()
     bad["graph"]["edges"][0]["d0_images"] = [0, 1]
     nested = {"graph": {"vertices": [{"id": "m", "group": {"gog": bad}}], "edges": []}}
-    for data in (bad, nested):
-        with pytest.raises(DocumentError, match=r"^edge 'e' side 0: not a homomorphism on pair \(1,1\)$"):
+    problem = "edge 'e' side 0: not a homomorphism on pair (1,1)"
+    for data, prefix in ((bad, ""), (nested, "graph.vertices[0].group.gog: ")):
+        with pytest.raises(DocumentError, match=f"^{re.escape(prefix + problem)}$"):
             parse_document(data)
+
+
+def test_an_empty_cyclic_group_is_a_document_error_naming_its_path():
+    doc = base_doc()
+    doc["graph"]["vertices"][1]["group"] = "cyclic 0"
+    message = "graph.vertices[1].group: cyclic parameter must be >= 1"
+    with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
+        parse_document(doc)
 
 
 def test_image_array_length_checked():

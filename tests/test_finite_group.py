@@ -256,6 +256,11 @@ def test_make_group_refuses_orders_over_the_cap(no_tables, spec):
         make_group(spec)
 
 
+def test_make_group_refuses_an_empty_cyclic_group():
+    with pytest.raises(ValueError, match=r"^cyclic parameter must be >= 1$"):
+        make_group("cyclic 0")
+
+
 def test_make_group_builds_up_to_the_cap():
     # S6 is the largest default quotient target.
     assert make_group("symmetric 6").order == MAX_GROUP_ORDER == 720

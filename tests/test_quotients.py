@@ -4,7 +4,12 @@ import random
 import pytest
 
 import gogkit.quotients
-from _oracles import factors_through_reference, iter_quotients_brute, search_quotient_unfiltered
+from _oracles import (
+    factors_through_reference,
+    iter_quotients_brute,
+    iter_quotients_product,
+    search_quotient_unfiltered,
+)
 from gogkit.acceptance import _sl23, separation_targets
 from gogkit.derivation import accessibility_derivation, evaluate
 from gogkit.errors import Exhausted
@@ -289,6 +294,53 @@ def test_iter_quotients_matches_brute_force(name, request):
         targets.append(make_group("symmetric 5"))
     for target in targets:
         assert list(_iter_quotients(g, target)) == list(iter_quotients_brute(g, target)), target
+
+
+def _vertex_filters(g):
+    """The walk's ``keep`` data for no filter, the ``separate`` filter and
+    every cyclic-subgroup ``embed`` filter."""
+    groups = {vid: g.vertex_groups[vid].group for vid in sorted(g.graph.vertices)}
+    filters = [(), tuple((vid, tuple(range(group.order))) for vid, group in groups.items())]
+    for vid, group in groups.items():
+        for cyclic in sorted({subgroup_closure(group, [h]).elements for h in range(group.order)}):
+            filters.append(((vid, cyclic),))
+    return filters
+
+
+def _distinct_on(keep, q) -> bool:
+    return all(len({q.vertex_images[vid][h] for h in hs}) == len(hs) for vid, hs in keep)
+
+
+@pytest.mark.parametrize("name", ["c4c6", "c6hnn", "c4c2c4", "c2c2"])
+def test_walk_matches_the_product_walk(name, request):
+    # The pruned walk yields what the product of every choice kept, in the
+    # same order, c4c2c4 -> S5 included.  A vertex filter drops factors of
+    # the product, which keeps the relative order of the rest, so each
+    # filtered walk equals the product walk's output filtered the same way.
+    g = request.getfixturevalue(name)
+    targets = [*separation_targets(), make_group("symmetric 4"), make_group("symmetric 5")]
+    filters = _vertex_filters(g)
+    for target in targets:
+        full = list(iter_quotients_product(g, target))
+        for keep in filters:
+            expected = [q for q in full if _distinct_on(keep, q)]
+            assert list(_iter_quotients(g, target, keep)) == expected, (target, keep)
+
+
+@pytest.mark.parametrize(
+    "name, count", [("c4c6", 576), ("c6hnn", 3000), ("c4c2c4", 736), ("c2c2", 676)]
+)
+def test_hom_counts_into_s5(name, count, request):
+    # The counts into S4 are pinned by test_search_filter_agrees_with_certifier.
+    g = request.getfixturevalue(name)
+    assert sum(1 for _ in _iter_quotients(g, make_group("symmetric 5"))) == count
+
+
+def test_the_product_oracle_filters_before_the_product(c4c6):
+    s4 = make_group("symmetric 4")
+    injective = list(iter_quotients_product(c4c6, s4, lambda vid, images: len(set(images)) == len(images)))
+    assert injective == [q for q in iter_quotients_product(c4c6, s4) if q.is_vertex_injective()]
+    assert len(injective) == sum(1 for q in _iter_quotients(c4c6, s4) if q.is_vertex_injective())
 
 
 def test_separation_pool_is_built_once():

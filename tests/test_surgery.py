@@ -572,9 +572,13 @@ def _set(*path_and_value):
     (_set("psi", "v:g1", "v:g1 * *"), "ψ entry 'v:g1': empty syllable in 'v:g1 * *'"),
     (_set("phi", "w:g1 * w:g1", "w:g2"), "φ key 'w:g1 * w:g1' is not a single generator"),
     (_set("output", "graph", None), "output.graph must be an object, got None"),
+    (lambda data: data["source"]["graph"]["edges"][0].update(d0_images=[0, 1]),
+     "source: edge 'e' side 0: not a homomorphism on pair (1,1)"),
+    (lambda data: data["output"]["graph"]["edges"][0].update(d1_images=[0, 1]),
+     "output: edge 'e' side 1: not a homomorphism on pair (1,1)"),
 ], ids=[
     "no-psi", "no-source", "psi-list", "phi-int", "image-int", "image-range", "image-syntax",
-    "key-word", "bad-output",
+    "key-word", "bad-output", "source-inclusion", "output-inclusion",
 ])
 def test_replay_reports_malformed_transcripts(c4c6, tamper, problem):
     _, w = reverse_edge(c4c6, "e")
