@@ -20,9 +20,9 @@ from .derivation import (
 )
 from .documents import load_document, save_document
 from .errors import Exhausted, GogkitError
-from .finite_group import Subgroup, subgroup_closure
+from .finite_group import Subgroup
 from .fixtures import FIXTURE_NAMES, load_fixture
-from .gog import Subgraph, ball, nf, table_group, validate
+from .gog import Subgraph, ball, nf, table_group, table_subgroup, validate
 from .quotients import (
     quotient_data,
     quotient_from_data,
@@ -72,18 +72,9 @@ def _subgraph(g, text: str) -> Subgraph:
 
 def _subgroup(g, vid: str, text: str) -> Subgroup:
     """The subgroup of the table group at ``vid`` whose handles ``text`` lists
-    ('0,2'); they must be in range and closed under the product."""
-    group = table_group(g, vid)
-    handles = tuple(sorted({int(part) for part in text.split(",") if part.strip()}))
-    for h in handles:
-        if not 0 <= h < group.order:
-            raise ValueError(f"element index {h} out of range at {vid!r}")
-    closure = subgroup_closure(group, handles).elements
-    if closure != handles:
-        raise ValueError(
-            f"handles {list(handles)} are not a subgroup at {vid!r}; they generate {list(closure)}"
-        )
-    return Subgroup(group, handles)
+    ('0,2'), checked by ``table_subgroup``."""
+    handles = {int(part) for part in text.split(",") if part.strip()}
+    return table_subgroup(g, vid, Subgroup(table_group(g, vid), tuple(handles)))
 
 
 def _print_quotient(q):

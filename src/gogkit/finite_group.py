@@ -79,21 +79,6 @@ class Subgroup:
         return i in self.elements
 
 
-@dataclass(frozen=True)
-class GroupHom:
-    """A homomorphism between table groups, stored as a full image array."""
-
-    source: FiniteGroup
-    target: FiniteGroup
-    images: tuple[int, ...]
-
-    def apply(self, i: int) -> int:
-        return self.images[i]
-
-    def is_injective(self) -> bool:
-        return len(set(self.images)) == len(self.images)
-
-
 def _validate_table(
     table: list[list[int]], check_associativity: bool = True
 ) -> tuple[int, tuple[int, ...]]:
@@ -207,35 +192,14 @@ def _check_order(order: int, what: str) -> None:
 
 
 def _product(factors: list[FiniteGroup]) -> FiniteGroup:
-    orders = [g.order for g in factors]
-    total = 1
-    for o in orders:
-        total *= o
-
-    def split(i: int) -> list[int]:
-        parts = []
-        for o in reversed(orders):
-            parts.append(i % o)
-            i //= o
-        return parts[::-1]
-
-    def join(parts: list[int]) -> int:
-        i = 0
-        for o, p in zip(orders, parts):
-            i = i * o + p
-        return i
-
-    table = []
-    for i in range(total):
-        pi = split(i)
-        row = []
-        for j in range(total):
-            pj = split(j)
-            row.append(join([g.mul(a, b) for g, a, b in zip(factors, pi, pj)]))
-        table.append(row)
-    labels = [
-        "|".join(g.label(p) for g, p in zip(factors, split(i))) for i in range(total)
+    """The direct product; elements are index tuples in lexicographic order."""
+    elements = list(itertools.product(*(range(g.order) for g in factors)))
+    index = {p: i for i, p in enumerate(elements)}
+    table = [
+        [index[tuple(g.mul(a, b) for g, a, b in zip(factors, p, q))] for q in elements]
+        for p in elements
     ]
+    labels = ["|".join(g.label(a) for g, a in zip(factors, p)) for p in elements]
     name = "x".join(g.name or "?" for g in factors)
     return _from_table(table, labels, name, trusted=True)
 
@@ -386,8 +350,8 @@ def _extend_hom(
     return tuple(images[i] for i in range(source.order))
 
 
-def enumerate_homs(source: FiniteGroup, target: FiniteGroup) -> list[GroupHom]:
-    """All homomorphisms source → target, ordered by their image arrays.
+def enumerate_homs(source: FiniteGroup, target: FiniteGroup) -> list[tuple[int, ...]]:
+    """All homomorphisms source → target as image arrays, in ascending order.
 
     No sort is needed: ``_generating_sequence`` is greedy, so every index below
     the (i+1)-th generator lies in the span of the first i and its image is
@@ -400,11 +364,11 @@ def enumerate_homs(source: FiniteGroup, target: FiniteGroup) -> list[GroupHom]:
 
 
 @functools.lru_cache(maxsize=None)
-def _homs(source: FiniteGroup, target: FiniteGroup) -> tuple[GroupHom, ...]:
-    # Groups and homs are immutable, so sharing cached instances is safe.
+def _homs(source: FiniteGroup, target: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    # Groups and image arrays are immutable, so sharing cached ones is safe.
     gens = _generating_sequence(source)
     if not gens:
-        return (GroupHom(source, target, (target.identity,) * source.order),)
+        return ((target.identity,) * source.order,)
     candidates: list[list[int]] = []
     for g in gens:
         o = source.element_order(g)
@@ -413,7 +377,7 @@ def _homs(source: FiniteGroup, target: FiniteGroup) -> tuple[GroupHom, ...]:
     for combo in itertools.product(*candidates):
         arr = _extend_hom(source, target, gens, list(combo))
         if arr is not None:
-            out.append(GroupHom(source, target, arr))
+            out.append(arr)
     return tuple(out)
 
 

@@ -17,7 +17,8 @@ Words are checked where they enter, once per word, by the one gate
 ``vertex_element``, ``stable_letter``, ``derivation.evaluate`` on a word or
 another graph's normal form, and the structure tree's edge cosets, whose
 handles are inclusion images.  ``table_group`` is the one test that a vertex
-carries a finite table, and ``inclusion_problems`` the one check of the edge
+carries a finite table, ``table_subgroup`` the one test that a subgroup is
+one of that table, and ``inclusion_problems`` the one check of the edge
 inclusions, read by ``validate`` and by ``parse_document``.  Inside, the
 reducer trusts its handles: words built from g's own normal forms
 (``multiply``, ``invert``, ``ball``, one-syllable units, ``evaluate``'s moved
@@ -29,7 +30,7 @@ wrapped by ``_canonical`` without a reduction.  ``multiply`` returns
 the other factor when one is the identity, which is exact because normal
 forms are canonical.
 
-A graph of groups is immutable, so four tables that depend only on its
+A graph of groups is immutable, so three tables that depend only on its
 structure start empty, are filled on first use and are kept for its lifetime;
 a graph derived from another starts with empty ones:
 
@@ -41,9 +42,6 @@ a graph derived from another starts with empty ones:
   groups only: at most |𝒢(v)| entries each.  A nested vertex group's carries
   are not stored; its own reductions fill its own tables.
 - tree paths per vertex pair, on the spanning tree: at most |V|² entries.
-- ``vertex_element`` and ``stable_letter`` values per syllable, for table
-  handles and letters only: at most Σ|𝒢(v)| + 2|E| entries.  A bad handle is
-  never stored, so it raises on every call.
 """
 from __future__ import annotations
 
@@ -51,7 +49,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import BadSubgraph, BallTooLarge, MalformedWord, MixedOwners, NotFinite
-from .finite_group import FiniteGroup, Subgroup, hom_defect, is_conjugate_into
+from .finite_group import FiniteGroup, Subgroup, hom_defect, is_conjugate_into, subgroup_closure
 from .graph_core import FiniteGraph, SpanningTree, spanning_tree
 
 BALL_CAP = 10**6
@@ -129,7 +127,8 @@ class CompositeVertexGroup:
 
     def generator_handles(self) -> list[NormalForm]:
         """The units of the nested alphabet's vertex elements and positive letters."""
-        return [_unit(self.sub, s) for s in alphabet(self.sub) if s[0] == VERTEX or s[2] > 0]
+        sub = self.sub
+        return [_normal_form(sub, (s,)) for s in alphabet(sub) if s[0] == VERTEX or s[2] > 0]
 
     def text(self, a: NormalForm) -> str:
         return "{" + a.text() + "}"
@@ -203,7 +202,6 @@ class GraphOfGroups:
                     h: k for k, h in enumerate(self.inclusions[e][side])
                 }
                 self._transversals[(e, side)] = {}
-        self._units: dict[tuple, NormalForm] = {}
         self._kernel: tuple[dict, dict] | None = None
         # The quotient walk's plan and its vertex hom lists (quotients._walk).
         self._walk: tuple | None = None
@@ -233,6 +231,26 @@ def table_group(g: GraphOfGroups, vid: str) -> FiniteGroup:
     if not isinstance(vg, TableVertexGroup):
         raise NotFinite(f"vertex group at {vid!r} is not a finite table")
     return vg.group
+
+
+def table_subgroup(g: GraphOfGroups, vid: str, chi: Subgroup) -> Subgroup:
+    """χ as a subgroup of the finite group at ``vid``, its elements sorted:
+    ``table_group``'s errors, then ValueError unless χ's parent is that group
+    and its elements are in range and closed under the product.  The one
+    subgroup test, for the surgery, quotient and malnormality entries."""
+    group = table_group(g, vid)
+    if chi.parent is not group:
+        raise ValueError("χ must be a subgroup of the vertex group at the given vertex")
+    handles = tuple(sorted(set(chi.elements)))
+    for h in handles:
+        if not (isinstance(h, int) and 0 <= h < group.order):
+            raise ValueError(f"element index {h} out of range at {vid!r}")
+    closure = subgroup_closure(group, handles).elements
+    if closure != handles:
+        raise ValueError(
+            f"handles {list(handles)} are not a subgroup at {vid!r}; they generate {list(closure)}"
+        )
+    return Subgroup(group, handles)
 
 
 def _rebuilt(
@@ -539,24 +557,13 @@ def identity(g: GraphOfGroups) -> NormalForm:
 def vertex_element(g: GraphOfGroups, vid: str, handle) -> NormalForm:
     syl = (VERTEX, vid, handle)
     _check_word(g, (syl,))
-    return _unit(g, syl)
+    return _normal_form(g, (syl,))
 
 
 def stable_letter(g: GraphOfGroups, eid: str, exp: int = 1) -> NormalForm:
     syl = (LETTER, eid, exp)
     _check_word(g, (syl,))
-    return _unit(g, syl)
-
-
-def _unit(g: GraphOfGroups, syl: tuple) -> NormalForm:
-    """The normal form of the one-syllable word (syl,), reduced once per graph
-    unless syl holds a nested group's handle (those are never stored)."""
-    unit = g._units.get(syl)
-    if unit is None:
-        unit = _normal_form(g, (syl,))
-        if syl[0] == LETTER or g.vertex_groups[syl[1]].order is not None:
-            g._units[syl] = unit
-    return unit
+    return _normal_form(g, (syl,))
 
 
 def _check_owner(x: NormalForm, y: NormalForm):
@@ -828,10 +835,11 @@ def verify_relative_malnormality(g: GraphOfGroups, h_vertex: str, chi: Subgroup)
         report.fail("graph is not a two-factor amalgam (need 2 vertices, 1 edge)")
         return report
     try:
-        H = table_group(g, h_vertex)
+        chi = table_subgroup(g, h_vertex, chi)
     except (ValueError, NotFinite) as exc:
         report.fail(str(exc))
         return report
+    H = chi.parent
     (eid,) = g.graph.edges
     side = 0 if g.graph.d0[eid] == h_vertex else 1
     other = g.graph.d1[eid] if side == 0 else g.graph.d0[eid]

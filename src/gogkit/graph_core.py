@@ -1,4 +1,4 @@
-"""Finite directed graphs, spanning trees, tree paths, and sign classification."""
+"""Finite directed graphs, spanning trees, tree paths, and vertex signs."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -139,48 +139,26 @@ def spanning_tree(g: FiniteGraph) -> SpanningTree:
     return SpanningTree(g, frozenset(_search(g, min(g.vertices)).values()) - {None})
 
 
-def tree_path(t: SpanningTree, v: str, w: str) -> list[str]:
-    """Edge ids along the unique tree path from v to w (empty when v == w)."""
-    return [e for e, _ in t.path(v, w)]
-
-
 @dataclass(frozen=True)
 class SignClassification:
-    """Signs of vertices and edges relative to a base vertex and its exit edge."""
+    """Signs of the vertices relative to a base vertex and its exit edge."""
 
-    base_vertex: str
     base_edge: str
     vertex_signs: dict[str, str]
-    edge_signs: dict[str, str]
 
 
 def classify(t: SpanningTree, v: str, w: str) -> SignClassification:
-    """Classify vertices and edges relative to v and the first edge toward w.
+    """Classify vertices relative to v and the first edge toward w.
 
     A vertex τ is positive when the tree path [v, τ] passes through the base
-    edge e (the unique edge of [v, w] at v); v itself is neutral; the rest are
-    negative.  An edge is positive when both endpoints are positive, neutral
-    when exactly one endpoint is positive, negative otherwise.
+    edge e (the unique edge of [v, w] at v), that is when it leaves v by e;
+    v itself is neutral; the rest are negative.
     """
     if v == w:
         raise SameVertex(f"classification needs two distinct vertices, got {v!r} twice")
-    base_edge = tree_path(t, v, w)[0]
-    vertex_signs: dict[str, str] = {}
-    for tau in t.graph.vertices:
-        if tau == v:
-            vertex_signs[tau] = NEUTRAL
-        elif base_edge in tree_path(t, v, tau):
-            vertex_signs[tau] = POSITIVE
-        else:
-            vertex_signs[tau] = NEGATIVE
-    edge_signs: dict[str, str] = {}
-    for e in t.graph.edges:
-        ends = (vertex_signs[t.graph.d0[e]], vertex_signs[t.graph.d1[e]])
-        positives = sum(1 for s in ends if s == POSITIVE)
-        if positives == 2:
-            edge_signs[e] = POSITIVE
-        elif positives == 1:
-            edge_signs[e] = NEUTRAL
-        else:
-            edge_signs[e] = NEGATIVE
-    return SignClassification(v, base_edge, vertex_signs, edge_signs)
+    first = t.path(v, w)[0]
+    vertex_signs = {
+        tau: NEUTRAL if tau == v else POSITIVE if t.path(v, tau)[0] == first else NEGATIVE
+        for tau in t.graph.vertices
+    }
+    return SignClassification(first[0], vertex_signs)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import Exhausted, expect, member
+from .errors import Exhausted, MixedOwners, expect, member
 from .finite_group import (
     FiniteGroup,
     Subgroup,
@@ -43,6 +43,7 @@ from .gog import (
     _rebuilt,
     presentation,
     residues,
+    table_subgroup,
 )
 from .group_ring import RingVector, push_to_quotient
 
@@ -163,9 +164,8 @@ def _choices(g: GraphOfGroups, target: FiniteGroup, keep: tuple) -> list:
         else:
             cache[key] = [
                 [
-                    h.images
-                    for h in enumerate_homs(g.vertex_groups[v].group, target)
-                    if all(len({h.images[x] for x in xs}) == len(xs) for u, xs in keep if u == v)
+                    h for h in enumerate_homs(g.vertex_groups[v].group, target)
+                    if all(len({h[x] for x in xs}) == len(xs) for u, xs in keep if u == v)
                 ]
                 for v in names[:n_vertices]
             ] + [range(target.order)] * (len(names) - n_vertices)
@@ -263,6 +263,8 @@ def search_quotient(
         if not elements:
             raise ValueError("separate needs a non-empty element list")
         for x in elements:
+            if x.owner is not g:
+                raise MixedOwners("element belongs to a different graph of groups")
             if not x.syllables:
                 raise ValueError("cannot separate the identity from itself")
         if g.all_tables():
@@ -276,7 +278,7 @@ def search_quotient(
             raise ValueError("embed needs a vertex id and a subgroup of its group")
         if vertex not in g.vertex_groups:
             raise ValueError(f"{vertex!r} is not a vertex")
-        keep = ((vertex, subgroup.elements),)
+        keep = ((vertex, table_subgroup(g, vertex, subgroup).elements),)
 
         def accept(q: FiniteQuotient) -> bool:
             return True

@@ -7,7 +7,7 @@ d1(g𝒢(e)) = g·t_e·𝒢(d1 e).  Cosets are stored by their least representat
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BallTooLarge, MixedOwners, NotFinite
 from .graph_core import FiniteGraph, SpanningTree
@@ -35,15 +35,6 @@ class TreeVertex:
 
     vertex_id: str
     rep: NormalForm
-    # The generated hash, computed once: walks and balls key sets and dicts by it.
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.vertex_id, self.rep)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def text(self) -> str:
         return f"{self.rep.text()}·G({self.vertex_id})"
 
@@ -54,14 +45,6 @@ class TreeEdge:
 
     edge_id: str
     rep: NormalForm
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.edge_id, self.rep)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def text(self) -> str:
         return f"{self.rep.text()}·G({self.edge_id})"
 

@@ -25,7 +25,7 @@ from .errors import (
     expect,
     member,
 )
-from .finite_group import FiniteGroup, Subgroup, is_conjugate_into, subgroup_as_group, subgroup_closure
+from .finite_group import Subgroup, is_conjugate_into, subgroup_as_group, subgroup_closure
 from .gog import (
     LETTER,
     VERTEX,
@@ -37,9 +37,9 @@ from .gog import (
     TableVertexGroup,
     Word,
     _check_subgraph,
+    _normal_form,
     _rebuilt,
     _reduce_from,
-    _unit,
     ball,
     identity,
     invert,
@@ -52,6 +52,7 @@ from .gog import (
     stable_letter,
     subgraph_group_membership,
     table_group,
+    table_subgroup,
     vertex_handle_of,
     word_text,
 )
@@ -85,7 +86,7 @@ def _atoms(g: GraphOfGroups, syllable: tuple):
     out = []
     for s in h.syllables:
         if s[0] == VERTEX:
-            out.append(((VERTEX, vid, _unit(vg.sub, s)), 1))
+            out.append(((VERTEX, vid, _normal_form(vg.sub, (s,))), 1))
         else:
             out.append(((VERTEX, vid, stable_letter(vg.sub, s[1])), s[2]))
     return out
@@ -165,7 +166,7 @@ def validate_witness(w: GogIsoWitness) -> Report:
         ("ψ∘φ", "target", w.target, apply_phi, apply_psi),
     ):
         for gen in presentation(g).generators:
-            x = _unit(g, gen)
+            x = _normal_form(g, (gen,))
             y = back(w, there(w, x))
             if y != x:
                 report.fail(f"{label} moves {side} generator {_gen_text(g, gen)!r} to {y.text()!r}")
@@ -380,7 +381,7 @@ def expand_vertex(
     }
     phi = {}
     for gen in presentation(sub).generators:
-        x = _unit(sub, gen)
+        x = _normal_form(sub, (gen,))
         phi[_namespaced(w, (gen,))[0]] = Word(((VERTEX, w, x),) if x.syllables else ())
     for eid, (i, _, conj, _) in plans.items():
         if not conj.syllables:
@@ -409,22 +410,14 @@ class ConjugatorTable:
     delta: dict[str, int] = field(default_factory=dict)
 
 
-def _chi_parent(g: GraphOfGroups, v: str, chi: Subgroup) -> FiniteGroup:
-    """The finite table group at v, which χ must be a subgroup of."""
-    group = table_group(g, v)
-    if chi.parent is not group:
-        raise ValueError("χ must be a subgroup of the vertex group at the given vertex")
-    return group
-
-
 def find_delta_conjugators(g: GraphOfGroups, v: str, chi: Subgroup) -> ConjugatorTable | None:
     """Least element of 𝒢(v) conjugating each edge-group image at v into χ.
 
     Returns None when some edge admits no conjugator — inconclusive only in
     the sense that a larger ambient Δ might; within 𝒢(v) the scan is complete.
     """
-    group = _chi_parent(g, v, chi)
-    table = ConjugatorTable(g, v, chi)
+    chi = table_subgroup(g, v, chi)
+    group, table = chi.parent, ConjugatorTable(g, v, chi)
     for eid in g.graph.incident(v):
         ends = (g.graph.d0[eid], g.graph.d1[eid])
         sides = [i for i in (0, 1) if ends[i] == v]
@@ -445,7 +438,8 @@ def attach_amalgam_vertex(
     inclusions at v are conjugated into χ by the table's δ(η), and the stable
     letters absorb the conjugators.
     """
-    group = _chi_parent(g, v, chi)
+    chi = table_subgroup(g, v, chi)
+    group = chi.parent
     if table.owner is not g or table.vertex != v:
         raise TableInvalid("conjugator table belongs to a different attachment")
     if table.chi.parent is not group or set(table.chi.elements) != set(chi.elements):

@@ -32,7 +32,9 @@ package reads the vertex off the elements' tree geodesics; the ball
 malnormality check tests every element of a ball, where the package tests
 only the vertices two edges from the base; the relator, sampler-alphabet,
 ball-alphabet and nested-generator lists are each enumerated by hand, where
-the package reads them all off one presentation.
+the package reads them all off one presentation; the direct-product builder
+splits and joins mixed-radix indices by hand, where the package numbers the
+tuples of ``itertools.product``.
 """
 from __future__ import annotations
 
@@ -369,9 +371,9 @@ def iter_quotients_product(g, target, keep=None):
     letters = [e for e in sorted(g.graph.edges) if e not in g.tree.edges]
     choices = [
         [
-            h.images
+            h
             for h in enumerate_homs(g.vertex_groups[v].group, target)
-            if keep is None or keep(v, h.images)
+            if keep is None or keep(v, h)
         ]
         for v in vertex_ids
     ]
@@ -851,3 +853,41 @@ def composite_generator_handles(self) -> list:
         if eid not in self.sub.tree.edges:
             out.append(stable_letter(self.sub, eid))
     return out
+
+
+def product_reference(factors):
+    """The direct product of table groups, indexed in mixed radix (first factor
+    most significant), as the package built it before ``itertools.product``."""
+    from gogkit.finite_group import _from_table
+
+    orders = [g.order for g in factors]
+    total = 1
+    for o in orders:
+        total *= o
+
+    def split(i: int) -> list[int]:
+        parts = []
+        for o in reversed(orders):
+            parts.append(i % o)
+            i //= o
+        return parts[::-1]
+
+    def join(parts: list[int]) -> int:
+        i = 0
+        for o, p in zip(orders, parts):
+            i = i * o + p
+        return i
+
+    table = []
+    for i in range(total):
+        pi = split(i)
+        row = []
+        for j in range(total):
+            pj = split(j)
+            row.append(join([g.mul(a, b) for g, a, b in zip(factors, pi, pj)]))
+        table.append(row)
+    labels = [
+        "|".join(g.label(p) for g, p in zip(factors, split(i))) for i in range(total)
+    ]
+    name = "x".join(g.name or "?" for g in factors)
+    return _from_table(table, labels, name, trusted=True)

@@ -16,7 +16,12 @@ from gogkit.finite_group import (
     subgroup_closure,
 )
 
-from _oracles import count_embeddings_brute, extend_hom_reference, subgroup_closure_reference
+from _oracles import (
+    count_embeddings_brute,
+    extend_hom_reference,
+    product_reference,
+    subgroup_closure_reference,
+)
 
 
 def test_cyclic_basics():
@@ -111,7 +116,7 @@ def test_subgroup_closure_matches_two_sided_reference(spec):
 )
 def test_embedding_counts(source, target, expected):
     src, tgt = make_group(source), make_group(target)
-    found = [h for h in enumerate_homs(src, tgt) if h.is_injective()]
+    found = [h for h in enumerate_homs(src, tgt) if len(set(h)) == len(h)]
     assert len(found) == expected
     assert count_embeddings_brute(src.table, tgt.table) == expected
 
@@ -125,7 +130,7 @@ def test_embeddings_match_brute_force_on_mixed_pairs():
     ]
     for a, b in pairs:
         src, tgt = make_group(a), make_group(b)
-        embeddings = [h for h in enumerate_homs(src, tgt) if h.is_injective()]
+        embeddings = [h for h in enumerate_homs(src, tgt) if len(set(h)) == len(h)]
         assert len(embeddings) == count_embeddings_brute(src.table, tgt.table)
 
 
@@ -133,11 +138,11 @@ def test_hom_enumeration_is_complete_and_sorted():
     c3, s3 = make_group("cyclic 3"), make_group("symmetric 3")
     homs = enumerate_homs(c3, s3)
     assert len(homs) == 3  # trivial plus the two embeddings
-    assert homs == sorted(homs, key=lambda h: h.images)
+    assert homs == sorted(homs)
     for h in homs:
         for i in range(3):
             for j in range(3):
-                assert h.apply(c3.mul(i, j)) == s3.mul(h.apply(i), h.apply(j))
+                assert h[c3.mul(i, j)] == s3.mul(h[i], h[j])
 
 
 HOM_SOURCES = [f"cyclic {n}" for n in range(1, 7)] + [
@@ -155,7 +160,7 @@ def test_hom_enumeration_is_strictly_increasing(source):
     # it holds only while the generating sequence stays greedy.
     src = make_group(source)
     for spec in HOM_TARGETS:
-        images = [h.images for h in enumerate_homs(src, make_group(spec))]
+        images = enumerate_homs(src, make_group(spec))
         assert all(a < b for a, b in zip(images, images[1:])), (source, spec)
 
 
@@ -179,7 +184,7 @@ def test_hom_lists_are_fresh_per_call():
     homs[0] = None
     again = enumerate_homs(c3, s3)
     assert len(again) == 3
-    assert again == sorted(again, key=lambda h: h.images)
+    assert again == sorted(again)
 
 
 def test_equal_tables_share_hash_and_hom_lists():
@@ -265,3 +270,21 @@ def test_make_group_builds_up_to_the_cap():
     # S6 is the largest default quotient target.
     assert make_group("symmetric 6").order == MAX_GROUP_ORDER == 720
     assert make_group("cyclic 720").order == 720
+
+
+@pytest.mark.parametrize("specs", [
+    [],
+    ["cyclic 1", "symmetric 3"],
+    ["cyclic 3", "cyclic 1"],
+    ["cyclic 2", "dihedral 3", "cyclic 3"],
+    [{"table": [[1, 0], [0, 1]]}, "dicyclic 2", "cyclic 2"],
+    ["cyclic 4", "symmetric 3"],
+], ids=str)
+def test_product_matches_the_mixed_radix_builder(specs):
+    factors = [make_group(spec) for spec in specs]
+    built, expected = finite_group._product(factors), product_reference(factors)
+    assert built.table == expected.table
+    assert built.labels == expected.labels
+    assert built.name == expected.name
+    assert built.identity == expected.identity
+    assert make_group(specs) == expected

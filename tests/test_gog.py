@@ -22,9 +22,9 @@ from gogkit.gog import (
     Subgraph,
     TableVertexGroup,
     Word,
+    _normal_form,
     _rebuilt,
     _reduce_from,
-    _unit,
     alphabet,
     ball,
     equal,
@@ -55,7 +55,7 @@ from gogkit.derivation import (
     accessibility_derivation,
     evaluate,
 )
-from gogkit.finite_group import make_group, subgroup_closure
+from gogkit.finite_group import Subgroup, make_group, subgroup_closure
 from gogkit.group_ring import ring_term
 from gogkit.graph_core import FiniteGraph, SpanningTree
 
@@ -263,7 +263,7 @@ def oracle_derivation(g):
     whether or not the table is well defined.
     """
     values = {
-        gen if gen[0] == VERTEX else gen[:2]: ring_term(_unit(g, gen), 5, 1 + i % 4)
+        gen if gen[0] == VERTEX else gen[:2]: ring_term(_normal_form(g, (gen,)), 5, 1 + i % 4)
         for i, gen in enumerate(presentation(g).generators)
     }
     return Derivation(g, 5, (Component(STANDARD, values), Component(TWISTED, values)))
@@ -590,6 +590,17 @@ def test_malnormality_checks_the_vertices_two_edges_out(name, h_vertex, checked)
         assert report.ok == malnormality_by_ball(g, h_vertex, chi, 4), chi
         if report.ok:
             assert report.counts == {"checked": checked}
+
+
+@pytest.mark.parametrize("parent, elements, problem", [
+    ("cyclic 6", (0, 3), "χ must be a subgroup of the vertex group at the given vertex"),
+    ("v", (0, 1), "handles [0, 1] are not a subgroup at 'v'; they generate [0, 1, 2, 3]"),
+], ids=["foreign-parent", "not-closed"])
+def test_malnormality_checks_chi(c4c6, parent, elements, problem):
+    # A C6 subgroup at the C4 vertex v once answered FAIL about C4 indices.
+    group = c4c6.vertex_groups["v"].group if parent == "v" else make_group(parent)
+    report = verify_relative_malnormality(c4c6, "v", Subgroup(group, elements))
+    assert report.problems == [problem]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The per-graph memos: transversals, tree paths and one-syllable elements.
+"""The per-graph memos: transversals and tree paths.
 
 Each memo is compared with the loop it replaces, on a freshly parsed graph
 (cold memos) and again after a ball has filled them (warm memos), and its
@@ -81,7 +81,7 @@ def assert_memos_match_loops(g, words):
 def test_memos_match_the_loops_cold_and_warm(name):
     g = load_fixture(name)
     words = seeded_words(g)
-    assert not g._units and not g.tree._paths
+    assert not g.tree._paths
     assert all(not memo for memo in g._transversals.values())
     assert_memos_match_loops(g, words)
     if g.all_tables():
@@ -106,10 +106,6 @@ def test_memos_stay_within_their_bounds(name, base):
     n = len(g.graph.vertices)
     assert len(g.tree._paths) <= n * n
     assert set(g.tree._paths) <= {(v, w) for v in g.graph.vertices for w in g.graph.vertices}
-    assert g._units
-    for syl, unit in g._units.items():
-        assert len(syl) == 3 and syl[0] in (VERTEX, LETTER)
-        assert unit == reduce(g, Word((syl,)))
 
 
 def test_nested_vertex_carries_are_never_stored():
@@ -126,7 +122,6 @@ def test_nested_vertex_carries_are_never_stored():
     assert any(g._transversals[key] for key in g._transversals if key not in nested)
     for h in handles(g.vertex_groups["m"]):
         assert vertex_element(g, "m", h) == reduce(g, Word(((VERTEX, "m", h),)))
-    assert all(g.vertex_groups[syl[1]].order is not None for syl in g._units if syl[0] == VERTEX)
 
 
 def test_rebuilt_graph_starts_with_its_own_empty_memos():
@@ -134,7 +129,7 @@ def test_rebuilt_graph_starts_with_its_own_empty_memos():
     ball(g, 3)
     vertex_element(g, "v", 1)
     out = _rebuilt(g, name="copy")
-    assert not out._units and not out.tree._paths
+    assert not out.tree._paths
     assert all(not memo for memo in out._transversals.values())
     assert out._transversals is not g._transversals
     assert out.tree._paths is not g.tree._paths
@@ -157,8 +152,6 @@ def test_units_equal_reduced_one_syllable_words(name):
         make = vertex_element if syl[0] == VERTEX else stable_letter
         unit, again = make(g, syl[1], syl[2]), make(g, syl[1], syl[2])
         assert unit == again == reduce(g, Word((syl,))), syl
-        stored = syl[0] == LETTER or isinstance(g.vertex_groups[syl[1]], TableVertexGroup)
-        assert (unit is again) == stored, syl
 
 
 def test_out_of_range_handles_raise_on_every_call(expand_demo):
@@ -167,7 +160,6 @@ def test_out_of_range_handles_raise_on_every_call(expand_demo):
         for _ in range(2):
             with pytest.raises(MalformedWord):
                 vertex_element(g, "v", handle)
-    assert not g._units
     nested = load_fixture("expand_demo")
     foreign = expand_demo.vertex_groups["m"].generator_handles()[0]
     for _ in range(2):

@@ -12,7 +12,7 @@ from _oracles import (
 )
 from gogkit.acceptance import _sl23, separation_targets
 from gogkit.derivation import accessibility_derivation, evaluate
-from gogkit.errors import Exhausted
+from gogkit.errors import Exhausted, MixedOwners
 from gogkit.finite_group import FiniteGroup, Subgroup, make_group, subgroup_closure
 from gogkit.gog import Subgraph, ball, identity, invert, multiply, nf
 from gogkit.quotients import (
@@ -441,3 +441,22 @@ def test_embed_rejects_unknown_vertex(c4c6):
     sub = subgroup_closure(c4c6.vertex_groups["v"].group, [1])
     with pytest.raises(ValueError, match="not a vertex"):
         search_quotient(c4c6, "embed", vertex="zz", subgroup=sub)
+
+
+def test_separate_refuses_an_element_of_another_graph(c4c6, c6hnn):
+    with pytest.raises(MixedOwners):
+        search_quotient(c4c6, "separate", elements=[nf(c6hnn, "t(t)")])
+
+
+@pytest.mark.parametrize("parent, elements, message", [
+    ("cyclic 6", (0, 2, 4), "χ must be a subgroup of the vertex group at the given vertex"),
+    ("v", (0, 1), "handles [0, 1] are not a subgroup at 'v'; they generate [0, 1, 2, 3]"),
+    ("v", (0, 9), "element index 9 out of range at 'v'"),
+], ids=["foreign-parent", "not-closed", "out-of-range"])
+def test_embed_checks_its_subgroup(c4c6, parent, elements, message):
+    # The vertex group at v is C4; a C6 subgroup once raised IndexError, and
+    # {0, 1} once gave a C2 quotient that does not embed ⟨1⟩ = C4.
+    group = c4c6.vertex_groups["v"].group if parent == "v" else make_group(parent)
+    with pytest.raises(ValueError) as info:
+        search_quotient(c4c6, "embed", vertex="v", subgroup=Subgroup(group, elements))
+    assert str(info.value) == message

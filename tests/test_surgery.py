@@ -652,3 +652,19 @@ def test_transcripts_match_their_frozen_digests():
         for label, op, w in _frozen_cases()
     }
     assert digests == FROZEN_TRANSCRIPTS
+
+
+@pytest.mark.parametrize("elements, message", [
+    ((0, 9), "element index 9 out of range at 'v'"),
+    ((0, 1), "handles [0, 1] are not a subgroup at 'v'; they generate [0, 1, 2, 3]"),
+], ids=["out-of-range", "not-closed"])
+def test_chi_is_checked_as_a_subgroup_of_the_vertex_group(c4c6, elements, message):
+    group = c4c6.vertex_groups["v"].group
+    table = find_delta_conjugators(c4c6, "v", Subgroup(group, (0, 2)))
+    for call in (
+        lambda chi: find_delta_conjugators(c4c6, "v", chi),
+        lambda chi: attach_amalgam_vertex(c4c6, "v", chi, table),
+    ):
+        with pytest.raises(ValueError) as info:
+            call(Subgroup(group, elements))
+        assert str(info.value) == message
