@@ -203,9 +203,7 @@ def glue(g: GraphOfGroups, mod: int, components: list[tuple[str, dict[str, RingV
 def _edge_image_sum(g: GraphOfGroups, eid: str, mod: int) -> RingVector:
     """Σκ over the image of the edge group at the d1 end, as elements of Γ."""
     d1v = g.graph.d1[eid]
-    elems = [
-        vertex_element(g, d1v, g.incl(eid, 1, k)) for k in range(g.edge_groups[eid].order)
-    ]
+    elems = [vertex_element(g, d1v, h) for h in g.inclusions[eid][1]]
     return group_sum(g, elems, mod)
 
 

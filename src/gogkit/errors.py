@@ -106,9 +106,10 @@ def json_path(path: tuple) -> str:
 
 def expect(value, kind: type, path: tuple):
     """``value`` when it has the JSON type ``kind`` (dict, list, str or int;
-    object accepts any), else DocumentError naming its path.  The one shape
-    check of the loaders; the path text is built only when raising."""
-    if isinstance(value, kind):
+    object accepts any), else DocumentError naming its path.  ``true`` and
+    ``false`` are not integers.  The one shape check of the loaders; the path
+    text is built only when raising."""
+    if isinstance(value, kind) and not (kind is int and type(value) is bool):
         return value
     raise DocumentError(f"{json_path(path)} must be {_KIND_TEXT[kind]}, got {value!r}")
 

@@ -250,6 +250,8 @@ def make_group(spec) -> FiniteGroup:
             if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
                 raise ValueError("group spec 'table' must be a list of lists")
             _check_order(len(table), "group table")
+            if not all(type(x) is int for row in table for x in row):
+                raise ValueError("group spec 'table' entries must be integers")
             labels = spec.get("labels")
             if labels is not None and not (
                 isinstance(labels, list) and len(labels) == len(table)

@@ -90,7 +90,7 @@ class TableVertexGroup:
         return f"g{a}"
 
     def contains_handle(self, a) -> bool:
-        return isinstance(a, int) and 0 <= a < self.group.order
+        return type(a) is int and 0 <= a < self.group.order
 
 
 class CompositeVertexGroup:

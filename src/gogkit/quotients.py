@@ -23,6 +23,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .derivation import evaluate
+from .documents import _group_spec
 from .errors import Exhausted, MixedOwners, expect, member
 from .finite_group import (
     FiniteGroup,
@@ -88,7 +90,7 @@ def quotient_from_images(
 ) -> FiniteQuotient | None:
     """Assemble a quotient and check every defining relator; None if not a hom."""
     def is_element(i) -> bool:
-        return isinstance(i, int) and 0 <= i < target.order
+        return type(i) is int and 0 <= i < target.order
 
     if not all(is_element(letter_images.get(eid)) for eid in g.graph.edges):
         return None
@@ -337,8 +339,6 @@ def certify_nonkernel(d, x: NormalForm, targets=None) -> NonkernelCertificate:
     Sound by construction: a nonzero push forces eval(d, x) ≠ 0 upstairs.
     Raises Exhausted when no candidate quotient shows anything (inconclusive).
     """
-    from .derivation import evaluate
-
     values = evaluate(d, x)
     if all(v.is_zero() for v in values):
         raise Exhausted("the value is zero; no certificate can exist")
@@ -353,8 +353,6 @@ def certify_nonkernel(d, x: NormalForm, targets=None) -> NonkernelCertificate:
 
 def check_certificate(cert: NonkernelCertificate, d, x: NormalForm) -> bool:
     """Re-derive the pushed value from scratch and compare."""
-    from .derivation import evaluate
-
     value = evaluate(d, x)[cert.component]
     return cert.quotient.push(value) == cert.pushed and bool(cert.pushed)
 
@@ -377,8 +375,6 @@ def coset_complement_functional(q: FiniteQuotient, D, pushed: dict[int, int], mo
 
 
 def quotient_data(q: FiniteQuotient) -> dict:
-    from .documents import _group_spec
-
     return {
         "target": _group_spec(q.target),
         "vertex_images": {v: list(q.vertex_images[v]) for v in sorted(q.vertex_images)},

@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 from functools import partial
 
+from .documents import _parse, document_data
 from .errors import (
     BadAttachment,
     GogkitError,
@@ -324,7 +325,7 @@ def expand_vertex(
     plans: dict[str, tuple[int, str, NormalForm, tuple]] = {}
     for eid in g.graph.incident(w):
         i = 0 if g.graph.d0[eid] == w else 1
-        images = [g.incl(eid, i, k) for k in range(g.edge_groups[eid].order)]
+        images = g.inclusions[eid][i]
         if eid in attach:
             tau, conj = attach[eid]
             conj = nf(sub, conj) if isinstance(conj, str) else conj
@@ -421,7 +422,7 @@ def find_delta_conjugators(g: GraphOfGroups, v: str, chi: Subgroup) -> Conjugato
     for eid in g.graph.incident(v):
         ends = (g.graph.d0[eid], g.graph.d1[eid])
         sides = [i for i in (0, 1) if ends[i] == v]
-        images = {g.incl(eid, i, k) for i in sides for k in range(g.edge_groups[eid].order)}
+        images = {h for i in sides for h in g.inclusions[eid][i]}
         found = is_conjugate_into(subgroup_closure(group, images), chi, group)
         if found is None:
             return None
@@ -453,9 +454,7 @@ def attach_amalgam_vertex(
                 f"edge {eid!r} ends at {v!r} but does not start there; "
                 "apply reverse_edge first"
             )
-        if eid in g.tree.edges and len(
-            {g.incl(eid, 0, k) for k in range(g.edge_groups[eid].order)}
-        ) == group.order:
+        if eid in g.tree.edges and len(set(g.inclusions[eid][0])) == group.order:
             raise ValueError(f"edge {eid!r} is superfluous at {v!r}; collapse it first")
         if eid not in table.delta:
             raise TableInvalid(f"no conjugator recorded for edge {eid!r}")
@@ -571,7 +570,7 @@ def collapse_to_amalgam(g: GraphOfGroups, xi: Subgraph) -> AmalgamDescription:
     delta_vertex = ends[side]
     chi = Subgroup(
         table_group(g, delta_vertex),
-        tuple(sorted({g.incl(e, side, k) for k in range(g.edge_groups[e].order)})),
+        tuple(sorted(set(g.inclusions[e][side]))),
     )
     return AmalgamDescription(
         owner=g,
@@ -594,8 +593,6 @@ def _gen_text(g: GraphOfGroups, gen: tuple) -> str:
 
 def witness_transcript(op: str, w: GogIsoWitness) -> dict:
     """A replayable record: input hash, output document, witness tables."""
-    from .documents import document_data
-
     source_doc = document_data(w.source, name=w.source.name)
     payload = json.dumps(source_doc, sort_keys=True).encode()
     return {
@@ -620,8 +617,6 @@ def replay_transcript(data) -> Report:
     A malformed transcript (bad JSON, a missing part, a map that is not an
     object, an entry that is not word text or does not parse) is a FAIL line.
     """
-    from .documents import _parse
-
     report = Report()
     try:
         if isinstance(data, str):

@@ -1,5 +1,9 @@
 """One test per acceptance check, with its stated time budget."""
+import pytest
+
+from gogkit import acceptance
 from gogkit.acceptance import CheckResult, run_check, run_checks
+from gogkit.fixtures import FIXTURE_NAMES
 
 
 def _run(name: str) -> CheckResult:
@@ -96,8 +100,38 @@ def test_fixture_filter_skips_cleanly():
     assert by_name["c03-kernel-scans"].counts == {"c6hnn_elements": 552}
 
 
-def test_unknown_check_name_rejected():
-    import pytest
+ALL_CHECKS = {f"c{i:02d}" for i in range(1, 11)}
 
+
+@pytest.mark.parametrize(
+    "only, skipped",
+    [
+        ("c4c6", set()),
+        ("c6hnn", {"c04", "c06", "c07", "c09", "c10"}),
+        ("c4c2c4", {"c07", "c09", "c10"}),
+        ("c2c2", {"c01", "c03", "c04", "c06", "c08", "c10"}),
+        ("expand_demo", ALL_CHECKS - {"c08"}),
+        ("zz", ALL_CHECKS),
+    ],
+)
+def test_fixture_filter_skips_the_checks_without_that_fixture(only, skipped):
+    results = run_checks(only)
+    assert all(r.ok for r in results)
+    assert {r.name[:3] for r in results if r.counts == {"skipped": 1}} == skipped
+    assert all("skipped" not in r.counts for r in results if r.name[:3] not in skipped)
+
+
+def test_registry_keeps_the_shape_gogbench_mix_reads():
+    # gogbench/mix.py iterates ``for check, _ in CHECKS`` and wraps these
+    # helpers by name, so the checks must reach them through module globals.
+    for row in acceptance.CHECKS:
+        assert isinstance(row, tuple) and len(row) == 2
+        fixtures, body = row[1]
+        assert callable(body) and set(fixtures) <= set(FIXTURE_NAMES)
+    for name in ("_derivations", "_finite_subgroup_words", "_alternating_words"):
+        assert callable(vars(acceptance)[name])
+
+
+def test_unknown_check_name_rejected():
     with pytest.raises(ValueError, match="unknown check"):
         run_check("c99-nope")

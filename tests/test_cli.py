@@ -43,6 +43,29 @@ def test_every_command_refuses_an_inclusion_that_is_not_a_homomorphism(capsys, t
     assert (code, out, err) == (2, "", "error: edge 'e' side 0: not a homomorphism on pair (1,1)\n")
 
 
+@pytest.mark.parametrize("command, mutate, error", [
+    (["nf", "--word", "w:g1 * u:g1"],
+     lambda d: d["graph"]["edges"][0].update(d0_images=[0, True]),
+     "graph.edges[0].d0_images[1] must be an integer, got True"),
+    (["ball", "--radius", "1"],
+     lambda d: d["graph"]["vertices"][1].update(group={"table": [[False, True], [True, False]]}),
+     "graph.vertices[1].group: group spec 'table' entries must be integers"),
+    (["validate"],
+     lambda d: d["graph"]["vertices"][1].update(group={"table": [[0.0, 1.0], [1.0, 0.0]]}),
+     "graph.vertices[1].group: group spec 'table' entries must be integers"),
+], ids=["nf-bool-image", "ball-bool-table", "validate-float-table"])
+def test_commands_refuse_handles_that_are_not_json_integers(
+    capsys, tmp_path, command, mutate, error
+):
+    # c4c2c4's middle vertex m is C2, so a two-element table fits its inclusions.
+    doc = json.loads(fixture_text("c4c2c4"))
+    mutate(doc)
+    bad = tmp_path / "bad.gog.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command[0], str(bad), *command[1:])
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
 def test_validate_unknown_reference(capsys):
     code, _, err = run(capsys, "validate", "no_such_fixture")
     assert code == 2
@@ -164,7 +187,9 @@ def test_deriv_eval_rejects_unglued_derivation(capsys, tmp_path):
      "components[0].values['v:g1'] must be a list, got 7"),
     ({"mod": 5, "components": [{"values": {"v:g1": [{"word": "1"}]}}]},
      "components[0].values['v:g1'][0].coeff is missing"),
-], ids=["components-not-list", "value-not-list", "term-without-coeff"])
+    ({"mod": 5, "components": [{"values": {"v:g1": [{"word": "1", "coeff": True}]}}]},
+     "components[0].values['v:g1'][0].coeff must be an integer, got True"),
+], ids=["components-not-list", "value-not-list", "term-without-coeff", "coeff-bool"])
 def test_deriv_eval_rejects_malformed_files(capsys, tmp_path, data, error):
     path = tmp_path / "bad.deriv.json"
     path.write_text(json.dumps(data))

@@ -341,7 +341,7 @@ def _mixed_actions_c6hnn():
 
 @pytest.mark.parametrize("name", ["c4c6", "c6hnn", "c4c2c4", "c2c2", "c6hnn-mixed"])
 def test_evaluate_matches_two_step_reference(name):
-    derivations = _mixed_actions_c6hnn() if name == "c6hnn-mixed" else _derivations(name)
+    derivations = _mixed_actions_c6hnn() if name == "c6hnn-mixed" else _derivations(load_fixture(name), name)
     for label, d in derivations:
         for x in ball(d.owner, 3):
             assert evaluate(d, x) == evaluate_two_step(d, x), (label, x.text())

@@ -242,11 +242,17 @@ def test_spanning_tree_must_connect():
             re.escape("graph.vertices[0].group: group spec 'name' must be a string, got 5"),
         ),
         (lambda d: d.update(name=5), "^name must be a string, got 5$"),
+        (lambda d: d["graph"]["edges"][0].update(d0_images=[False, 2]),
+         re.escape("graph.edges[0].d0_images[0] must be an integer, got False")),
+        (lambda d: d["graph"]["edges"][0].update(group={"table": [[False, True], [True, False]]}),
+         re.escape("graph.edges[0].group: group spec 'table' entries must be integers")),
+        (lambda d: d["graph"]["edges"][0].update(group={"table": [[0.0, 1.0], [1.0, 0.0]]}),
+         re.escape("graph.edges[0].group: group spec 'table' entries must be integers")),
     ],
     ids=[
         "images", "vertices", "graph", "vertex", "vertex-id", "edge-end", "tree", "basepoint",
         "table-spec", "product-spec", "labels-not-list", "labels-wrong-length", "group-name",
-        "document-name",
+        "document-name", "image-bool", "table-bool", "table-float",
     ],
 )
 def test_wrongly_typed_fields_raise_document_error(mutate, message):

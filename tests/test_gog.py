@@ -648,7 +648,7 @@ def test_vertex_element_and_identity_helpers(c4c6):
 # Handle checks where words enter
 
 
-@pytest.mark.parametrize("handle", [99, -1, 1.0, "g1"])
+@pytest.mark.parametrize("handle", [99, -1, 1.0, True, "g1"])
 def test_reduce_rejects_a_bad_table_handle(c4c6, handle):
     # -1 would index the last row of C4's table if nothing checked it.
     for syllables in (

@@ -2,8 +2,9 @@
 
 Malformed data reaching ``parse_document``, ``derivation_from_data``,
 ``quotient_from_data`` or ``replay_transcript`` may raise only GogkitError or
-ValueError, and every document that parses has valid inclusions and serializes
-to a document with the same vertex and edge tables.  The inputs are a
+ValueError, and every document that parses has valid inclusions, holds only
+integer (not bool or float) table entries and table-vertex inclusion images,
+and serializes to a document with the same vertex and edge tables.  The inputs are a
 valid document, derivation, quotient and transcript of c4c6, c6hnn and c4c2c4.
 Each input gets every one-field mutation (each field replaced by each value of
 REPLACEMENTS, or deleted) and TWO_FIELD seeded two-field mutations.
@@ -28,7 +29,7 @@ DELETE = object()
 # The values a mutated field takes: wrong JSON types, ids and word texts of
 # the fixtures, and malformed group specs.
 REPLACEMENTS = [
-    None, True, 0, 1, -1, 99, 2.5, "", "x", "v", "t(e)", "v:g1", "cyclic 4",
+    None, True, False, 0, 1, -1, 99, 2.5, 1.0, "", "x", "v", "t(e)", "v:g1", "cyclic 4",
     [], [0], [[0]], {}, {"table": [[0, 1], [1, 0]], "name": 5}, {"gog": {}},
 ]
 # Per fixture: a word its quotient separates and the edge its transcript reverses.
@@ -53,10 +54,22 @@ def _tables(g):
     return vertex_tables, {e: K.table for e, K in g.edge_groups.items()}
 
 
+def _handles(g):
+    """Every table entry and every inclusion image into a table vertex group."""
+    vertex_tables, edge_tables = _tables(g)
+    tables = list(vertex_tables.values()) + list(edge_tables.values())
+    yield from (h for table in tables for row in table for h in row)
+    for e, images in g.inclusions.items():
+        for vid, side in zip((g.graph.d0[e], g.graph.d1[e]), images):
+            if g.vertex_groups[vid].order:
+                yield from side
+
+
 def _load(kind, g, data):
     if kind == "document":
         doc = parse_document(data)
         assert validate(doc.gog).ok
+        assert all(type(h) is int for h in _handles(doc.gog))
         again = parse_document(document_to_json(doc.gog, name=doc.name)).gog
         assert _tables(again) == _tables(doc.gog)
     elif kind == "derivation":

@@ -281,6 +281,15 @@ def test_quotient_from_images_rejects_non_hom_vertex_images(c4c6):
     assert quotient_from_images(c4c6, c12, vertex_images, {"e": 0}) is None
 
 
+def test_quotient_from_images_refuses_a_bool_handle(c4c6):
+    c12 = make_group("cyclic 12")
+    vertex_images = {"v": (0, 3, 6, 9), "w": (0, 2, 4, 6, 8, 10)}
+    assert quotient_from_images(c4c6, c12, vertex_images, {"e": 0}) is not None
+    assert quotient_from_images(c4c6, c12, vertex_images, {"e": False}) is None
+    vertex_images["v"] = (False, 3, 6, 9)
+    assert quotient_from_images(c4c6, c12, vertex_images, {"e": 0}) is None
+
+
 DIFFERENTIAL_TARGETS = [f"cyclic {n}" for n in range(2, 25)] + ["symmetric 3", "symmetric 4"]
 
 

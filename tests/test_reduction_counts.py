@@ -47,7 +47,7 @@ def moved_terms(d, syllables) -> int:
 def test_evaluate_reduces_at_most_once_per_moved_term(name, reductions):
     rng = random.Random(name)
     seen = 0
-    for label, d in _derivations(name):
+    for label, d in _derivations(load_fixture(name), name):
         g = d.owner
         letters = alphabet(g)
         words = [x.syllables for x in ball(g, 3)]
