@@ -397,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the acceptance checks")
     p.add_argument("what", choices=("all",))
-    p.add_argument("--fixture", help="restrict checks to one bundled fixture")
+    p.add_argument("--fixture", choices=FIXTURE_NAMES, help="restrict checks to one bundled fixture")
     p.set_defaults(handler=cmd_verify)
 
     return parser

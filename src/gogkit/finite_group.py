@@ -4,13 +4,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import NoIdentity, NonAssociative, NotPermutationRow
 
 # The largest group ``make_group`` builds: S6, the largest default quotient
-# target.  An order-n table holds n² entries (a further n³ checks for an
-# explicit table), so larger specs are refused before anything is built.
+# target.  An order-n table holds n² entries, and its check reads n² for each
+# of its few generators, so larger specs are refused before anything is built.
 MAX_GROUP_ORDER = 720
 
 
@@ -35,6 +36,10 @@ class FiniteGroup:
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
+
+    def times(self, i: int):
+        """The map j ↦ i·j: row i's lookup, for loops that multiply by i many times."""
+        return self.table[i].__getitem__
 
     def inv(self, i: int) -> int:
         return self.inverse[i]
@@ -79,65 +84,60 @@ class Subgroup:
         return i in self.elements
 
 
-def _validate_table(
-    table: list[list[int]], check_associativity: bool = True
-) -> tuple[int, tuple[int, ...]]:
-    """Check the group axioms, returning (identity index, inverse array)."""
-    n = len(table)
+def _validate_table(rows: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[int, ...]]:
+    """Check the group axioms, returning (identity index, inverse array).  Associativity is
+    Light's test: (x·s)·y = x·(s·y), row against row, for each s of a generating set."""
+    n = len(rows)
     idx = set(range(n))
-    for i, row in enumerate(table):
+    for i, row in enumerate(rows):
         if len(row) != n or set(row) != idx:
             raise NotPermutationRow(f"row {i} is not a permutation of 0..{n - 1}")
-    for j in range(n):
-        col = {table[i][j] for i in range(n)}
-        if col != idx:
+    for j, col in enumerate(zip(*rows)):
+        if len(set(col)) != n:  # every entry is in 0..n-1 once the rows pass
             raise NotPermutationRow(f"column {j} is not a permutation of 0..{n - 1}")
-    identity = None
-    for e in range(n):
-        if all(table[e][i] == i and table[i][e] == i for i in range(n)):
-            identity = e
-            break
+    one = tuple(range(n))
+    identity = next((e for e, row in enumerate(rows)
+                     if row == one and tuple(r[e] for r in rows) == one), None)
     if identity is None:
         raise NoIdentity("table has no two-sided identity element")
-    if check_associativity:
-        # The n³ scan is the expensive part; builders whose tables come from
-        # an associative model (residues, permutations, products) skip it.
-        for i in range(n):
-            for j in range(n):
-                ij = table[i][j]
-                row_j = table[j]
-                row_ij = table[ij]
-                for k in range(n):
-                    if row_ij[k] != table[i][row_j[k]]:
-                        raise NonAssociative(f"({i}·{j})·{k} != {i}·({j}·{k})")
-    inverse = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if table[i][j] == identity:
-                inverse[i] = j
-                break
-    return identity, tuple(inverse)
+    for s in _greedy_generators(rows, identity):
+        through_s = operator.itemgetter(*rows[s])
+        for x, row in enumerate(rows):
+            xs_row, x_sy = rows[row[s]], through_s(row)
+            if xs_row != x_sy:
+                y = next(y for y in range(n) if xs_row[y] != x_sy[y])
+                raise NonAssociative(f"({x}·{s})·{y} != {x}·({s}·{y})")
+    return identity, tuple(row.index(identity) for row in rows)
 
 
-def _from_table(
-    table: list[list[int]], labels: list[str] | None, name: str, trusted: bool = False
-) -> FiniteGroup:
-    identity, inverse = _validate_table(table, check_associativity=not trusted)
-    return FiniteGroup(
-        table=tuple(tuple(row) for row in table),
-        identity=identity,
-        inverse=inverse,
-        labels=tuple(labels) if labels is not None else None,
-        name=name,
-    )
+def _from_table(table, labels: list[str] | None, name: str) -> FiniteGroup:
+    rows = tuple(map(tuple, table))
+    identity, inverse = _validate_table(rows)
+    return FiniteGroup(table=rows, identity=identity, inverse=inverse,
+                       labels=tuple(labels) if labels is not None else None, name=name)
+
+
+def _cayley_rows(order: int, generator_rows) -> tuple[tuple[int, ...], ...]:
+    """The table that ``generator_rows`` generate, identity at 0, by a walk over the
+    Cayley graph: row(p·s) is row(p) read at the entries of row(s)."""
+    rows = [tuple(range(order))] + [None] * (order - 1)
+    steps = [(row[0], operator.itemgetter(*row)) for row in generator_rows if row[0] != 0]
+    reached = [0]
+    for p in reached:
+        for s, through_s in steps:
+            q = rows[p][s]
+            if rows[q] is None:
+                rows[q] = through_s(rows[p])
+                reached.append(q)
+    return tuple(rows)
 
 
 def _cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic parameter must be >= 1")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    table = _cayley_rows(n, [[(1 + j) % n for j in range(n)]])
     labels = ["e"] + [f"x{'' if i == 1 else i}" for i in range(1, n)]
-    return _from_table(table, labels, f"C{n}", trusted=True)
+    return _from_table(table, labels, f"C{n}")
 
 
 def _dihedral(n: int) -> FiniteGroup:
@@ -151,9 +151,9 @@ def _dihedral(n: int) -> FiniteGroup:
         k = (k1 + (k2 if s1 == 0 else -k2)) % n
         return k + n * (s1 ^ s2)
 
-    table = [[mul(i, j) for j in range(2 * n)] for i in range(2 * n)]
+    table = _cayley_rows(2 * n, [[mul(g, j) for j in range(2 * n)] for g in (1, n)])
     labels = [f"r{k}" for k in range(n)] + [f"s{k}" for k in range(n)]
-    return _from_table(table, labels, f"D{n}", trusted=True)
+    return _from_table(table, labels, f"D{n}")
 
 
 def _dicyclic(n: int) -> FiniteGroup:
@@ -167,9 +167,9 @@ def _dicyclic(n: int) -> FiniteGroup:
         k = (k1 + (k2 if s1 == 0 else -k2) + (n if s1 and s2 else 0)) % (2 * n)
         return k + 2 * n * (s1 ^ s2)
 
-    table = [[mul(i, j) for j in range(4 * n)] for i in range(4 * n)]
+    table = _cayley_rows(4 * n, [[mul(g, j) for j in range(4 * n)] for g in (1, 2 * n)])
     labels = [f"a{k}" for k in range(2 * n)] + [f"b{k}" for k in range(2 * n)]
-    return _from_table(table, labels, f"Dic{n}", trusted=True)
+    return _from_table(table, labels, f"Dic{n}")
 
 
 def _symmetric(n: int) -> FiniteGroup:
@@ -177,13 +177,13 @@ def _symmetric(n: int) -> FiniteGroup:
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
 
-    def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-        # (p·q)(i) = p(q(i))
-        return tuple(p[q[i]] for i in range(n))
-
-    table = [[index[compose(p, q)] for q in perms] for p in perms]
+    # The transposition of the last two letters and the n-cycle i ↦ i+1
+    # generate Sn; (g·q)(i) = g(q(i)).
+    gens = perms[1:2] + [tuple(range(1, n)) + (0,)[:n]]
+    table = _cayley_rows(len(perms), [[index[tuple(map(g.__getitem__, q))] for q in perms]
+                                      for g in gens])
     labels = ["".join(str(v) for v in p) for p in perms]
-    return _from_table(table, labels, f"S{n}", trusted=True)
+    return _from_table(table, labels, f"S{n}")
 
 
 def _check_order(order: int, what: str) -> None:
@@ -192,16 +192,19 @@ def _check_order(order: int, what: str) -> None:
 
 
 def _product(factors: list[FiniteGroup]) -> FiniteGroup:
-    """The direct product; elements are index tuples in lexicographic order."""
-    elements = list(itertools.product(*(range(g.order) for g in factors)))
-    index = {p: i for i, p in enumerate(elements)}
-    table = [
-        [index[tuple(g.mul(a, b) for g, a, b in zip(factors, p, q))] for q in elements]
-        for p in elements
-    ]
-    labels = ["|".join(g.label(a) for g, a in zip(factors, p)) for p in elements]
+    """The direct product; elements are index tuples in lexicographic order.  Folded
+    pairwise: (a, b) is a·m + b, so row (a, b) is row b shifted by c·m per entry c of row a."""
+    table: tuple[tuple[int, ...], ...] = ((0,),)
+    for g in factors:
+        m = g.order
+        shifted = [[tuple(c * m + d for d in row_b) for c in range(len(table))]
+                   for row_b in g.table]
+        table = tuple(tuple(itertools.chain.from_iterable(map(blocks.__getitem__, row_a)))
+                      for row_a in table for blocks in shifted)
+    labels = ["|".join(p) for p in itertools.product(
+        *([g.label(a) for a in range(g.order)] for g in factors))]
     name = "x".join(g.name or "?" for g in factors)
-    return _from_table(table, labels, name, trusted=True)
+    return _from_table(table, labels, name)
 
 
 @functools.lru_cache(maxsize=None)
@@ -269,18 +272,13 @@ def subgroup_as_group(sub: Subgroup) -> tuple[FiniteGroup, dict[int, int]]:
     """The subgroup as a standalone group, plus the parent→local index map."""
     parent = sub.parent
     local = {p: i for i, p in enumerate(sub.elements)}
-    table = []
-    for a in sub.elements:
-        row = []
-        for b in sub.elements:
-            c = parent.mul(a, b)
-            if c not in local:
-                raise ValueError("element set is not closed under multiplication")
-            row.append(local[c])
-        table.append(row)
+    try:
+        table = [[local[parent.table[a][b]] for b in sub.elements] for a in sub.elements]
+    except KeyError:
+        raise ValueError("element set is not closed under multiplication") from None
     labels = [parent.label(p) for p in sub.elements]
     name = f"{parent.name}:{len(sub.elements)}" if parent.name else ""
-    return _from_table(table, labels, name, trusted=True), local
+    return _from_table(table, labels, name), local
 
 
 def subgroup_closure(group: FiniteGroup, seeds) -> Subgroup:
@@ -293,17 +291,28 @@ def subgroup_closure(group: FiniteGroup, seeds) -> Subgroup:
     return Subgroup(group, tuple(sorted(span)))
 
 
-def _generating_sequence(group: FiniteGroup) -> list[int]:
-    """A short generating sequence, chosen greedily and deterministically."""
+def _greedy_generators(rows, identity: int) -> list[int]:
+    """A short generating sequence of a table, chosen greedily and deterministically:
+    each is the least element outside the right-multiplication span of those before."""
     gens: list[int] = []
-    current = {group.identity}
-    while len(current) < group.order:
-        for i in range(group.order):
-            if i not in current:
-                gens.append(i)
-                current = set(subgroup_closure(group, gens).elements)
-                break
+    span, seen = [identity], {identity}
+    for i in range(len(rows)):
+        if i not in seen:
+            gens.append(i)
+            # The old span is closed under the old generators, so it needs only ·i;
+            # what it gains, appended while it is walked, needs every generator.
+            old = len(span)
+            for k, x in enumerate(span):
+                for y in map(rows[x].__getitem__, (i,) if k < old else gens):
+                    if y not in seen:
+                        seen.add(y)
+                        span.append(y)
     return gens
+
+
+def _generating_sequence(group: FiniteGroup) -> list[int]:
+    """The greedy generating sequence that ``enumerate_homs``' order rests on."""
+    return _greedy_generators(group.table, group.identity)
 
 
 def extend_on_span(
@@ -333,11 +342,13 @@ def extend_on_span(
     return images
 
 
-def hom_defect(source: FiniteGroup, images, mul) -> tuple[int, int] | None:
-    """The first pair (i, j), row by row, with images[i·j] ≠ images[i]·images[j], or None."""
+def hom_defect(source: FiniteGroup, images, times) -> tuple[int, int] | None:
+    """The first pair (i, j), row by row, with images[i·j] ≠ images[i]·images[j], or None;
+    ``times(a)`` is the map b ↦ a·b where the images live."""
     for i, row in enumerate(source.table):
+        left = times(images[i])
         for j, ij in enumerate(row):
-            if images[ij] != mul(images[i], images[j]):
+            if images[ij] != left(images[j]):
                 return i, j
     return None
 

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import BadSubgraph, BallTooLarge, MalformedWord, MixedOwners, NotFinite
 from .finite_group import FiniteGroup, Subgroup, hom_defect, is_conjugate_into, subgroup_closure
@@ -710,7 +711,9 @@ def inclusion_problems(g: GraphOfGroups):
                 yield f"edge {eid!r} side {side}: inclusion is not injective"
             if images and not vg.is_identity(images[K.identity]):
                 yield f"edge {eid!r} side {side}: identity does not map to identity"
-            defect = hom_defect(K, images, vg.mul)
+            times = (vg.group.times if isinstance(vg, TableVertexGroup)
+                     else lambda a: partial(multiply, a))
+            defect = hom_defect(K, images, times)
             if defect is not None:
                 i, j = defect
                 yield f"edge {eid!r} side {side}: not a homomorphism on pair ({i},{j})"

@@ -101,7 +101,7 @@ def quotient_from_images(
         images = vertex_images.get(vid)
         if images is None or len(images) != vg.group.order or not all(map(is_element, images)):
             return None
-        if hom_defect(vg.group, images, target.mul) is not None:
+        if hom_defect(vg.group, images, target.times) is not None:
             return None
     q = FiniteQuotient(g, target, dict(vertex_images), dict(letter_images))
     return q if next(residues(g, q.image_of, target.identity), None) is None else None

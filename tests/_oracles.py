@@ -33,14 +33,18 @@ malnormality check tests every element of a ball, where the package tests
 only the vertices two edges from the base; the relator, sampler-alphabet,
 ball-alphabet and nested-generator lists are each enumerated by hand, where
 the package reads them all off one presentation; the direct-product builder
-splits and joins mixed-radix indices by hand, where the package numbers the
-tuples of ``itertools.product``.
+splits and joins mixed-radix indices by hand, where the package folds the
+factors' rows pairwise; the shorthand table builders compute every cell, and
+the group-axiom check scans all n³ triples for associativity, where the
+package composes rows from generator rows and applies Light's test to a
+generating set.
 """
 from __future__ import annotations
 
 import itertools
 
-from gogkit.errors import MalformedWord
+from gogkit.errors import MalformedWord, NoIdentity, NonAssociative, NotPermutationRow
+from gogkit.finite_group import FiniteGroup, subgroup_closure
 from gogkit.gog import LETTER, VERTEX
 
 # ---------------------------------------------------------------------------
@@ -890,4 +894,129 @@ def product_reference(factors):
         "|".join(g.label(p) for g, p in zip(factors, split(i))) for i in range(total)
     ]
     name = "x".join(g.name or "?" for g in factors)
-    return _from_table(table, labels, name, trusted=True)
+    return _from_table(table, labels, name)
+
+
+# ---------------------------------------------------------------------------
+# Table groups cell by cell: the shorthand builders and the n³ group-axiom
+# check as the package had them before tables were composed from generator rows
+
+
+def validate_table_scan(
+    table: list[list[int]], check_associativity: bool = True
+) -> tuple[int, tuple[int, ...]]:
+    """Check the group axioms, returning (identity index, inverse array)."""
+    n = len(table)
+    idx = set(range(n))
+    for i, row in enumerate(table):
+        if len(row) != n or set(row) != idx:
+            raise NotPermutationRow(f"row {i} is not a permutation of 0..{n - 1}")
+    for j in range(n):
+        col = {table[i][j] for i in range(n)}
+        if col != idx:
+            raise NotPermutationRow(f"column {j} is not a permutation of 0..{n - 1}")
+    identity = None
+    for e in range(n):
+        if all(table[e][i] == i and table[i][e] == i for i in range(n)):
+            identity = e
+            break
+    if identity is None:
+        raise NoIdentity("table has no two-sided identity element")
+    if check_associativity:
+        # The n³ scan is the expensive part; builders whose tables come from
+        # an associative model (residues, permutations, products) skip it.
+        for i in range(n):
+            for j in range(n):
+                ij = table[i][j]
+                row_j = table[j]
+                row_ij = table[ij]
+                for k in range(n):
+                    if row_ij[k] != table[i][row_j[k]]:
+                        raise NonAssociative(f"({i}·{j})·{k} != {i}·({j}·{k})")
+    inverse = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if table[i][j] == identity:
+                inverse[i] = j
+                break
+    return identity, tuple(inverse)
+
+
+def from_table_reference(
+    table: list[list[int]], labels: list[str] | None, name: str, trusted: bool = False
+) -> FiniteGroup:
+    identity, inverse = validate_table_scan(table, check_associativity=not trusted)
+    return FiniteGroup(
+        table=tuple(tuple(row) for row in table),
+        identity=identity,
+        inverse=inverse,
+        labels=tuple(labels) if labels is not None else None,
+        name=name,
+    )
+
+
+def cyclic_reference(n: int) -> FiniteGroup:
+    if n < 1:
+        raise ValueError("cyclic parameter must be >= 1")
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    labels = ["e"] + [f"x{'' if i == 1 else i}" for i in range(1, n)]
+    return from_table_reference(table, labels, f"C{n}", trusted=True)
+
+
+def dihedral_reference(n: int) -> FiniteGroup:
+    """Dihedral group of order 2n; index k + n·s encodes r^k s^s."""
+    if n < 1:
+        raise ValueError("dihedral parameter must be >= 1")
+
+    def mul(i: int, j: int) -> int:
+        k1, s1 = i % n, i // n
+        k2, s2 = j % n, j // n
+        k = (k1 + (k2 if s1 == 0 else -k2)) % n
+        return k + n * (s1 ^ s2)
+
+    table = [[mul(i, j) for j in range(2 * n)] for i in range(2 * n)]
+    labels = [f"r{k}" for k in range(n)] + [f"s{k}" for k in range(n)]
+    return from_table_reference(table, labels, f"D{n}", trusted=True)
+
+
+def dicyclic_reference(n: int) -> FiniteGroup:
+    """Dicyclic group of order 4n; index k + 2n·s encodes a^k b^s, b² = aⁿ."""
+    if n < 2:
+        raise ValueError("dicyclic parameter must be >= 2")
+
+    def mul(i: int, j: int) -> int:
+        k1, s1 = i % (2 * n), i // (2 * n)
+        k2, s2 = j % (2 * n), j // (2 * n)
+        k = (k1 + (k2 if s1 == 0 else -k2) + (n if s1 and s2 else 0)) % (2 * n)
+        return k + 2 * n * (s1 ^ s2)
+
+    table = [[mul(i, j) for j in range(4 * n)] for i in range(4 * n)]
+    labels = [f"a{k}" for k in range(2 * n)] + [f"b{k}" for k in range(2 * n)]
+    return from_table_reference(table, labels, f"Dic{n}", trusted=True)
+
+
+def symmetric_reference(n: int) -> FiniteGroup:
+    """Symmetric group on n letters; permutations in lexicographic order."""
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+
+    def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+        # (p·q)(i) = p(q(i))
+        return tuple(p[q[i]] for i in range(n))
+
+    table = [[index[compose(p, q)] for q in perms] for p in perms]
+    labels = ["".join(str(v) for v in p) for p in perms]
+    return from_table_reference(table, labels, f"S{n}", trusted=True)
+
+
+def generating_sequence_reference(group: FiniteGroup) -> list[int]:
+    """A short generating sequence, chosen greedily and deterministically."""
+    gens: list[int] = []
+    current = {group.identity}
+    while len(current) < group.order:
+        for i in range(group.order):
+            if i not in current:
+                gens.append(i)
+                current = set(subgroup_closure(group, gens).elements)
+                break
+    return gens

@@ -430,3 +430,13 @@ def test_verify_fixture_subset(capsys):
     lines = out.splitlines()
     assert lines[-1] == "10/10 checks passed"
     assert any(line.startswith("PASS c07-relative-malnormality") for line in lines)
+
+
+def test_verify_refuses_a_fixture_that_is_not_bundled(capsys):
+    # A typo must not read as ten skipped checks and a full pass.
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["verify", "all", "--fixture", "zz"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --fixture: invalid choice: 'zz'" in captured.err

@@ -1,5 +1,7 @@
 """Tests for table groups, homomorphism enumeration, and conjugacy helpers."""
 import itertools
+import random
+import re
 
 import pytest
 
@@ -7,10 +9,12 @@ from gogkit import finite_group
 from gogkit.errors import NoIdentity, NonAssociative, NotPermutationRow
 from gogkit.finite_group import (
     MAX_GROUP_ORDER,
+    FiniteGroup,
     Subgroup,
     _extend_hom,
     _generating_sequence,
     enumerate_homs,
+    hom_defect,
     is_conjugate_into,
     make_group,
     subgroup_closure,
@@ -18,9 +22,15 @@ from gogkit.finite_group import (
 
 from _oracles import (
     count_embeddings_brute,
+    cyclic_reference,
+    dicyclic_reference,
+    dihedral_reference,
     extend_hom_reference,
+    generating_sequence_reference,
     product_reference,
     subgroup_closure_reference,
+    symmetric_reference,
+    validate_table_scan,
 )
 
 
@@ -236,7 +246,8 @@ def no_tables(monkeypatch):
     def refuse(*args):
         raise AssertionError("a group table was built")
 
-    for builder in ("_cyclic", "_dihedral", "_dicyclic", "_symmetric", "_product", "_validate_table"):
+    for builder in ("_cyclic", "_dihedral", "_dicyclic", "_symmetric", "_product", "_validate_table",
+                    "_cayley_rows", "_greedy_generators"):
         monkeypatch.setattr(finite_group, builder, refuse)
 
 
@@ -279,6 +290,7 @@ def test_make_group_builds_up_to_the_cap():
     ["cyclic 2", "dihedral 3", "cyclic 3"],
     [{"table": [[1, 0], [0, 1]]}, "dicyclic 2", "cyclic 2"],
     ["cyclic 4", "symmetric 3"],
+    ["symmetric 5", "cyclic 2"],
 ], ids=str)
 def test_product_matches_the_mixed_radix_builder(specs):
     factors = [make_group(spec) for spec in specs]
@@ -288,3 +300,118 @@ def test_product_matches_the_mixed_radix_builder(specs):
     assert built.name == expected.name
     assert built.identity == expected.identity
     assert make_group(specs) == expected
+
+
+SHORTHANDS = (
+    [("cyclic", n) for n in [*range(1, 65), 720]]
+    + [("dihedral", n) for n in [*range(1, 33), 360]]
+    + [("dicyclic", n) for n in [*range(2, 17), 180]]
+    + [("symmetric", n) for n in range(1, 7)]
+)
+REFERENCE_BUILDERS = {
+    "cyclic": (finite_group._cyclic, cyclic_reference),
+    "dihedral": (finite_group._dihedral, dihedral_reference),
+    "dicyclic": (finite_group._dicyclic, dicyclic_reference),
+    "symmetric": (finite_group._symmetric, symmetric_reference),
+}
+
+
+@pytest.mark.parametrize("kind, n", SHORTHANDS, ids=str)
+def test_shorthand_tables_match_the_cell_by_cell_builders(kind, n):
+    # Table, identity, inverse, labels and name: the dataclass compares them all.
+    built, reference = (build(n) for build in REFERENCE_BUILDERS[kind])
+    assert built.table == reference.table
+    assert built == reference
+
+
+def _verdict(check, rows):
+    try:
+        return check(rows)
+    except NonAssociative as ex:
+        return ex
+
+
+def _swap_intercalate(rng, rows, identity):
+    """Swap a and b in a 2×2 subsquare [[a, b], [b, a]] away from the identity's row
+    and column, which keeps the table Latin with the same identity; False if none was found."""
+    others = [x for x in range(len(rows)) if x != identity]
+    for _ in range(50):
+        r1, r2, c1 = rng.choice(others), rng.choice(others), rng.choice(others)
+        a = rows[r1][c1]
+        c2 = rows[r2].index(a)
+        b = rows[r1][c2]
+        if r1 != r2 and c2 != identity and rows[r2][c1] == b:
+            rows[r1][c1], rows[r1][c2], rows[r2][c1], rows[r2][c2] = b, a, a, b
+            return True
+    return False
+
+
+def _mutants(count, seed=20):
+    """Relabelled tables of groups of order at most 24, each after 0 to 2 intercalate swaps."""
+    specs = [f"cyclic {n}" for n in range(2, 25, 2)] + [f"dihedral {n}" for n in range(2, 13)]
+    specs += [f"dicyclic {n}" for n in range(2, 7)] + ["symmetric 3", "symmetric 4"]
+    specs += [["cyclic 2", "cyclic 2"], ["cyclic 2"] * 3, ["cyclic 2"] * 4, ["cyclic 2", "cyclic 4"],
+              ["cyclic 2", "dihedral 4"], ["cyclic 2", "dicyclic 3"], ["cyclic 3", "symmetric 3"]]
+    groups = [make_group(spec) for spec in specs]
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        g = rng.choice(groups)
+        label = list(range(g.order))
+        rng.shuffle(label)
+        rows = [[0] * g.order for _ in range(g.order)]
+        for x, row in enumerate(g.table):
+            for y, xy in enumerate(row):
+                rows[label[x]][label[y]] = label[xy]
+        swaps = rng.choice((0, 1, 1, 2))
+        if sum(_swap_intercalate(rng, rows, label[g.identity]) for _ in range(swaps)) == swaps:
+            out.append(rows)
+    return out
+
+
+def test_light_test_agrees_with_the_cubic_scan():
+    five = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    tables = [five, [[1, 0], [0, 1]]] + _mutants(1200)
+    failing = 0
+    for rows in tables:
+        light = _verdict(finite_group._validate_table, tuple(map(tuple, rows)))
+        scan = _verdict(validate_table_scan, rows)
+        if isinstance(scan, NonAssociative):
+            failing += 1
+            assert isinstance(light, NonAssociative), rows
+            x, s, y = map(int, re.fullmatch(r"\((\d+)·(\d+)\)·(\d+) != .*", str(light)).groups())
+            assert rows[rows[x][s]][y] != rows[x][rows[s][y]], (rows, str(light))
+        else:
+            assert light == scan, rows
+    # Both verdicts are well represented.
+    assert 300 < failing < len(tables) - 300
+
+
+def test_the_greedy_generators_match_the_closure_by_closure_sequence():
+    # enumerate_homs' first-hit order rests on this sequence; the group-axiom
+    # check walks the same one on tables that are not yet known to be groups.
+    groups = [make_group(f"{kind} {n}") for kind, n in SHORTHANDS if n <= 32]
+    groups += [make_group(specs) for specs in (["cyclic 2"] * 4, ["cyclic 2", "symmetric 3"],
+                                               ["symmetric 5", "cyclic 2"])]
+    for g in groups:
+        assert _generating_sequence(g) == generating_sequence_reference(g), g
+    for rows in _mutants(300, seed=21):
+        identity = rows.index(list(range(len(rows))))
+        table = tuple(map(tuple, rows))
+        loose = FiniteGroup(table=table, identity=identity, inverse=())
+        assert finite_group._greedy_generators(table, identity) == generating_sequence_reference(loose)
+
+
+def test_hom_defect_finds_the_first_failing_pair_row_by_row():
+    rng = random.Random(22)
+    target = make_group("symmetric 4")
+    for spec in ("cyclic 4", "symmetric 3", "dihedral 4", ["cyclic 2", "cyclic 2"]):
+        source = make_group(spec)
+        homs = enumerate_homs(source, target)
+        arrays = homs + [[rng.randrange(target.order) for _ in range(source.order)] for _ in range(100)]
+        for images in arrays:
+            pairs = itertools.product(range(source.order), repeat=2)
+            first = next(((i, j) for i, j in pairs
+                          if images[source.mul(i, j)] != target.mul(images[i], images[j])), None)
+            assert hom_defect(source, images, target.times) == first
+
