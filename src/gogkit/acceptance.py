@@ -48,14 +48,7 @@ from .gog import (
 )
 from .group_ring import add, ring_zero
 from .quotients import _first_quotient, coset_complement_functional, search_quotient
-from .structure_tree import (
-    act,
-    conjugate_finite_into_vertex,
-    edge_d0,
-    edge_d1,
-    tree_ball,
-    tree_vertex,
-)
+from .structure_tree import act, edge_d0, edge_d1, fixed_vertex, tree_ball, tree_vertex
 from .surgery import (
     attach_amalgam_vertex,
     collapse_tree_edge,
@@ -235,8 +228,8 @@ def check_fixed_points(name: str, g, report: Report):
         conjugated = [multiply(multiply(c_inv, x), c) for x in base]
         # The answer is read off geodesics; check it through the action
         # instead, so the two tests stay independent.
-        conj, vid = conjugate_finite_into_vertex(g, conjugated)
-        tv = tree_vertex(g, vid, conj)
+        found = fixed_vertex(g, conjugated)
+        tv = tree_vertex(g, found.vertex_id, found.rep)
         for x in conjugated:
             if act(g, x, tv) != tv:
                 report.fail(f"{name}: {x.text()} moves {tv.text()}")

@@ -29,12 +29,7 @@ from .quotients import (
     search_quotient,
     subgraph_gog,
 )
-from .structure_tree import (
-    ball_to_dot,
-    conjugate_finite_into_vertex,
-    fixed_vertex,
-    tree_ball,
-)
+from .structure_tree import ball_to_dot, fixed_vertex, tree_ball
 from .surgery import (
     attach_amalgam_vertex,
     collapse_to_amalgam,
@@ -89,7 +84,7 @@ def _finish_surgery(args, out, witness) -> int:
     report = validate_witness(witness)
     print(report.summary())
     if getattr(args, "out", None):
-        save_document(out, args.out, name=out.name)
+        save_document(out, args.out)
         print(f"wrote {args.out}")
     if getattr(args, "transcript", None):
         data = witness_transcript(args.op, witness)
@@ -139,7 +134,7 @@ def cmd_ball(args) -> int:
 def _build_derivation(args, g):
     if getattr(args, "deriv", None):
         with open(args.deriv, encoding="utf-8") as fh:
-            return derivation_from_data(g, json.load(fh))
+            return derivation_from_data(g, fh.read())
     if args.base is None or args.mod is None:
         raise ValueError("kernel-scan needs --deriv, or --base/--mod to build one")
     if args.kind == "access":
@@ -170,7 +165,7 @@ def cmd_deriv_build(args) -> int:
 def cmd_deriv_eval(args) -> int:
     g = _load(args.gog)
     with open(args.deriv, encoding="utf-8") as fh:
-        d = derivation_from_data(g, json.load(fh))
+        d = derivation_from_data(g, fh.read())
     values = evaluate(d, nf(g, args.word))
     for i, v in enumerate(values):
         print(f"component {i}: {v.text()}")
@@ -208,8 +203,8 @@ def cmd_tree_fix(args) -> int:
 
 def cmd_tree_conj(args) -> int:
     g = _load(args.gog)
-    conj, vid = conjugate_finite_into_vertex(g, _words(g, args.elements))
-    print(f"conjugator {conj.text()} into vertex {vid}")
+    tv = fixed_vertex(g, _words(g, args.elements))
+    print(f"conjugator {tv.rep.text()} into vertex {tv.vertex_id}")
     return OK
 
 
@@ -232,7 +227,7 @@ def cmd_quotient(args) -> int:
         restriction = subgraph_gog(g, sub)
         with open(args.given, encoding="utf-8") as fh:
             kwargs["subgraph"] = sub
-            kwargs["given"] = quotient_from_data(restriction, json.load(fh))
+            kwargs["given"] = quotient_from_data(restriction, fh.read())
     q = search_quotient(g, args.op, **kwargs)
     _print_quotient(q)
     if args.out:

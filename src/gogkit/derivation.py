@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import BadModulus, GluingConditionFailed, NotFinite, expect, member
+from .errors import BadModulus, GluingConditionFailed, NotFinite, expect, json_value, member
 from .gog import (
     LETTER,
     VERTEX,
@@ -335,8 +335,9 @@ def derivation_data(d: Derivation) -> dict:
     return {"mod": d.mod, "components": components}
 
 
-def derivation_from_data(g: GraphOfGroups, data: dict) -> Derivation:
-    expect(data, dict, ())
+def derivation_from_data(g: GraphOfGroups, data) -> Derivation:
+    """The derivation that data (a dict or JSON text) describes, glued on g."""
+    data = expect(json_value(data), dict, ())
     mod = member(data, "mod", int, ())
     components = []
     for i, entry in enumerate(member(data, "components", list, ())):

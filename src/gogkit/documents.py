@@ -12,7 +12,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .errors import Disconnected, DocumentError, expect, json_path, member
+from .errors import Disconnected, DocumentError, expect, json_path, json_value, member
 from .finite_group import FiniteGroup, _shorthand_group, make_group
 from .gog import (
     CompositeVertexGroup,
@@ -54,12 +54,7 @@ def parse_document(data) -> GogDocument:
     Every shape error names its JSON path, and the edge inclusions must pass
     ``inclusion_problems``: DocumentError otherwise.
     """
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"invalid JSON: {exc}") from None
-    return _parse(data, ())
+    return _parse(json_value(data), ())
 
 
 def _parse(data, path: tuple) -> GogDocument:
@@ -143,13 +138,13 @@ def _group_spec(group: FiniteGroup):
     return spec
 
 
-def document_data(g: GraphOfGroups, name: str | None = None) -> dict:
-    """Serialize a graph of groups back to document data."""
+def document_data(g: GraphOfGroups) -> dict:
+    """Serialize a graph of groups back to document data, named ``g.name``."""
     vertices = []
     for vid in g.graph.vertices:
         vg = g.vertex_groups[vid]
         if isinstance(vg, CompositeVertexGroup):
-            spec = {"gog": document_data(vg.sub, name=vg.sub.name)}
+            spec = {"gog": document_data(vg.sub)}
         else:
             spec = _group_spec(vg.group)
         vertices.append({"id": vid, "group": spec})
@@ -168,15 +163,15 @@ def document_data(g: GraphOfGroups, name: str | None = None) -> dict:
             entry[key] = images
         edges.append(entry)
     return {
-        "name": name if name is not None else g.name,
+        "name": g.name,
         "graph": {"vertices": vertices, "edges": edges},
         "spanning_tree": sorted(g.tree.edges),
         "basepoint": g.basepoint,
     }
 
 
-def document_to_json(g: GraphOfGroups, name: str | None = None) -> str:
-    return json.dumps(document_data(g, name=name), indent=2) + "\n"
+def document_to_json(g: GraphOfGroups) -> str:
+    return json.dumps(document_data(g), indent=2) + "\n"
 
 
 def load_document(path: str) -> GogDocument:
@@ -189,6 +184,6 @@ def load_document(path: str) -> GogDocument:
     return parse_document(text)
 
 
-def save_document(g: GraphOfGroups, path: str, name: str | None = None):
+def save_document(g: GraphOfGroups, path: str):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(document_to_json(g, name=name))
+        fh.write(document_to_json(g))

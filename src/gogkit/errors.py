@@ -1,5 +1,7 @@
-"""Exception types shared across gogkit modules."""
+"""Exception types shared across gogkit modules, and the loaders' shape check."""
 from __future__ import annotations
+
+import json
 
 
 class GogkitError(Exception):
@@ -102,6 +104,18 @@ def json_path(path: tuple) -> str:
     """Object keys and list indices as text: graph.edges[0].d0_images."""
     text = "".join(f".{p}" if str(p).isidentifier() else f"[{p!r}]" for p in path)
     return text.lstrip(".") or "the top level"
+
+
+def json_value(data):
+    """The value that JSON text ``data`` holds; any other data as it is.  Text
+    that is not JSON raises DocumentError("invalid JSON: …"), whichever loader
+    reads it."""
+    if not isinstance(data, str):
+        return data
+    try:
+        return json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(f"invalid JSON: {exc}") from None
 
 
 def expect(value, kind: type, path: tuple):

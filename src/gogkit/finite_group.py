@@ -293,7 +293,8 @@ def subgroup_closure(group: FiniteGroup, seeds) -> Subgroup:
 
 def _greedy_generators(rows, identity: int) -> list[int]:
     """A short generating sequence of a table, chosen greedily and deterministically:
-    each is the least element outside the right-multiplication span of those before."""
+    each is the least element outside the right-multiplication span of those before.
+    ``enumerate_homs``' order rests on this sequence."""
     gens: list[int] = []
     span, seen = [identity], {identity}
     for i in range(len(rows)):
@@ -308,11 +309,6 @@ def _greedy_generators(rows, identity: int) -> list[int]:
                         seen.add(y)
                         span.append(y)
     return gens
-
-
-def _generating_sequence(group: FiniteGroup) -> list[int]:
-    """The greedy generating sequence that ``enumerate_homs``' order rests on."""
-    return _greedy_generators(group.table, group.identity)
 
 
 def extend_on_span(
@@ -366,7 +362,7 @@ def _extend_hom(
 def enumerate_homs(source: FiniteGroup, target: FiniteGroup) -> list[tuple[int, ...]]:
     """All homomorphisms source → target as image arrays, in ascending order.
 
-    No sort is needed: ``_generating_sequence`` is greedy, so every index below
+    No sort is needed: ``_greedy_generators`` is greedy, so every index below
     the (i+1)-th generator lies in the span of the first i and its image is
     fixed by theirs.  Generator-image order is therefore image-array order,
     and distinct generator images give distinct arrays.  Quotient searches
@@ -379,7 +375,7 @@ def enumerate_homs(source: FiniteGroup, target: FiniteGroup) -> list[tuple[int, 
 @functools.lru_cache(maxsize=None)
 def _homs(source: FiniteGroup, target: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     # Groups and image arrays are immutable, so sharing cached ones is safe.
-    gens = _generating_sequence(source)
+    gens = _greedy_generators(source.table, source.identity)
     if not gens:
         return ((target.identity,) * source.order,)
     candidates: list[list[int]] = []

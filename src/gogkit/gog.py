@@ -730,11 +730,12 @@ def validate(g: GraphOfGroups) -> Report:
 # Balls and membership
 
 
-def ball(g: GraphOfGroups, radius: int, max_size: int = BALL_CAP) -> list[NormalForm]:
+def ball(g: GraphOfGroups, radius: int) -> list[NormalForm]:
     """All distinct normal forms of elements expressible by ≤ radius syllables.
 
     Breadth-first closure under right multiplication by the letters of
     ``alphabet(g)``; deterministic order (syllable count, then word text).
+    More than ``BALL_CAP`` elements raise BallTooLarge.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
@@ -751,8 +752,8 @@ def ball(g: GraphOfGroups, radius: int, max_size: int = BALL_CAP) -> list[Normal
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
-                    if len(seen) > max_size:
-                        raise BallTooLarge(f"ball exceeds cap of {max_size} elements")
+                    if len(seen) > BALL_CAP:
+                        raise BallTooLarge(f"ball exceeds cap of {BALL_CAP} elements")
         frontier = nxt
         if not frontier:
             break

@@ -12,7 +12,7 @@ NEGATIVE = "negative"
 
 @dataclass(frozen=True)
 class FiniteGraph:
-    """A finite directed graph; d0/d1 are the initial/terminal vertex maps."""
+    """A finite directed graph; d0/d1 are the initial/terminal vertex maps; no id repeats."""
 
     vertices: tuple[str, ...]
     edges: tuple[str, ...]
@@ -23,6 +23,10 @@ class FiniteGraph:
     def __post_init__(self):
         if not self.vertices:
             raise ValueError("graph has no vertices")
+        for kind, ids in (("vertex", self.vertices), ("edge", self.edges)):
+            if len(set(ids)) != len(ids):
+                repeat = next(x for i, x in enumerate(ids) if x in ids[:i])
+                raise ValueError(f"duplicate {kind} id {repeat!r}")
         incident: dict[str, list[str]] = {v: [] for v in self.vertices}
         for e in sorted(self.edges):
             a, b = self.d0.get(e), self.d1.get(e)

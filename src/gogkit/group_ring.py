@@ -1,8 +1,6 @@
 """Sparse group-ring vectors over Z/m with group elements in normal form."""
 from __future__ import annotations
 
-import json
-
 from .errors import MixedOwners, RingMismatch, expect, member
 from .finite_group import FiniteGroup
 from .gog import GraphOfGroups, NormalForm, multiply, nf
@@ -126,14 +124,6 @@ def ring_data(u: RingVector) -> dict:
             for w in sorted(u.terms, key=lambda x: x.text())
         ],
     }
-
-
-def ring_from_data(g: GraphOfGroups, data) -> RingVector:
-    if isinstance(data, str):
-        data = json.loads(data)
-    expect(data, dict, ())
-    mod = member(data, "mod", int, ())
-    return _ring_from_terms(g, mod, member(data, "terms", object, ()), ("terms",))
 
 
 def _ring_from_terms(g: GraphOfGroups, mod: int, terms, path: tuple) -> RingVector:

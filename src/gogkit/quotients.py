@@ -11,7 +11,8 @@ yield them in lexicographic image order, so the first hit is reproducible.  A
 goal that constrains single vertex homs (injectivity) filters each vertex's
 hom list before the walk; filtering the factors of a lexicographic product
 keeps the order of the combinations that survive.  The walk's plan and its
-filtered hom lists are built once per graph (``_walk``).
+filtered hom lists are built once per graph (``_walk``).  A search whose
+walks pass ``WALK_CAP`` stops with Exhausted, naming the cap.
 
 Every homomorphism test goes through ``finite_group``: ``hom_defect`` checks
 a vertex image array pair by pair (``quotient_from_images``), and
@@ -20,12 +21,11 @@ is how ``refine`` tests that a given quotient factors through a candidate.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .derivation import evaluate
 from .documents import _group_spec
-from .errors import Exhausted, MixedOwners, expect, member
+from .errors import Exhausted, MixedOwners, expect, json_value, member
 from .finite_group import (
     FiniteGroup,
     Subgroup,
@@ -48,6 +48,11 @@ from .gog import (
     table_subgroup,
 )
 from .group_ring import RingVector, push_to_quotient
+
+# Work one search may do, each walk node charged the choices it tries.  The
+# largest search of the tests, the acceptance checks and the benchmark charges
+# 2,420; all of c6hnn into S5, 7,986; (a0·a1)^60 in three C2s on a path, 444,744.
+WALK_CAP = 10**5
 
 
 @dataclass(frozen=True)
@@ -119,9 +124,9 @@ def _default_pool(degree: int = 6):
         yield make_group(f"symmetric {n}")
 
 
-def default_targets(degree: int = 6) -> list[FiniteGroup]:
+def default_targets() -> list[FiniteGroup]:
     """The default target pool as a list, every group built."""
-    return list(_default_pool(degree))
+    return list(_default_pool())
 
 
 def _resolve_targets(targets):
@@ -174,7 +179,7 @@ def _choices(g: GraphOfGroups, target: FiniteGroup, keep: tuple) -> list:
     return cache[key]
 
 
-def _iter_quotients(g: GraphOfGroups, target: FiniteGroup, keep: tuple = ()):
+def _iter_quotients(g: GraphOfGroups, target: FiniteGroup, keep: tuple = (), spent=None):
     """All quotients onto a fixed target, in lexicographic image order.
 
     A depth-first walk over one hom per vertex group (sorted vertex ids), then
@@ -184,7 +189,9 @@ def _iter_quotients(g: GraphOfGroups, target: FiniteGroup, keep: tuple = ()):
     letters, k = 1).  The quotients come out as from the filtered product of
     every choice.  ``keep`` lists (vertex id, handles) pairs whose images must
     stay distinct; it drops vertex homs before the walk, which keeps the
-    relative order of the rest.
+    relative order of the rest.  ``spent``, a one-item list, sums the work
+    (see ``WALK_CAP``) over the walks that share it; past the cap the walk
+    raises Exhausted.
     """
     choices = _choices(g, target, keep)
     if not all(choices):
@@ -194,8 +201,12 @@ def _iter_quotients(g: GraphOfGroups, target: FiniteGroup, keep: tuple = ()):
     vertex_images: dict[str, tuple[int, ...]] = {}
     letter_images = dict.fromkeys(tree, one)
     image = FiniteQuotient(g, target, vertex_images, letter_images).image_of
+    spent = [0] if spent is None else spent
 
     def walk(depth: int):
+        spent[0] += len(choices[depth])
+        if spent[0] > WALK_CAP:
+            raise Exhausted(f"the quotient walk exceeds its cap of {WALK_CAP} choices")
         store = vertex_images if depth < n_vertices else letter_images
         name, positions = names[depth], checks[depth]
         for choice in choices[depth]:
@@ -304,16 +315,21 @@ def _first_quotient(g: GraphOfGroups, targets, accept, keep=(), *, failure: str)
     order, with the verdict: the truthy value ``accept`` returned.
 
     Raises Exhausted with ``failure`` and how far the walk got, e.g.
-    '(1 target, 96 quotients tried)', when the pool runs out.
+    '(1 target, 96 quotients tried)', when the pool runs out, or with the
+    cap in place of ``failure`` when its walks together pass ``WALK_CAP``.
     """
     walked = tried = 0
-    for target in _resolve_targets(targets):
-        walked += 1
-        for q in _iter_quotients(g, target, keep):
-            tried += 1
-            verdict = accept(q)
-            if verdict:
-                return q, verdict
+    spent = [0]
+    try:
+        for target in _resolve_targets(targets):
+            walked += 1
+            for q in _iter_quotients(g, target, keep, spent):
+                tried += 1
+                verdict = accept(q)
+                if verdict:
+                    return q, verdict
+    except Exhausted as exc:
+        failure = str(exc)
     raise Exhausted(
         f"{failure} ({walked} target{'s' * (walked != 1)}, "
         f"{tried} quotient{'s' * (tried != 1)} tried)"
@@ -383,9 +399,8 @@ def quotient_data(q: FiniteQuotient) -> dict:
 
 
 def quotient_from_data(g: GraphOfGroups, data) -> FiniteQuotient:
-    if isinstance(data, str):
-        data = json.loads(data)
-    expect(data, dict, ())
+    """The quotient that data (a dict or JSON text) describes, checked on g."""
+    data = expect(json_value(data), dict, ())
     vertex_images = {
         v: tuple(expect(arr, list, ("vertex_images", v)))
         for v, arr in member(data, "vertex_images", dict, ()).items()

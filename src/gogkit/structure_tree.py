@@ -170,14 +170,18 @@ def _neighbors(g: GraphOfGroups, tv: TreeVertex):
     return sorted(out, key=lambda kv: (kv[0].edge_id, len(kv[0].rep.syllables), kv[0].rep.text()))
 
 
-def _walk(g: GraphOfGroups, origin: TreeVertex, radius: int):
-    """Breadth-first walk of the tree out to ``radius`` edges from ``origin``.
+def tree_ball(g: GraphOfGroups, radius: int) -> TreeBall:
+    """Breadth-first ball of tree vertices and edges around the base vertex.
 
-    Yields (depth, near, E, far) once per tree edge E, far being the endpoint
-    of E across from near, at that depth.  Far endpoints are computed only for
-    edges not walked yet.
+    One walk, level by level: each tree edge is walked once, from the end
+    nearer the origin, and its far end is computed only then.  More than
+    ``BALL_CAP`` vertices raise BallTooLarge.
     """
-    seen, walked, frontier = {origin}, set(), [origin]
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
+    origin = tree_vertex(g, g.basepoint)
+    tb = TreeBall(origin, [origin], [], {}, {origin: 0})
+    walked, frontier = set(), [origin]
     for depth in range(1, radius + 1):
         nxt = []
         for near in frontier:
@@ -186,27 +190,15 @@ def _walk(g: GraphOfGroups, origin: TreeVertex, radius: int):
                     continue
                 walked.add(E)
                 far = far_end(g, E)
-                yield depth, near, E, far
-                if far not in seen:
-                    seen.add(far)
+                tb.edges.append(E)
+                tb.incidence[E] = (near, far)
+                if far not in tb.depth:
+                    tb.depth[far] = depth
+                    tb.vertices.append(far)
                     nxt.append(far)
+                    if len(tb.vertices) > BALL_CAP:
+                        raise BallTooLarge(f"tree ball exceeds cap of {BALL_CAP} vertices")
         frontier = nxt
-
-
-def tree_ball(g: GraphOfGroups, radius: int, max_size: int = BALL_CAP) -> TreeBall:
-    """Breadth-first ball of tree vertices and edges around the base vertex."""
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    origin = tree_vertex(g, g.basepoint)
-    tb = TreeBall(origin, [origin], [], {}, {origin: 0})
-    for depth, near, E, far in _walk(g, origin, radius):
-        tb.edges.append(E)
-        tb.incidence[E] = (near, far)
-        if far not in tb.depth:
-            tb.depth[far] = depth
-            tb.vertices.append(far)
-            if len(tb.vertices) > max_size:
-                raise BallTooLarge(f"tree ball exceeds cap of {max_size} vertices")
     return tb
 
 
@@ -236,11 +228,12 @@ def _midpoint(g: GraphOfGroups, crossings: list[tuple]) -> TreeVertex:
 
 
 def fixed_vertex(g: GraphOfGroups, elements: list[NormalForm]) -> TreeVertex:
-    """The tree vertex nearest the base that all given elements fix.
+    """The tree vertex c·𝒢(v) nearest the base that all given elements fix.
 
-    ⟨elements⟩ fixes a vertex iff every x and every x·y among them is
-    elliptic (Serre, *Trees*, §I.6.5); else NotFinite, naming an element of
-    infinite order.  Each x's nearest fixed vertex lies on the geodesic from
+    Its rep c conjugates the finite group into a vertex group: c⁻¹·⟨elements⟩·c
+    lies in 𝒢(v).  ⟨elements⟩ fixes a vertex iff every x and every x·y among
+    them is elliptic (Serre, *Trees*, §I.6.5); else NotFinite, naming an
+    element of infinite order.  Each x's nearest fixed vertex lies on the geodesic from
     the base to the group's nearest one, which is therefore the deepest.
 
     When every x fixes that midpoint, the group lies in its stabiliser and is
@@ -259,18 +252,6 @@ def fixed_vertex(g: GraphOfGroups, elements: list[NormalForm]) -> TreeVertex:
         for y in elements[i + 1:]:
             _elliptic_crossings(g, multiply(x, y))
     return tv
-
-
-def conjugate_finite_into_vertex(
-    g: GraphOfGroups, elements: list[NormalForm]
-) -> tuple[NormalForm, str]:
-    """A conjugator c and vertex id with c⁻¹·⟨elements⟩·c inside that vertex group.
-
-    Reads both off the nearest fixed vertex c·𝒢(v); raises NotFinite for
-    infinite input.
-    """
-    tv = fixed_vertex(g, elements)
-    return tv.rep, tv.vertex_id
 
 
 def ball_to_dot(ball: TreeBall) -> str:

@@ -24,6 +24,7 @@ from .errors import (
     TableInvalid,
     WrongShape,
     expect,
+    json_value,
     member,
 )
 from .finite_group import Subgroup, is_conjugate_into, subgroup_as_group, subgroup_closure
@@ -45,7 +46,6 @@ from .gog import (
     identity,
     invert,
     invert_word,
-    nf,
     parse_word,
     presentation,
     reduce,
@@ -57,7 +57,7 @@ from .gog import (
     vertex_handle_of,
     word_text,
 )
-from .structure_tree import conjugate_finite_into_vertex
+from .structure_tree import fixed_vertex
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +291,14 @@ def _namespaced(prefix: str, syllables) -> tuple[tuple, ...]:
     return tuple((s[0], f"{prefix}.{s[1]}", s[2]) for s in syllables)
 
 
-def expand_vertex(
-    g: GraphOfGroups, w: str, attach: dict | None = None
-) -> tuple[GraphOfGroups, GogIsoWitness]:
+def expand_vertex(g: GraphOfGroups, w: str) -> tuple[GraphOfGroups, GogIsoWitness]:
     """Flatten a vertex whose group is presented by a nested graph of groups.
 
-    Each edge formerly at ``w`` is re-attached to a vertex of the nested
-    decomposition fixed by its (conjugated) edge-group image.  ``attach`` maps
-    edge ids at w to (vertex id in the nested graph, conjugator); omitted
-    entries are read off the nested tree vertex nearest the base that the
-    image fixes, which exists because edge groups are finite.
+    Each edge formerly at ``w`` is re-attached to the nested tree vertex c·𝒢(τ)
+    nearest the base that its edge-group image fixes, which exists because
+    edge groups are finite; the conjugator c is that vertex's rep.  A
+    spanning-tree edge needs c = 1, and every image must land in 𝒢(τ):
+    BadAttachment otherwise.
     """
     if w not in g.graph.vertices:
         raise ValueError(f"unknown vertex {w!r}")
@@ -314,23 +312,13 @@ def expand_vertex(
                 f"loop {eid!r} at the expansion vertex is not supported; "
                 "split it off as an HNN layer first"
             )
-    for vid in sub.graph.vertices:
-        if f"{w}.{vid}" in g.graph.vertices:
-            raise ValueError(f"vertex id {w}.{vid} already exists")
-    for eid in sub.graph.edges:
-        if f"{w}.{eid}" in g.graph.edges:
-            raise ValueError(f"edge id {w}.{eid} already exists")
 
-    attach = dict(attach or {})
     plans: dict[str, tuple[int, str, NormalForm, tuple]] = {}
     for eid in g.graph.incident(w):
         i = 0 if g.graph.d0[eid] == w else 1
         images = g.inclusions[eid][i]
-        if eid in attach:
-            tau, conj = attach[eid]
-            conj = nf(sub, conj) if isinstance(conj, str) else conj
-        else:
-            conj, tau = conjugate_finite_into_vertex(sub, images)
+        fixed = fixed_vertex(sub, images)
+        tau, conj = fixed.vertex_id, fixed.rep
         if eid in g.tree.edges and conj.syllables:
             raise BadAttachment(
                 f"spanning-tree edge {eid!r} needs an identity conjugator; "
@@ -469,11 +457,6 @@ def attach_amalgam_vertex(
                     )
 
     w_id, e_id = f"{v}.delta", f"{v}.chi"
-    if w_id in g.graph.vertices:
-        raise ValueError(f"vertex id {w_id!r} already exists")
-    if e_id in g.graph.edges:
-        raise ValueError(f"edge id {e_id!r} already exists")
-
     chi_group, to_local = subgroup_as_group(chi)
     inclusions = {e_id: (tuple(range(chi_group.order)), chi.elements)}
     for eid in at_v:
@@ -593,13 +576,13 @@ def _gen_text(g: GraphOfGroups, gen: tuple) -> str:
 
 def witness_transcript(op: str, w: GogIsoWitness) -> dict:
     """A replayable record: input hash, output document, witness tables."""
-    source_doc = document_data(w.source, name=w.source.name)
+    source_doc = document_data(w.source)
     payload = json.dumps(source_doc, sort_keys=True).encode()
     return {
         "op": op,
         "input_sha256": hashlib.sha256(payload).hexdigest(),
         "source": source_doc,
-        "output": document_data(w.target, name=w.target.name),
+        "output": document_data(w.target),
         "psi": {
             _gen_text(w.source, gen): word_text(w.target, word)
             for gen, word in sorted(w.psi.items(), key=lambda kv: _gen_text(w.source, kv[0]))
@@ -619,9 +602,7 @@ def replay_transcript(data) -> Report:
     """
     report = Report()
     try:
-        if isinstance(data, str):
-            data = json.loads(data)
-        expect(data, dict, ())
+        data = expect(json_value(data), dict, ())
         source = _parse(member(data, "source", object, ()), ("source",)).gog
         target = _parse(member(data, "output", object, ()), ("output",)).gog
         recorded = member(data, "input_sha256", str, ())

@@ -310,7 +310,7 @@ def iter_quotients_brute(g, target):
     its own, each non-tree letter over the whole target; every combination
     extends each vertex hom afresh and keeps the ones killing the edge relators.
     """
-    from gogkit.finite_group import _generating_sequence
+    from gogkit.finite_group import _greedy_generators
     from gogkit.gog import TableVertexGroup
     from gogkit.quotients import FiniteQuotient
 
@@ -320,7 +320,7 @@ def iter_quotients_brute(g, target):
         vg = g.vertex_groups[vid]
         if not isinstance(vg, TableVertexGroup):
             return
-        gens.append((vid, _generating_sequence(vg.group)))
+        gens.append((vid, _greedy_generators(vg.group.table, vg.group.identity)))
     candidate_lists = []
     for vid, seq in gens:
         group = g.vertex_groups[vid].group

@@ -197,6 +197,18 @@ def test_deriv_eval_rejects_malformed_files(capsys, tmp_path, data, error):
     assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
+@pytest.mark.parametrize("command", [
+    ["deriv", "eval", "c4c6", "--deriv", "FILE", "--word", "w:g1"],
+    ["quotient", "refine", "c4c6", "--subgraph", "v", "--given", "FILE"],
+    ["validate", "FILE"],
+], ids=["deriv-eval", "quotient-refine", "validate"])
+def test_commands_name_files_that_are_not_json(capsys, tmp_path, command):
+    path = tmp_path / "bad.json"
+    path.write_text("not json")
+    code, out, err = run(capsys, *(str(path) if arg == "FILE" else arg for arg in command))
+    assert (code, out, err) == (2, "", "error: invalid JSON: Expecting value: line 1 column 1 (char 0)\n")
+
+
 def test_quotient_refine_rejects_a_given_file_without_target(capsys, tmp_path):
     path = tmp_path / "given.quot.json"
     path.write_text(json.dumps({"vertex_images": {"v": [0, 1, 2, 3]}, "letter_images": {}}))

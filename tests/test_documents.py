@@ -282,9 +282,9 @@ def test_basepoint_must_exist():
 
 def test_save_and_load_files(tmp_path):
     path = tmp_path / "copy.gog.json"
-    save_document(load_fixture("c6hnn"), str(path), name="copy")
+    save_document(load_fixture("c6hnn"), str(path))
     doc = load_document(str(path))
-    assert doc.name == "copy"
+    assert doc.name == "c6hnn"
     assert sorted(doc.gog.graph.edges) == ["t"]
 
 

@@ -473,9 +473,10 @@ def test_ball_nesting(c4c6):
     assert b2 <= b3
 
 
-def test_ball_cap(c6hnn):
-    with pytest.raises(BallTooLarge):
-        ball(c6hnn, 6, max_size=100)
+def test_ball_cap(c6hnn, monkeypatch):
+    monkeypatch.setattr("gogkit.gog.BALL_CAP", 100)
+    with pytest.raises(BallTooLarge, match="cap of 100 elements"):
+        ball(c6hnn, 6)
 
 
 def test_ball_deterministic(c4c6):

@@ -28,6 +28,14 @@ def test_endpoint_validation():
         graph(["a"], [("e", "a", "b")])
 
 
+def test_repeated_ids_are_refused():
+    with pytest.raises(ValueError, match="^duplicate vertex id 'a'$"):
+        graph(["a", "b", "a"], [])
+    # The dicts hold one entry for both copies, so only the tuple shows the repeat.
+    with pytest.raises(ValueError, match="^duplicate edge id 'e'$"):
+        FiniteGraph(("a", "b"), ("e", "e"), {"e": "a"}, {"e": "b"})
+
+
 def test_spanning_tree_deterministic():
     g = graph(["a", "b", "c"], [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a")])
     t = spanning_tree(g)

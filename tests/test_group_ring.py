@@ -1,16 +1,17 @@
 """Tests for sparse group-ring vectors over Z/m."""
 import pytest
 
-from gogkit.errors import MixedOwners, RingMismatch
+from gogkit.derivation import derivation_from_data, evaluate
+from gogkit.errors import GluingConditionFailed, MixedOwners, RingMismatch
 from gogkit.fixtures import load_fixture
 from gogkit.gog import identity, nf
 from gogkit.group_ring import (
+    _ring_from_terms,
     act_right,
     add,
     group_sum,
     push_to_quotient,
     ring_data,
-    ring_from_data,
     ring_term,
     ring_zero,
     scale,
@@ -104,16 +105,22 @@ def test_json_round_trip(c4c6):
     data = ring_data(u)
     assert data["mod"] == 5
     assert [t["word"] for t in data["terms"]] == ["1", "w:g1 * v:g2"]
-    assert ring_from_data(c4c6, data) == u
+    assert _ring_from_terms(c4c6, data["mod"], data["terms"], ("terms",)) == u
 
 
 def test_from_data_reduces_words(c4c6):
-    # Unreduced aliases of the same element merge on load.
-    data = {"mod": 5, "terms": [{"word": "w:g3", "coeff": 1}, {"word": "v:g2", "coeff": 1}]}
-    u = ring_from_data(c4c6, data)
-    assert u.terms == {nf(c4c6, "v:g2"): 2}
+    # Unreduced aliases of the same element merge on load: 1 + 4 ≡ 0 (mod 5)
+    # leaves the zero derivation, where either term alone fails to glue.
+    terms = [{"word": "w:g3", "coeff": 1}, {"word": "v:g2", "coeff": 4}]
+    d = derivation_from_data(c4c6, {"mod": 5, "components": [{"values": {"v:g2": terms}}]})
+    assert evaluate(d, nf(c4c6, "v:g2"))[0].is_zero()
+    for term in terms:
+        with pytest.raises(GluingConditionFailed):
+            derivation_from_data(c4c6, {"mod": 5, "components": [{"values": {"v:g2": [term]}}]})
 
 
 def test_from_data_requires_fields(c4c6):
-    with pytest.raises(ValueError):
-        ring_from_data(c4c6, {"terms": []})
+    with pytest.raises(ValueError, match="^mod is missing$"):
+        derivation_from_data(c4c6, {"components": []})
+    with pytest.raises(ValueError, match=r"^components\[0\]\.values\['v:g1'\]\[0\]\.coeff is missing$"):
+        derivation_from_data(c4c6, {"mod": 5, "components": [{"values": {"v:g1": [{"word": "1"}]}}]})

@@ -17,7 +17,7 @@ import pytest
 
 from gogkit.derivation import accessibility_derivation, derivation_data, derivation_from_data
 from gogkit.documents import document_to_json, parse_document
-from gogkit.errors import GogkitError
+from gogkit.errors import DocumentError, GogkitError
 from gogkit.fixtures import fixture_text, load_fixture
 from gogkit.gog import nf, validate
 from gogkit.quotients import quotient_data, quotient_from_data, search_quotient
@@ -70,7 +70,7 @@ def _load(kind, g, data):
         doc = parse_document(data)
         assert validate(doc.gog).ok
         assert all(type(h) is int for h in _handles(doc.gog))
-        again = parse_document(document_to_json(doc.gog, name=doc.name)).gog
+        again = parse_document(document_to_json(doc.gog)).gog
         assert _tables(again) == _tables(doc.gog)
     elif kind == "derivation":
         derivation_from_data(g, data)
@@ -134,3 +134,16 @@ def test_loaders_raise_only_input_errors(kind, name):
         except Exception as exc:  # any other escape is a failure
             escaped.append((mutations, repr(exc)))
     assert escaped == []
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_loaders_read_json_text_and_name_text_that_is_not_json(kind):
+    g = load_fixture("c4c6")
+    _load(kind, g, json.dumps(_base(kind, "c4c6")))
+    message = "invalid JSON: Expecting value: line 1 column 1 (char 0)"
+    if kind == "transcript":
+        assert replay_transcript("not json").problems == [message]
+    else:
+        with pytest.raises(DocumentError) as info:
+            _load(kind, g, "not json")
+        assert str(info.value) == message

@@ -1,5 +1,6 @@
 """Tests for finite-quotient search, certificates, and the coset functional."""
 import random
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from _oracles import (
 )
 from gogkit.acceptance import _sl23, separation_targets
 from gogkit.derivation import accessibility_derivation, evaluate
+from gogkit.documents import parse_document
 from gogkit.errors import Exhausted, MixedOwners
 from gogkit.finite_group import FiniteGroup, Subgroup, make_group, subgroup_closure
 from gogkit.gog import Subgraph, ball, identity, invert, multiply, nf
@@ -423,6 +425,25 @@ def test_exhausted_search_reports_how_far_it_got(name, word, request):
     y = _power(nf(g, word), 60)
     with pytest.raises(Exhausted, match=rf"\(1 target, {injective} quotients tried\)"):
         search_quotient(g, "separate", elements=[y], targets=["symmetric 4"])
+
+
+def test_a_search_past_the_walk_cap_is_exhausted(monkeypatch):
+    # Three C2 vertex groups on a path: (a0·a1)^60 dies in every pool group,
+    # and walking the whole pool takes 444,744 choices.
+    g = parse_document({"graph": {
+        "vertices": [{"id": f"a{i}", "group": "cyclic 2"} for i in range(3)],
+        "edges": [{"id": f"e{i}", "from": f"a{i}", "to": f"a{i + 1}", "group": "cyclic 1",
+                   "d0_images": [0], "d1_images": [0]} for i in range(2)],
+    }}).gog
+    monkeypatch.setattr(gogkit.quotients, "WALK_CAP", 10**4)
+    x = _power(nf(g, "a0:g1 * a1:g1"), 60)
+    start = time.process_time()
+    with pytest.raises(Exhausted) as info:
+        search_quotient(g, "separate", elements=[x])
+    assert time.process_time() - start < 1
+    assert str(info.value) == (
+        "the quotient walk exceeds its cap of 10000 choices (26 targets, 9493 quotients tried)"
+    )
 
 
 def test_exhausted_certifier_reports_how_far_it_got(c4c6):

@@ -42,7 +42,6 @@ from gogkit.structure_tree import (
     _vertex_at,
     act,
     ball_to_dot,
-    conjugate_finite_into_vertex,
     edge_d0,
     edge_d1,
     fixed_vertex,
@@ -150,9 +149,10 @@ def test_is_tree_rejects_broken_balls(c4c6):
         assert ball_.is_tree() is False, label
 
 
-def test_tree_ball_cap(c6hnn):
-    with pytest.raises(BallTooLarge):
-        tree_ball(c6hnn, 4, max_size=50)
+def test_tree_ball_cap(c6hnn, monkeypatch):
+    monkeypatch.setattr("gogkit.structure_tree.BALL_CAP", 50)
+    with pytest.raises(BallTooLarge, match="cap of 50 vertices"):
+        tree_ball(c6hnn, 4)
 
 
 def test_tree_ball_depths(c4c6):
@@ -193,10 +193,10 @@ def test_fixed_vertex_in_a_vertex_group_of_order_300():
 
 
 def test_conjugate_finite_into_vertex(c4c6):
+    # The fixed vertex's rep conjugates the subgroup into its vertex group.
     conj = nf(c4c6, "v:g1 * w:g2 * v:g3")
-    out = conjugate_finite_into_vertex(c4c6, [conj])
-    assert out is not None
-    c, vid = out
+    tv = fixed_vertex(c4c6, [conj])
+    c, vid = tv.rep, tv.vertex_id
     assert (c.text(), vid) == ("v:g1", "w")
     moved = multiply(multiply(invert(c), conj), c)
     assert vertex_group_membership(c4c6, vid, moved)
@@ -205,14 +205,11 @@ def test_conjugate_finite_into_vertex(c4c6):
 def test_not_finite(c6hnn):
     with pytest.raises(NotFinite):
         fixed_vertex(c6hnn, [nf(c6hnn, "t(t)")])
-    with pytest.raises(NotFinite):
-        conjugate_finite_into_vertex(c6hnn, [nf(c6hnn, "t(t)")])
 
 
 def test_finite_subgroups_of_hnn_fix_vertices(c6hnn):
-    out = conjugate_finite_into_vertex(c6hnn, [nf(c6hnn, "t(t) * v:g2 * t(t)^-1")])
-    assert out is not None
-    c, vid = out
+    tv = fixed_vertex(c6hnn, [nf(c6hnn, "t(t) * v:g2 * t(t)^-1")])
+    c, vid = tv.rep, tv.vertex_id
     assert vid == "v"
     moved = multiply(multiply(invert(c), nf(c6hnn, "t(t) * v:g2 * t(t)^-1")), c)
     assert vertex_group_membership(c6hnn, "v", moved)
@@ -357,8 +354,6 @@ def test_fixed_vertices_match_the_action_search(name):
     for elements in inputs:
         exact = _answer(fixed_vertex, g, elements)
         assert _outcome(fixed_vertex, g, elements) == _outcome(fixed_vertex_pairwise, g, elements)
-        pair = exact if exact is NotFinite else (exact.rep, exact.vertex_id)
-        assert _answer(conjugate_finite_into_vertex, g, elements) == pair
         for radius in (1, 2, 3, 8):
             expected = _answer(fixed_vertex_by_action, g, elements, radius)
             kinds["found" if isinstance(expected, TreeVertex) else expected] += 1

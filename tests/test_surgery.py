@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gogkit.documents import document_data, parse_document
 from gogkit.errors import (
     BadAttachment,
     MixedOwners,
@@ -16,6 +17,7 @@ from gogkit.finite_group import Subgroup, make_group
 from gogkit.fixtures import load_fixture
 from gogkit.gog import LETTER, VERTEX, GraphOfGroups, Subgraph, Word, ball, nf, parse_word, validate
 from gogkit.graph_core import FiniteGraph
+from gogkit.structure_tree import tree_vertex
 from gogkit.surgery import (
     GogIsoWitness,
     apply_phi,
@@ -154,23 +156,38 @@ def test_expand_witness_unfolds_nested_elements(expand_demo):
     assert report.counts["phi_ball"] == 7
 
 
-def test_expand_accepts_an_explicit_attachment(expand_demo):
-    auto, _ = expand_vertex(expand_demo, "m")
-    manual, _ = expand_vertex(expand_demo, "m", {"e0": ("u", "1")})
-    assert manual.graph.d1["e0"] == auto.graph.d1["e0"]
-    assert manual.inclusions["e0"] == auto.inclusions["e0"]
-
-
 def test_expand_requires_a_nested_vertex_group(c4c6):
     with pytest.raises(ValueError, match="not a nested graph of groups"):
         expand_vertex(c4c6, "v")
 
 
-def test_expand_rejects_bad_attachments(expand_demo):
-    with pytest.raises(BadAttachment, match="identity conjugator"):
-        expand_vertex(expand_demo, "m", {"e0": ("u", "u:g1")})
-    with pytest.raises(BadAttachment, match="does not conjugate into"):
-        expand_vertex(expand_demo, "m", {"e0": ("w", "1")})
+def test_expand_rejects_bad_attachments(expand_demo, monkeypatch):
+    # w:g1·u:g1·w:g1 fixes the nested tree vertex w:g1·G(u), so the tree edge
+    # e0 would need the conjugator w:g1.
+    data = document_data(expand_demo)
+    data["graph"]["edges"][0]["d1_images"] = ["1", "w:g1 * u:g1 * w:g1"]
+    with pytest.raises(BadAttachment, match="'e0' needs an identity conjugator"):
+        expand_vertex(parse_document(data).gog, "m")
+    # The fixed vertex always holds the image; the guard refuses one that does not.
+    monkeypatch.setattr("gogkit.surgery.fixed_vertex", lambda sub, images: tree_vertex(sub, "w"))
+    with pytest.raises(BadAttachment, match="'e0' does not conjugate into the vertex group at 'w'"):
+        expand_vertex(expand_demo, "m")
+
+
+def test_expand_refuses_an_id_the_graph_already_has(expand_demo):
+    # The nested vertex u would become m.u, which the outer graph already has.
+    data = document_data(expand_demo)
+    data["graph"]["vertices"].append({"id": "m.u", "group": "cyclic 3"})
+    data["graph"]["edges"].append({"id": "x", "from": "z", "to": "m.u", "group": "cyclic 1",
+                                   "d0_images": [0], "d1_images": [0]})
+    data["spanning_tree"].append("x")
+    with pytest.raises(ValueError, match="^duplicate vertex id 'm.u'$"):
+        expand_vertex(parse_document(data).gog, "m")
+    data["graph"]["vertices"][-1]["id"] = "y"
+    data["graph"]["edges"][-1].update(id="m.e", to="y")
+    data["spanning_tree"][-1] = "m.e"
+    with pytest.raises(ValueError, match="^duplicate edge id 'm.e'$"):
+        expand_vertex(parse_document(data).gog, "m")
 
 
 def test_expand_keeps_a_vertex_whose_id_looks_nested(expand_demo):
@@ -363,6 +380,21 @@ def test_attach_validates_the_table(c4c6):
     table3.delta["e"] = 99
     with pytest.raises(TableInvalid, match="not an element"):
         attach_amalgam_vertex(c4c6, "v", chi, table3)
+
+
+def test_attach_refuses_an_id_the_graph_already_has(c4c6):
+    data = document_data(c4c6)
+    del data["spanning_tree"]
+    data["graph"]["vertices"].append({"id": "v.delta", "group": "cyclic 3"})
+    data["graph"]["edges"].append({"id": "x", "from": "w", "to": "v.delta", "group": "cyclic 1",
+                                   "d0_images": [0], "d1_images": [0]})
+    for message in ("^duplicate vertex id 'v.delta'$", "^duplicate edge id 'v.chi'$"):
+        g = parse_document(data).gog
+        chi = Subgroup(g.vertex_groups["v"].group, (0, 2))
+        with pytest.raises(ValueError, match=message):
+            attach_amalgam_vertex(g, "v", chi, find_delta_conjugators(g, "v", chi))
+        data["graph"]["vertices"][-1]["id"] = "y"
+        data["graph"]["edges"][-1].update(id="v.chi", to="y")
 
 
 def test_attach_rejects_a_conjugator_that_misses_chi():
@@ -590,7 +622,10 @@ def test_replay_reports_malformed_transcripts(c4c6, tamper, problem):
 
 
 @pytest.mark.parametrize("data, problem", [
-    ("{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    pytest.param(
+        "{", "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+        id="invalid-json",
+    ),
     pytest.param("[]", "the top level must be an object, got []", id="list"),
     pytest.param(None, "the top level must be an object, got None", id="null"),
 ])
