@@ -271,14 +271,22 @@ def cmd_verify(args) -> int:
     from .acceptance import run_checks
 
     results = run_checks(args.fixture)
-    failed = 0
+    failed = sum(not res.ok for res in results)
+    if args.json:
+        checks = [
+            {"name": r.name, "ok": r.ok, "counts": dict(sorted(r.counts.items())),
+             "problems": r.problems, "seconds": round(r.seconds, 6)}
+            for r in results
+        ]
+        report = {"checks": checks, "passed": len(results) - failed, "total": len(results)}
+        print(json.dumps(report, indent=2))
+        return OK if failed == 0 else VIOLATION
     for res in results:
         status = "PASS" if res.ok else "FAIL"
         extra = ", ".join(f"{k}={v}" for k, v in sorted(res.counts.items()))
         print(f"{status} {res.name}" + (f" ({extra})" if extra else ""))
         for line in res.problems:
             print(f"  {line}")
-        failed += 0 if res.ok else 1
     print(f"{len(results) - failed}/{len(results)} checks passed")
     return OK if failed == 0 else VIOLATION
 
@@ -393,6 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the acceptance checks")
     p.add_argument("what", choices=("all",))
     p.add_argument("--fixture", choices=FIXTURE_NAMES, help="restrict checks to one bundled fixture")
+    p.add_argument("--json", action="store_true",
+                   help="print one JSON object with each check's counts, problems and seconds")
     p.set_defaults(handler=cmd_verify)
 
     return parser

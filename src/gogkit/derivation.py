@@ -9,7 +9,6 @@ every defining relator evaluating to zero.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import partial
 
@@ -24,12 +23,9 @@ from .gog import (
     Word,
     _check_word,
     _normal_form,
-    alphabet,
     ball,
     multiply,
     parse_word,
-    presentation,
-    reduce,
     residues,
     stable_letter,
     subgraph_group_membership,
@@ -128,35 +124,6 @@ def evaluate(d: Derivation, x) -> list[RingVector]:
 
 def is_zero(values: list[RingVector]) -> bool:
     return all(v.is_zero() for v in values)
-
-
-def check_well_defined(d: Derivation, samples: int = 500, seed: int = 0) -> Report:
-    """Relator evaluation plus sampled equal-word pairs; zero everywhere passes."""
-    g = d.owner
-    report = Report()
-    zero = [ring_zero(g, d.mod)] * d.rank
-    for _, _, rel, values in residues(g, partial(evaluate, d), zero):
-        for i, v in enumerate(values):
-            if not v.is_zero():
-                report.fail(
-                    f"component {i}: relator {word_text(g, rel)} evaluates to {v.text()}"
-                )
-    rng = random.Random(seed)
-    letters = alphabet(g)
-    for _ in range(samples):
-        sylls = tuple(rng.choice(letters) for _ in range(rng.randint(0, 8)))
-        w = Word(sylls)
-        x = reduce(g, w)
-        lhs = evaluate(d, w)
-        rhs = evaluate(d, x)
-        if lhs != rhs:
-            report.fail(
-                f"law breaks on word {word_text(g, w)} vs its normal form {x.text()}"
-            )
-            break
-    report.counts["relators"] = len(presentation(g).relators)
-    report.counts["sampled_pairs"] = samples
-    return report
 
 
 def _component_from_text_table(

@@ -85,6 +85,7 @@ class TableVertexGroup:
         return list(range(self.group.order))
 
     def generator_handles(self) -> list[int]:
+        """Every non-identity handle; ``ball``'s skip rule relies on the whole list."""
         return [i for i in range(self.group.order) if i != self.group.identity]
 
     def text(self, a: int) -> str:
@@ -736,25 +737,38 @@ def ball(g: GraphOfGroups, radius: int) -> list[NormalForm]:
     Breadth-first closure under right multiplication by the letters of
     ``alphabet(g)``; deterministic order (syllable count, then word text).
     More than ``BALL_CAP`` elements raise BallTooLarge.
+
+    A product known to land in an earlier level is skipped: if x = y·t with
+    y one level below, then x·s = y·(ts) for t, s in one vertex group 𝒢(v)
+    (ts is 1 or a letter) and x·t⁻¹ = y for a stable letter t.  So each new
+    element keeps, per such y, the key v or t⁻¹ of the letters it skips;
+    the skipped products would insert nothing (Serre, *Trees*, §I.4–5).
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
     if not g.all_tables():
         raise NotFinite("ball enumeration requires finite table vertex groups")
-    letters = alphabet(g)
+    letters = [
+        (s, s[1], s[1]) if s[0] == VERTEX else (s, s, (LETTER, s[1], -s[2]))
+        for s in alphabet(g)
+    ]
     seen = {identity(g)}
-    frontier = [identity(g)]
+    frontier = [(identity(g), ())]
     for _ in range(radius):
-        nxt = []
-        for x in frontier:
-            for s in letters:
+        blocked: dict[NormalForm, set] = {}
+        for x, skip in frontier:
+            for s, key, back in letters:
+                if key in skip:
+                    continue
                 y = _normal_form(g, x.syllables + (s,))
                 if y not in seen:
                     seen.add(y)
-                    nxt.append(y)
+                    blocked[y] = {back}
                     if len(seen) > BALL_CAP:
                         raise BallTooLarge(f"ball exceeds cap of {BALL_CAP} elements")
-        frontier = nxt
+                elif y in blocked:
+                    blocked[y].add(back)
+        frontier = list(blocked.items())
         if not frontier:
             break
     return sorted(seen, key=lambda x: (len(x.syllables), x.text()))

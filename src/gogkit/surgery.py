@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import partial
 
 from .documents import _parse, document_data
 from .errors import (
@@ -39,6 +38,7 @@ from .gog import (
     TableVertexGroup,
     Word,
     _check_subgraph,
+    _check_word,
     _normal_form,
     _rebuilt,
     _reduce_from,
@@ -93,17 +93,38 @@ def _atoms(g: GraphOfGroups, syllable: tuple):
     return out
 
 
+def _translator(witness_map: dict, g_from: GraphOfGroups, g_to: GraphOfGroups):
+    """The map applied to words or normal forms of g_from, reduced in g_to.
+
+    Each syllable's image is expanded (atoms looked up, inverted where the
+    sign asks) and checked once, on its first use, and kept for the call.
+    The images before a bad one are all checked, so a bad image raises
+    MalformedWord at the same syllable as checking the whole concatenation.
+    """
+    images: dict[tuple, tuple] = {}
+
+    def apply(w) -> NormalForm:
+        syllables = w.syllables if isinstance(w, (Word, NormalForm)) else tuple(w)
+        out: list[tuple] = []
+        for syl in syllables:
+            image = images.get(syl)
+            if image is None:
+                parts = []
+                for key, sign in _atoms(g_from, syl):
+                    word = witness_map[key]
+                    parts.extend((invert_word(g_to, word) if sign < 0 else word).syllables)
+                image = tuple(parts)
+                _check_word(g_to, image)
+                images[syl] = image
+            out.extend(image)
+        return _normal_form(g_to, tuple(out))
+
+    return apply
+
+
 def translate(witness_map: dict, g_from: GraphOfGroups, g_to: GraphOfGroups, w) -> NormalForm:
     """Apply a generator↦word map to a word or normal form and reduce."""
-    syllables = w.syllables if isinstance(w, (Word, NormalForm)) else tuple(w)
-    out: list[tuple] = []
-    for syl in syllables:
-        for key, sign in _atoms(g_from, syl):
-            image = witness_map[key]
-            if sign < 0:
-                image = invert_word(g_to, image)
-            out.extend(image.syllables)
-    return reduce(g_to, Word(tuple(out)))
+    return _translator(witness_map, g_from, g_to)(w)
 
 
 def apply_psi(w: GogIsoWitness, x) -> NormalForm:
@@ -155,20 +176,22 @@ def validate_witness(w: GogIsoWitness) -> Report:
                 report.fail(f"{label} maps {key!r}, which is not a {side} generator")
     if not complete:
         return report
+    psi = _translator(w.psi, w.source, w.target)
+    phi = _translator(w.phi, w.target, w.source)
     for label, side, g, apply, g_to in (
-        ("ψ", "source", w.source, apply_psi, w.target),
-        ("φ", "target", w.target, apply_phi, w.source),
+        ("ψ", "source", w.source, psi, w.target),
+        ("φ", "target", w.target, phi, w.source),
     ):
-        for eid, k, _, image in residues(g, partial(apply, w), identity(g_to)):
+        for eid, k, _, image in residues(g, apply, identity(g_to)):
             where = f"tree letter t({eid})" if k is None else f"edge {eid!r}, k={k}"
             report.fail(f"{label} sends {side} relator ({where}) to {image.text()!r}")
     for label, side, g, there, back in (
-        ("φ∘ψ", "source", w.source, apply_psi, apply_phi),
-        ("ψ∘φ", "target", w.target, apply_phi, apply_psi),
+        ("φ∘ψ", "source", w.source, psi, phi),
+        ("ψ∘φ", "target", w.target, phi, psi),
     ):
         for gen in presentation(g).generators:
             x = _normal_form(g, (gen,))
-            y = back(w, there(w, x))
+            y = back(there(x))
             if y != x:
                 report.fail(f"{label} moves {side} generator {_gen_text(g, gen)!r} to {y.text()!r}")
     return report
@@ -178,14 +201,10 @@ def compose_witness(first: GogIsoWitness, second: GogIsoWitness) -> GogIsoWitnes
     """The witness of the composite transformation (first, then second)."""
     if first.target is not second.source:
         raise MixedOwners("witnesses do not share the middle graph of groups")
-    psi = {
-        gen: Word(translate(second.psi, second.source, second.target, w).syllables)
-        for gen, w in first.psi.items()
-    }
-    phi = {
-        gen: Word(translate(first.phi, first.target, first.source, w).syllables)
-        for gen, w in second.phi.items()
-    }
+    there = _translator(second.psi, second.source, second.target)
+    back = _translator(first.phi, first.target, first.source)
+    psi = {gen: Word(there(w).syllables) for gen, w in first.psi.items()}
+    phi = {gen: Word(back(w).syllables) for gen, w in second.phi.items()}
     return GogIsoWitness(first.source, second.target, psi, phi)
 
 
@@ -201,7 +220,7 @@ def witness_ball_report(w: GogIsoWitness, radius: int = 3) -> Report:
         except NotFinite:
             report.counts[f"{label}_skipped"] = 1
             continue
-        images = {translate(mapping, g, g_to, x) for x in elements}
+        images = set(map(_translator(mapping, g, g_to), elements))
         report.counts[f"{label}_ball"] = len(elements)
         if len(images) != len(elements):
             report.fail(

@@ -37,7 +37,12 @@ splits and joins mixed-radix indices by hand, where the package folds the
 factors' rows pairwise; the shorthand table builders compute every cell, and
 the group-axiom check scans all n³ triples for associativity, where the
 package composes rows from generator rows and applies Light's test to a
-generating set.
+generating set; the breadth-first ball multiplies every element by every
+letter, where the package skips the products that land in earlier levels;
+the witness translation expands and checks every syllable's image on every
+call, where the package keeps one image table per call; the derivation
+well-definedness check samples random equal-word pairs besides the
+relators, which is all the package evaluates.
 """
 from __future__ import annotations
 
@@ -1020,3 +1025,105 @@ def generating_sequence_reference(group: FiniteGroup) -> list[int]:
                 current = set(subgroup_closure(group, gens).elements)
                 break
     return gens
+
+
+# ---------------------------------------------------------------------------
+# Balls and witness translation as they were before the ball skipped known
+# products and before witness maps kept a per-call image table
+
+
+def ball_bfs(g, radius: int) -> list:
+    """Breadth-first closure under right multiplication by every letter of
+    ``alphabet(g)``; deterministic order (syllable count, then word text)."""
+    import gogkit.gog as gog_module
+    from gogkit.errors import BallTooLarge, NotFinite
+    from gogkit.gog import _normal_form, alphabet, identity
+
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
+    if not g.all_tables():
+        raise NotFinite("ball enumeration requires finite table vertex groups")
+    cap = gog_module.BALL_CAP
+    letters = alphabet(g)
+    seen = {identity(g)}
+    frontier = [identity(g)]
+    for _ in range(radius):
+        nxt = []
+        for x in frontier:
+            for s in letters:
+                y = _normal_form(g, x.syllables + (s,))
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+                    if len(seen) > cap:
+                        raise BallTooLarge(f"ball exceeds cap of {cap} elements")
+        frontier = nxt
+        if not frontier:
+            break
+    return sorted(seen, key=lambda x: (len(x.syllables), x.text()))
+
+
+def c08_witnesses() -> list[tuple[str, object]]:
+    """(label, witness) for every rewrite the c08 acceptance check makes."""
+    from gogkit.acceptance import CHECKS, _witnesses
+    from gogkit.fixtures import load_fixture
+
+    names = dict(CHECKS)["c08-surgery-witnesses"][0]
+    return [pair for name in names for pair in _witnesses(name, load_fixture(name))]
+
+
+def translate_concatenated(witness_map: dict, g_from, g_to, w):
+    """Apply a generator↦word map: expand every syllable's image afresh, then
+    check and reduce the whole concatenation."""
+    from gogkit.gog import NormalForm, Word, invert_word, reduce
+    from gogkit.surgery import _atoms
+
+    syllables = w.syllables if isinstance(w, (Word, NormalForm)) else tuple(w)
+    out: list[tuple] = []
+    for syl in syllables:
+        for key, sign in _atoms(g_from, syl):
+            image = witness_map[key]
+            if sign < 0:
+                image = invert_word(g_to, image)
+            out.extend(image.syllables)
+    return reduce(g_to, Word(tuple(out)))
+
+
+# ---------------------------------------------------------------------------
+# Derivations
+
+
+def check_well_defined(d, samples: int = 500, seed: int = 0):
+    """Relator evaluation plus sampled equal-word pairs; zero everywhere passes."""
+    import random
+    from functools import partial
+
+    from gogkit.derivation import evaluate
+    from gogkit.gog import Report, Word, alphabet, presentation, reduce, residues, word_text
+    from gogkit.group_ring import ring_zero
+
+    g = d.owner
+    report = Report()
+    zero = [ring_zero(g, d.mod)] * d.rank
+    for _, _, rel, values in residues(g, partial(evaluate, d), zero):
+        for i, v in enumerate(values):
+            if not v.is_zero():
+                report.fail(
+                    f"component {i}: relator {word_text(g, rel)} evaluates to {v.text()}"
+                )
+    rng = random.Random(seed)
+    letters = alphabet(g)
+    for _ in range(samples):
+        sylls = tuple(rng.choice(letters) for _ in range(rng.randint(0, 8)))
+        w = Word(sylls)
+        x = reduce(g, w)
+        lhs = evaluate(d, w)
+        rhs = evaluate(d, x)
+        if lhs != rhs:
+            report.fail(
+                f"law breaks on word {word_text(g, w)} vs its normal form {x.text()}"
+            )
+            break
+    report.counts["relators"] = len(presentation(g).relators)
+    report.counts["sampled_pairs"] = samples
+    return report

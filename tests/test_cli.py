@@ -444,6 +444,38 @@ def test_verify_fixture_subset(capsys):
     assert any(line.startswith("PASS c07-relative-malnormality") for line in lines)
 
 
+def test_verify_json_reports_what_the_text_reports(capsys):
+    code, text, _ = run(capsys, "verify", "all", "--fixture", "c2c2")
+    json_code, out, _ = run(capsys, "verify", "all", "--fixture", "c2c2", "--json")
+    report = json.loads(out)
+    assert json_code == code == 0
+    assert (report["passed"], report["total"]) == (10, 10)
+    lines = []
+    for check in report["checks"]:
+        assert set(check) == {"name", "ok", "counts", "problems", "seconds"}
+        assert isinstance(check["seconds"], float) and check["seconds"] >= 0
+        extra = ", ".join(f"{k}={v}" for k, v in check["counts"].items())
+        lines.append(f"{'PASS' if check['ok'] else 'FAIL'} {check['name']}" + (f" ({extra})" if extra else ""))
+    assert lines == text.splitlines()[:-1]
+
+
+def test_verify_json_exits_1_on_a_failed_check(capsys, monkeypatch):
+    from gogkit.acceptance import CheckResult
+
+    failed = [CheckResult("c00-demo", False, {"pairs": 2}, ["a problem"], 0.5)]
+    monkeypatch.setattr("gogkit.acceptance.run_checks", lambda only=None: failed)
+    code, out, _ = run(capsys, "verify", "all", "--json")
+    assert code == 1
+    assert json.loads(out) == {
+        "checks": [{"name": "c00-demo", "ok": False, "counts": {"pairs": 2},
+                    "problems": ["a problem"], "seconds": 0.5}],
+        "passed": 0,
+        "total": 1,
+    }
+    code, out, _ = run(capsys, "verify", "all")
+    assert (code, out) == (1, "FAIL c00-demo (pairs=2)\n  a problem\n0/1 checks passed\n")
+
+
 def test_verify_refuses_a_fixture_that_is_not_bundled(capsys):
     # A typo must not read as ten skipped checks and a full pass.
     with pytest.raises(SystemExit) as exit_info:

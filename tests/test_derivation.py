@@ -2,7 +2,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import evaluate_two_step
+from _oracles import check_well_defined, evaluate_two_step
 from gogkit.acceptance import _derivations
 from gogkit.errors import BadModulus, GluingConditionFailed, MalformedWord
 from gogkit.derivation import (
@@ -11,7 +11,6 @@ from gogkit.derivation import (
     Component,
     Derivation,
     accessibility_derivation,
-    check_well_defined,
     derivation_data,
     derivation_from_data,
     dunwoody_derivation,

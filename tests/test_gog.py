@@ -55,6 +55,7 @@ from gogkit.derivation import (
     accessibility_derivation,
     evaluate,
 )
+from gogkit.acceptance import TABLE_FIXTURES
 from gogkit.finite_group import Subgroup, make_group, subgroup_closure
 from gogkit.group_ring import ring_term
 from gogkit.graph_core import FiniteGraph, SpanningTree
@@ -64,7 +65,9 @@ from _oracles import (
     I2,
     _generator_alphabet,
     _relators,
+    ball_bfs,
     ball_generators,
+    c08_witnesses,
     c2c2_affine,
     c4c2c4_matrix,
     c4c6_matrix,
@@ -493,6 +496,57 @@ def test_ball_rejects_negative_radius(c4c6):
 def test_ball_needs_table_groups(expand_demo):
     with pytest.raises(NotFinite):
         ball(expand_demo, 2)
+
+
+# The breadth-first walk skips products it already knows; the full walk
+# multiplies every element by every letter.  Both must give the same list.
+
+@pytest.mark.parametrize("name", TABLE_FIXTURES)
+def test_ball_matches_the_full_walk_on_fixtures(name):
+    g = load_fixture(name)
+    for radius in range(6 if name == "c6hnn" else 7):
+        assert ball(g, radius) == ball_bfs(g, radius), radius
+
+
+@pytest.mark.parametrize("g", [pytest.param(w.target, id=label) for label, w in c08_witnesses()])
+def test_ball_matches_the_full_walk_on_rewrite_outputs(g):
+    for radius in range(5):
+        assert ball(g, radius) == ball_bfs(g, radius), radius
+
+
+@pytest.mark.parametrize("name", TABLE_FIXTURES)
+def test_ball_cap_is_reached_at_the_same_element(name, monkeypatch):
+    g = load_fixture(name)
+    size = len(ball(g, 4))
+    for cap in (1, size // 2, size - 1):
+        monkeypatch.setattr("gogkit.gog.BALL_CAP", cap)
+        texts = []
+        for walk in (ball, ball_bfs):
+            with pytest.raises(BallTooLarge) as exc:
+                walk(g, 4)
+            texts.append(str(exc.value))
+        assert texts == [f"ball exceeds cap of {cap} elements"] * 2
+    monkeypatch.setattr("gogkit.gog.BALL_CAP", size)
+    assert ball(g, 4) == ball_bfs(g, 4)
+
+
+def _reductions(walk, g, radius):
+    calls = []
+
+    def counted(owner, syllables):
+        calls.append(syllables)
+        return _normal_form(owner, syllables)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr("gogkit.gog._normal_form", counted)
+        walk(g, radius)
+    return len(calls)
+
+
+def test_ball_skips_the_products_it_already_knows(c4c6):
+    # ball(c4c6, 8) has 212 elements; the full walk makes 1,184 reductions.
+    assert _reductions(ball_bfs, c4c6, 8) == 1184
+    assert _reductions(ball, c4c6, 8) <= 562
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,8 @@ def test_nested_vertex_carries_are_never_stored():
 def test_rebuilt_graph_starts_with_its_own_empty_memos():
     g = load_fixture("c4c6")
     ball(g, 3)
+    for h in g.vertex_groups["v"].handles():
+        coset_rep(g, "v", "e", 0, h)
     vertex_element(g, "v", 1)
     out = _rebuilt(g, name="copy")
     assert not out.tree._paths

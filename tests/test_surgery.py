@@ -1,12 +1,15 @@
 """Tests for surgery operations and their machine-checked isomorphism data."""
 import hashlib
 import json
+from functools import partial
 
 import pytest
 
+from _oracles import c08_witnesses, translate_concatenated
 from gogkit.documents import document_data, parse_document
 from gogkit.errors import (
     BadAttachment,
+    MalformedWord,
     MixedOwners,
     NotCollapsible,
     NotFinite,
@@ -15,7 +18,18 @@ from gogkit.errors import (
 )
 from gogkit.finite_group import Subgroup, make_group
 from gogkit.fixtures import load_fixture
-from gogkit.gog import LETTER, VERTEX, GraphOfGroups, Subgraph, Word, ball, nf, parse_word, validate
+from gogkit.gog import (
+    LETTER,
+    VERTEX,
+    GraphOfGroups,
+    Subgraph,
+    Word,
+    ball,
+    nf,
+    parse_word,
+    presentation,
+    validate,
+)
 from gogkit.graph_core import FiniteGraph
 from gogkit.structure_tree import tree_vertex
 from gogkit.surgery import (
@@ -30,6 +44,7 @@ from gogkit.surgery import (
     find_delta_conjugators,
     replay_transcript,
     reverse_edge,
+    translate,
     validate_witness,
     witness_ball_report,
     witness_transcript,
@@ -703,3 +718,74 @@ def test_chi_is_checked_as_a_subgroup_of_the_vertex_group(c4c6, elements, messag
         with pytest.raises(ValueError) as info:
             call(Subgroup(group, elements))
         assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# Per-call image tables against translating every concatenation afresh
+
+C08_WITNESSES = [pytest.param(w, id=label) for label, w in c08_witnesses()]
+
+
+def _reports(w, radius):
+    validated = validate_witness(w)
+    balls = witness_ball_report(w, radius)
+    return (validated.ok, validated.problems, validated.counts), (balls.ok, balls.problems, balls.counts)
+
+
+def _spoiled(w):
+    """The witness with ψ of its first generator replaced by ψ of its last."""
+    gens = presentation(w.source).generators
+    return GogIsoWitness(w.source, w.target, {**w.psi, gens[0]: w.psi[gens[-1]]}, w.phi)
+
+
+@pytest.mark.parametrize("w", C08_WITNESSES)
+@pytest.mark.parametrize("radius", (2, 3))
+def test_witness_reports_match_the_concatenated_translation(w, radius, monkeypatch):
+    spoiled = _spoiled(w)
+    assert validate_witness(w).ok and not validate_witness(spoiled).ok
+    for witness in (w, spoiled):
+        new = _reports(witness, radius)
+        with monkeypatch.context() as m:
+            m.setattr("gogkit.surgery._translator",
+                      lambda *maps: partial(translate_concatenated, *maps))
+            assert _reports(witness, radius) == new
+
+
+@pytest.mark.parametrize("w", C08_WITNESSES)
+def test_translate_matches_the_concatenated_translation(w):
+    for mapping, g_from, g_to in ((w.psi, w.source, w.target), (w.phi, w.target, w.source)):
+        words = list(presentation(g_from).relators)
+        if g_from.all_tables():
+            words += [Word(x.syllables) for x in ball(g_from, 2)]
+        for word in words:
+            assert translate(mapping, g_from, g_to, word) == translate_concatenated(
+                mapping, g_from, g_to, word
+            )
+
+
+def _malformed_texts(*args):
+    texts = []
+    for run in (translate, translate_concatenated):
+        with pytest.raises(MalformedWord) as exc:
+            run(*args)
+        texts.append(str(exc.value))
+    return texts
+
+
+def test_a_malformed_image_raises_at_the_same_syllable(c4c6):
+    out, w = reverse_edge(c4c6, "e")
+    psi = {**w.psi, (VERTEX, "w", 2): Word(((VERTEX, "v", 1), (VERTEX, "v", 99)))}
+    word = parse_word(c4c6, "v:g1 * w:g1 * w:g2 * v:g1 * w:g2")
+    assert _malformed_texts(psi, c4c6, out, word) == ["bad element handle 99 at vertex 'v'"] * 2
+    # Two bad images: the first one in the word is named, as before.
+    psi[(VERTEX, "w", 1)] = Word((("t", "zz", 1),))
+    first, second = _malformed_texts(psi, c4c6, out, word)
+    assert first == second and "('t', 'zz', 1)" in first
+
+
+def test_witness_maps_are_read_afresh_on_every_call(c4c6):
+    out, w = reverse_edge(c4c6, "e")
+    assert validate_witness(w).ok and witness_ball_report(w, 2).ok
+    w.psi[(VERTEX, "v", 2)] = parse_word(out, "v:g1")
+    assert not validate_witness(w).ok
+    assert apply_psi(w, nf(c4c6, "v:g2")).text() == "v:g1"
