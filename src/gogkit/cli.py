@@ -124,10 +124,14 @@ def cmd_eq(args) -> int:
 
 def cmd_ball(args) -> int:
     g = _load(args.gog)
-    elements = ball(g, args.radius)
+    elements = [x.text() for x in ball(g, args.radius)]
+    if args.json:
+        print(json.dumps({"radius": args.radius, "count": len(elements), "elements": elements},
+                         indent=2))
+        return OK
     print(f"{len(elements)} elements (radius {args.radius})")
-    for x in elements:
-        print(x.text())
+    for text in elements:
+        print(text)
     return OK
 
 
@@ -177,9 +181,14 @@ def cmd_deriv_kernel_scan(args) -> int:
     d = _build_derivation(args, g)
     designation = args.subgroup if "," not in args.subgroup and ":" not in args.subgroup else _subgraph(g, args.subgroup)
     report = kernel_scan(d, designation, args.radius)
-    print(f"{report.counts['mismatches']} mismatches / {report.counts['elements']} elements")
-    for line in report.problems:
-        print(line)
+    if args.json:
+        print(json.dumps({"elements": report.counts["elements"],
+                          "mismatches": report.counts["mismatches"],
+                          "problems": report.problems, "ok": report.ok}, indent=2))
+    else:
+        print(f"{report.counts['mismatches']} mismatches / {report.counts['elements']} elements")
+        for line in report.problems:
+            print(line)
     return OK if report.ok else VIOLATION
 
 
@@ -321,6 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ball", help="enumerate normal forms up to a syllable radius")
     p.add_argument("gog")
     p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--json", action="store_true",
+                   help="print one JSON object with the radius, count and elements in ball order")
     p.set_defaults(handler=cmd_ball)
 
     p = sub.add_parser("deriv", help="build, evaluate, and scan derivations")
@@ -348,6 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--base")
     d.add_argument("--target")
     d.add_argument("--mod", type=int)
+    d.add_argument("--json", action="store_true",
+                   help="print one JSON object with the elements, mismatches, problems and verdict")
     d.set_defaults(handler=cmd_deriv_kernel_scan)
 
     p = sub.add_parser("tree", help="explore the coset tree")

@@ -231,11 +231,14 @@ def _letter_component(g: GraphOfGroups, eid: str, mod: int) -> Component:
 def accessibility_derivation(g: GraphOfGroups, v: str, mod: int) -> Derivation:
     """One component per tree direction plus one per stable letter; rank |E|.
 
-    Raises BadModulus when the modulus divides an edge-group order, which
-    would collapse the edge-image sums the construction relies on.
+    Raises ValueError for a modulus below 2, and BadModulus when the modulus
+    divides an edge-group order, which would collapse the edge-image sums the
+    construction relies on.
     """
     if not g.all_tables():
         raise NotFinite("derivations need finite table vertex groups")
+    if mod < 2:
+        raise ValueError("modulus must be at least 2")
     for eid in sorted(g.graph.edges):
         if g.edge_groups[eid].order % mod == 0:
             raise BadModulus(

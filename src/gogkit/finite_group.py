@@ -5,7 +5,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import NoIdentity, NonAssociative, NotPermutationRow
 
@@ -29,6 +29,11 @@ class FiniteGroup:
     inverse: tuple[int, ...]
     labels: tuple[str, ...] | None = None
     name: str = ""
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # O(n) once, where the generated hash walks the n² table; equal groups agree.
+        object.__setattr__(self, "_hash", hash((self.identity, self.inverse)))
 
     @property
     def order(self) -> int:
@@ -65,8 +70,7 @@ class FiniteGroup:
         return f"FiniteGroup({tag}, order={self.order})"
 
     def __hash__(self) -> int:
-        # O(n), where the generated hash walks the n² table; equal groups agree.
-        return hash((self.identity, self.inverse))
+        return self._hash
 
 
 @dataclass(frozen=True)

@@ -34,20 +34,27 @@ A graph of groups is immutable, so three tables that depend only on its
 structure start empty, are filled on first use and are kept for its lifetime;
 a graph derived from another starts with empty ones:
 
-- the kernel table: the identity and the product per vertex (``FiniteGroup.mul``
-  for a table, ``multiply`` for a nested group), |V| entries each.  The
-  reducer tests identity as ``h == one[v]``, which holds for nested handles
-  too, since their normal forms are canonical.
+- the kernel's reduction plan (``_tables``): per vertex its identity and its
+  product rows (a table's rows, ``multiply`` for a nested group), |V|
+  entries each; one crossing record per edge and direction, 2|E| of them,
+  holding what the reducer reads at a crossing; and per vertex the tree
+  route to each syllable target, a vertex or a letter, as a tuple of
+  crossing records, each route built the first time it is walked: at most
+  |V|·(|V| + 2|E|) routes.  The reducer drops a syllable whose handle equals
+  its vertex's identity, a test that holds for nested handles too, since
+  their normal forms are canonical.
 - ``coset_rep`` results per (edge, side) and carry, for finite table vertex
   groups only: at most |𝒢(v)| entries each.  A nested vertex group's carries
   are not stored; its own reductions fill its own tables.
-- tree paths per vertex pair, on the spanning tree: at most |V|² entries.
+- tree paths per vertex pair, on the spanning tree, which the routes are
+  read from: at most |V|² entries.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 
 from .errors import BadSubgraph, BallTooLarge, MalformedWord, MixedOwners, NotFinite
 from .finite_group import FiniteGroup, Subgroup, hom_defect, is_conjugate_into, subgroup_closure
@@ -204,7 +211,8 @@ class GraphOfGroups:
                     h: k for k, h in enumerate(self.inclusions[e][side])
                 }
                 self._transversals[(e, side)] = {}
-        self._kernel: tuple[dict, dict] | None = None
+        # The reduction plan (_tables).
+        self._kernel: tuple[dict, dict, dict] | None = None
         # The quotient walk's plan and its vertex hom lists (quotients._walk).
         self._walk: tuple | None = None
 
@@ -406,78 +414,160 @@ def parse_word(g: GraphOfGroups, text: str) -> Word:
 # Reduction
 
 
-def _tables(g: GraphOfGroups) -> tuple[dict, dict]:
-    """The kernel's per-graph table: the identity and the product per vertex
-    (``FiniteGroup.mul`` for a table, ``multiply`` for a nested group)."""
+class _NestedRows:
+    """A nested vertex group's product in the shape of a table:
+    ``rows[a][b]`` is ``multiply(a, b)``."""
+
+    __slots__ = ()
+
+    def __getitem__(self, a: NormalForm) -> _NestedRow:
+        return _NestedRow(a)
+
+
+class _NestedRow:
+    __slots__ = ("a",)
+
+    def __init__(self, a: NormalForm):
+        self.a = a
+
+    def __getitem__(self, b: NormalForm) -> NormalForm:
+        return multiply(self.a, b)
+
+
+class _Crossing:
+    """One edge crossed one way, with all the kernel reads at that crossing.
+
+    ``pre`` maps the source-side images (at ``near``) to their edge-group
+    elements and ``img`` lists the far-side images; ``memo`` is
+    ``coset_rep``'s table for the source side; ``letter`` is the normal
+    form's syllable for the crossing, None on a tree edge; ``rev`` is the
+    record of the same edge crossed back.
+    """
+
+    __slots__ = ("eid", "direction", "src", "near", "near_one", "near_rows",
+                 "far", "far_one", "far_rows", "pre", "img", "memo", "letter", "rev")
+
+    def __init__(self, g: GraphOfGroups, one: dict, rows: dict, eid: str, direction: int):
+        src = 0 if direction > 0 else 1
+        ends = (g.graph.d0[eid], g.graph.d1[eid])
+        self.eid, self.direction, self.src = eid, direction, src
+        self.near, self.far = ends[src], ends[1 - src]
+        self.near_one, self.near_rows = one[self.near], rows[self.near]
+        self.far_one, self.far_rows = one[self.far], rows[self.far]
+        self.pre = g._preimages[eid, src]
+        self.img = g.inclusions[eid][1 - src]
+        self.memo = g._transversals[eid, src]
+        self.letter = None if eid in g.tree.edges else (LETTER, eid, direction)
+
+
+class _Routes(dict):
+    """The tree routes from one vertex, each built the first time it is read:
+    to a vertex id, the crossings of the tree path there; to an (edge,
+    direction) pair, the path to that crossing's near end, then the crossing."""
+
+    __slots__ = ("tree", "crossings", "start")
+
+    def __init__(self, tree: SpanningTree, crossings: dict, start: str):
+        super().__init__()
+        self.tree, self.crossings, self.start = tree, crossings, start
+
+    def __missing__(self, target) -> tuple:
+        last = () if isinstance(target, str) else (self.crossings[target],)
+        end = last[0].near if last else target
+        route = tuple(self.crossings[step] for step in self.tree.path(self.start, end)) + last
+        self[target] = route
+        return route
+
+
+def _tables(g: GraphOfGroups) -> tuple[dict, dict, dict]:
+    """The kernel's reduction plan, built on first use: per vertex its
+    identity and product rows (a table's rows, ``multiply`` for a nested
+    group) and its tree routes (``_Routes``) over one ``_Crossing`` per edge
+    and direction."""
     if g._kernel is None:
-        one, mul = {}, {}
+        one, rows = {}, {}
         for vid, vg in g.vertex_groups.items():
             one[vid] = vg.identity()
-            mul[vid] = vg.group.mul if isinstance(vg, TableVertexGroup) else multiply
-        g._kernel = (one, mul)
+            rows[vid] = vg.group.table if isinstance(vg, TableVertexGroup) else _NestedRows()
+        crossings = {
+            (eid, direction): _Crossing(g, one, rows, eid, direction)
+            for eid in g.graph.edges for direction in (1, -1)
+        }
+        for (eid, direction), crossing in crossings.items():
+            crossing.rev = crossings[eid, -direction]
+        routes = {vid: _Routes(g.tree, crossings, vid) for vid in g.graph.vertices}
+        g._kernel = (one, rows, routes)
     return g._kernel
 
 
-def _geodesic(g: GraphOfGroups, syllables: tuple, base: str) -> tuple[list[tuple], object]:
+def _walk(plan: tuple, syllables: tuple, base: str) -> tuple[list[tuple], object]:
     """The crossings of the word ``syllables``, read as a loop at ``base``,
-    left after every pinch cancels, and the element left at ``base``.
+    left after every pinch cancels, as (crossing, element before) pairs, and
+    the element left at ``base``.
 
-    Crossings (vertex, element before, edge, direction) go on a stack and each
-    pinch t_e·∂1(k)·t_e⁻¹ or t_e⁻¹·∂0(k)·t_e cancels as it closes.  The stack
-    left is the tree geodesic from o = 1·𝒢(base) to x·o, x the element of
-    the word (Serre, *Trees*, §I.5): its length is the tree distance.  Handles
-    are trusted; a final identity syllable at ``base`` walks the loop home.
+    Each syllable walks its route from the current vertex; a crossing whose
+    reverse is on top of the stack, with the element at hand in its source
+    image, closes a pinch t_e·∂1(k)·t_e⁻¹ or t_e⁻¹·∂0(k)·t_e.  A final
+    identity syllable at ``base`` walks the loop home.
     """
-    one, mul = _tables(g)
-    d0, d1, path = g.graph.d0, g.graph.d1, g.tree.path
-    preimages, inclusions = g._preimages, g.inclusions
+    one, rows, routes = plan
     stack: list[tuple] = []
+    top = None
     cur, h = base, one[base]
-    for kind, a, b in syllables + ((VERTEX, base, one[base]),):
-        if kind == VERTEX:
-            steps = path(cur, a) if a != cur else ()
-        else:
-            start = d0[a] if b > 0 else d1[a]
-            steps = (path(cur, start) if start != cur else ()) + ((a, b),)
-        for eid, direction in steps:
-            src = 0 if direction > 0 else 1
-            if stack and stack[-1][2] == eid and stack[-1][3] == -direction:
-                k = preimages[eid, src].get(h)
+    for kind, a, b in chain(syllables, ((VERTEX, base, one[base]),)):
+        route = routes[cur][a] if kind == VERTEX else routes[cur][a, b]
+        for crossing in route:
+            if crossing.rev is top:
+                k = crossing.pre.get(h)
                 if k is not None:
-                    cur, before, _, _ = stack.pop()
-                    image = inclusions[eid][1 - src][k]
-                    h = image if before == one[cur] else mul[cur](before, image)
+                    h = crossing.far_rows[stack.pop()[1]][crossing.img[k]]
+                    top = stack[-1][0] if stack else None
                     continue
-            stack.append((cur, h, eid, direction))
-            cur = d1[eid] if direction > 0 else d0[eid]
-            h = one[cur]
+            stack.append((crossing, h))
+            top = crossing
+            h = crossing.far_one
         if kind == VERTEX:
-            h = b if h == one[cur] else mul[cur](h, b)
+            cur = a
+            h = rows[a][h][b]
+        else:
+            cur = crossing.far
     return stack, h
+
+
+def _geodesic(g: GraphOfGroups, syllables: tuple, base: str) -> tuple[list[tuple], object]:
+    """The crossings (vertex, element before, edge, direction) of the word
+    ``syllables``, read as a loop at ``base``, left after every pinch
+    cancels, and the element left at ``base``.
+
+    The stack left is the tree geodesic from o = 1·𝒢(base) to x·o, x the
+    element of the word (Serre, *Trees*, §I.5): its length is the tree
+    distance.  Handles are trusted.
+    """
+    stack, h = _walk(_tables(g), syllables, base)
+    return [(c.near, before, c.eid, c.direction) for c, before in stack], h
 
 
 def _reduce_from(g: GraphOfGroups, syllables: tuple, base: str) -> tuple[tuple, ...]:
     """Normal form of the word ``syllables``, handles trusted, read as a loop
     at ``base``: the crossings of its geodesic, normalized left to right
     against the transversals."""
-    one, mul = _tables(g)
-    stack, h = _geodesic(g, syllables, base)
-    transversals, inclusions, tree_edges = g._transversals, g.inclusions, g.tree.edges
+    plan = _tables(g)
+    one, rows, _ = plan
+    stack, h = _walk(plan, syllables, base)
     out: list[tuple] = []
     carry = one[base]
-    for vid, before, eid, direction in stack:
-        if before != one[vid]:
-            carry = mul[vid](carry, before)
-        src = 0 if direction > 0 else 1
-        found = transversals[eid, src].get(carry)
-        rep, k = found if found is not None else coset_rep(g, vid, eid, src, carry)
-        if rep != one[vid]:
-            out.append((VERTEX, vid, rep))
-        if eid not in tree_edges:
-            out.append((LETTER, eid, direction))
-        carry = inclusions[eid][1 - src][k]
-    if h != one[base]:
-        carry = mul[base](carry, h)
+    for crossing, before in stack:
+        carry = crossing.near_rows[carry][before]
+        found = crossing.memo.get(carry)
+        if found is None:
+            found = coset_rep(g, crossing.near, crossing.eid, crossing.src, carry)
+        rep, k = found
+        if rep != crossing.near_one:
+            out.append((VERTEX, crossing.near, rep))
+        if crossing.letter is not None:
+            out.append(crossing.letter)
+        carry = crossing.img[k]
+    carry = rows[base][carry][h]
     if carry != one[base]:
         out.append((VERTEX, base, carry))
     return tuple(out)

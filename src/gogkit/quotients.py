@@ -165,18 +165,20 @@ def _choices(g: GraphOfGroups, target: FiniteGroup, keep: tuple) -> list:
     element per letter.  A nested vertex group leaves nothing to walk."""
     names, n_vertices, _, _, cache = _walk(g)
     key = (target, keep)
-    if key not in cache:
+    found = cache.get(key)
+    if found is None:
         if not g.all_tables():
-            cache[key] = [[]]
+            found = [[]]
         else:
-            cache[key] = [
+            found = [
                 [
                     h for h in enumerate_homs(g.vertex_groups[v].group, target)
                     if all(len({h[x] for x in xs}) == len(xs) for u, xs in keep if u == v)
                 ]
                 for v in names[:n_vertices]
             ] + [range(target.order)] * (len(names) - n_vertices)
-    return cache[key]
+        cache[key] = found
+    return found
 
 
 def _iter_quotients(g: GraphOfGroups, target: FiniteGroup, keep: tuple = (), spent=None):

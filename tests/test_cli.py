@@ -246,6 +246,46 @@ def test_kernel_scan_flags_wrong_designation(capsys):
     assert "killed but outside the designated subgroup" in out
 
 
+@pytest.mark.parametrize("mod", ["0", "1", "-3"])
+@pytest.mark.parametrize("command", [
+    ["deriv", "access", "c4c6", "--base", "v"],
+    ["deriv", "kernel-scan", "c4c6", "--kind", "access", "--base", "v", "--subgroup", "v",
+     "--radius", "2"],
+], ids=["access", "kernel-scan"])
+def test_access_derivation_refuses_a_modulus_below_2(capsys, command, mod):
+    code, out, err = run(capsys, *command, "--mod", mod)
+    assert (code, out, err) == (2, "", "error: modulus must be at least 2\n")
+
+
+def test_kernel_scan_json_matches_the_text(capsys):
+    argv = ["deriv", "kernel-scan", "c4c6", "--kind", "access", "--base", "v", "--mod", "5",
+            "--subgroup", "w", "--radius", "3"]
+    code, out, _ = run(capsys, *argv)
+    json_code, json_out, _ = run(capsys, *argv, "--json")
+    report = json.loads(json_out)
+    assert code == json_code == 1
+    assert report["ok"] is False
+    assert out.splitlines() == [
+        f"{report['mismatches']} mismatches / {report['elements']} elements", *report["problems"]
+    ]
+    assert (report["mismatches"], report["elements"]) == (6, 28)
+    code, out, _ = run(capsys, *argv[:-3], "v", "--radius", "2", "--json")
+    assert (code, json.loads(out)) == (0, {"elements": 16, "mismatches": 0, "problems": [], "ok": True})
+
+
+@pytest.mark.parametrize("gog, radius", [("c4c6", 2), ("expand_demo", 0), ("c6hnn", 1)])
+def test_ball_json_lists_the_text_lines(capsys, gog, radius):
+    code, out, err = run(capsys, "ball", gog, "--radius", str(radius))
+    json_code, json_out, json_err = run(capsys, "ball", gog, "--radius", str(radius), "--json")
+    assert (code, err) == (json_code, json_err)
+    if code:
+        assert json_out == out == ""
+        return
+    report = json.loads(json_out)
+    assert report == {"radius": radius, "count": len(report["elements"]), "elements": report["elements"]}
+    assert out.splitlines() == [f"{report['count']} elements (radius {radius})", *report["elements"]]
+
+
 def test_tree_ball_counts(capsys):
     code, out, _ = run(capsys, "tree", "ball", "c4c6", "--radius", "2")
     assert code == 0

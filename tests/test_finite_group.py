@@ -206,6 +206,15 @@ def test_equal_tables_share_hash_and_hom_lists():
     assert enumerate_homs(s4, a) == enumerate_homs(s4, b)
 
 
+def test_hash_is_kept_from_construction_and_not_compared():
+    a = make_group("symmetric 4")
+    assert hash(a) == hash((a.identity, a.inverse))
+    b = FiniteGroup(a.table, a.identity, a.inverse, a.labels, a.name)
+    object.__setattr__(b, "_hash", hash(a) + 1)
+    assert a == b and hash(b) == hash(a) + 1
+    assert "_hash" not in repr(a)
+
+
 def test_default_pool_hashes_are_stable():
     from gogkit.quotients import default_targets
 

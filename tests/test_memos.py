@@ -1,4 +1,4 @@
-"""The per-graph memos: transversals and tree paths.
+"""The per-graph memos: transversals, tree paths and the reduction plan.
 
 Each memo is compared with the loop it replaces, on a freshly parsed graph
 (cold memos) and again after a ball has filled them (warm memos), and its
@@ -19,6 +19,7 @@ from gogkit.gog import (
     Word,
     _rebuilt,
     _reduce_from,
+    _tables,
     ball,
     coset_rep,
     reduce,
@@ -27,7 +28,7 @@ from gogkit.gog import (
 )
 from gogkit.structure_tree import tree_ball
 
-from _oracles import _tree_path_bfs, coset_rep_loop, reduce_three_pass
+from _oracles import _tree_path_bfs, c08_witnesses, coset_rep_loop, reduce_three_pass
 
 def handles(vg):
     """Every handle of a table group; the identity and generators of a nested one."""
@@ -167,3 +168,72 @@ def test_out_of_range_handles_raise_on_every_call(expand_demo):
     for _ in range(2):
         with pytest.raises(MalformedWord):
             vertex_element(nested, "m", foreign)
+
+
+# The five fixtures and every rewrite output of the c08 check.
+PLAN_GRAPHS = [pytest.param(load_fixture(n), id=n) for n in FIXTURE_NAMES] + [
+    pytest.param(w.target, id=label) for label, w in c08_witnesses()
+]
+
+
+def assert_plan_matches_the_oracle(g, words):
+    for w in words:
+        for base in sorted(g.graph.vertices):
+            assert _reduce_from(g, w.syllables, base) == reduce_three_pass(g, w, base), (w, base)
+
+
+@pytest.mark.parametrize("g", PLAN_GRAPHS)
+def test_plan_matches_the_oracle_cold_and_warm(g):
+    g = _rebuilt(g)
+    words = seeded_words(g, count=30, max_len=32, seed=23)
+    assert g._kernel is None
+    assert_plan_matches_the_oracle(g, words)
+    assert g._kernel is not None
+    assert_plan_matches_the_oracle(g, words)
+
+
+@pytest.mark.parametrize("g", PLAN_GRAPHS)
+def test_plan_routes_are_the_tree_paths(g):
+    one, rows, routes = _tables(g)
+    vertices, edges = g.graph.vertices, g.graph.edges
+    assert set(routes) == set(vertices)
+    for v in vertices:
+        for w in vertices:
+            assert [(c.eid, c.direction) for c in routes[v][w]] == list(g.tree.path(v, w)), (v, w)
+            assert all(c.far == d.near for c, d in zip(routes[v][w], routes[v][w][1:]))
+        for eid in edges:
+            for direction in (1, -1):
+                *path, crossing = routes[v][eid, direction]
+                near, far = g.graph.d0[eid], g.graph.d1[eid]
+                if direction < 0:
+                    near, far = far, near
+                assert (crossing.eid, crossing.direction) == (eid, direction)
+                assert (crossing.near, crossing.far) == (near, far)
+                assert path == list(routes[v][near])
+                assert crossing.rev.rev is crossing
+                assert (crossing.rev.eid, crossing.rev.direction) == (eid, -direction)
+                assert (crossing.letter is None) == (eid in g.tree.edges)
+                assert crossing.far_one == one[far] and crossing.near_one == one[near]
+                assert crossing.far_rows is rows[far] and crossing.near_rows is rows[near]
+        assert len(routes[v]) == len(vertices) + 2 * len(edges)
+
+
+def test_rebuilt_graph_does_not_share_the_plan():
+    g = load_fixture("c4c2c4")
+    words = seeded_words(g, count=20)
+    for w in words:
+        reduce(g, w)
+    routes = _tables(g)[2]
+    out = _rebuilt(g, name="copy")
+    assert out._kernel is None
+    assert_plan_matches_the_oracle(out, words)
+    out_routes = _tables(out)[2]
+    assert out._kernel is not g._kernel
+    theirs = {id(c) for r in routes.values() for route in r.values() for c in route}
+    for r in out_routes.values():
+        for route in r.values():
+            for c in route:
+                assert id(c) not in theirs
+                assert c.memo is out._transversals[c.eid, c.src]
+                assert c.pre is out._preimages[c.eid, c.src]
+    assert g._kernel[2] is routes

@@ -16,7 +16,10 @@ measures is left to it: this tool reads the last line of its output.
 The summary gives, per workload and end-to-end metric, the parent's median
 and quartiles (``statistics.quantiles``, exclusive method), the change's
 median, their ratio and, per metric, the pairs in which the change was
-better (the direction comes from ``BENCHMARK.json``).  The file is rewritten
+better (the direction comes from ``BENCHMARK.json``).  It also gives the
+median change/parent ratio over the pairs where the parent ran first and
+over those where the change ran first, so a bias towards the side that runs
+first shows beside a claim.  The file is rewritten
 after every pair, so a cut session leaves the pairs it finished.
 """
 from __future__ import annotations
@@ -93,9 +96,11 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     out: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs: dict[int, dict] = {}
+        first: dict[int, str] = {}
         for r in runs:
             if r["workload"] == workload:
                 pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]
+                first[r["seed"]] = r["first"]
         pairs = {s: p for s, p in pairs.items() if len(p) == 2}
         if not pairs:
             continue
@@ -113,6 +118,11 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                 "change_over_parent": round(statistics.median(change) / statistics.median(parent), 3),
                 "change_wins": f"{wins}/{len(pairs)}",
             }
+            for side in ("parent", "change"):
+                ratios = [c / p for s, p, c in zip(pairs, parent, change) if first[s] == side and p]
+                summary[name][f"ratio_{side}_first"] = (
+                    round(statistics.median(ratios), 3) if ratios else None
+                )
         summary["failed"] = {
             side: sum(p[side]["failed"] for p in pairs.values()) for side in ("parent", "change")
         }
