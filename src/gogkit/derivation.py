@@ -279,6 +279,9 @@ def kernel_scan(d: Derivation, designation, radius: int) -> Report:
                 verb = "killed but outside" if zero else "detected but inside"
                 report.fail(f"{x.text()}: {verb} the designated subgroup")
     report.ok = mismatches == 0
+    if mismatches > len(report.problems):
+        left = mismatches - len(report.problems)
+        report.problems.append(f"… and {left} more mismatch{'es' if left > 1 else ''} not listed")
     report.counts["elements"] = len(elements)
     report.counts["mismatches"] = mismatches
     return report

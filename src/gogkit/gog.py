@@ -8,8 +8,8 @@ a based loop (spanning-tree letters are trivial), stacks its edge crossings
 and cancels each pinch as it closes; then the surviving crossings are
 normalized left to right against the transversals.  Two elements are equal iff
 their canonical words are identical.  The crossings left after cancellation
-are the tree geodesic from the base vertex (``_geodesic``), which the
-structure tree reads for fixed vertices.
+(``_walk``) are the tree geodesic from the base vertex, which the structure
+tree reads for fixed vertices.
 
 Words are checked where they enter, once per word, by the one gate
 ``_check_word``, called by ``reduce`` on a ``Word``, the public
@@ -24,30 +24,26 @@ reducer trusts its handles: words built from g's own normal forms
 (``multiply``, ``invert``, ``ball``, one-syllable units, ``evaluate``'s moved
 values) go through the one trusted entry ``_normal_form``,
 ``vertex_handle_of`` reads ``_reduce_from`` at its vertex, and neither
-``_reduce_from`` nor ``_geodesic`` checks.  A tuple known
+``_reduce_from`` nor ``_walk`` checks.  A tuple known
 to be canonical already, such as a normal form less its final base carry, is
 wrapped by ``_canonical`` without a reduction.  ``multiply`` returns
 the other factor when one is the identity, which is exact because normal
 forms are canonical.
 
-A graph of groups is immutable, so three tables that depend only on its
-structure start empty, are filled on first use and are kept for its lifetime;
-a graph derived from another starts with empty ones:
-
-- the kernel's reduction plan (``_tables``): per vertex its identity and its
-  product rows (a table's rows, ``multiply`` for a nested group), |V|
-  entries each; one crossing record per edge and direction, 2|E| of them,
-  holding what the reducer reads at a crossing; and per vertex the tree
-  route to each syllable target, a vertex or a letter, as a tuple of
-  crossing records, each route built the first time it is walked: at most
-  |V|·(|V| + 2|E|) routes.  The reducer drops a syllable whose handle equals
-  its vertex's identity, a test that holds for nested handles too, since
-  their normal forms are canonical.
-- ``coset_rep`` results per (edge, side) and carry, for finite table vertex
-  groups only: at most |𝒢(v)| entries each.  A nested vertex group's carries
-  are not stored; its own reductions fill its own tables.
-- tree paths per vertex pair, on the spanning tree, which the routes are
-  read from: at most |V|² entries.
+A graph of groups is immutable, so everything the reducer derives from its
+structure lives in one reduction plan (``_tables``), built on first use and
+kept for its lifetime; a graph derived from another starts without one.  The
+plan holds per vertex its identity and its product rows (a table's rows,
+``multiply`` for a nested group), |V| entries each; one crossing record per
+edge and direction, 2|E| of them, holding what the reducer reads at a
+crossing: the source side's inclusion preimages and its ``coset_rep`` memo,
+at most |𝒢(v)| carries, kept for a finite table vertex group only (a nested
+group's carries are not stored; its own reductions fill its own plan); and
+per vertex the tree route to each syllable target, a vertex or a letter, as
+a tuple of crossing records, each route built the first time it is walked:
+at most |V|·(|V| + 2|E|) routes.  The reducer drops a syllable whose handle
+equals its vertex's identity, a test that holds for nested handles too,
+since their normal forms are canonical.
 """
 from __future__ import annotations
 
@@ -203,16 +199,8 @@ class GraphOfGroups:
         if self.basepoint not in graph.vertices:
             raise ValueError(f"basepoint {self.basepoint!r} is not a vertex")
         self._presentation: Presentation | None = None
-        self._preimages: dict[tuple[str, int], dict] = {}
-        self._transversals: dict[tuple[str, int], dict] = {}
-        for e in graph.edges:
-            for side in (0, 1):
-                self._preimages[(e, side)] = {
-                    h: k for k, h in enumerate(self.inclusions[e][side])
-                }
-                self._transversals[(e, side)] = {}
         # The reduction plan (_tables).
-        self._kernel: tuple[dict, dict, dict] | None = None
+        self._kernel: tuple[dict, dict, dict, dict] | None = None
         # The quotient walk's plan and its vertex hom lists (quotients._walk).
         self._walk: tuple | None = None
 
@@ -221,7 +209,8 @@ class GraphOfGroups:
         return self.inclusions[e][side][k]
 
     def incl_preimage(self, e: str, side: int, handle) -> int | None:
-        return self._preimages[(e, side)].get(handle)
+        """The edge-group element k with ``incl(e, side, k) == handle``, else None."""
+        return _side_crossing(self, e, side).pre.get(handle)
 
     def all_tables(self) -> bool:
         return all(isinstance(vg, TableVertexGroup) for vg in self.vertex_groups.values())
@@ -439,9 +428,10 @@ class _Crossing:
 
     ``pre`` maps the source-side images (at ``near``) to their edge-group
     elements and ``img`` lists the far-side images; ``memo`` is
-    ``coset_rep``'s table for the source side; ``letter`` is the normal
-    form's syllable for the crossing, None on a tree edge; ``rev`` is the
-    record of the same edge crossed back.
+    ``coset_rep``'s table for the source side, filled for a table vertex
+    group only; ``letter`` is the normal form's syllable for the crossing,
+    None on a tree edge; ``rev`` is the record of the same edge crossed back.
+    Each record owns its ``pre`` and ``memo``.
     """
 
     __slots__ = ("eid", "direction", "src", "near", "near_one", "near_rows",
@@ -454,9 +444,9 @@ class _Crossing:
         self.near, self.far = ends[src], ends[1 - src]
         self.near_one, self.near_rows = one[self.near], rows[self.near]
         self.far_one, self.far_rows = one[self.far], rows[self.far]
-        self.pre = g._preimages[eid, src]
+        self.pre = {h: k for k, h in enumerate(g.inclusions[eid][src])}
         self.img = g.inclusions[eid][1 - src]
-        self.memo = g._transversals[eid, src]
+        self.memo = {}
         self.letter = None if eid in g.tree.edges else (LETTER, eid, direction)
 
 
@@ -479,11 +469,11 @@ class _Routes(dict):
         return route
 
 
-def _tables(g: GraphOfGroups) -> tuple[dict, dict, dict]:
+def _tables(g: GraphOfGroups) -> tuple[dict, dict, dict, dict]:
     """The kernel's reduction plan, built on first use: per vertex its
-    identity and product rows (a table's rows, ``multiply`` for a nested
-    group) and its tree routes (``_Routes``) over one ``_Crossing`` per edge
-    and direction."""
+    identity, product rows (a table's rows, ``multiply`` for a nested group)
+    and tree routes (``_Routes``), and the one ``_Crossing`` per edge and
+    direction that the routes read."""
     if g._kernel is None:
         one, rows = {}, {}
         for vid, vg in g.vertex_groups.items():
@@ -496,8 +486,14 @@ def _tables(g: GraphOfGroups) -> tuple[dict, dict, dict]:
         for (eid, direction), crossing in crossings.items():
             crossing.rev = crossings[eid, -direction]
         routes = {vid: _Routes(g.tree, crossings, vid) for vid in g.graph.vertices}
-        g._kernel = (one, rows, routes)
+        g._kernel = (one, rows, routes, crossings)
     return g._kernel
+
+
+def _side_crossing(g: GraphOfGroups, eid: str, side: int) -> _Crossing:
+    """The crossing that leaves ``eid`` from its ``side`` end (d0 for 0, d1
+    for 1): its ``pre`` and ``memo`` are those of that end's inclusion."""
+    return _tables(g)[3][eid, 1 - 2 * side]
 
 
 def _walk(plan: tuple, syllables: tuple, base: str) -> tuple[list[tuple], object]:
@@ -510,7 +506,7 @@ def _walk(plan: tuple, syllables: tuple, base: str) -> tuple[list[tuple], object
     image, closes a pinch t_e·∂1(k)·t_e⁻¹ or t_e⁻¹·∂0(k)·t_e.  A final
     identity syllable at ``base`` walks the loop home.
     """
-    one, rows, routes = plan
+    one, rows, routes, _ = plan
     stack: list[tuple] = []
     top = None
     cur, h = base, one[base]
@@ -534,25 +530,12 @@ def _walk(plan: tuple, syllables: tuple, base: str) -> tuple[list[tuple], object
     return stack, h
 
 
-def _geodesic(g: GraphOfGroups, syllables: tuple, base: str) -> tuple[list[tuple], object]:
-    """The crossings (vertex, element before, edge, direction) of the word
-    ``syllables``, read as a loop at ``base``, left after every pinch
-    cancels, and the element left at ``base``.
-
-    The stack left is the tree geodesic from o = 1·𝒢(base) to x·o, x the
-    element of the word (Serre, *Trees*, §I.5): its length is the tree
-    distance.  Handles are trusted.
-    """
-    stack, h = _walk(_tables(g), syllables, base)
-    return [(c.near, before, c.eid, c.direction) for c, before in stack], h
-
-
 def _reduce_from(g: GraphOfGroups, syllables: tuple, base: str) -> tuple[tuple, ...]:
     """Normal form of the word ``syllables``, handles trusted, read as a loop
     at ``base``: the crossings of its geodesic, normalized left to right
     against the transversals."""
     plan = _tables(g)
-    one, rows, _ = plan
+    one, rows, _, _ = plan
     stack, h = _walk(plan, syllables, base)
     out: list[tuple] = []
     carry = one[base]
@@ -560,7 +543,7 @@ def _reduce_from(g: GraphOfGroups, syllables: tuple, base: str) -> tuple[tuple, 
         carry = crossing.near_rows[carry][before]
         found = crossing.memo.get(carry)
         if found is None:
-            found = coset_rep(g, crossing.near, crossing.eid, crossing.src, carry)
+            found = coset_rep(g, crossing.eid, crossing.src, carry)
         rep, k = found
         if rep != crossing.near_one:
             out.append((VERTEX, crossing.near, rep))
@@ -573,18 +556,19 @@ def _reduce_from(g: GraphOfGroups, syllables: tuple, base: str) -> tuple[tuple, 
     return tuple(out)
 
 
-def coset_rep(g: GraphOfGroups, vid: str, eid: str, side: int, x):
-    """The least element rep of x·∂side(𝒢(eid)) in 𝒢(vid), by ``sort_key``, and
-    the k with x = rep·∂side(k); ``vid`` is the endpoint of ``eid`` on that side.
+def coset_rep(g: GraphOfGroups, eid: str, side: int, x):
+    """The least element rep of x·∂side(𝒢(eid)) in the vertex group at the
+    ``side`` end of ``eid``, by ``sort_key``, and the k with x = rep·∂side(k).
 
-    Memoised per (eid, side) when 𝒢(vid) is a finite table; a nested group's
-    handles are not stored (its own reductions hit its own tables).
+    Memoised in the plan's crossing out of that end when its group is a
+    finite table; a nested group's handles are not stored (its own
+    reductions hit its own tables).
     """
-    memo = g._transversals[(eid, side)]
-    found = memo.get(x)
+    crossing = _side_crossing(g, eid, side)
+    found = crossing.memo.get(x)
     if found is not None:
         return found
-    vg = g.vertex_groups[vid]
+    vg = g.vertex_groups[crossing.near]
     best_k, best_rep, best_key = None, None, None
     for k in range(g.edge_groups[eid].order):
         rep = vg.mul(x, vg.inv(g.incl(eid, side, k)))
@@ -592,14 +576,22 @@ def coset_rep(g: GraphOfGroups, vid: str, eid: str, side: int, x):
         if best_key is None or key < best_key:
             best_k, best_rep, best_key = k, rep, key
     if vg.order is not None:
-        memo[x] = (best_rep, best_k)
+        crossing.memo[x] = (best_rep, best_k)
     return best_rep, best_k
+
+
+def transversal(g: GraphOfGroups, eid: str, side: int) -> list:
+    """The sorted reps ``coset_rep`` picks for the cosets of ∂side(𝒢(eid))
+    in the finite table group at the ``side`` end of ``eid``."""
+    order = table_group(g, _side_crossing(g, eid, side).near).order
+    return sorted({coset_rep(g, eid, side, x)[0] for x in range(order)})
 
 
 def _check_word(g: GraphOfGroups, syllables: tuple):
     """The one syllable test: raise MalformedWord at the first entry that is
     neither (VERTEX, v, h), v a vertex of g and h an element of 𝒢(v), nor
-    (LETTER, e, ±1), e an edge of g, or at a container that is not a tuple."""
+    (LETTER, e, ±1), e an edge of g and ±1 an int (not a bool or a float),
+    or at a container that is not a tuple."""
     if not isinstance(syllables, tuple):
         raise MalformedWord(f"syllables must be a tuple, got {type(syllables).__name__}")
     groups, edges = g.vertex_groups, g.graph.edges
@@ -610,7 +602,7 @@ def _check_word(g: GraphOfGroups, syllables: tuple):
         if kind == VERTEX and name in groups:
             if not groups[name].contains_handle(x):
                 raise MalformedWord(f"bad element handle {x!r} at vertex {name!r}")
-        elif not (kind == LETTER and name in edges and x in (1, -1)):
+        elif not (kind == LETTER and name in edges and type(x) is int and x in (1, -1)):
             raise MalformedWord(f"not a syllable of {g!r}: {syl!r}")
 
 
@@ -893,19 +885,18 @@ def _check_subgraph(g: GraphOfGroups, sub: Subgraph):
                 )
 
 
+def _syllables_within(syllables: tuple, vertices, edges) -> bool:
+    """True iff every vertex syllable's vertex is in ``vertices`` and every
+    letter's edge in ``edges``: the one subgraph membership test."""
+    return all(s[1] in (vertices if s[0] == VERTEX else edges) for s in syllables)
+
+
 def subgraph_group_membership(g: GraphOfGroups, sub: Subgraph, x: NormalForm) -> bool:
     """True iff every syllable of x lives in the subgraph."""
     _check_subgraph(g, sub)
     if x.owner is not g:
         raise MixedOwners("normal form belongs to a different graph of groups")
-    for syl in x.syllables:
-        if syl[0] == VERTEX:
-            if syl[1] not in sub.vertices:
-                return False
-        else:
-            if syl[1] not in sub.edges:
-                return False
-    return True
+    return _syllables_within(x.syllables, sub.vertices, sub.edges)
 
 
 def vertex_group_membership(g: GraphOfGroups, vid: str, x: NormalForm) -> bool:
@@ -951,13 +942,9 @@ def verify_relative_malnormality(g: GraphOfGroups, h_vertex: str, chi: Subgroup)
     (eid,) = g.graph.edges
     side = 0 if g.graph.d0[eid] == h_vertex else 1
     other = g.graph.d1[eid] if side == 0 else g.graph.d0[eid]
-
-    def transversal(vid: str, side: int) -> list:
-        return sorted({coset_rep(g, vid, eid, side, x)[0] for x in g.vertex_groups[vid].handles()})
-
     checked = 0
-    for a in transversal(h_vertex, side):
-        for b in transversal(other, 1 - side):
+    for a in transversal(g, eid, side):
+        for b in transversal(g, eid, 1 - side):
             if g.incl_preimage(eid, 1 - side, b) is not None:
                 continue  # b ∈ C: a·b·o = a·o = o
             checked += 1

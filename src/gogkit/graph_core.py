@@ -54,14 +54,12 @@ class SpanningTree:
 
     Such an edge set has no loops or cycles; any other raises ValueError.
     ``parent`` maps each vertex to the tree edge toward the least vertex (the
-    root maps to None); tree paths are read off it and memoised per vertex
-    pair, at most |V|² of them.
+    root maps to None); tree paths are read off it on each call.
     """
 
     graph: FiniteGraph
     edges: frozenset[str]
     parent: dict[str, str | None] = field(init=False, repr=False, compare=False)
-    _paths: dict[tuple[str, str], tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         stray = sorted(set(self.edges) - set(self.graph.edges))
@@ -77,17 +75,13 @@ class SpanningTree:
             comps = _components(self.graph, self.edges)
             raise ValueError(f"spanning tree does not connect all vertices: {comps}")
         object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "_paths", {})
 
     def path(self, v: str, w: str) -> tuple[tuple[str, int], ...]:
-        """The unique tree path v → w as (edge, direction) pairs, computed once.
+        """The unique tree path v → w as (edge, direction) pairs.
 
         Direction +1 means the edge is crossed from d0 to d1.  The path climbs
         from v and from w toward the root and drops the part the climbs share.
         """
-        found = self._paths.get((v, w))
-        if found is not None:
-            return found
         up, down = [], []
         for x, climb in ((v, up), (w, down)):
             if x not in self.parent:
@@ -98,9 +92,7 @@ class SpanningTree:
         while up and down and up[-1] == down[-1]:
             up.pop()
             down.pop()
-        found = tuple(up + [(e, -direction) for e, direction in reversed(down)])
-        self._paths[(v, w)] = found
-        return found
+        return tuple(up + [(e, -direction) for e, direction in reversed(down)])
 
 
 def _search(g: FiniteGraph, root: str, edges=None) -> dict[str, str | None]:

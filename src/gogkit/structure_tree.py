@@ -19,12 +19,13 @@ from .gog import (
     NormalForm,
     _canonical,
     _check_word,
-    _geodesic,
     _normal_form,
-    coset_rep,
+    _tables,
+    _walk,
     invert,
     multiply,
     table_group,
+    transversal,
     vertex_handle_of,
 )
 
@@ -156,10 +157,9 @@ def _neighbors(g: GraphOfGroups, tv: TreeVertex):
     """
     out = []
     v, a = tv.vertex_id, tv.rep.syllables
-    handles = range(table_group(g, v).order)
 
     def add_edges(eid: str, side: int, tail: tuple, far):
-        for r in sorted({coset_rep(g, v, eid, side, h)[0] for h in handles}):
+        for r in transversal(g, eid, side):
             out.append((_edge_at(g, eid, a + ((VERTEX, v, r),) + tail), far))
 
     for eid in g.graph.incident(v):
@@ -203,16 +203,20 @@ def tree_ball(g: GraphOfGroups, radius: int) -> TreeBall:
 
 
 def _elliptic_crossings(g: GraphOfGroups, x: NormalForm) -> list[tuple]:
-    """The crossings of the geodesic [o, x·o], o = 1·𝒢(base), for elliptic x.
+    """The crossings of the geodesic [o, x·o], o = 1·𝒢(base), for elliptic x,
+    as ``_walk``'s (crossing, element before) pairs.
 
-    x is elliptic iff d(o, x²·o) ≤ d(o, x·o) (Culler and Morgan, *Proc. LMS*
+    The crossings ``_walk`` leaves after every pinch cancels are that
+    geodesic (Serre, *Trees*, §I.5): their number is the tree distance.  x
+    is elliptic iff d(o, x²·o) ≤ d(o, x·o) (Culler and Morgan, *Proc. LMS*
     55, 1987; Serre, *Trees*, §I.6.4); else NotFinite, since a finite-order
     element fixes a vertex.
     """
     if x.owner is not g:
         raise MixedOwners("element belongs to a different graph of groups")
-    crossings, _ = _geodesic(g, x.syllables, g.basepoint)
-    if len(_geodesic(g, x.syllables * 2, g.basepoint)[0]) > len(crossings):
+    plan = _tables(g)
+    crossings, _ = _walk(plan, x.syllables, g.basepoint)
+    if len(_walk(plan, x.syllables * 2, g.basepoint)[0]) > len(crossings):
         raise NotFinite(f"{x.text()} has infinite order: it fixes no tree vertex")
     return crossings
 
@@ -222,9 +226,9 @@ def _midpoint(g: GraphOfGroups, crossings: list[tuple]) -> TreeVertex:
     [o, x·o], which is x's fixed vertex nearest o."""
     depth = len(crossings) // 2
     prefix = ()
-    for vid, before, eid, direction in crossings[:depth]:
-        prefix += ((VERTEX, vid, before), (LETTER, eid, direction))
-    return _vertex_at(g, crossings[depth][0] if crossings else g.basepoint, prefix)
+    for crossing, before in crossings[:depth]:
+        prefix += ((VERTEX, crossing.near, before), (LETTER, crossing.eid, crossing.direction))
+    return _vertex_at(g, crossings[depth][0].near if crossings else g.basepoint, prefix)
 
 
 def fixed_vertex(g: GraphOfGroups, elements: list[NormalForm]) -> TreeVertex:

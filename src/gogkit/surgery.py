@@ -42,6 +42,7 @@ from .gog import (
     _normal_form,
     _rebuilt,
     _reduce_from,
+    _syllables_within,
     ball,
     identity,
     invert,
@@ -534,12 +535,7 @@ class AmalgamDescription:
         if x.owner is not self.owner:
             raise MixedOwners("normal form belongs to a different graph of groups")
         syllables = _reduce_from(self.owner, x.syllables, self.delta_vertex)
-        for s in syllables:
-            if s[0] == VERTEX and s[1] not in self.delta_vertices:
-                return False
-            if s[0] == LETTER and s[1] not in self.delta_edges:
-                return False
-        return True
+        return _syllables_within(syllables, self.delta_vertices, self.delta_edges)
 
     def in_lambda(self, x: NormalForm) -> bool:
         return subgraph_group_membership(self.owner, self.lambda_subgraph, x)

@@ -12,12 +12,21 @@ _SPEC.loader.exec_module(bench_pairs)
 
 def run(side, seed, throughput, latency, failed=0, workload="reads"):
     first = "parent" if seed % 2 else "change"
-    metrics = {"throughput_ops_s": {"value": throughput}, "latency_p50_ms": {"value": latency}}
+    # The change takes 9% more memory, inside its bound, and 30% longer to
+    # set up, past its bound.
+    rss, setup = (109.0, 1.3) if side == "change" else (100.0, 1.0)
+    metrics = {"throughput_ops_s": {"value": throughput}, "latency_p50_ms": {"value": latency},
+               "peak_rss_mb": {"value": rss}, "setup_s": {"value": setup}}
     return {"side": side, "workload": workload, "seed": seed, "first": first,
             "result": {"metrics": metrics, "failed": failed}}
 
 
-BETTER = {"throughput_ops_s": "higher", "latency_p50_ms": "lower"}
+BETTER = [
+    {"name": "throughput_ops_s", "better": "higher", "bound": 0.25},
+    {"name": "latency_p50_ms", "better": "lower", "bound": 0.25},
+    {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+    {"name": "setup_s", "better": "lower", "bound": 0.25},
+]
 
 # Seeds 1 and 3 run the parent first, 2 and 4 the change.  The side that runs
 # first is 10% faster, so the change looks 1.0/1.1 on odd seeds, 1.1/1.0 on even.
@@ -47,6 +56,15 @@ def test_summary_splits_the_ratio_by_the_side_that_ran_first():
     assert latency["ratio_change_first"] == round((0.9 + 0.5) / 2, 3)
     assert reads["failed"] == {"parent": 0, "change": 1}
     assert "quotients" not in out
+
+
+def test_summary_flags_a_median_worse_than_its_bound():
+    reads = bench_pairs.summarize(RUNS, BETTER)["reads"]
+    assert reads["peak_rss_mb"]["change_over_parent"] == 1.09
+    assert reads["setup_s"]["change_over_parent"] == 1.3
+    assert {name: reads[name]["past_bound"] for name in (m["name"] for m in BETTER)} == {
+        "throughput_ops_s": False, "latency_p50_ms": False, "peak_rss_mb": False, "setup_s": True,
+    }
 
 
 def test_summary_leaves_a_side_without_pairs_empty():

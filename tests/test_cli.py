@@ -246,6 +246,19 @@ def test_kernel_scan_flags_wrong_designation(capsys):
     assert "killed but outside the designated subgroup" in out
 
 
+def test_kernel_scan_says_how_many_mismatches_it_left_out(capsys):
+    argv = ["deriv", "kernel-scan", "c4c6", "--kind", "access", "--base", "v", "--mod", "5",
+            "--subgroup", "w", "--radius", "2"]
+    code, out, _ = run(capsys, *argv)
+    json_code, json_out, _ = run(capsys, *argv, "--json")
+    report = json.loads(json_out)
+    assert code == json_code == 1
+    assert report["mismatches"] == 6
+    assert len(report["problems"]) == 6
+    assert report["problems"][-1] == "… and 1 more mismatch not listed"
+    assert out.splitlines() == ["6 mismatches / 16 elements", *report["problems"]]
+
+
 @pytest.mark.parametrize("mod", ["0", "1", "-3"])
 @pytest.mark.parametrize("command", [
     ["deriv", "access", "c4c6", "--base", "v"],

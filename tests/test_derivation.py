@@ -286,6 +286,7 @@ def test_kernel_scan_reports_mismatches(c6hnn):
     report = kernel_scan(d, "v", 3)
     assert not report.ok
     assert report.counts["mismatches"] == 8
+    assert report.problems[5:] == ["… and 3 more mismatches not listed"]
 
 
 def test_bad_modulus(c4c6):

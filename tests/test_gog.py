@@ -680,7 +680,6 @@ def test_validate_reports(c4c6):
     assert validate(c4c6).ok
     broken = load_fixture("c4c6")
     broken.inclusions["e"] = ((0, 2), (0, 2))  # b² is not an involution
-    broken._preimages[("e", 1)] = {0: 0, 2: 1}
     report = validate(broken)
     assert not report.ok
     assert any("not a homomorphism" in p for p in report.problems)
@@ -734,6 +733,21 @@ def test_reduce_rejects_a_foreign_nested_handle(expand_demo):
 def test_reduce_rejects_what_is_not_a_syllable(c6hnn, syllables):
     with pytest.raises(MalformedWord):
         reduce(c6hnn, Word(syllables))
+
+
+@pytest.mark.parametrize("exp", [True, 1.0, -1.0])
+def test_a_letter_exponent_must_be_an_int(c6hnn, exp):
+    # True == 1.0 == 1, so a membership test in (1, -1) alone lets them through.
+    syllables = ((LETTER, "t", exp),)
+    d = accessibility_derivation(c6hnn, "v", 5)
+    for enter in (
+        lambda: NormalForm(c6hnn, syllables),
+        lambda: reduce(c6hnn, Word(syllables)),
+        lambda: stable_letter(c6hnn, "t", exp),
+        lambda: evaluate(d, syllables),
+    ):
+        with pytest.raises(MalformedWord):
+            enter()
 
 
 def test_reduce_rejects_syllables_that_are_not_a_tuple(c4c6):

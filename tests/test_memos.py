@@ -1,14 +1,16 @@
-"""The per-graph memos: transversals, tree paths and the reduction plan.
+"""The reduction plan, the one owner of what the reducer derives from a graph.
 
-Each memo is compared with the loop it replaces, on a freshly parsed graph
-(cold memos) and again after a ball has filled them (warm memos), and its
-size is checked against the bound its owner documents.
+Its crossings' transversal memos and preimages and its tree routes are
+compared with the loops they replace, on a freshly parsed graph (cold) and
+again after a ball has filled them (warm), and their sizes are checked
+against the bounds ``gogkit.gog`` documents.
 """
 import random
 
 import pytest
 
 from gogkit.derivation import accessibility_derivation, kernel_scan
+from gogkit.documents import parse_document
 from gogkit.errors import MalformedWord
 from gogkit.fixtures import FIXTURE_NAMES, load_fixture
 from gogkit.gog import (
@@ -60,19 +62,23 @@ def sides(g):
         yield eid, 1, g.graph.d1[eid]
 
 
+def memos(g):
+    """The plan's transversal memo per (edge, side), read off the crossing
+    that leaves that side: direction +1 leaves d0, direction -1 leaves d1."""
+    return {(eid, 0 if d > 0 else 1): c.memo for (eid, d), c in _tables(g)[3].items()}
+
+
 def assert_memos_match_loops(g, words):
     for eid, side, vid in sides(g):
         vg = g.vertex_groups[vid]
         if isinstance(vg, TableVertexGroup):
             for x in vg.handles():
                 expected = coset_rep_loop(g, vid, eid, side, x)
-                assert coset_rep(g, vid, eid, side, x) == expected, (eid, side, x)
-                assert coset_rep(g, vid, eid, side, x) == expected, (eid, side, x)
+                assert coset_rep(g, eid, side, x) == expected, (eid, side, x)
+                assert coset_rep(g, eid, side, x) == expected, (eid, side, x)
     for v in g.graph.vertices:
         for w in g.graph.vertices:
-            expected = _tree_path_bfs(g.tree, v, w)
-            assert list(g.tree.path(v, w)) == expected, (v, w)
-            assert list(g.tree.path(v, w)) == expected, (v, w)  # the memoised path
+            assert list(g.tree.path(v, w)) == _tree_path_bfs(g.tree, v, w), (v, w)
     for w in words:
         for base in sorted(g.graph.vertices):
             assert _reduce_from(g, w.syllables, base) == reduce_three_pass(g, w, base), (w, base)
@@ -82,14 +88,14 @@ def assert_memos_match_loops(g, words):
 def test_memos_match_the_loops_cold_and_warm(name):
     g = load_fixture(name)
     words = seeded_words(g)
-    assert not g.tree._paths
-    assert all(not memo for memo in g._transversals.values())
+    assert g._kernel is None
+    assert all(not memo for memo in memos(g).values())
     assert_memos_match_loops(g, words)
     if g.all_tables():
         ball(g, 3)
     for w in words:
         reduce(g, w)
-    assert any(g._transversals.values()) and g.tree._paths
+    assert any(memos(g).values())
     assert_memos_match_loops(g, words)
 
 
@@ -100,13 +106,14 @@ def test_memos_stay_within_their_bounds(name, base):
     assert kernel_scan(accessibility_derivation(g, base, 5), base, 5).ok
     tree_ball(g, 4)
     for eid, side, vid in sides(g):
-        memo = g._transversals[(eid, side)]
+        memo = memos(g)[eid, side]
         assert memo, (eid, side)
         assert len(memo) <= g.vertex_groups[vid].order
         assert set(memo) <= set(g.vertex_groups[vid].handles())
-    n = len(g.graph.vertices)
-    assert len(g.tree._paths) <= n * n
-    assert set(g.tree._paths) <= {(v, w) for v in g.graph.vertices for w in g.graph.vertices}
+    routes = _tables(g)[2]
+    targets = set(g.graph.vertices) | {(e, d) for e in g.graph.edges for d in (1, -1)}
+    for v in g.graph.vertices:
+        assert set(routes[v]) <= targets
 
 
 def test_nested_vertex_carries_are_never_stored():
@@ -119,8 +126,8 @@ def test_nested_vertex_carries_are_never_stored():
     ]
     assert nested
     for key in nested:
-        assert g._transversals[key] == {}, key
-    assert any(g._transversals[key] for key in g._transversals if key not in nested)
+        assert memos(g)[key] == {}, key
+    assert any(memo for key, memo in memos(g).items() if key not in nested)
     for h in handles(g.vertex_groups["m"]):
         assert vertex_element(g, "m", h) == reduce(g, Word(((VERTEX, "m", h),)))
 
@@ -129,23 +136,38 @@ def test_rebuilt_graph_starts_with_its_own_empty_memos():
     g = load_fixture("c4c6")
     ball(g, 3)
     for h in g.vertex_groups["v"].handles():
-        coset_rep(g, "v", "e", 0, h)
+        coset_rep(g, "e", 0, h)
     vertex_element(g, "v", 1)
     out = _rebuilt(g, name="copy")
-    assert not out.tree._paths
-    assert all(not memo for memo in out._transversals.values())
-    assert out._transversals is not g._transversals
-    assert out.tree._paths is not g.tree._paths
+    assert out._kernel is None
+    assert all(not memo for memo in memos(out).values())
     ball(out, 2)
-    assert len(g._transversals[("e", 0)]) == g.vertex_groups["v"].order
+    assert len(memos(g)["e", 0]) == g.vertex_groups["v"].order
 
 
-def test_tree_path_errors_are_not_cached():
-    t = load_fixture("c4c2c4").tree
-    for _ in range(2):
-        with pytest.raises(ValueError):
-            t.path("u", "zz")
-    assert not t._paths
+# A symmetric-group vertex beside a cyclic one: the two ends of e have
+# different groups, so a memo read at the wrong end gives wrong reps.
+S3C6 = {
+    "name": "s3c6",
+    "graph": {
+        "vertices": [{"id": "v", "group": "symmetric 3"}, {"id": "w", "group": "cyclic 6"}],
+        "edges": [{"id": "e", "from": "v", "to": "w", "group": "cyclic 2",
+                   "d0_images": [0, 1], "d1_images": [0, 3]}],
+    },
+    "spanning_tree": ["e"],
+    "basepoint": "v",
+}
+
+
+def test_coset_rep_calls_leave_the_plan_intact():
+    # coset_rep for every (edge, side, handle) fills the memos the kernel
+    # reads; a memo filled at the wrong end of e gives a ball of 202.
+    fresh = [x.syllables for x in ball(parse_document(S3C6).gog, 4)]
+    assert len(fresh) == 122
+    g = parse_document(S3C6).gog
+    assert_memos_match_loops(g, seeded_words(g))
+    assert [x.syllables for x in ball(g, 4)] == fresh
+    assert_memos_match_loops(g, seeded_words(g))
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -194,8 +216,9 @@ def test_plan_matches_the_oracle_cold_and_warm(g):
 
 @pytest.mark.parametrize("g", PLAN_GRAPHS)
 def test_plan_routes_are_the_tree_paths(g):
-    one, rows, routes = _tables(g)
+    one, rows, routes, crossings = _tables(g)
     vertices, edges = g.graph.vertices, g.graph.edges
+    assert set(crossings) == {(eid, d) for eid in edges for d in (1, -1)}
     assert set(routes) == set(vertices)
     for v in vertices:
         for w in vertices:
@@ -215,6 +238,12 @@ def test_plan_routes_are_the_tree_paths(g):
                 assert (crossing.letter is None) == (eid in g.tree.edges)
                 assert crossing.far_one == one[far] and crossing.near_one == one[near]
                 assert crossing.far_rows is rows[far] and crossing.near_rows is rows[near]
+                assert crossing is crossings[eid, direction]
+                src = 0 if direction > 0 else 1
+                assert crossing.src == src
+                assert crossing.pre == {h: k for k, h in enumerate(g.inclusions[eid][src])}
+                assert crossing.img == g.inclusions[eid][1 - src]
+                assert crossing.memo is not crossing.rev.memo
         assert len(routes[v]) == len(vertices) + 2 * len(edges)
 
 
@@ -230,10 +259,12 @@ def test_rebuilt_graph_does_not_share_the_plan():
     out_routes = _tables(out)[2]
     assert out._kernel is not g._kernel
     theirs = {id(c) for r in routes.values() for route in r.values() for c in route}
+    theirs |= {id(d) for c in _tables(g)[3].values() for d in (c.memo, c.pre)}
     for r in out_routes.values():
         for route in r.values():
             for c in route:
                 assert id(c) not in theirs
-                assert c.memo is out._transversals[c.eid, c.src]
-                assert c.pre is out._preimages[c.eid, c.src]
+                assert c is _tables(out)[3][c.eid, c.direction]
+    for c in _tables(out)[3].values():
+        assert id(c.memo) not in theirs and id(c.pre) not in theirs
     assert g._kernel[2] is routes

@@ -24,8 +24,9 @@ from gogkit.gog import (
     CompositeVertexGroup,
     GraphOfGroups,
     Word,
-    _geodesic,
     _rebuilt,
+    _tables,
+    _walk,
     ball,
     identity,
     invert,
@@ -266,7 +267,7 @@ def test_crossing_stack_is_the_tree_geodesic():
         for x in BALLS[name]:
             tv = tree_vertex(g, g.basepoint, x)
             if tv in depth:
-                assert len(_geodesic(g, x.syllables, g.basepoint)[0]) == depth[tv], x
+                assert len(_walk(_tables(g), x.syllables, g.basepoint)[0]) == depth[tv], x
                 checked += 1
     assert checked == 125
 
@@ -293,15 +294,15 @@ def test_base_vertex_rule_matches_brute_force(name):
                 assert edge_d0(g, E) == brute(E.rep.syllables), E.text()
             if g.graph.d1[eid] == base:
                 assert edge_d1(g, E) == brute(E.rep.syllables + ((LETTER, eid, 1),)), E.text()
-        crossings, _ = _geodesic(g, x.syllables, base)
+        crossings, _ = _walk(_tables(g), x.syllables, base)
         prefix = ()
         for depth in range(len(crossings) + 1):
-            if depth == len(crossings) or crossings[depth][0] == base:
+            if depth == len(crossings) or crossings[depth][0].near == base:
                 assert _vertex_at(g, base, prefix) == brute(prefix), (x, depth)
                 checked += 1
             if depth < len(crossings):
-                vid, before, eid, direction = crossings[depth]
-                prefix += ((VERTEX, vid, before), (LETTER, eid, direction))
+                c, before = crossings[depth]
+                prefix += ((VERTEX, c.near, before), (LETTER, c.eid, c.direction))
     assert checked > len(ball(g, 4))
 
 

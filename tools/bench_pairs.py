@@ -15,12 +15,14 @@ measures is left to it: this tool reads the last line of its output.
 
 The summary gives, per workload and end-to-end metric, the parent's median
 and quartiles (``statistics.quantiles``, exclusive method), the change's
-median, their ratio and, per metric, the pairs in which the change was
-better (the direction comes from ``BENCHMARK.json``).  It also gives the
-median change/parent ratio over the pairs where the parent ran first and
-over those where the change ran first, so a bias towards the side that runs
-first shows beside a claim.  The file is rewritten
-after every pair, so a cut session leaves the pairs it finished.
+median, their ratio, the pairs in which the change was better (the
+direction comes from ``BENCHMARK.json``) and ``past_bound``: whether the
+change's median is worse than the parent's by more than the metric's
+``bound`` in ``BENCHMARK.json``, the rule by which a change is refused.  It
+also gives the median change/parent ratio over the pairs where the parent
+ran first and over those where the change ran first, so a bias towards the
+side that runs first shows beside a claim.  The file is rewritten after
+every pair, so a cut session leaves the pairs it finished.
 """
 from __future__ import annotations
 
@@ -92,7 +94,10 @@ def machine() -> dict:
     return {"cpu": cpu, "vcpus": os.cpu_count(), "os": platform.platform()}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per workload and metric of ``end_to_end`` (``BENCHMARK.json``'s
+    entries, each with ``name``, ``better`` and ``bound``), the paired runs'
+    summary."""
     out: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs: dict[int, dict] = {}
@@ -105,18 +110,22 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
         if not pairs:
             continue
         summary: dict = {}
-        for name, direction in better.items():
+        for metric in end_to_end:
+            name, direction = metric["name"], metric["better"]
             parent = [p["parent"]["metrics"][name]["value"] for p in pairs.values()]
             change = [p["change"]["metrics"][name]["value"] for p in pairs.values()]
             q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else parent * 3
             wins = sum((c > p) if direction == "higher" else (c < p) for p, c in zip(parent, change))
+            ratio = statistics.median(change) / statistics.median(parent)
             summary[name] = {
                 "parent_median": round(statistics.median(parent), 4),
                 "parent_q1": round(q1, 4),
                 "parent_q3": round(q3, 4),
                 "change_median": round(statistics.median(change), 4),
-                "change_over_parent": round(statistics.median(change) / statistics.median(parent), 3),
+                "change_over_parent": round(ratio, 3),
                 "change_wins": f"{wins}/{len(pairs)}",
+                "past_bound": (ratio < 1 - metric["bound"] if direction == "higher"
+                               else ratio > 1 + metric["bound"]),
             }
             for side in ("parent", "change"):
                 ratios = [c / p for s, p, c in zip(pairs, parent, change) if first[s] == side and p]
@@ -141,7 +150,6 @@ def main(argv=None):
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         benchmark = json.load(fh)
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
     seeds = parse_seeds(args.seeds)
     workloads = args.workloads.split(",")
@@ -177,7 +185,7 @@ def main(argv=None):
                                         "first": order[0], "result": result})
                     value = result["metrics"]["throughput_ops_s"]["value"]
                     print(f"{workload} seed {seed} {side}: {value:.1f} ops/s", flush=True)
-                doc["summary"] = summarize(doc["runs"], better)
+                doc["summary"] = summarize(doc["runs"], benchmark["end_to_end"])
                 with open(args.out, "w") as fh:
                     json.dump(doc, fh, indent=1, ensure_ascii=False)
                     fh.write("\n")
