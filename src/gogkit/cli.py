@@ -80,18 +80,21 @@ def _print_quotient(q):
         print(f"  t({eid}) -> {q.letter_images[eid]}")
 
 
+def _write_json(path: str, data):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {path}")
+
+
 def _finish_surgery(args, out, witness) -> int:
     report = validate_witness(witness)
     print(report.summary())
-    if getattr(args, "out", None):
+    if args.out:
         save_document(out, args.out)
         print(f"wrote {args.out}")
-    if getattr(args, "transcript", None):
-        data = witness_transcript(args.op, witness)
-        with open(args.transcript, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.transcript}")
+    if args.transcript:
+        _write_json(args.transcript, witness_transcript(args.op, witness))
     return OK if report.ok else VIOLATION
 
 
@@ -136,6 +139,7 @@ def cmd_ball(args) -> int:
 
 
 def _build_derivation(args, g):
+    """The derivation of a ``deriv`` command: read from --deriv, else built by --kind."""
     if getattr(args, "deriv", None):
         with open(args.deriv, encoding="utf-8") as fh:
             return derivation_from_data(g, fh.read())
@@ -149,18 +153,11 @@ def _build_derivation(args, g):
 
 
 def cmd_deriv_build(args) -> int:
-    g = _load(args.gog)
-    if args.op == "dunwoody":
-        d = dunwoody_derivation(g, args.base, args.target, args.mod)
-    else:
-        d = accessibility_derivation(g, args.base, args.mod)
+    d = _build_derivation(args, _load(args.gog))
     data = derivation_data(d)
     print(f"derivation mod {d.mod}, {len(d.components)} component(s)")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.out}")
+        _write_json(args.out, data)
     else:
         print(json.dumps(data, indent=2, sort_keys=True))
     return OK
@@ -168,8 +165,7 @@ def cmd_deriv_build(args) -> int:
 
 def cmd_deriv_eval(args) -> int:
     g = _load(args.gog)
-    with open(args.deriv, encoding="utf-8") as fh:
-        d = derivation_from_data(g, fh.read())
+    d = _build_derivation(args, g)
     values = evaluate(d, nf(g, args.word))
     for i, v in enumerate(values):
         print(f"component {i}: {v.text()}")
@@ -204,16 +200,13 @@ def cmd_tree_ball(args) -> int:
 
 
 def cmd_tree_fix(args) -> int:
+    """``tree fix`` and ``tree conj``: the fixed vertex, read as a coset or a conjugator."""
     g = _load(args.gog)
     tv = fixed_vertex(g, _words(g, args.elements))
-    print(f"fixed vertex at {tv.vertex_id}, coset rep {tv.rep.text()}")
-    return OK
-
-
-def cmd_tree_conj(args) -> int:
-    g = _load(args.gog)
-    tv = fixed_vertex(g, _words(g, args.elements))
-    print(f"conjugator {tv.rep.text()} into vertex {tv.vertex_id}")
+    if args.op == "fix":
+        print(f"fixed vertex at {tv.vertex_id}, coset rep {tv.rep.text()}")
+    else:
+        print(f"conjugator {tv.rep.text()} into vertex {tv.vertex_id}")
     return OK
 
 
@@ -240,10 +233,7 @@ def cmd_quotient(args) -> int:
     q = search_quotient(g, args.op, **kwargs)
     _print_quotient(q)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(quotient_data(q), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.out}")
+        _write_json(args.out, quotient_data(q))
     return OK
 
 
@@ -344,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
             d.add_argument("--target", required=True, help="vertex the edge-sum values live at")
         d.add_argument("--mod", type=int, required=True)
         d.add_argument("--out", help="write the derivation as JSON")
-        d.set_defaults(handler=cmd_deriv_build)
+        d.set_defaults(handler=cmd_deriv_build, kind=op)
     d = dsub.add_parser("eval")
     d.add_argument("gog")
     d.add_argument("--deriv", required=True, help="derivation JSON file")
@@ -370,14 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--radius", type=int, required=True)
     t.add_argument("--dot", action="store_true", help="emit Graphviz DOT")
     t.set_defaults(handler=cmd_tree_ball)
-    t = tsub.add_parser("fix")
-    t.add_argument("gog")
-    t.add_argument("--elements", required=True, help="words separated by ';'")
-    t.set_defaults(handler=cmd_tree_fix)
-    t = tsub.add_parser("conj")
-    t.add_argument("gog")
-    t.add_argument("--elements", required=True, help="words separated by ';'")
-    t.set_defaults(handler=cmd_tree_conj)
+    for op in ("fix", "conj"):
+        t = tsub.add_parser(op)
+        t.add_argument("gog")
+        t.add_argument("--elements", required=True, help="words separated by ';'")
+        t.set_defaults(handler=cmd_tree_fix)
 
     p = sub.add_parser("quotient", help="search finite quotients with a stated goal")
     qsub = p.add_subparsers(dest="op", required=True)

@@ -299,11 +299,8 @@ def derivation_data(d: Derivation) -> dict:
     for comp in d.components:
         values = {}
         for key in sorted(comp.values, key=lambda k: (_KEY_ORDER[k[0]], k[1:])):
-            if key[0] == VERTEX:
-                text = word_text(d.owner, Word(((VERTEX, key[1], key[2]),)))
-            else:
-                text = f"t({key[1]})"
-            values[text] = ring_data(comp.values[key])["terms"]
+            syllable = key if key[0] == VERTEX else (LETTER, key[1], 1)
+            values[word_text(d.owner, Word((syllable,)))] = ring_data(comp.values[key])["terms"]
         components.append({"action": comp.action, "values": values})
     return {"mod": d.mod, "components": components}
 

@@ -4,7 +4,8 @@ A document carries the graph, one group spec per vertex and edge, inclusion
 image arrays, and optional spanning tree and basepoint.  Group specs are the
 shorthands understood by :func:`gogkit.finite_group.make_group`, or
 ``{"gog": {...}}`` for a vertex group presented by a nested document (whose
-inclusion images are then word strings instead of element indices).
+inclusion images are then word strings instead of element indices), nested at
+most ``GOG_NESTING`` levels deep.
 """
 from __future__ import annotations
 
@@ -23,12 +24,14 @@ from .gog import (
 )
 from .graph_core import FiniteGraph, SpanningTree
 
+# Vertex groups nest at most this many {"gog": …} levels; the fixtures nest one.
+GOG_NESTING = 16
+
 
 @dataclass
 class GogDocument:
-    """A parsed document: its name and the constructed graph of groups."""
+    """A parsed document: the constructed graph of groups, named ``gog.name``."""
 
-    name: str
     gog: GraphOfGroups
 
 
@@ -71,6 +74,8 @@ def _parse(data, path: tuple) -> GogDocument:
             raise DocumentError(f"duplicate vertex id {vid!r}")
         spec = member(entry, "group", object, where)
         if isinstance(spec, dict) and "gog" in spec:
+            if path.count("gog") >= GOG_NESTING:
+                raise DocumentError(f"vertex groups nest deeper than {GOG_NESTING} levels")
             sub = _parse(spec["gog"], where + ("group", "gog")).gog
             vertex_groups[vid] = CompositeVertexGroup(sub)
         else:
@@ -113,7 +118,7 @@ def _parse(data, path: tuple) -> GogDocument:
         raise DocumentError(str(exc)) from None
     for problem in inclusion_problems(gog):
         raise DocumentError(f"{json_path(path)}: {problem}" if path else problem)
-    return GogDocument(name=name, gog=gog)
+    return GogDocument(gog)
 
 
 _SHORTHAND_RE = re.compile(r"^([CDS])(\d+)$")

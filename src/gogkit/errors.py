@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import reprlib
 
 
 class GogkitError(Exception):
@@ -109,23 +110,35 @@ def json_path(path: tuple) -> str:
 def json_value(data):
     """The value that JSON text ``data`` holds; any other data as it is.  Text
     that is not JSON raises DocumentError("invalid JSON: …"), whichever loader
-    reads it."""
+    reads it; so does text nested past the parser's recursion limit."""
     if not isinstance(data, str):
         return data
     try:
         return json.loads(data)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentError("invalid JSON: nested too deeply") from None
+
+
+# A bad value is quoted in at most QUOTE_CHARS characters, nested at most six levels.
+QUOTE_CHARS = 200
+_QUOTE = reprlib.Repr()
+_QUOTE.maxlist = _QUOTE.maxtuple = _QUOTE.maxdict = QUOTE_CHARS
+_QUOTE.maxstring = _QUOTE.maxlong = _QUOTE.maxother = QUOTE_CHARS
 
 
 def expect(value, kind: type, path: tuple):
     """``value`` when it has the JSON type ``kind`` (dict, list, str or int;
     object accepts any), else DocumentError naming its path.  ``true`` and
     ``false`` are not integers.  The one shape check of the loaders; the path
-    text is built only when raising."""
+    text is built only when raising, and quotes the value in ``QUOTE_CHARS``."""
     if isinstance(value, kind) and not (kind is int and type(value) is bool):
         return value
-    raise DocumentError(f"{json_path(path)} must be {_KIND_TEXT[kind]}, got {value!r}")
+    quote = _QUOTE.repr(value)
+    if len(quote) > QUOTE_CHARS:
+        quote = quote[:QUOTE_CHARS] + "…"
+    raise DocumentError(f"{json_path(path)} must be {_KIND_TEXT[kind]}, got {quote}")
 
 
 def member(obj: dict, key: str, kind: type, path: tuple):

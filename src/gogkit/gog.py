@@ -125,7 +125,7 @@ class CompositeVertexGroup:
         return not a.syllables
 
     def sort_key(self, a: NormalForm):
-        return (len(a.syllables), a.text())
+        return a.sort_key()
 
     def handles(self):
         raise NotFinite("vertex group is a nested graph of groups; cannot enumerate")
@@ -314,14 +314,18 @@ class NormalForm:
         return len(self.syllables)
 
     def text(self) -> str:
-        return word_text(self.owner, Word(self.syllables))
+        return word_text(self.owner, self)
+
+    def sort_key(self) -> tuple[int, str]:
+        """The one order of normal forms: syllable count, then word text."""
+        return len(self.syllables), self.text()
 
     def __repr__(self) -> str:
         return f"nf({self.text()})"
 
 
-def word_text(g: GraphOfGroups, w: Word) -> str:
-    """Serialize a word; the identity is written as "1"."""
+def word_text(g: GraphOfGroups, w: Word | NormalForm) -> str:
+    """Serialize a word or normal form; the identity is written as "1"."""
     if not w.syllables:
         return "1"
     parts = []
@@ -562,13 +566,16 @@ def coset_rep(g: GraphOfGroups, eid: str, side: int, x):
 
     Memoised in the plan's crossing out of that end when its group is a
     finite table; a nested group's handles are not stored (its own
-    reductions hit its own tables).
+    reductions hit its own tables).  A carry that is not a handle of that
+    group raises MalformedWord before the memo is read.
     """
     crossing = _side_crossing(g, eid, side)
+    vg = g.vertex_groups[crossing.near]
+    if not vg.contains_handle(x):
+        raise MalformedWord(f"bad element handle {x!r} at vertex {crossing.near!r}")
     found = crossing.memo.get(x)
     if found is not None:
         return found
-    vg = g.vertex_groups[crossing.near]
     best_k, best_rep, best_key = None, None, None
     for k in range(g.edge_groups[eid].order):
         rep = vg.mul(x, vg.inv(g.incl(eid, side, k)))
@@ -666,10 +673,10 @@ def multiply(x: NormalForm, y: NormalForm) -> NormalForm:
 
 
 def invert(x: NormalForm) -> NormalForm:
-    return _normal_form(x.owner, invert_word(x.owner, Word(x.syllables)).syllables)
+    return _normal_form(x.owner, invert_word(x.owner, x).syllables)
 
 
-def invert_word(g: GraphOfGroups, w: Word) -> Word:
+def invert_word(g: GraphOfGroups, w: Word | NormalForm) -> Word:
     """The formal inverse: syllables reversed, each one inverted."""
     out = []
     for syl in reversed(w.syllables):
@@ -817,7 +824,7 @@ def ball(g: GraphOfGroups, radius: int) -> list[NormalForm]:
     """All distinct normal forms of elements expressible by ≤ radius syllables.
 
     Breadth-first closure under right multiplication by the letters of
-    ``alphabet(g)``; deterministic order (syllable count, then word text).
+    ``alphabet(g)``, sorted by ``NormalForm.sort_key``.
     More than ``BALL_CAP`` elements raise BallTooLarge.
 
     A product known to land in an earlier level is skipped: if x = y·t with
@@ -853,7 +860,7 @@ def ball(g: GraphOfGroups, radius: int) -> list[NormalForm]:
         frontier = list(blocked.items())
         if not frontier:
             break
-    return sorted(seen, key=lambda x: (len(x.syllables), x.text()))
+    return sorted(seen, key=NormalForm.sort_key)
 
 
 @dataclass(frozen=True)
@@ -928,20 +935,22 @@ def verify_relative_malnormality(g: GraphOfGroups, h_vertex: str, chi: Subgroup)
     tree path from o = 1·H to s⁻¹·o ≠ o, so it lies in H ∩ H^s' for the s'
     with s'⁻¹·o the vertex two edges along that path.  Those vertices are
     a·b·o, a over A/C and b over (B/C)∖C, so only s = (a·b)⁻¹ is checked.
+    A factor that is not a finite table fails the report, as a bad χ does.
     """
     report = Report()
     if len(g.graph.vertices) != 2 or len(g.graph.edges) != 1:
         report.fail("graph is not a two-factor amalgam (need 2 vertices, 1 edge)")
         return report
+    (eid,) = g.graph.edges
+    side = 0 if g.graph.d0[eid] == h_vertex else 1
+    other = g.graph.d1[eid] if side == 0 else g.graph.d0[eid]
     try:
         chi = table_subgroup(g, h_vertex, chi)
+        table_group(g, other)
     except (ValueError, NotFinite) as exc:
         report.fail(str(exc))
         return report
     H = chi.parent
-    (eid,) = g.graph.edges
-    side = 0 if g.graph.d0[eid] == h_vertex else 1
-    other = g.graph.d1[eid] if side == 0 else g.graph.d0[eid]
     checked = 0
     for a in transversal(g, eid, side):
         for b in transversal(g, eid, 1 - side):

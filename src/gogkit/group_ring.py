@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from .errors import MixedOwners, RingMismatch, expect, member
-from .finite_group import FiniteGroup
 from .gog import GraphOfGroups, NormalForm, multiply, nf
 
 
@@ -45,7 +44,7 @@ class RingVector:
         if not self.terms:
             return "0"
         parts = []
-        for word in sorted(self.terms, key=lambda x: (len(x.syllables), x.text())):
+        for word in sorted(self.terms, key=NormalForm.sort_key):
             parts.append(f"{self.terms[word]}·[{word.text()}]")
         return " + ".join(parts)
 
@@ -101,18 +100,6 @@ def group_sum(g: GraphOfGroups, elements, mod: int) -> RingVector:
     for x in elements:
         terms[x] = terms.get(x, 0) + 1
     return RingVector(g, mod, terms)
-
-
-def push_to_quotient(u: RingVector, target: FiniteGroup, image_of) -> dict[int, int]:
-    """Push a vector along Γ → target; ``image_of`` maps a normal form to an index.
-
-    Returns sparse coefficients over the target group, zeros dropped.
-    """
-    out: dict[int, int] = {}
-    for word, coeff in u.terms.items():
-        q = image_of(word)
-        out[q] = (out.get(q, 0) + coeff) % u.mod
-    return {k: v for k, v in sorted(out.items()) if v}
 
 
 def ring_data(u: RingVector) -> dict:

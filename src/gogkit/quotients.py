@@ -47,7 +47,7 @@ from .gog import (
     residues,
     table_subgroup,
 )
-from .group_ring import RingVector, push_to_quotient
+from .group_ring import RingVector
 
 # Work one search may do, each walk node charged the choices it tries.  The
 # largest search of the tests, the acceptance checks and the benchmark charges
@@ -84,7 +84,12 @@ class FiniteQuotient:
         )
 
     def push(self, u: RingVector) -> dict[int, int]:
-        return push_to_quotient(u, self.target, self.image_of)
+        """The image of u in the target's group ring: sparse coefficients, zeros dropped."""
+        out: dict[int, int] = {}
+        for word, coeff in u.terms.items():
+            q = self.image_of(word)
+            out[q] = (out.get(q, 0) + coeff) % u.mod
+        return {k: v for k, v in sorted(out.items()) if v}
 
 
 def quotient_from_images(

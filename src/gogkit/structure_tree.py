@@ -3,7 +3,8 @@
 Tree vertices are cosets g·𝒢(v), tree edges cosets g·𝒢(e) (the edge group
 sitting inside the d0 vertex group); endpoints are d0(g𝒢(e)) = g𝒢(d0 e) and
 d1(g𝒢(e)) = g·t_e·𝒢(d1 e).  Cosets are stored by their least representative
-(fewest syllables, then word text), so equality is plain comparison.
+under ``NormalForm.sort_key`` (fewest syllables, then word text), so equality
+is plain comparison; the edges at a vertex are listed in the same order.
 """
 from __future__ import annotations
 
@@ -51,8 +52,9 @@ class TreeEdge:
 
 
 def _least_coset_rep(g: GraphOfGroups, prefix: tuple, vid: str, handles) -> NormalForm:
-    """The least of prefix·h over the handles h at vid, by (syllables, text);
-    the prefix and the handles are trusted."""
+    """The least of prefix·h over the handles h at vid by ``NormalForm.sort_key``,
+    whose text is computed for the shortest candidates only; the prefix and the
+    handles are trusted."""
     candidates = [_normal_form(g, prefix + ((VERTEX, vid, h),)) for h in handles]
     least = min(len(c.syllables) for c in candidates)
     return min((c for c in candidates if len(c.syllables) == least), key=NormalForm.text)
@@ -167,7 +169,7 @@ def _neighbors(g: GraphOfGroups, tv: TreeVertex):
             add_edges(eid, 0, (), edge_d1)
         if g.graph.d1[eid] == v:
             add_edges(eid, 1, ((LETTER, eid, -1),), edge_d0)
-    return sorted(out, key=lambda kv: (kv[0].edge_id, len(kv[0].rep.syllables), kv[0].rep.text()))
+    return sorted(out, key=lambda kv: (kv[0].edge_id, kv[0].rep.sort_key()))
 
 
 def tree_ball(g: GraphOfGroups, radius: int) -> TreeBall:

@@ -209,6 +209,41 @@ def test_commands_name_files_that_are_not_json(capsys, tmp_path, command):
     assert (code, out, err) == (2, "", "error: invalid JSON: Expecting value: line 1 column 1 (char 0)\n")
 
 
+def nested_document(levels: int) -> str:
+    """A one-vertex document whose vertex group nests ``levels`` documents deep."""
+    text = '"cyclic 2"'
+    for _ in range(levels):
+        text = '{"gog": {"graph": {"vertices": [{"id": "v", "group": %s}], "edges": []}}}' % text
+    return '{"graph": {"vertices": [{"id": "v", "group": %s}], "edges": []}}' % text
+
+
+@pytest.mark.parametrize("text", ["[" * 1000, nested_document(200)],
+                         ids=["1000-brackets", "200-documents"])
+@pytest.mark.parametrize("command", [
+    ["deriv", "eval", "c4c6", "--deriv", "FILE", "--word", "w:g1"],
+    ["quotient", "refine", "c4c6", "--subgraph", "v", "--given", "FILE"],
+    ["validate", "FILE"],
+], ids=["deriv-eval", "quotient-refine", "validate"])
+def test_commands_refuse_json_nested_too_deeply(capsys, tmp_path, command, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *(str(path) if arg == "FILE" else arg for arg in command))
+    assert (code, out, err) == (2, "", "error: invalid JSON: nested too deeply\n")
+
+
+@pytest.mark.parametrize("value", [
+    "[" * 600 + "]" * 600, json.dumps(list(range(3000))), json.dumps("x" * 5000),
+], ids=["600-levels", "3000-items", "5000-chars"])
+def test_error_lines_quote_a_bad_value_briefly(capsys, tmp_path, value):
+    # A 600-level list was once quoted whole: an error line longer than the file.
+    path = tmp_path / "bad.gog.json"
+    path.write_text('{"graph": %s}' % value)
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: graph must be an object, got ")
+    assert err.count("\n") == 1 and len(err) < 260
+
+
 def test_quotient_refine_rejects_a_given_file_without_target(capsys, tmp_path):
     path = tmp_path / "given.quot.json"
     path.write_text(json.dumps({"vertex_images": {"v": [0, 1, 2, 3]}, "letter_images": {}}))

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from gogkit.documents import (
+    GOG_NESTING,
     document_data,
     load_document,
     parse_document,
@@ -280,11 +281,25 @@ def test_basepoint_must_exist():
         parse_document(doc)
 
 
+def test_vertex_groups_nest_at_most_the_cap():
+    # The fixtures, and every other document the tests load, nest one level at most.
+    doc = {"graph": {"vertices": [{"id": "v", "group": "cyclic 2"}], "edges": []}}
+    for _ in range(GOG_NESTING):
+        doc = {"graph": {"vertices": [{"id": "v", "group": {"gog": doc}}], "edges": []}}
+    g = parse_document(doc).gog
+    for _ in range(GOG_NESTING):
+        g = g.vertex_groups["v"].sub
+    assert g.vertex_groups["v"].group.order == 2
+    deeper = {"graph": {"vertices": [{"id": "v", "group": {"gog": doc}}], "edges": []}}
+    with pytest.raises(DocumentError, match=f"nest deeper than {GOG_NESTING} levels$"):
+        parse_document(deeper)
+
+
 def test_save_and_load_files(tmp_path):
     path = tmp_path / "copy.gog.json"
     save_document(load_fixture("c6hnn"), str(path))
     doc = load_document(str(path))
-    assert doc.name == "c6hnn"
+    assert doc.gog.name == "c6hnn"
     assert sorted(doc.gog.graph.edges) == ["t"]
 
 

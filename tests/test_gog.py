@@ -626,6 +626,12 @@ def test_malnormality_needs_a_table_vertex(name, h_vertex, problem):
     assert report.problems == [problem]
 
 
+def test_malnormality_reports_a_nested_other_factor(expand_demo):
+    chi = subgroup_closure(expand_demo.vertex_groups["z"].group, [])
+    report = verify_relative_malnormality(expand_demo, "z", chi)
+    assert report.problems == ["vertex group at 'm' is not a finite table"]
+
+
 def test_malnormality_wrong_shape(c4c2c4):
     chi = subgroup_closure(c4c2c4.vertex_groups["m"].group, [])
     report = verify_relative_malnormality(c4c2c4, "m", chi)

@@ -10,7 +10,6 @@ from gogkit.group_ring import (
     act_right,
     add,
     group_sum,
-    push_to_quotient,
     ring_data,
     ring_term,
     ring_zero,
@@ -82,19 +81,13 @@ def test_group_sum(c4c6):
 
 def test_push_to_quotient(c4c6):
     from gogkit.finite_group import make_group
+    from gogkit.quotients import quotient_from_images
 
-    c2 = make_group("cyclic 2")
     # Send a ↦ 1, b ↦ 0: count v-syllable exponents mod 2.
-    def image_of(word):
-        total = 0
-        for syl in word.syllables:
-            if syl[0] == "v" and syl[1] == "v":
-                total += syl[2]
-        return total % 2
-
+    images = {"v": (0, 1, 0, 1), "w": (0,) * 6}
+    q = quotient_from_images(c4c6, make_group("cyclic 2"), images, {"e": 0})
     u = add(ring_term(nf(c4c6, "v:g1"), 5), ring_term(nf(c4c6, "w:g1"), 5, coeff=2))
-    pushed = push_to_quotient(u, c2, image_of)
-    assert pushed == {0: 2, 1: 1}
+    assert q.push(u) == {0: 2, 1: 1}
 
 
 def test_json_round_trip(c4c6):

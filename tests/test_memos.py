@@ -145,6 +145,19 @@ def test_rebuilt_graph_starts_with_its_own_empty_memos():
     assert len(memos(g)["e", 0]) == g.vertex_groups["v"].order
 
 
+def test_coset_rep_refuses_a_carry_outside_its_vertex_group(expand_demo):
+    # -1 once returned (1, 1) and stored key -1 in the memo the kernel reads.
+    g = load_fixture("c4c6")
+    for carry in (-1, 9, 1.0, True):
+        with pytest.raises(MalformedWord):
+            coset_rep(g, "e", 0, carry)
+    ball(g, 3)
+    assert set(memos(g)["e", 0]) <= set(g.vertex_groups["v"].handles())
+    foreign = expand_demo.vertex_groups["m"].generator_handles()[0]
+    with pytest.raises(MalformedWord):
+        coset_rep(load_fixture("expand_demo"), "e0", 1, foreign)
+
+
 # A symmetric-group vertex beside a cyclic one: the two ends of e have
 # different groups, so a memo read at the wrong end gives wrong reps.
 S3C6 = {
