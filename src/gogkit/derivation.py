@@ -142,7 +142,7 @@ def _component_from_text_table(
                 raise ValueError(f"give letter values on t(e), not its inverse: {key!r}")
             values[(LETTER, syl[1])] = vec
         else:
-            if g.vertex_groups[syl[1]].is_identity(syl[2]):
+            if syl[2] == g.vertex_groups[syl[1]].identity():
                 raise ValueError(f"identity elements carry no value: {key!r}")
             values[(VERTEX, syl[1], syl[2])] = vec
     return Component(action, values)

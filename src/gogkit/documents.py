@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .errors import Disconnected, DocumentError, expect, json_path, json_value, member
+from .errors import Disconnected, DocumentError, expect, json_path, json_value, member, quote
 from .finite_group import FiniteGroup, _shorthand_group, make_group
 from .gog import (
     CompositeVertexGroup,
@@ -71,7 +71,7 @@ def _parse(data, path: tuple) -> GogDocument:
         where = at + ("vertices", i)
         vid = member(expect(entry, dict, where), "id", str, where)
         if vid in vertex_groups:
-            raise DocumentError(f"duplicate vertex id {vid!r}")
+            raise DocumentError(f"duplicate vertex id {quote(vid)}")
         spec = member(entry, "group", object, where)
         if isinstance(spec, dict) and "gog" in spec:
             if path.count("gog") >= GOG_NESTING:
@@ -89,7 +89,7 @@ def _parse(data, path: tuple) -> GogDocument:
         where = at + ("edges", i)
         eid = member(expect(entry, dict, where), "id", str, where)
         if eid in d0:
-            raise DocumentError(f"duplicate edge id {eid!r}")
+            raise DocumentError(f"duplicate edge id {quote(eid)}")
         d0[eid], d1[eid] = member(entry, "from", str, where), member(entry, "to", str, where)
         spec = member(entry, "group", object, where)
         if isinstance(spec, dict) and "gog" in spec:

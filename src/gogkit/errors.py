@@ -128,6 +128,18 @@ _QUOTE.maxlist = _QUOTE.maxtuple = _QUOTE.maxdict = QUOTE_CHARS
 _QUOTE.maxstring = _QUOTE.maxlong = _QUOTE.maxother = QUOTE_CHARS
 
 
+def cut(text: str) -> str:
+    """``text``, cut to its first ``QUOTE_CHARS`` characters and "…" when longer."""
+    return text if len(text) <= QUOTE_CHARS else text[:QUOTE_CHARS] + "…"
+
+
+def quote(value) -> str:
+    """``value``'s repr for an error text: ``reprlib``'s, nested at most six
+    levels (an object's keys sorted), then ``cut``; a short string or number
+    reads as its plain repr."""
+    return cut(_QUOTE.repr(value))
+
+
 def expect(value, kind: type, path: tuple):
     """``value`` when it has the JSON type ``kind`` (dict, list, str or int;
     object accepts any), else DocumentError naming its path.  ``true`` and
@@ -135,10 +147,7 @@ def expect(value, kind: type, path: tuple):
     text is built only when raising, and quotes the value in ``QUOTE_CHARS``."""
     if isinstance(value, kind) and not (kind is int and type(value) is bool):
         return value
-    quote = _QUOTE.repr(value)
-    if len(quote) > QUOTE_CHARS:
-        quote = quote[:QUOTE_CHARS] + "…"
-    raise DocumentError(f"{json_path(path)} must be {_KIND_TEXT[kind]}, got {quote}")
+    raise DocumentError(f"{json_path(path)} must be {_KIND_TEXT[kind]}, got {quote(value)}")
 
 
 def member(obj: dict, key: str, kind: type, path: tuple):

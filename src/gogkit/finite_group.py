@@ -7,7 +7,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from .errors import NoIdentity, NonAssociative, NotPermutationRow
+from .errors import NoIdentity, NonAssociative, NotPermutationRow, cut, quote
 
 # The largest group ``make_group`` builds: S6, the largest default quotient
 # target.  An order-n table holds n² entries, and its check reads n² for each
@@ -41,10 +41,6 @@ class FiniteGroup:
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
-
-    def times(self, i: int):
-        """The map j ↦ i·j: row i's lookup, for loops that multiply by i many times."""
-        return self.table[i].__getitem__
 
     def inv(self, i: int) -> int:
         return self.inverse[i]
@@ -217,7 +213,8 @@ def _shorthand_group(kind: str, n: int) -> FiniteGroup:
     # only computed for n up to the cap: past it, (cap)! is over the cap.
     sizes = {"cyclic": n, "dihedral": 2 * n, "dicyclic": 4 * n,
              "symmetric": math.factorial(min(n, MAX_GROUP_ORDER))}
-    _check_order(sizes.get(kind, 0), f"group '{kind} {n}'")
+    spec = cut(f"{kind} {n}")
+    _check_order(sizes.get(kind, 0), f"group '{spec}'")
     if kind == "cyclic":
         return _cyclic(n)
     if kind == "dihedral":
@@ -226,7 +223,7 @@ def _shorthand_group(kind: str, n: int) -> FiniteGroup:
         return _dicyclic(n)
     if kind == "symmetric":
         return _symmetric(n)
-    raise ValueError(f"unrecognized group shorthand: {kind} {n}")
+    raise ValueError(f"unrecognized group shorthand: {spec}")
 
 
 def make_group(spec) -> FiniteGroup:
@@ -241,7 +238,7 @@ def make_group(spec) -> FiniteGroup:
     if isinstance(spec, str):
         parts = spec.split()
         if len(parts) != 2 or not parts[1].isdigit():
-            raise ValueError(f"unrecognized group shorthand: {spec!r}")
+            raise ValueError(f"unrecognized group shorthand: {quote(spec)}")
         return _shorthand_group(parts[0], int(parts[1]))
     if isinstance(spec, dict) and "product" in spec:
         spec = spec["product"]
@@ -267,9 +264,9 @@ def make_group(spec) -> FiniteGroup:
                 raise ValueError("group spec 'labels' must be a list of one string per element")
             name = spec.get("name", "")
             if not isinstance(name, str):
-                raise ValueError(f"group spec 'name' must be a string, got {name!r}")
+                raise ValueError(f"group spec 'name' must be a string, got {quote(name)}")
             return _from_table(table, labels, name)
-    raise ValueError(f"unrecognized group spec: {spec!r}")
+    raise ValueError(f"unrecognized group spec: {quote(spec)}")
 
 
 def subgroup_as_group(sub: Subgroup) -> tuple[FiniteGroup, dict[int, int]]:
@@ -342,13 +339,14 @@ def extend_on_span(
     return images
 
 
-def hom_defect(source: FiniteGroup, images, times) -> tuple[int, int] | None:
+def hom_defect(source: FiniteGroup, images, rows) -> tuple[int, int] | None:
     """The first pair (i, j), row by row, with images[i·j] ≠ images[i]·images[j], or None;
-    ``times(a)`` is the map b ↦ a·b where the images live."""
+    ``rows[a][b]`` is the product a·b where the images live (a table, or a
+    vertex group's ``rows``)."""
     for i, row in enumerate(source.table):
-        left = times(images[i])
+        left = rows[images[i]]
         for j, ij in enumerate(row):
-            if images[ij] != left(images[j]):
+            if images[ij] != left[images[j]]:
                 return i, j
     return None
 

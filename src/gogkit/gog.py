@@ -33,26 +33,27 @@ forms are canonical.
 A graph of groups is immutable, so everything the reducer derives from its
 structure lives in one reduction plan (``_tables``), built on first use and
 kept for its lifetime; a graph derived from another starts without one.  The
-plan holds per vertex its identity and its product rows (a table's rows,
-``multiply`` for a nested group), |V| entries each; one crossing record per
-edge and direction, 2|E| of them, holding what the reducer reads at a
-crossing: the source side's inclusion preimages and its ``coset_rep`` memo,
-at most |𝒢(v)| carries, kept for a finite table vertex group only (a nested
-group's carries are not stored; its own reductions fill its own plan); and
-per vertex the tree route to each syllable target, a vertex or a letter, as
-a tuple of crossing records, each route built the first time it is walked:
-at most |V|·(|V| + 2|E|) routes.  The reducer drops a syllable whose handle
-equals its vertex's identity, a test that holds for nested handles too,
-since their normal forms are canonical.
+plan holds per vertex its identity and its vertex group's product ``rows``,
+|V| entries each; one crossing record per edge and direction, 2|E| of them,
+holding what the reducer reads at a crossing: the source side's inclusion
+preimages and its ``coset_rep`` memo, at most |𝒢(v)| carries, kept for a
+finite table vertex group only (a nested group's carries are not stored; its
+own reductions fill its own plan); and per vertex the tree route to each
+syllable target, a vertex or a letter, as a tuple of crossing records, each
+route built the first time it is walked: at most |V|·(|V| + 2|E|) routes.
+Every product of two handles of one vertex group reads that group's ``rows``
+(a table's rows, ``multiply`` in table shape for a nested group): the plan,
+``coset_rep`` and ``inclusion_problems`` alike.  The reducer drops a syllable
+whose handle equals its vertex's identity, a test that holds for nested
+handles too, since their normal forms are canonical.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain
 
-from .errors import BadSubgraph, BallTooLarge, MalformedWord, MixedOwners, NotFinite
+from .errors import BadSubgraph, BallTooLarge, MalformedWord, MixedOwners, NotFinite, quote
 from .finite_group import FiniteGroup, Subgroup, hom_defect, is_conjugate_into, subgroup_closure
 from .graph_core import FiniteGraph, SpanningTree, spanning_tree
 
@@ -60,10 +61,11 @@ BALL_CAP = 10**6
 
 
 class TableVertexGroup:
-    """A vertex group backed by a finite multiplication table; handles are indices."""
+    """A vertex group backed by a finite table; handles are indices and ``rows`` is the table."""
 
     def __init__(self, group: FiniteGroup):
         self.group = group
+        self.rows = group.table
 
     @property
     def order(self) -> int | None:
@@ -72,14 +74,8 @@ class TableVertexGroup:
     def identity(self) -> int:
         return self.group.identity
 
-    def mul(self, a: int, b: int) -> int:
-        return self.group.mul(a, b)
-
     def inv(self, a: int) -> int:
         return self.group.inv(a)
-
-    def is_identity(self, a: int) -> bool:
-        return a == self.group.identity
 
     def sort_key(self, a: int):
         return a
@@ -102,11 +98,13 @@ class CompositeVertexGroup:
     """A vertex group presented by a nested graph of groups; handles are its normal forms.
 
     Only the word-problem operations are available; enumeration raises since
-    the underlying group is generally infinite.
+    the underlying group is generally infinite.  ``rows`` is the product in
+    the shape of a table: ``rows[a][b]`` is ``multiply(a, b)``.
     """
 
     def __init__(self, sub: GraphOfGroups):
         self.sub = sub
+        self.rows = _NestedRows()
 
     @property
     def order(self) -> int | None:
@@ -115,14 +113,8 @@ class CompositeVertexGroup:
     def identity(self) -> NormalForm:
         return identity(self.sub)
 
-    def mul(self, a: NormalForm, b: NormalForm) -> NormalForm:
-        return multiply(a, b)
-
     def inv(self, a: NormalForm) -> NormalForm:
         return invert(a)
-
-    def is_identity(self, a: NormalForm) -> bool:
-        return not a.syllables
 
     def sort_key(self, a: NormalForm):
         return a.sort_key()
@@ -140,6 +132,23 @@ class CompositeVertexGroup:
 
     def contains_handle(self, a) -> bool:
         return isinstance(a, NormalForm) and a.owner is self.sub
+
+
+class _NestedRows:
+    __slots__ = ()
+
+    def __getitem__(self, a: NormalForm) -> _NestedRow:
+        return _NestedRow(a)
+
+
+class _NestedRow:
+    __slots__ = ("a",)
+
+    def __init__(self, a: NormalForm):
+        self.a = a
+
+    def __getitem__(self, b: NormalForm) -> NormalForm:
+        return multiply(self.a, b)
 
 
 VERTEX = "v"
@@ -197,7 +206,7 @@ class GraphOfGroups:
             if len(self.inclusions[e][0]) != n or len(self.inclusions[e][1]) != n:
                 raise ValueError(f"edge {e!r}: inclusion image arrays must have length {n}")
         if self.basepoint not in graph.vertices:
-            raise ValueError(f"basepoint {self.basepoint!r} is not a vertex")
+            raise ValueError(f"basepoint {quote(self.basepoint)} is not a vertex")
         self._presentation: Presentation | None = None
         # The reduction plan (_tables).
         self._kernel: tuple[dict, dict, dict, dict] | None = None
@@ -353,51 +362,52 @@ def _split_word_text(text: str) -> list[str]:
         elif ch == "}":
             depth -= 1
             if depth < 0:
-                raise MalformedWord(f"unbalanced braces in {text!r}")
+                raise MalformedWord(f"unbalanced braces in {quote(text)}")
         if ch == "*" and depth == 0:
             parts.append("".join(cur).strip())
             cur = []
         else:
             cur.append(ch)
     if depth != 0:
-        raise MalformedWord(f"unbalanced braces in {text!r}")
+        raise MalformedWord(f"unbalanced braces in {quote(text)}")
     parts.append("".join(cur).strip())
     return parts
 
 
 def parse_word(g: GraphOfGroups, text: str) -> Word:
-    """Parse word text: syllables joined by '*', `vid:gN` or `t(eid)[^-1]`."""
+    """Parse word text: syllables joined by '*', `vid:gN` or `t(eid)[^-1]`.
+    Error texts quote the text read through ``errors.quote``."""
     text = text.strip()
     if text in ("", "1"):
         return Word(())
     syllables = []
     for token in _split_word_text(text):
         if not token:
-            raise MalformedWord(f"empty syllable in {text!r}")
+            raise MalformedWord(f"empty syllable in {quote(text)}")
         m = _LETTER_RE.match(token)
         if m:
             eid = m.group(1)
             if eid not in g.graph.edges:
-                raise MalformedWord(f"unknown edge {eid!r} in {token!r}")
+                raise MalformedWord(f"unknown edge {quote(eid)} in {quote(token)}")
             syllables.append((LETTER, eid, -1 if m.group(2) else 1))
             continue
         if ":" not in token:
-            raise MalformedWord(f"cannot parse syllable {token!r}")
+            raise MalformedWord(f"cannot parse syllable {quote(token)}")
         vid, _, elem = token.partition(":")
         vid, elem = vid.strip(), elem.strip()
         if vid not in g.graph.vertices:
-            raise MalformedWord(f"unknown vertex {vid!r} in {token!r}")
+            raise MalformedWord(f"unknown vertex {quote(vid)} in {quote(token)}")
         vg = g.vertex_groups[vid]
         if elem.startswith("{") and elem.endswith("}"):
             if not isinstance(vg, CompositeVertexGroup):
-                raise MalformedWord(f"vertex {vid!r} has a table group; got {elem!r}")
+                raise MalformedWord(f"vertex {quote(vid)} has a table group; got {quote(elem)}")
             handle = _normal_form(vg.sub, parse_word(vg.sub, elem[1:-1]).syllables)
         else:
             if not _INDEX_RE.fullmatch(elem):
-                raise MalformedWord(f"cannot parse element {elem!r} in {token!r}")
+                raise MalformedWord(f"cannot parse element {quote(elem)} in {quote(token)}")
             idx = int(elem[1:])
-            if not isinstance(vg, TableVertexGroup) or idx >= vg.group.order:
-                raise MalformedWord(f"element index {idx} out of range at {vid!r}")
+            if not vg.contains_handle(idx):
+                raise MalformedWord(f"element index {quote(idx)} out of range at {quote(vid)}")
             handle = idx
         syllables.append((VERTEX, vid, handle))
     return Word(tuple(syllables))
@@ -405,26 +415,6 @@ def parse_word(g: GraphOfGroups, text: str) -> Word:
 
 # ---------------------------------------------------------------------------
 # Reduction
-
-
-class _NestedRows:
-    """A nested vertex group's product in the shape of a table:
-    ``rows[a][b]`` is ``multiply(a, b)``."""
-
-    __slots__ = ()
-
-    def __getitem__(self, a: NormalForm) -> _NestedRow:
-        return _NestedRow(a)
-
-
-class _NestedRow:
-    __slots__ = ("a",)
-
-    def __init__(self, a: NormalForm):
-        self.a = a
-
-    def __getitem__(self, b: NormalForm) -> NormalForm:
-        return multiply(self.a, b)
 
 
 class _Crossing:
@@ -475,14 +465,14 @@ class _Routes(dict):
 
 def _tables(g: GraphOfGroups) -> tuple[dict, dict, dict, dict]:
     """The kernel's reduction plan, built on first use: per vertex its
-    identity, product rows (a table's rows, ``multiply`` for a nested group)
-    and tree routes (``_Routes``), and the one ``_Crossing`` per edge and
-    direction that the routes read."""
+    identity, its vertex group's product ``rows`` and tree routes
+    (``_Routes``), and the one ``_Crossing`` per edge and direction that the
+    routes read."""
     if g._kernel is None:
         one, rows = {}, {}
         for vid, vg in g.vertex_groups.items():
             one[vid] = vg.identity()
-            rows[vid] = vg.group.table if isinstance(vg, TableVertexGroup) else _NestedRows()
+            rows[vid] = vg.rows
         crossings = {
             (eid, direction): _Crossing(g, one, rows, eid, direction)
             for eid in g.graph.edges for direction in (1, -1)
@@ -576,9 +566,10 @@ def coset_rep(g: GraphOfGroups, eid: str, side: int, x):
     found = crossing.memo.get(x)
     if found is not None:
         return found
+    row = vg.rows[x]
     best_k, best_rep, best_key = None, None, None
     for k in range(g.edge_groups[eid].order):
-        rep = vg.mul(x, vg.inv(g.incl(eid, side, k)))
+        rep = row[vg.inv(g.incl(eid, side, k))]
         key = vg.sort_key(rep)
         if best_key is None or key < best_key:
             best_k, best_rep, best_key = k, rep, key
@@ -799,11 +790,9 @@ def inclusion_problems(g: GraphOfGroups):
                 continue  # the checks below would index the bad handles
             if len({vg.sort_key(h) for h in images}) != K.order:
                 yield f"edge {eid!r} side {side}: inclusion is not injective"
-            if images and not vg.is_identity(images[K.identity]):
+            if images and images[K.identity] != vg.identity():
                 yield f"edge {eid!r} side {side}: identity does not map to identity"
-            times = (vg.group.times if isinstance(vg, TableVertexGroup)
-                     else lambda a: partial(multiply, a))
-            defect = hom_defect(K, images, times)
+            defect = hom_defect(K, images, vg.rows)
             if defect is not None:
                 i, j = defect
                 yield f"edge {eid!r} side {side}: not a homomorphism on pair ({i},{j})"

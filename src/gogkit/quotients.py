@@ -15,9 +15,10 @@ filtered hom lists are built once per graph (``_walk``).  A search whose
 walks pass ``WALK_CAP`` stops with Exhausted, naming the cap.
 
 Every homomorphism test goes through ``finite_group``: ``hom_defect`` checks
-a vertex image array pair by pair (``quotient_from_images``), and
-``extend_on_span`` decides whether a map defined on generators extends, which
-is how ``refine`` tests that a given quotient factors through a candidate.
+a vertex image array against the target's table rows, pair by pair
+(``quotient_from_images``), and ``extend_on_span`` decides whether a map
+defined on generators extends, which is how ``refine`` tests that a given
+quotient factors through a candidate.
 """
 from __future__ import annotations
 
@@ -111,7 +112,7 @@ def quotient_from_images(
         images = vertex_images.get(vid)
         if images is None or len(images) != vg.group.order or not all(map(is_element, images)):
             return None
-        if hom_defect(vg.group, images, target.times) is not None:
+        if hom_defect(vg.group, images, target.table) is not None:
             return None
     q = FiniteQuotient(g, target, dict(vertex_images), dict(letter_images))
     return q if next(residues(g, q.image_of, target.identity), None) is None else None
@@ -155,7 +156,7 @@ def _walk(g: GraphOfGroups) -> tuple:
         for i, (eid, k) in enumerate(presentation(g).labels):
             ends = (g.graph.d0[eid], g.graph.d1[eid])
             if k is None or all(
-                g.vertex_groups[v].is_identity(g.incl(eid, side, k)) for side, v in enumerate(ends)
+                g.incl(eid, side, k) == g.vertex_groups[v].identity() for side, v in enumerate(ends)
             ):
                 continue  # t_e = 1 on the tree, and t⁻¹·1·t = 1 on any edge
             checks[max(depth[v] for v in (*ends, eid) if v in depth)].append(i)

@@ -82,9 +82,7 @@ def _atoms(g: GraphOfGroups, syllable: tuple):
     vid, h = syllable[1], syllable[2]
     vg = g.vertex_groups[vid]
     if isinstance(vg, TableVertexGroup):
-        if vg.is_identity(h):
-            return []
-        return [((VERTEX, vid, h), 1)]
+        return [] if h == vg.identity() else [((VERTEX, vid, h), 1)]
     out = []
     for s in h.syllables:
         if s[0] == VERTEX:
@@ -265,12 +263,7 @@ def collapse_tree_edge(g: GraphOfGroups, e: str) -> tuple[GraphOfGroups, GogIsoW
         raise NotCollapsible(f"edge {e!r} is not in the spanning tree")
     order = g.edge_groups[e].order
     ends = (g.graph.d0[e], g.graph.d1[e])
-    side = None
-    for s in (1, 0):
-        vg = g.vertex_groups[ends[s]]
-        if isinstance(vg, TableVertexGroup) and vg.group.order == order:
-            side = s
-            break
+    side = next((s for s in (1, 0) if g.vertex_groups[ends[s]].order == order), None)
     if side is None:
         raise NotCollapsible(f"neither inclusion of {e!r} is onto its endpoint group")
     gone, kept = ends[side], ends[1 - side]

@@ -50,7 +50,7 @@ import itertools
 
 from gogkit.errors import MalformedWord, NoIdentity, NonAssociative, NotPermutationRow
 from gogkit.finite_group import FiniteGroup, subgroup_closure
-from gogkit.gog import LETTER, VERTEX
+from gogkit.gog import LETTER, VERTEX, TableVertexGroup, multiply
 
 # ---------------------------------------------------------------------------
 # 2x2 integer matrices
@@ -316,7 +316,6 @@ def iter_quotients_brute(g, target):
     extends each vertex hom afresh and keeps the ones killing the edge relators.
     """
     from gogkit.finite_group import _greedy_generators
-    from gogkit.gog import TableVertexGroup
     from gogkit.quotients import FiniteQuotient
 
     vertex_ids = sorted(g.graph.vertices)
@@ -512,6 +511,12 @@ def _word_to_path(g, w, base: str) -> list[tuple]:
     return path
 
 
+def _vertex_mul(vg, a, b):
+    """a·b in a vertex group by ``FiniteGroup.mul`` or ``multiply``, never
+    through the ``rows`` the package reads."""
+    return vg.group.mul(a, b) if isinstance(vg, TableVertexGroup) else multiply(a, b)
+
+
 def _pinch_reduce(g, path: list[tuple]) -> list[tuple]:
     """Eliminate pinches t_e⁻¹·(∂0 image)·t_e and t_e·(∂1 image)·t_e⁻¹."""
     stack: list[tuple] = []
@@ -519,8 +524,8 @@ def _pinch_reduce(g, path: list[tuple]) -> list[tuple]:
     def push_elem(vid: str, h):
         vg = g.vertex_groups[vid]
         if stack and stack[-1][0] == "e" and stack[-1][1] == vid:
-            h = vg.mul(stack.pop()[2], h)
-        if not vg.is_identity(h):
+            h = _vertex_mul(vg, stack.pop()[2], h)
+        if h != vg.identity():
             stack.append(("e", vid, h))
 
     for item in path:
@@ -561,20 +566,20 @@ def _normalize(g, path: list[tuple], base: str) -> tuple[tuple, ...]:
     carry = g.vertex_groups[base].identity()
     for item in path:
         if item[0] == "e":
-            carry = g.vertex_groups[cur].mul(carry, item[2])
+            carry = _vertex_mul(g.vertex_groups[cur], carry, item[2])
             continue
         _, eid, direction = item
         src_side = 0 if direction > 0 else 1
         dst_side = 1 - src_side
         vg = g.vertex_groups[cur]
         best_rep, best_k = coset_rep_loop(g, cur, eid, src_side, carry)
-        if not vg.is_identity(best_rep):
+        if best_rep != vg.identity():
             syllables.append((VERTEX, cur, best_rep))
         if eid not in g.tree.edges:
             syllables.append((LETTER, eid, direction))
         cur = g.graph.d1[eid] if dst_side == 1 else g.graph.d0[eid]
         carry = g.incl(eid, dst_side, best_k)
-    if not g.vertex_groups[cur].is_identity(carry):
+    if carry != g.vertex_groups[cur].identity():
         syllables.append((VERTEX, cur, carry))
     return tuple(syllables)
 
@@ -585,7 +590,7 @@ def coset_rep_loop(g, vid: str, eid: str, side: int, x):
     vg = g.vertex_groups[vid]
     best_k, best_rep, best_key = None, None, None
     for k in range(g.edge_groups[eid].order):
-        rep = vg.mul(x, vg.inv(g.incl(eid, side, k)))
+        rep = _vertex_mul(vg, x, vg.inv(g.incl(eid, side, k)))
         key = vg.sort_key(rep)
         if best_key is None or key < best_key:
             best_k, best_rep, best_key = k, rep, key

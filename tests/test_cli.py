@@ -244,6 +244,53 @@ def test_error_lines_quote_a_bad_value_briefly(capsys, tmp_path, value):
     assert err.count("\n") == 1 and len(err) < 260
 
 
+def _with_long_values(case: str) -> dict:
+    """A document whose one fault quotes a value of tens of thousands of characters."""
+    doc = json.loads(fixture_text("expand_demo" if case in ("braces", "vertex") else "c4c6"))
+    vertices, edges = doc["graph"]["vertices"], doc["graph"]["edges"]
+    if case == "vertex id":
+        vertices[:] = [{"id": "v" * 50_000, "group": "cyclic 2"}] * 2
+    elif case == "edge id":
+        edges[:] = [dict(edges[0], id="e" * 50_000)] * 2
+    elif case == "braces":
+        edges[0]["d1_images"][1] = "{" * 140_000
+    elif case == "vertex":
+        edges[0]["d1_images"][1] = "q" * 50_000 + ":g1"
+    elif case == "shorthand":
+        vertices[0]["group"] = "x" * 60_000
+    elif case == "kind":
+        vertices[0]["group"] = "x" * 60_000 + " 3"
+    elif case == "spec":
+        vertices[0]["group"] = {"cyclic": list(range(20_000))}
+    elif case == "name":
+        vertices[0]["group"] = {"table": [[0]], "name": list(range(20_000))}
+    elif case == "basepoint":
+        doc["basepoint"] = "b" * 50_000
+    return doc
+
+
+@pytest.mark.parametrize("case, start", [
+    ("vertex id", "duplicate vertex id 'vvv"),
+    ("edge id", "duplicate edge id 'eee"),
+    ("braces", "unbalanced braces in '{{{"),
+    ("vertex", "unknown vertex 'qqq"),
+    ("shorthand", "graph.vertices[0].group: unrecognized group shorthand: 'xxx"),
+    ("kind", "graph.vertices[0].group: unrecognized group shorthand: xxx"),
+    ("spec", "graph.vertices[0].group: unrecognized group spec: {'cyclic': [0, 1, 2,"),
+    ("name", "graph.vertices[0].group: group spec 'name' must be a string, got [0, 1,"),
+    ("basepoint", "basepoint 'bbb"),
+])
+def test_error_lines_outside_expect_quote_a_long_value_briefly(capsys, tmp_path, case, start):
+    # Each was once quoted whole: 50 to 140 KB on one error line.  The unknown
+    # vertex line quotes two values, the vertex id and its syllable.
+    path = tmp_path / "long.gog.json"
+    path.write_text(json.dumps(_with_long_values(case)))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + start)
+    assert err.count("\n") == 1 and len(err.encode()) < (600 if case == "vertex" else 400)
+
+
 def test_quotient_refine_rejects_a_given_file_without_target(capsys, tmp_path):
     path = tmp_path / "given.quot.json"
     path.write_text(json.dumps({"vertex_images": {"v": [0, 1, 2, 3]}, "letter_images": {}}))

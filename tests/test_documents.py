@@ -147,6 +147,18 @@ def test_an_inclusion_that_is_not_a_homomorphism_is_refused():
             parse_document(data)
 
 
+def test_a_nested_inclusion_that_is_not_a_homomorphism_is_refused():
+    # 1 ↦ u, 2 ↦ w in C2 ∗ C2: the image of 1 + 1 = 2 is w, not u·u = 1.
+    doc = json.loads(fixture_text("expand_demo"))
+    doc["graph"]["vertices"][0]["group"] = "cyclic 4"
+    edge = doc["graph"]["edges"][0]
+    edge.update(group="cyclic 4", d0_images=[0, 1, 2, 3],
+                d1_images=["1", "u:g1", "w:g1", "u:g1 * w:g1"])
+    problem = "edge 'e0' side 1: not a homomorphism on pair (1,1)"
+    with pytest.raises(DocumentError, match=f"^{re.escape(problem)}$"):
+        parse_document(doc)
+
+
 def test_an_empty_cyclic_group_is_a_document_error_naming_its_path():
     doc = base_doc()
     doc["graph"]["vertices"][1]["group"] = "cyclic 0"

@@ -421,5 +421,5 @@ def test_hom_defect_finds_the_first_failing_pair_row_by_row():
             pairs = itertools.product(range(source.order), repeat=2)
             first = next(((i, j) for i, j in pairs
                           if images[source.mul(i, j)] != target.mul(images[i], images[j])), None)
-            assert hom_defect(source, images, target.times) == first
+            assert hom_defect(source, images, target.table) == first
 

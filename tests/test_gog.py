@@ -674,6 +674,22 @@ def test_composite_word_round_trip(expand_demo):
     assert word_text(expand_demo, w) == text
 
 
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_table_rows_are_the_group_product(name):
+    g = load_fixture(name)
+    for vg in g.vertex_groups.values():
+        if isinstance(vg, TableVertexGroup):
+            group = vg.group
+            assert all(vg.rows[a][b] == group.mul(a, b)
+                       for a in range(group.order) for b in range(group.order))
+
+
+def test_nested_rows_are_multiply(expand_demo):
+    vg = expand_demo.vertex_groups["m"]
+    handles = ball(vg.sub, 2)
+    assert all(vg.rows[a][b] == multiply(a, b) for a in handles for b in handles)
+
+
 def test_composite_inclusion_identifies(expand_demo):
     # The edge glues z's generator to the left factor of the nested group.
     assert equal(nf(expand_demo, "z:g1"), nf(expand_demo, "m:{u:g1}"))
