@@ -342,7 +342,7 @@ def check_residual_finiteness(name: str, g, report: Report):
         if (q.target.order, q.vertex_images["v"][1], q.vertex_images["w"][1]) != (12, 3, 2):
             report.fail(
                 f"separating the C4 generator found {q.target.name} "
-                f"with images {q.vertex_images}"
+                f"with images {dict(q.vertex_images)}"
             )
         report.counts["separate_a_order"] = q.target.order
 

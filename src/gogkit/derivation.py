@@ -81,6 +81,15 @@ def _act(g: GraphOfGroups, vec: RingVector, suffix: NormalForm, action: str) -> 
     return act_right(vec, suffix)
 
 
+def _syllables(g: GraphOfGroups, x) -> tuple:
+    """The syllables of a word, syllable tuple or normal form, checked by
+    ``_check_word`` unless x is a normal form of g."""
+    syllables = x.syllables if isinstance(x, (NormalForm, Word)) else tuple(x)
+    if not (isinstance(x, NormalForm) and x.owner is g):
+        _check_word(g, syllables)
+    return syllables
+
+
 def evaluate(d: Derivation, x) -> list[RingVector]:
     """Evaluate every component on a word or normal form, by Fox's formula.
 
@@ -95,9 +104,7 @@ def evaluate(d: Derivation, x) -> list[RingVector]:
     ``_check_word`` once, up front; a normal form of ``d.owner`` is trusted.
     """
     g = d.owner
-    syllables = x.syllables if isinstance(x, (NormalForm, Word)) else tuple(x)
-    if not (isinstance(x, NormalForm) and x.owner is g):
-        _check_word(g, syllables)
+    syllables = _syllables(g, x)
     out = []
     for comp in d.components:
         values, twisted = comp.values, comp.action == TWISTED

@@ -53,7 +53,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .errors import BadSubgraph, BallTooLarge, MalformedWord, MixedOwners, NotFinite, quote
+from .errors import BadSubgraph, BallTooLarge, MalformedWord, MixedOwners, NotFinite, cut, quote
 from .finite_group import FiniteGroup, Subgroup, hom_defect, is_conjugate_into, subgroup_closure
 from .graph_core import FiniteGraph, SpanningTree, spanning_tree
 
@@ -66,6 +66,9 @@ class TableVertexGroup:
     def __init__(self, group: FiniteGroup):
         self.group = group
         self.rows = group.table
+        # The most digits an index in range can have; ``parse_word`` refuses
+        # a longer one before converting it.
+        self.index_digits = len(str(group.order - 1))
 
     @property
     def order(self) -> int | None:
@@ -105,6 +108,7 @@ class CompositeVertexGroup:
     def __init__(self, sub: GraphOfGroups):
         self.sub = sub
         self.rows = _NestedRows()
+        self.index_digits = 0  # handles are normal forms, never indices
 
     @property
     def order(self) -> int | None:
@@ -405,10 +409,9 @@ def parse_word(g: GraphOfGroups, text: str) -> Word:
         else:
             if not _INDEX_RE.fullmatch(elem):
                 raise MalformedWord(f"cannot parse element {quote(elem)} in {quote(token)}")
-            idx = int(elem[1:])
-            if not vg.contains_handle(idx):
-                raise MalformedWord(f"element index {quote(idx)} out of range at {quote(vid)}")
-            handle = idx
+            digits = elem[1:]
+            if len(digits) > vg.index_digits or not vg.contains_handle(handle := int(digits)):
+                raise MalformedWord(f"element index {cut(digits)} out of range at {quote(vid)}")
         syllables.append((VERTEX, vid, handle))
     return Word(tuple(syllables))
 
@@ -785,17 +788,17 @@ def inclusion_problems(g: GraphOfGroups):
             images = g.inclusions[eid][side]
             bad = [h for h in images if not vg.contains_handle(h)]
             for h in bad:
-                yield f"edge {eid!r} side {side}: image {h!r} not in group at {vid!r}"
+                yield f"edge {quote(eid)} side {side}: image {quote(h)} not in group at {quote(vid)}"
             if bad:
                 continue  # the checks below would index the bad handles
             if len({vg.sort_key(h) for h in images}) != K.order:
-                yield f"edge {eid!r} side {side}: inclusion is not injective"
+                yield f"edge {quote(eid)} side {side}: inclusion is not injective"
             if images and images[K.identity] != vg.identity():
-                yield f"edge {eid!r} side {side}: identity does not map to identity"
+                yield f"edge {quote(eid)} side {side}: identity does not map to identity"
             defect = hom_defect(K, images, vg.rows)
             if defect is not None:
                 i, j = defect
-                yield f"edge {eid!r} side {side}: not a homomorphism on pair ({i},{j})"
+                yield f"edge {quote(eid)} side {side}: not a homomorphism on pair ({i},{j})"
 
 
 def validate(g: GraphOfGroups) -> Report:

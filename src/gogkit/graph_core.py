@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import Disconnected, SameVertex
+from .errors import Disconnected, SameVertex, quote
 
 POSITIVE = "positive"
 NEUTRAL = "neutral"
@@ -64,7 +64,7 @@ class SpanningTree:
     def __post_init__(self):
         stray = sorted(set(self.edges) - set(self.graph.edges))
         if stray:
-            raise ValueError(f"spanning tree edges {stray} are not edges of the graph")
+            raise ValueError(f"spanning tree edges {quote(stray)} are not edges of the graph")
         n = len(self.graph.vertices)
         if len(self.edges) != n - 1:
             raise ValueError(
@@ -73,7 +73,7 @@ class SpanningTree:
         parent = _search(self.graph, min(self.graph.vertices), self.edges)
         if len(parent) != n:
             comps = _components(self.graph, self.edges)
-            raise ValueError(f"spanning tree does not connect all vertices: {comps}")
+            raise ValueError(f"spanning tree does not connect all vertices: {quote(comps)}")
         object.__setattr__(self, "parent", parent)
 
     def path(self, v: str, w: str) -> tuple[tuple[str, int], ...]:
@@ -85,7 +85,7 @@ class SpanningTree:
         up, down = [], []
         for x, climb in ((v, up), (w, down)):
             if x not in self.parent:
-                raise ValueError(f"{x!r} is not a vertex of the spanning tree")
+                raise ValueError(f"{quote(x)} is not a vertex of the spanning tree")
             while (e := self.parent[x]) is not None:
                 climb.append((e, 1 if self.graph.d0[e] == x else -1))
                 x = self.graph.other_end(e, x)

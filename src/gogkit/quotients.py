@@ -1,30 +1,46 @@
 """Finite quotients of fundamental groups: search, certificates, coset functionals.
 
 A quotient is stored as one image array per vertex group plus one image per
-stable letter; tree letters always map to the identity.  Searches walk a
-deterministic candidate list (cyclic groups up to order 24, then symmetric
-groups up to degree 6 by default, each built only when a search reaches it).
-For each target they walk its homomorphisms depth first (``_iter_quotients``;
-Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, 2005),
-testing each edge relator as soon as its ends and letter are assigned, and
-yield them in lexicographic image order, so the first hit is reproducible.  A
-goal that constrains single vertex homs (injectivity) filters each vertex's
-hom list before the walk; filtering the factors of a lexicographic product
-keeps the order of the combinations that survive.  The walk's plan and its
-filtered hom lists are built once per graph (``_walk``).  A search whose
-walks pass ``WALK_CAP`` stops with Exhausted, naming the cap.
+stable letter; tree letters always map to the identity.  Its image maps are
+read-only copies, so a quotient cannot change after it is checked.  Searches
+walk a deterministic candidate list (cyclic groups up to order 24, then
+symmetric groups up to degree 6 by default, each built only when a search
+reaches it).  For each target they walk its homomorphisms depth first
+(``_iter_quotients``; Holt, Eick and O'Brien, *Handbook of Computational
+Group Theory*, 2005), testing each edge relator as soon as its ends and
+letter are assigned, and yield them in lexicographic image order, so the
+first hit is reproducible.  A goal that constrains single vertex homs
+(injectivity) filters each vertex's hom list before the walk; filtering the
+factors of a lexicographic product keeps the order of the combinations that
+survive.  The walk's plan and its filtered hom lists are built once per graph
+(``_walk``).  A search whose walks pass ``WALK_CAP`` stops with Exhausted,
+naming the cap.
 
 Every homomorphism test goes through ``finite_group``: ``hom_defect`` checks
 a vertex image array against the target's table rows, pair by pair
 (``quotient_from_images``), and ``extend_on_span`` decides whether a map
 defined on generators extends, which is how ``refine`` tests that a given
-quotient factors through a candidate.
+quotient factors through a candidate.  A quotient that ``_iter_quotients``
+yields or ``quotient_from_images`` returns is marked verified: it kills every
+relator of its owner.
+
+A nonkernel certificate is found in Γ (``certify_nonkernel`` evaluates the
+derivation there, since only that value decides whether it is zero) and
+checked in the target (``check_certificate`` re-derives the push by Fox's
+formula over the target's table, ``push_derivation``, with no reduction in
+Γ).  That formula equals the push of the Γ value only for a homomorphism of
+the derivation's graph, so the check refuses a quotient of another graph and
+re-checks, through ``quotient_from_images``, every quotient not marked
+verified.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from types import MappingProxyType
+from typing import ClassVar, Mapping
 
-from .derivation import evaluate
+from .derivation import TWISTED, _syllables, evaluate
 from .documents import _group_spec
 from .errors import Exhausted, MixedOwners, expect, json_value, member
 from .finite_group import (
@@ -36,6 +52,7 @@ from .finite_group import (
     make_group,
 )
 from .gog import (
+    LETTER,
     VERTEX,
     GraphOfGroups,
     NormalForm,
@@ -56,28 +73,46 @@ from .group_ring import RingVector
 WALK_CAP = 10**5
 
 
+def _image(target: FiniteGroup, vertex_images, letter_images, x) -> int:
+    """Image in ``target`` of a word, normal form or syllable tuple under the
+    given image maps."""
+    syllables = x.syllables if isinstance(x, (NormalForm, Word)) else tuple(x)
+    table, inverse = target.table, target.inverse
+    out = target.identity
+    for kind, key, h in syllables:
+        if kind == VERTEX:
+            out = table[out][vertex_images[key][h]]
+        else:
+            img = letter_images[key]
+            out = table[out][img if h > 0 else inverse[img]]
+    return out
+
+
 @dataclass(frozen=True)
 class FiniteQuotient:
-    """A homomorphism from a fundamental group onto (into) a finite group."""
+    """A homomorphism from a fundamental group onto (into) a finite group.
+
+    The image maps are kept as read-only copies of the ones given; they
+    compare equal to dicts.
+    """
 
     owner: GraphOfGroups
     target: FiniteGroup
-    vertex_images: dict[str, tuple[int, ...]]
-    letter_images: dict[str, int]
+    vertex_images: Mapping[str, tuple[int, ...]]
+    letter_images: Mapping[str, int]
+    # True only where ``_verified`` built the quotient: it kills every relator
+    # of ``owner``.  A class attribute, so neither compared nor an argument.
+    _verified: ClassVar[bool] = False
+
+    def __post_init__(self):
+        self.__dict__.update(
+            vertex_images=MappingProxyType(dict(self.vertex_images)),
+            letter_images=MappingProxyType(dict(self.letter_images)),
+        )
 
     def image_of(self, x) -> int:
         """Image of a word or normal form in the target group."""
-        syllables = x.syllables if isinstance(x, (NormalForm, Word)) else tuple(x)
-        table, inverse = self.target.table, self.target.inverse
-        vertex_images, letter_images = self.vertex_images, self.letter_images
-        out = self.target.identity
-        for kind, key, h in syllables:
-            if kind == VERTEX:
-                out = table[out][vertex_images[key][h]]
-            else:
-                img = letter_images[key]
-                out = table[out][img if h > 0 else inverse[img]]
-        return out
+        return _image(self.target, self.vertex_images, self.letter_images, x)
 
     def is_vertex_injective(self) -> bool:
         return all(
@@ -86,11 +121,36 @@ class FiniteQuotient:
 
     def push(self, u: RingVector) -> dict[int, int]:
         """The image of u in the target's group ring: sparse coefficients, zeros dropped."""
+        table, inverse = self.target.table, self.target.inverse
+        vertex_images, letter_images = self.vertex_images, self.letter_images
+        one, mod = self.target.identity, u.mod
         out: dict[int, int] = {}
+        # ``_image``'s fold, inlined: a certificate search pushes every value
+        # through every candidate quotient.
         for word, coeff in u.terms.items():
-            q = self.image_of(word)
-            out[q] = (out.get(q, 0) + coeff) % u.mod
-        return {k: v for k, v in sorted(out.items()) if v}
+            q = one
+            for kind, key, h in word.syllables:
+                if kind == VERTEX:
+                    q = table[q][vertex_images[key][h]]
+                else:
+                    img = letter_images[key]
+                    q = table[q][img if h > 0 else inverse[img]]
+            out[q] = out.get(q, 0) + coeff
+        return {k: c for k, v in sorted(out.items()) if (c := v % mod)}
+
+
+def _verified(g: GraphOfGroups, target: FiniteGroup, vertex_images, letter_images) -> FiniteQuotient:
+    """A quotient from maps known to kill every relator of g, marked verified.
+
+    Built without the dataclass ``__init__``, which takes twice as long: a
+    search yields thousands of quotients."""
+    q = object.__new__(FiniteQuotient)
+    q.__dict__.update(
+        owner=g, target=target, _verified=True,
+        vertex_images=MappingProxyType(dict(vertex_images)),
+        letter_images=MappingProxyType(dict(letter_images)),
+    )
+    return q
 
 
 def quotient_from_images(
@@ -99,23 +159,30 @@ def quotient_from_images(
     vertex_images: dict[str, tuple[int, ...]],
     letter_images: dict[str, int],
 ) -> FiniteQuotient | None:
-    """Assemble a quotient and check every defining relator; None if not a hom."""
+    """Assemble a quotient and check every defining relator; None if not a hom.
+
+    The quotient keeps a tuple copy of each vertex's image array and the image
+    of each edge's letter, and is marked verified."""
     def is_element(i) -> bool:
         return type(i) is int and 0 <= i < target.order
 
     if not all(is_element(letter_images.get(eid)) for eid in g.graph.edges):
         return None
+    arrays = {}
     for vid in g.graph.vertices:
         vg = g.vertex_groups[vid]
         if not isinstance(vg, TableVertexGroup):
             return None
-        images = vertex_images.get(vid)
-        if images is None or len(images) != vg.group.order or not all(map(is_element, images)):
+        images = tuple(vertex_images.get(vid) or ())
+        if len(images) != vg.group.order or not all(map(is_element, images)):
             return None
         if hom_defect(vg.group, images, target.table) is not None:
             return None
-    q = FiniteQuotient(g, target, dict(vertex_images), dict(letter_images))
-    return q if next(residues(g, q.image_of, target.identity), None) is None else None
+        arrays[vid] = images
+    letters = {eid: letter_images[eid] for eid in g.graph.edges}
+    if next(residues(g, partial(_image, target, arrays, letters), target.identity), None) is not None:
+        return None
+    return _verified(g, target, arrays, letters)
 
 
 def _default_pool(degree: int = 6):
@@ -140,8 +207,9 @@ def _resolve_targets(targets):
         return _default_pool()
     if isinstance(targets, int):
         return _default_pool(targets)
-    # Explicit specs are built up front, so a bad one fails before any search.
-    return [make_group(t) for t in targets]
+    # Explicit specs are built up front, so a bad one fails before any search;
+    # a group is taken as it is.
+    return [t if isinstance(t, FiniteGroup) else make_group(t) for t in targets]
 
 
 def _walk(g: GraphOfGroups) -> tuple:
@@ -208,7 +276,7 @@ def _iter_quotients(g: GraphOfGroups, target: FiniteGroup, keep: tuple = (), spe
     one, last = target.identity, len(names) - 1
     vertex_images: dict[str, tuple[int, ...]] = {}
     letter_images = dict.fromkeys(tree, one)
-    image = FiniteQuotient(g, target, vertex_images, letter_images).image_of
+    image = partial(_image, target, vertex_images, letter_images)
     spent = [0] if spent is None else spent
 
     def walk(depth: int):
@@ -222,7 +290,7 @@ def _iter_quotients(g: GraphOfGroups, target: FiniteGroup, keep: tuple = (), spe
             if positions and next(residues(g, image, one, positions), None) is not None:
                 continue
             if depth == last:
-                yield FiniteQuotient(g, target, dict(vertex_images), dict(letter_images))
+                yield _verified(g, target, vertex_images, letter_images)
             else:
                 yield from walk(depth + 1)
 
@@ -375,10 +443,60 @@ def certify_nonkernel(d, x: NormalForm, targets=None) -> NonkernelCertificate:
     return NonkernelCertificate(q, i, pushed)
 
 
+def push_derivation(q: FiniteQuotient, d, x, component: int) -> dict[int, int]:
+    """The push of ``evaluate(d, x)[component]`` into the target's group ring,
+    computed in the target: no reduction in Γ.
+
+    Fox's formula read through q, Σᵢ q(f(sᵢ))·q(α(sᵢ₊₁⋯sₙ)) with
+    f(t⁻¹) = −f(t)·α(t⁻¹), one right-to-left pass keeping the image of the
+    tail.  A twisted component moves by the images of the tail's letters
+    only.  It equals ``q.push(evaluate(d, x)[component])`` when q is a
+    homomorphism of ``d.owner``; for any other map it may not.  ``x`` is
+    checked as ``evaluate`` checks it.
+    """
+    syllables = _syllables(d.owner, x)
+    comp = d.components[component]
+    values, twisted = comp.values, comp.action == TWISTED
+    table, inverse = q.target.table, q.target.inverse
+    vertex_images, letter_images = q.vertex_images, q.letter_images
+    out: dict[int, int] = {}
+    tail = q.target.identity  # q(α(sᵢ₊₁⋯sₙ))
+    for syl in reversed(syllables):
+        kind, name, exp = syl
+        if kind == VERTEX:
+            vec, sign, by = values.get(syl), 1, tail
+            head = tail if twisted else table[vertex_images[name][exp]][tail]
+        else:
+            img = letter_images[name]
+            head = table[img if exp > 0 else inverse[img]][tail]
+            vec = values.get((LETTER, name))
+            # f(t⁻¹) = −f(t)·α(t⁻¹): moved by the tail that starts at t⁻¹.
+            sign, by = (1, tail) if exp > 0 else (-1, head)
+        if vec is not None:
+            for k, c in q.push(vec).items():
+                moved = table[k][by]
+                out[moved] = out.get(moved, 0) + sign * c
+        tail = head
+    return {k: c for k, v in sorted(out.items()) if (c := v % d.mod)}
+
+
 def check_certificate(cert: NonkernelCertificate, d, x: NormalForm) -> bool:
-    """Re-derive the pushed value from scratch and compare."""
-    value = evaluate(d, x)[cert.component]
-    return cert.quotient.push(value) == cert.pushed and bool(cert.pushed)
+    """Re-derive the pushed value in the target and compare.
+
+    The push is re-derived by ``push_derivation``, which is sound for a
+    homomorphism of ``d.owner`` only: a quotient of another graph is refused,
+    and one not marked verified is checked through ``quotient_from_images``
+    first.  A word that is not one of ``d.owner`` raises MalformedWord.
+    """
+    g, q = d.owner, cert.quotient
+    _syllables(g, x)
+    if q.owner is not g:
+        return False
+    if not q._verified:
+        q = quotient_from_images(g, q.target, q.vertex_images, q.letter_images)
+        if q is None:
+            return False
+    return bool(cert.pushed) and push_derivation(q, d, x, cert.component) == cert.pushed
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,11 @@ def _with_long_values(case: str) -> dict:
         vertices[0]["group"] = {"table": [[0]], "name": list(range(20_000))}
     elif case == "basepoint":
         doc["basepoint"] = "b" * 50_000
+    elif case == "inclusion":
+        edges[0].update(id="e" * 50_000, d1_images=[0, 2])
+        doc["spanning_tree"] = ["e" * 50_000]
+    elif case == "tree edges":
+        doc["spanning_tree"] = ["x" * 50_000]
     return doc
 
 
@@ -279,6 +284,8 @@ def _with_long_values(case: str) -> dict:
     ("spec", "graph.vertices[0].group: unrecognized group spec: {'cyclic': [0, 1, 2,"),
     ("name", "graph.vertices[0].group: group spec 'name' must be a string, got [0, 1,"),
     ("basepoint", "basepoint 'bbb"),
+    ("inclusion", "edge 'eee"),
+    ("tree edges", "spanning tree edges ['xxx"),
 ])
 def test_error_lines_outside_expect_quote_a_long_value_briefly(capsys, tmp_path, case, start):
     # Each was once quoted whole: 50 to 140 KB on one error line.  The unknown

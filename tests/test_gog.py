@@ -175,6 +175,21 @@ def test_parse_accepts_g0_and_multi_digit_indices():
     assert parse_word(g, "v:g0 * v:g11") == Word(((VERTEX, "v", 0), (VERTEX, "v", 11)))
 
 
+@pytest.mark.parametrize("digits, text", [
+    ("1" * 5000, "1" * 200 + "…"),  # past int()'s 4,300-digit limit
+    ("10", "10"),  # one digit more than C4's order has
+    ("4", "4"),
+], ids=["5000-digits", "2-digits", "order"])
+def test_parse_refuses_an_index_longer_than_the_order_unconverted(c4c6, expand_demo, digits, text):
+    with pytest.raises(MalformedWord) as info:
+        nf(c4c6, "v:g" + digits)
+    assert str(info.value) == f"element index {text} out of range at 'v'"
+    # A nested vertex group has no index at all.
+    with pytest.raises(MalformedWord) as info:
+        nf(expand_demo, "m:g" + digits)
+    assert str(info.value) == f"element index {text} out of range at 'm'"
+
+
 def test_normal_form_reparses_to_itself(c4c6):
     x = nf(c4c6, "w:g4 * v:g3 * w:g5 * v:g2")
     assert nf(c4c6, x.text()) == x

@@ -73,6 +73,13 @@ PINS = {
     "search/c6hnn": (30, "d29dd66621b3d7a014b8b783d28b7fc64f207369cfad537f38714a81017f4313"),
     "search/c4c2c4": (40, "fa14ab2e36bfc7c8e76ed6d3662287e86416ab88d2e9df2f6faa20abad21fe7f"),
     "search/c2c2": (34, "8c3b58f82e60343ec94a0e6201486df3b7d06e1f0ca27d4ab1552d35ad364897"),
+    "evaluate/c4c6/dunwoody": (16, "28ca90e5a14bf86e5cbd3a513a6886f70bffee70a7e492dbe087e0cd1b19b60b"),
+    "evaluate/c4c6/access": (16, "3ae0254fbc3c6d3f92c0bdd7d760431111385c0babc48f4c5bedc6ebee8ac873"),
+    "evaluate/c6hnn/access": (16, "9ad4f0c54f7c8a5006cee458474c4ae7dc2ec3f4f692259f7de1f8d47017cad8"),
+    "evaluate/c4c2c4/dunwoody": (16, "fe5f8b2b82e42fd9fee735e89c8b5811a871eb9ba8fecd0ba1e5b79822df63a7"),
+    "evaluate/c4c2c4/access": (16, "bfd5552101f1248debcd6b53869a8b64914935bc2f40395de41e00103186f183"),
+    "evaluate/c2c2/dunwoody": (9, "f52269c23feb8f629d6334586c81d1ffb8bbfb6b08316487a3ec39e92a7dc5ea"),
+    "evaluate/c2c2/access": (9, "fa985b3255f795f7c8ea78f9f27d4d45cb4cafb5c67fb428a67eccee179b4a7d"),
     "deriv/c4c6/access": (85, "bc773cec99b41acabb7dd1488c1e8f9840bbcc2df2e68b8498c647e0e267b050"),
     "deriv/c4c6/dunwoody": (85, "bc773cec99b41acabb7dd1488c1e8f9840bbcc2df2e68b8498c647e0e267b050"),
     "deriv/c6hnn/access": (30, "3850765f5c25b6834d36dbeee239322a756da5dd51ad5f3bc04bcc059e5d0f2a"),
@@ -81,7 +88,7 @@ PINS = {
     "deriv/c2c2/access": (22, "9b5dab32917baa85ade7eb5391add871952dd6b12d63250f4f70c72bca99b9df"),
     "deriv/c2c2/dunwoody": (22, "9b5dab32917baa85ade7eb5391add871952dd6b12d63250f4f70c72bca99b9df"),
 }
-COMBINED = "e8afd3a8cc933ebce29c5b9bfb8847b1b69b2803f4c713edb8ee961d316d0894"
+COMBINED = "39bdfbba8687add5c3faefdf5d3db74715932df55fb65cfed53c672931c2fe35"
 
 
 def test_every_surface_matches_its_pin():

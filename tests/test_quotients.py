@@ -490,3 +490,27 @@ def test_embed_checks_its_subgroup(c4c6, parent, elements, message):
     with pytest.raises(ValueError) as info:
         search_quotient(c4c6, "embed", vertex="v", subgroup=Subgroup(group, elements))
     assert str(info.value) == message
+
+
+def test_explicit_groups_are_taken_as_they_are(c4c6, monkeypatch):
+    # Groups pass through unbuilt; specs are still built, and first hits agree.
+    x = nf(c4c6, "v:g1 * w:g1")
+    specs = ["cyclic 2", "cyclic 12", "cyclic 24"]
+    by_spec = search_quotient(c4c6, "separate", elements=[x], targets=specs)
+    groups = [make_group(s) for s in specs]
+    built = []
+    monkeypatch.setattr(gogkit.quotients, "make_group", lambda spec: built.append(spec) or make_group(spec))
+    by_group = search_quotient(c4c6, "separate", elements=[x], targets=groups)
+    assert built == [] and by_group == by_spec and by_group.target is groups[1]
+    search_quotient(c4c6, "separate", elements=[x], targets=[groups[0], "cyclic 12"])
+    assert built == ["cyclic 12"]
+
+
+def test_a_bad_spec_among_groups_fails_before_any_search(c4c6, monkeypatch):
+    def walk(*args):
+        raise AssertionError("a search started")
+
+    monkeypatch.setattr(gogkit.quotients, "_iter_quotients", walk)
+    with pytest.raises(ValueError, match="unrecognized group shorthand"):
+        search_quotient(c4c6, "separate", elements=[nf(c4c6, "v:g1")],
+                        targets=[make_group("cyclic 12"), "cyclic twelve"])

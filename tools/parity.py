@@ -6,9 +6,10 @@
 A surface is one text the library or its CLI writes: ``verify all`` stdout,
 ball lists, tree balls as DOT, normal forms at every base, ``coset_rep``
 choices, document error texts, rewritten documents and their transcripts,
-first-hit quotients and ``Exhausted`` texts, derivation data.  Every input
-is fixed here, the random ones by seeds, so two trees that behave alike
-print the same lines.  The last line digests all the others.
+first-hit quotients and ``Exhausted`` texts, derivation values on ball
+elements, derivation data.  Every input is fixed here, the random ones by
+seeds, so two trees that behave alike print the same lines.  The last line
+digests all the others.
 
 With ``--parent REV``, REV is extracted by ``git archive``, as
 ``tools/bench_pairs.py`` does, and this script runs once against each tree's
@@ -208,6 +209,24 @@ def _searches():
         yield f"search/{name}", lines
 
 
+def _evaluations():
+    """``evaluate`` of each ``acceptance._derivations`` job on seeded ball elements."""
+    from gogkit.acceptance import _derivations
+    from gogkit.derivation import evaluate
+    from gogkit.fixtures import load_fixture
+    from gogkit.gog import ball
+
+    for name in TABLE_FIXTURES:
+        g = load_fixture(name)
+        elements = ball(g, 4)
+        for label, d in _derivations(g, name):
+            rng = random.Random(f"evaluate {name} {label}")
+            yield f"evaluate/{name}/{label.split()[0]}", [
+                f"{x.text()}: " + " | ".join(v.text() for v in evaluate(d, x))
+                for x in rng.sample(elements, min(16, len(elements)))
+            ]
+
+
 def _derivation_data():
     from gogkit.acceptance import DERIVATIONS
 
@@ -229,6 +248,7 @@ def surfaces():
     yield from _broken_inclusions()
     yield from _rewrites()
     yield from _searches()
+    yield from _evaluations()
     yield from _derivation_data()
 
 
