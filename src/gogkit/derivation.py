@@ -21,8 +21,8 @@ from .gog import (
     Report,
     Subgraph,
     Word,
-    _check_word,
     _normal_form,
+    _syllables,
     ball,
     multiply,
     parse_word,
@@ -79,15 +79,6 @@ def _act(g: GraphOfGroups, vec: RingVector, suffix: NormalForm, action: str) -> 
     if action == TWISTED:
         suffix = free_retract(g, suffix)
     return act_right(vec, suffix)
-
-
-def _syllables(g: GraphOfGroups, x) -> tuple:
-    """The syllables of a word, syllable tuple or normal form, checked by
-    ``_check_word`` unless x is a normal form of g."""
-    syllables = x.syllables if isinstance(x, (NormalForm, Word)) else tuple(x)
-    if not (isinstance(x, NormalForm) and x.owner is g):
-        _check_word(g, syllables)
-    return syllables
 
 
 def evaluate(d: Derivation, x) -> list[RingVector]:

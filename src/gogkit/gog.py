@@ -14,12 +14,13 @@ tree reads for fixed vertices.
 Words are checked where they enter, once per word, by the one gate
 ``_check_word``, called by ``reduce`` on a ``Word``, the public
 ``NormalForm`` constructor (which also demands a normal form),
-``vertex_element``, ``stable_letter``, ``derivation.evaluate`` on a word or
-another graph's normal form, and the structure tree's edge cosets, whose
-handles are inclusion images.  ``table_group`` is the one test that a vertex
-carries a finite table, ``table_subgroup`` the one test that a subgroup is
-one of that table, and ``inclusion_problems`` the one check of the edge
-inclusions, read by ``validate`` and by ``parse_document``.  Inside, the
+``vertex_element``, ``stable_letter``, ``_syllables`` (the gate of
+``evaluate``, ``image_of`` and ``translate``) on a word or another graph's
+normal form, and the structure tree's edge cosets, whose handles are
+inclusion images.  ``table_group`` is the one test that a vertex carries a
+finite table, ``table_subgroup`` the one test that a subgroup is one of that
+table, and ``inclusion_problems`` the one check of the edge inclusions, read
+by ``validate`` and by ``parse_document``.  Inside, the
 reducer trusts its handles: words built from g's own normal forms
 (``multiply``, ``invert``, ``ball``, one-syllable units, ``evaluate``'s moved
 values) go through the one trusted entry ``_normal_form``,
@@ -233,13 +234,18 @@ class GraphOfGroups:
         return f"GraphOfGroups({tag}, |V|={len(self.graph.vertices)}, |E|={len(self.graph.edges)})"
 
 
+def _vertex_group(g: GraphOfGroups, vid: str):
+    """The vertex group at ``vid``; ValueError for an unknown vertex."""
+    if vid not in g.vertex_groups:
+        raise ValueError(f"unknown vertex {vid!r}")
+    return g.vertex_groups[vid]
+
+
 def table_group(g: GraphOfGroups, vid: str) -> FiniteGroup:
     """The finite group at vertex ``vid``: ValueError for an unknown vertex,
     NotFinite for a nested graph of groups.  The one test that a vertex is a
     finite table."""
-    if vid not in g.vertex_groups:
-        raise ValueError(f"unknown vertex {vid!r}")
-    vg = g.vertex_groups[vid]
+    vg = _vertex_group(g, vid)
     if not isinstance(vg, TableVertexGroup):
         raise NotFinite(f"vertex group at {vid!r} is not a finite table")
     return vg.group
@@ -489,8 +495,14 @@ def _tables(g: GraphOfGroups) -> tuple[dict, dict, dict, dict]:
 
 def _side_crossing(g: GraphOfGroups, eid: str, side: int) -> _Crossing:
     """The crossing that leaves ``eid`` from its ``side`` end (d0 for 0, d1
-    for 1): its ``pre`` and ``memo`` are those of that end's inclusion."""
-    return _tables(g)[3][eid, 1 - 2 * side]
+    for 1): its ``pre`` and ``memo`` are those of that end's inclusion.
+    ValueError for an unknown edge or another side."""
+    if side not in (0, 1):
+        raise ValueError(f"side must be 0 or 1, got {side!r}")
+    crossing = _tables(g)[3].get((eid, 1 - 2 * side))
+    if crossing is None:
+        raise ValueError(f"unknown edge {eid!r}")
+    return crossing
 
 
 def _walk(plan: tuple, syllables: tuple, base: str) -> tuple[list[tuple], object]:
@@ -605,6 +617,15 @@ def _check_word(g: GraphOfGroups, syllables: tuple):
                 raise MalformedWord(f"bad element handle {x!r} at vertex {name!r}")
         elif not (kind == LETTER and name in edges and type(x) is int and x in (1, -1)):
             raise MalformedWord(f"not a syllable of {g!r}: {syl!r}")
+
+
+def _syllables(g: GraphOfGroups, x) -> tuple:
+    """The syllables of a word, syllable tuple or normal form, checked by
+    ``_check_word`` unless x is a normal form of g: the public folds' gate."""
+    syllables = x.syllables if isinstance(x, (NormalForm, Word)) else tuple(x)
+    if not (isinstance(x, NormalForm) and x.owner is g):
+        _check_word(g, syllables)
+    return syllables
 
 
 _new = object.__new__
@@ -909,11 +930,12 @@ def vertex_group_membership(g: GraphOfGroups, vid: str, x: NormalForm) -> bool:
 
 def vertex_handle_of(g: GraphOfGroups, vid: str, x: NormalForm):
     """The handle of x at vertex ``vid`` when x lies there, else None."""
+    vg = _vertex_group(g, vid)
     if x.owner is not g:
         raise MixedOwners("normal form belongs to a different graph of groups")
     syllables = _reduce_from(g, x.syllables, vid)
     if not syllables:
-        return g.vertex_groups[vid].identity()
+        return vg.identity()
     if len(syllables) == 1 and syllables[0][0] == VERTEX and syllables[0][1] == vid:
         return syllables[0][2]
     return None

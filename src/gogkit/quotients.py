@@ -16,31 +16,31 @@ survive.  The walk's plan and its filtered hom lists are built once per graph
 (``_walk``).  A search whose walks pass ``WALK_CAP`` stops with Exhausted,
 naming the cap.
 
-Every homomorphism test goes through ``finite_group``: ``hom_defect`` checks
-a vertex image array against the target's table rows, pair by pair
-(``quotient_from_images``), and ``extend_on_span`` decides whether a map
-defined on generators extends, which is how ``refine`` tests that a given
-quotient factors through a candidate.  A quotient that ``_iter_quotients``
-yields or ``quotient_from_images`` returns is marked verified: it kills every
-relator of its owner.
+Every quotient is a homomorphism: the ``FiniteQuotient`` constructor checks
+that every relator of its owner dies, ``hom_defect`` testing each vertex
+image array against the target's table rows pair by pair, and raises
+ValueError for anything else (``quotient_from_images`` returns None).  Only
+the walk, which tests the same relators as it goes, builds its quotients
+unchecked.  ``extend_on_span`` decides whether a map defined on generators
+extends, which is how ``refine`` tests that a given quotient factors through
+a candidate.
 
 A nonkernel certificate is found in Γ (``certify_nonkernel`` evaluates the
 derivation there, since only that value decides whether it is zero) and
 checked in the target (``check_certificate`` re-derives the push by Fox's
 formula over the target's table, ``push_derivation``, with no reduction in
 Γ).  That formula equals the push of the Γ value only for a homomorphism of
-the derivation's graph, so the check refuses a quotient of another graph and
-re-checks, through ``quotient_from_images``, every quotient not marked
-verified.
+the derivation's graph, so the check refuses a quotient of another graph.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from types import MappingProxyType
-from typing import ClassVar, Mapping
+from typing import Mapping
 
-from .derivation import TWISTED, _syllables, evaluate
+from .derivation import TWISTED, evaluate
 from .documents import _group_spec
 from .errors import Exhausted, MixedOwners, expect, json_value, member
 from .finite_group import (
@@ -61,6 +61,7 @@ from .gog import (
     Word,
     _check_subgraph,
     _rebuilt,
+    _syllables,
     presentation,
     residues,
     table_subgroup,
@@ -90,29 +91,45 @@ def _image(target: FiniteGroup, vertex_images, letter_images, x) -> int:
 
 @dataclass(frozen=True)
 class FiniteQuotient:
-    """A homomorphism from a fundamental group onto (into) a finite group.
+    """A homomorphism from a fundamental group into a finite group.
 
-    The image maps are kept as read-only copies of the ones given; they
-    compare equal to dicts.
+    The constructor checks it (von Dyck): each edge's letter image is an
+    element, each vertex group a table with a hom into ``target`` as image
+    array, and every relator dies; else it raises ValueError.  The maps are
+    kept as read-only copies, a tuple per vertex, only ``owner``'s vertices
+    and edges; they compare equal to dicts.
     """
 
     owner: GraphOfGroups
     target: FiniteGroup
     vertex_images: Mapping[str, tuple[int, ...]]
     letter_images: Mapping[str, int]
-    # True only where ``_verified`` built the quotient: it kills every relator
-    # of ``owner``.  A class attribute, so neither compared nor an argument.
-    _verified: ClassVar[bool] = False
 
     def __post_init__(self):
+        g, target = self.owner, self.target
+        letters = {eid: self.letter_images.get(eid) for eid in g.graph.edges}
+        arrays = {vid: tuple(self.vertex_images.get(vid) or ()) for vid in g.graph.vertices}
+        image = partial(_image, target, arrays, letters)
+        if not (
+            all(type(i) is int and 0 <= i < target.order
+                for i in chain(letters.values(), *arrays.values()))
+            and all(
+                isinstance(vg, TableVertexGroup) and len(images) == vg.group.order
+                and hom_defect(vg.group, images, target.table) is None
+                for vg, images in zip(map(g.vertex_groups.get, arrays), arrays.values())
+            )
+            and next(residues(g, image, target.identity), None) is None
+        ):
+            raise ValueError("image tables do not define a homomorphism")
         self.__dict__.update(
-            vertex_images=MappingProxyType(dict(self.vertex_images)),
-            letter_images=MappingProxyType(dict(self.letter_images)),
+            vertex_images=MappingProxyType(arrays), letter_images=MappingProxyType(letters)
         )
 
     def image_of(self, x) -> int:
-        """Image of a word or normal form in the target group."""
-        return _image(self.target, self.vertex_images, self.letter_images, x)
+        """Image of a word, syllable tuple or normal form in the target group,
+        checked as ``evaluate`` checks it."""
+        syllables = _syllables(self.owner, x)
+        return _image(self.target, self.vertex_images, self.letter_images, syllables)
 
     def is_vertex_injective(self) -> bool:
         return all(
@@ -139,50 +156,23 @@ class FiniteQuotient:
         return {k: c for k, v in sorted(out.items()) if (c := v % mod)}
 
 
-def _verified(g: GraphOfGroups, target: FiniteGroup, vertex_images, letter_images) -> FiniteQuotient:
-    """A quotient from maps known to kill every relator of g, marked verified.
-
-    Built without the dataclass ``__init__``, which takes twice as long: a
-    search yields thousands of quotients."""
+def _unchecked(g: GraphOfGroups, target: FiniteGroup, vertex_images, letter_images):
+    """A quotient from maps the walk has already checked, built without the
+    constructor, whose check would repeat the walk's: a search yields
+    thousands of quotients.  ``_iter_quotients`` is its only caller."""
     q = object.__new__(FiniteQuotient)
-    q.__dict__.update(
-        owner=g, target=target, _verified=True,
-        vertex_images=MappingProxyType(dict(vertex_images)),
-        letter_images=MappingProxyType(dict(letter_images)),
-    )
+    q.__dict__.update(owner=g, target=target, vertex_images=MappingProxyType(dict(vertex_images)),
+                      letter_images=MappingProxyType(dict(letter_images)))
     return q
 
 
-def quotient_from_images(
-    g: GraphOfGroups,
-    target: FiniteGroup,
-    vertex_images: dict[str, tuple[int, ...]],
-    letter_images: dict[str, int],
-) -> FiniteQuotient | None:
-    """Assemble a quotient and check every defining relator; None if not a hom.
-
-    The quotient keeps a tuple copy of each vertex's image array and the image
-    of each edge's letter, and is marked verified."""
-    def is_element(i) -> bool:
-        return type(i) is int and 0 <= i < target.order
-
-    if not all(is_element(letter_images.get(eid)) for eid in g.graph.edges):
+def quotient_from_images(g: GraphOfGroups, target: FiniteGroup, vertex_images: dict,
+                         letter_images: dict) -> FiniteQuotient | None:
+    """The quotient with these image maps, or None if they do not define a homomorphism."""
+    try:
+        return FiniteQuotient(g, target, vertex_images, letter_images)
+    except ValueError:
         return None
-    arrays = {}
-    for vid in g.graph.vertices:
-        vg = g.vertex_groups[vid]
-        if not isinstance(vg, TableVertexGroup):
-            return None
-        images = tuple(vertex_images.get(vid) or ())
-        if len(images) != vg.group.order or not all(map(is_element, images)):
-            return None
-        if hom_defect(vg.group, images, target.table) is not None:
-            return None
-        arrays[vid] = images
-    letters = {eid: letter_images[eid] for eid in g.graph.edges}
-    if next(residues(g, partial(_image, target, arrays, letters), target.identity), None) is not None:
-        return None
-    return _verified(g, target, arrays, letters)
 
 
 def _default_pool(degree: int = 6):
@@ -206,6 +196,8 @@ def _resolve_targets(targets):
     if targets is None:
         return _default_pool()
     if isinstance(targets, int):
+        if targets > 6:  # S7 and up pass MAX_GROUP_ORDER: make_group refuses them unbuilt
+            make_group(f"symmetric {targets}")
         return _default_pool(targets)
     # Explicit specs are built up front, so a bad one fails before any search;
     # a group is taken as it is.
@@ -290,7 +282,7 @@ def _iter_quotients(g: GraphOfGroups, target: FiniteGroup, keep: tuple = (), spe
             if positions and next(residues(g, image, one, positions), None) is not None:
                 continue
             if depth == last:
-                yield _verified(g, target, vertex_images, letter_images)
+                yield _unchecked(g, target, vertex_images, letter_images)
             else:
                 yield from walk(depth + 1)
 
@@ -483,20 +475,15 @@ def push_derivation(q: FiniteQuotient, d, x, component: int) -> dict[int, int]:
 def check_certificate(cert: NonkernelCertificate, d, x: NormalForm) -> bool:
     """Re-derive the pushed value in the target and compare.
 
-    The push is re-derived by ``push_derivation``, which is sound for a
-    homomorphism of ``d.owner`` only: a quotient of another graph is refused,
-    and one not marked verified is checked through ``quotient_from_images``
-    first.  A word that is not one of ``d.owner`` raises MalformedWord.
+    The push is re-derived by ``push_derivation``, which equals the push of
+    the Γ value for a homomorphism of ``d.owner``: every quotient is one of
+    its owner, so a quotient of another graph is refused.  A word that is not
+    one of ``d.owner`` raises MalformedWord.
     """
     g, q = d.owner, cert.quotient
     _syllables(g, x)
-    if q.owner is not g:
-        return False
-    if not q._verified:
-        q = quotient_from_images(g, q.target, q.vertex_images, q.letter_images)
-        if q is None:
-            return False
-    return bool(cert.pushed) and push_derivation(q, d, x, cert.component) == cert.pushed
+    return (q.owner is g and bool(cert.pushed)
+            and push_derivation(q, d, x, cert.component) == cert.pushed)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +520,4 @@ def quotient_from_data(g: GraphOfGroups, data) -> FiniteQuotient:
     }
     letter_images = dict(member(data, "letter_images", dict, ()))
     target = make_group(member(data, "target", object, ()))
-    q = quotient_from_images(g, target, vertex_images, letter_images)
-    if q is None:
-        raise ValueError("image tables do not define a homomorphism")
-    return q
+    return FiniteQuotient(g, target, vertex_images, letter_images)

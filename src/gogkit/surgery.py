@@ -42,7 +42,9 @@ from .gog import (
     _normal_form,
     _rebuilt,
     _reduce_from,
+    _syllables,
     _syllables_within,
+    _vertex_group,
     ball,
     identity,
     invert,
@@ -122,8 +124,9 @@ def _translator(witness_map: dict, g_from: GraphOfGroups, g_to: GraphOfGroups):
 
 
 def translate(witness_map: dict, g_from: GraphOfGroups, g_to: GraphOfGroups, w) -> NormalForm:
-    """Apply a generator↦word map to a word or normal form and reduce."""
-    return _translator(witness_map, g_from, g_to)(w)
+    """Apply a generator↦word map to a word, syllable tuple or normal form of
+    g_from, checked as ``evaluate`` checks it, and reduce."""
+    return _translator(witness_map, g_from, g_to)(_syllables(g_from, w))
 
 
 def apply_psi(w: GogIsoWitness, x) -> NormalForm:
@@ -313,9 +316,7 @@ def expand_vertex(g: GraphOfGroups, w: str) -> tuple[GraphOfGroups, GogIsoWitnes
     spanning-tree edge needs c = 1, and every image must land in 𝒢(τ):
     BadAttachment otherwise.
     """
-    if w not in g.graph.vertices:
-        raise ValueError(f"unknown vertex {w!r}")
-    host = g.vertex_groups[w]
+    host = _vertex_group(g, w)
     if not isinstance(host, CompositeVertexGroup):
         raise ValueError(f"vertex group at {w!r} is not a nested graph of groups")
     sub = host.sub

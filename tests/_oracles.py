@@ -47,6 +47,7 @@ relators, which is all the package evaluates.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
 from gogkit.errors import MalformedWord, NoIdentity, NonAssociative, NotPermutationRow
 from gogkit.finite_group import FiniteGroup, subgroup_closure
@@ -267,14 +268,14 @@ def extend_hom_reference(source, target, gens, gen_images):
     return arr
 
 
-def relators_die(g, q) -> bool:
-    """Edge relators die; the search maps tree letters to the identity itself."""
-    t = q.target
+def relators_die(g, t, vertex_images, letter_images) -> bool:
+    """Edge relators die under the image maps into ``t``; the search maps tree
+    letters to the identity itself."""
     for eid in g.graph.edges:
-        timg = q.letter_images[eid]
+        timg = letter_images[eid]
         for k in range(g.edge_groups[eid].order):
-            lhs = q.vertex_images[g.graph.d1[eid]][g.incl(eid, 1, k)]
-            rhs = t.mul(t.mul(t.inv(timg), q.vertex_images[g.graph.d0[eid]][g.incl(eid, 0, k)]), timg)
+            lhs = vertex_images[g.graph.d1[eid]][g.incl(eid, 1, k)]
+            rhs = t.mul(t.mul(t.inv(timg), vertex_images[g.graph.d0[eid]][g.incl(eid, 0, k)]), timg)
             if lhs != rhs:
                 return False
     return True
@@ -313,7 +314,8 @@ def iter_quotients_brute(g, target):
 
     Each vertex generator ranges over the target elements whose order divides
     its own, each non-tree letter over the whole target; every combination
-    extends each vertex hom afresh and keeps the ones killing the edge relators.
+    extends each vertex hom afresh and keeps the ones killing the edge relators;
+    only those are built as quotients.
     """
     from gogkit.finite_group import _greedy_generators
     from gogkit.quotients import FiniteQuotient
@@ -353,9 +355,8 @@ def iter_quotients_brute(g, target):
         else:
             letter_images = {e: target.identity for e in g.graph.edges if e in g.tree.edges}
             letter_images.update(zip(letters, combo[pos:]))
-            q = FiniteQuotient(g, target, vertex_images, letter_images)
-            if relators_die(g, q):
-                yield q
+            if relators_die(g, target, vertex_images, letter_images):
+                yield FiniteQuotient(g, target, vertex_images, letter_images)
 
 
 def iter_quotients_product(g, target, keep=None):
@@ -363,7 +364,8 @@ def iter_quotients_product(g, target, keep=None):
 
     A product over the homs of each vertex group (``enumerate_homs``, sorted
     vertex ids) and one target element per non-tree letter (sorted edge ids),
-    kept when every relator of ``presentation(g)`` maps to the identity.  Each
+    kept, and only then built, when every relator of ``presentation(g)`` maps
+    to the identity under the image maps (``quotients._image``).  Each
     hom list is ordered by image array, so quotients come out ordered by
     (vertex image arrays, letter images).
     When given, ``keep(vertex id, image array)`` drops vertex homs before the
@@ -371,7 +373,7 @@ def iter_quotients_product(g, target, keep=None):
     """
     from gogkit.finite_group import enumerate_homs
     from gogkit.gog import residues
-    from gogkit.quotients import FiniteQuotient
+    from gogkit.quotients import FiniteQuotient, _image
 
     if not g.all_tables():
         return
@@ -389,9 +391,10 @@ def iter_quotients_product(g, target, keep=None):
     tree_images = {e: target.identity for e in g.graph.edges if e in g.tree.edges}
     for combo in itertools.product(*choices):
         letter_images = {**tree_images, **dict(zip(letters, combo[len(vertex_ids):]))}
-        q = FiniteQuotient(g, target, dict(zip(vertex_ids, combo)), letter_images)
-        if next(residues(g, q.image_of, target.identity), None) is None:
-            yield q
+        vertex_images = dict(zip(vertex_ids, combo))
+        image = partial(_image, target, vertex_images, letter_images)
+        if next(residues(g, image, target.identity), None) is None:
+            yield FiniteQuotient(g, target, vertex_images, letter_images)
 
 
 def search_quotient_unfiltered(g, goal, *, elements=None, vertex=None, subgroup=None, targets=None):

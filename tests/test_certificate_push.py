@@ -5,8 +5,8 @@
 formula over the target's table.  It must equal ``q.push(evaluate(d, x)[i])``
 for every homomorphism q, on every component, standard or twisted, for raw
 words as well as normal forms.  It need not for a map that is not a
-homomorphism, so ``check_certificate`` trusts only verified quotients of
-``d.owner``.
+homomorphism, so every ``FiniteQuotient`` is one (its constructor checks)
+and ``check_certificate`` refuses a quotient of another graph.
 """
 import dataclasses
 import importlib
@@ -26,9 +26,12 @@ from gogkit.quotients import (
     FiniteQuotient,
     NonkernelCertificate,
     _iter_quotients,
+    _unchecked,
     certify_nonkernel,
     check_certificate,
     push_derivation,
+    quotient_data,
+    quotient_from_data,
     quotient_from_images,
 )
 
@@ -99,7 +102,7 @@ def test_c09_and_c10_quotients_push_alike(monkeypatch):
     cases = [(q, d) for q in c09 for _, d in acceptance._derivations(q.owner, q.owner.name)]
     cases += [(q, dunwoody_derivation(q.owner, "v", "w", 5)) for q in c10]
     for q, d in cases:
-        assert q._verified
+        assert quotient_from_images(q.owner, q.target, q.vertex_images, q.letter_images) == q
         for x in ball(q.owner, 2) + _raw_words(q.owner, rng, 10):
             _assert_pushes_agree(q, d, x)
 
@@ -121,30 +124,34 @@ def test_raw_words_push_alike_through_s4_homs_standard_and_twisted(name):
 
 
 def _zero_word_and_forgery(g):
-    """w:g1·w:g2, whose value is zero upstairs, and a map into C3 that is not
-    a homomorphism (w:g1 and w:g2 both go to 1) under which Fox's formula
-    reads a nonzero value on it."""
+    """w:g1·w:g2, whose value is zero upstairs, and image maps into C3 that
+    are no homomorphism (w:g1 and w:g2 both go to 1) under which Fox's
+    formula reads a nonzero value on it."""
     d = accessibility_derivation(g, "v", 5)
     x = Word(((VERTEX, "w", 1), (VERTEX, "w", 2)))
-    forged = FiniteQuotient(g, make_group("cyclic 3"), {"v": (0,) * 4, "w": (0, 1, 1, 0, 1, 1)}, {"e": 0})
+    forged = (make_group("cyclic 3"), {"v": (0,) * 4, "w": (0, 1, 1, 0, 1, 1)}, {"e": 0})
     return d, x, forged
 
 
 def test_a_quotient_that_is_not_a_hom_certifies_nothing(c4c6):
     d, x, forged = _zero_word_and_forgery(c4c6)
     assert all(v.is_zero() for v in evaluate(d, x))
-    pushed = push_derivation(forged, d, x, 0)
-    assert pushed == {0: 3, 2: 2}
-    assert quotient_from_images(c4c6, forged.target, forged.vertex_images, forged.letter_images) is None
-    assert not check_certificate(NonkernelCertificate(forged, 0, pushed), d, x)
+    # Why a quotient must be a hom: built unchecked, as only the walk builds,
+    # the forgery would push a zero value to a nonzero one.
+    assert push_derivation(_unchecked(c4c6, *forged), d, x, 0) == {0: 3, 2: 2}
+    with pytest.raises(ValueError, match="^image tables do not define a homomorphism$"):
+        FiniteQuotient(c4c6, *forged)
+    assert quotient_from_images(c4c6, *forged) is None
+    data = quotient_data(_unchecked(c4c6, *forged))
+    with pytest.raises(ValueError, match="^image tables do not define a homomorphism$"):
+        quotient_from_data(c4c6, data)
 
 
-def test_a_verified_quotient_cannot_be_changed(c4c6):
+def test_a_quotient_cannot_be_changed(c4c6):
     d = accessibility_derivation(c4c6, "v", 5)
     b = nf(c4c6, "w:g1")
     cert = certify_nonkernel(d, b)
     q = cert.quotient
-    assert q._verified
     with pytest.raises(TypeError):
         q.vertex_images["w"] = (0, 1, 1, 0, 1, 1)
     with pytest.raises(TypeError):
@@ -158,20 +165,19 @@ def test_a_verified_quotient_cannot_be_changed(c4c6):
     images["v"] = [0, 1, 2, 3]
     assert built == q and built.vertex_images["w"] == (0, 1, 2, 0, 1, 2)
     assert check_certificate(NonkernelCertificate(built, 0, cert.pushed), d, b)
-    # A copy with other images is not verified, and is checked again.
-    _, x, forgery = _zero_word_and_forgery(c4c6)
-    changed = dataclasses.replace(q, vertex_images=forgery.vertex_images)
-    assert not changed._verified
-    assert not check_certificate(NonkernelCertificate(changed, 0, push_derivation(changed, d, x, 0)), d, x)
+    # A copy with other images goes through the constructor's check.
+    _, _, (_, forged_images, _) = _zero_word_and_forgery(c4c6)
+    with pytest.raises(ValueError, match="^image tables do not define a homomorphism$"):
+        dataclasses.replace(q, vertex_images=forged_images)
 
 
-def test_an_unverified_copy_of_a_hom_is_checked_and_accepted(c4c6):
+def test_a_constructed_copy_of_a_hom_is_accepted(c4c6):
     d = accessibility_derivation(c4c6, "v", 5)
     b = nf(c4c6, "w:g1")
     cert = certify_nonkernel(d, b)
     q = cert.quotient
-    copy = FiniteQuotient(c4c6, q.target, q.vertex_images, q.letter_images)
-    assert copy == q and not copy._verified
+    copy = FiniteQuotient(c4c6, q.target, {**q.vertex_images, "nope": (1,)}, q.letter_images)
+    assert copy == q and dict(copy.vertex_images) == dict(q.vertex_images)
     assert check_certificate(NonkernelCertificate(copy, cert.component, cert.pushed), d, b)
 
 

@@ -449,6 +449,21 @@ def test_quotient_separate_finds_c12(capsys, tmp_path):
     assert data["vertex_images"]["v"] == [0, 3, 6, 9]
 
 
+@pytest.mark.parametrize("document", ["c4c6", "c30"])
+def test_quotient_degree_past_the_cap_exits_2_before_any_search(capsys, tmp_path, monkeypatch, document):
+    # c4c6 finds C12 before any symmetric group; no target separates C30's
+    # generator, so before the refusal it walked all 27 default targets.
+    from gogkit import quotients
+
+    if document == "c30":
+        document = str(tmp_path / "c30.gog.json")
+        with open(document, "w") as fh:
+            json.dump({"graph": {"vertices": [{"id": "v", "group": "cyclic 30"}], "edges": []}}, fh)
+    monkeypatch.setattr(quotients, "_iter_quotients", None)
+    code, out, err = run(capsys, "quotient", "separate", document, "--elements", "v:g1", "--degree", "7")
+    assert (code, out, err) == (2, "", "error: group 'symmetric 7' has more than 720 elements\n")
+
+
 def test_quotient_separate_rejects_identity(capsys):
     code, _, err = run(capsys, "quotient", "separate", "c4c6", "--elements", "1")
     assert code == 2

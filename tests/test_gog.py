@@ -4,6 +4,8 @@ Soundness and canonicity of normal forms are checked against independent
 models: SL(2,Z) matrices for the amalgam and the path, affine maps for the
 free product, and a free-product-times-center model for the HNN fixture.
 """
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,6 +28,8 @@ from gogkit.gog import (
     _rebuilt,
     _reduce_from,
     alphabet,
+    coset_rep,
+    transversal,
     ball,
     equal,
     identity,
@@ -878,3 +882,30 @@ def test_tree_over_another_graph_is_rejected(c4c6):
             c4c6.inclusions,
             tree=SpanningTree(other, frozenset({"f"})),
         )
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda g, x: vertex_handle_of(g, "nope", x), "unknown vertex 'nope'"),
+    (lambda g, x: vertex_group_membership(g, "nope", x), "unknown vertex 'nope'"),
+    (lambda g, x: transversal(g, "nope", 0), "unknown edge 'nope'"),
+    (lambda g, x: coset_rep(g, "nope", 1, 0), "unknown edge 'nope'"),
+    (lambda g, x: coset_rep(g, "e", 2, 0), "side must be 0 or 1, got 2"),
+    (lambda g, x: g.incl_preimage("e", 2, 0), "side must be 0 or 1, got 2"),
+    (lambda g, x: g.incl_preimage("nope", 0, 0), "unknown edge 'nope'"),
+], ids=["handle_of", "membership", "transversal", "coset_rep-edge", "coset_rep-side",
+        "incl_preimage-side", "incl_preimage-edge"])
+def test_public_entries_name_an_unknown_id_in_a_value_error(c4c6, call, error):
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        call(c4c6, nf(c4c6, "w:g1"))
+
+
+def test_a_memo_hit_reaches_no_entry_check(c4c6, monkeypatch):
+    import gogkit.gog
+
+    word = Word(((VERTEX, "w", 1), (LETTER, "e", -1), (VERTEX, "v", 1), (LETTER, "e", 1), (VERTEX, "w", 5)))
+    before = reduce(c4c6, word)
+    side_crossing, calls = gogkit.gog._side_crossing, []
+    monkeypatch.setattr(gogkit.gog, "_side_crossing", lambda *a: calls.append(a) or side_crossing(*a))
+    assert reduce(c4c6, word) == before and calls == []
+    coset_rep(c4c6, "e", 1, 5)
+    assert calls == [(c4c6, "e", 1)]

@@ -15,6 +15,11 @@ _SPEC.loader.exec_module(parity)
 # surface: (lines, sha256)
 PINS = {
     "verify_all": (12, "6a0233b1e426deeb25f5170e531088686b2aec784f6ff2be01a8f5f221dcb3e4"),
+    "verify_all/c4c6": (12, "d49f07a2c94d7dd88910c44f80d7ef766b3d98a7e2b7317f8ee6cc07009f7f01"),
+    "verify_all/c6hnn": (12, "6dac6fe13a478297eab44964d007db1fa5ab633500e12f6b1855884bd0c481bd"),
+    "verify_all/c4c2c4": (12, "1d163135e5ac128103501e0672530bdee87e6f6c803af645fd83eb1c5cb315b2"),
+    "verify_all/c2c2": (12, "e8f5bda844b29949f973056d43e43f9a4bab4fc9bd5d9a60a567e9a8e1d4b3c6"),
+    "verify_all/expand_demo": (12, "28ddba7ced8fa6dcc10016e056cba844ae54a5193d6024b1405cadf4df331a0f"),
     "ball/c4c6/r0": (1, "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
     "ball/c4c6/r1": (8, "21c75f17216833d649e0f48cc54e02c663c8ec7031f000836eead09186c7549b"),
     "ball/c4c6/r2": (16, "6e1067bc432554077ff0cc9ed52dc5e8f2f12d53ce594246c39ad83336aebac9"),
@@ -42,6 +47,10 @@ PINS = {
     "tree_dot/c6hnn": (376, "463a50ab3c2e35b9a9ce16ce55f6b97c09b9271b12d4a6f576afc4a02dca32ab"),
     "tree_dot/c4c2c4": (16, "ac7f021974391e0d2ebc67dc929013c775ef10ec5448e03eddd7e6f5b46913d6"),
     "tree_dot/c2c2": (16, "650f642166053936c0d20a7ab3142bedf5518f3c278278cefffc1d450538c7a0"),
+    "tree_fix/c4c6": (54, "f5cb3b669a9fd93df4b7ebb1e5746db4fbe2c987ef36074e12d8180a9e18ae2a"),
+    "tree_fix/c6hnn": (54, "85feaffcf2725db825d716e67b47662279f415a8932c08a20e7b4e7bdee29e96"),
+    "tree_fix/c4c2c4": (54, "5662f4d4897d4ad7550648bc06e4f84943a9e3be8a7d735e4361ea382aec0c52"),
+    "tree_fix/c2c2": (54, "6cfef3f499d436e1d5317e1d01c96524fca466389bb3bdbb2ca26719ee15d8f2"),
     "reduce/c4c6": (180, "384dab4f5c94d656a377c3db1672f5f9db6a53e2373c68675c849878e51342ea"),
     "reduce/c6hnn": (120, "a5c8125538bef2ad422cd750dd75d8579c8b6d1a4f688dd469bc3c18de48f711"),
     "reduce/c4c2c4": (240, "770ddc0b60bad524c1f1a07a313d9952e902cbf911e1be17336e2794ad0d634a"),
@@ -73,6 +82,10 @@ PINS = {
     "search/c6hnn": (30, "d29dd66621b3d7a014b8b783d28b7fc64f207369cfad537f38714a81017f4313"),
     "search/c4c2c4": (40, "fa14ab2e36bfc7c8e76ed6d3662287e86416ab88d2e9df2f6faa20abad21fe7f"),
     "search/c2c2": (34, "8c3b58f82e60343ec94a0e6201486df3b7d06e1f0ca27d4ab1552d35ad364897"),
+    "quotient-check/c4c6": (288, "fe719713dd6168e7992f7554362dd56772ece0f156a0853e0251e81127027c5a"),
+    "quotient-check/c6hnn": (792, "a8a7ddaed20743f3467cb28cb6440cd50c89f051424dee95734d76fde71389c0"),
+    "quotient-check/c4c2c4": (336, "5a852d39952ce9539d895cb62428b84ac73abfb69b90b6f5b0d506b828eb7dc9"),
+    "quotient-check/c2c2": (300, "71b69fc7343306d08000547965344d78942c210e020988406362809659954a0b"),
     "evaluate/c4c6/dunwoody": (16, "28ca90e5a14bf86e5cbd3a513a6886f70bffee70a7e492dbe087e0cd1b19b60b"),
     "evaluate/c4c6/access": (16, "3ae0254fbc3c6d3f92c0bdd7d760431111385c0babc48f4c5bedc6ebee8ac873"),
     "evaluate/c6hnn/access": (16, "9ad4f0c54f7c8a5006cee458474c4ae7dc2ec3f4f692259f7de1f8d47017cad8"),
@@ -88,7 +101,7 @@ PINS = {
     "deriv/c2c2/access": (22, "9b5dab32917baa85ade7eb5391add871952dd6b12d63250f4f70c72bca99b9df"),
     "deriv/c2c2/dunwoody": (22, "9b5dab32917baa85ade7eb5391add871952dd6b12d63250f4f70c72bca99b9df"),
 }
-COMBINED = "39bdfbba8687add5c3faefdf5d3db74715932df55fb65cfed53c672931c2fe35"
+COMBINED = "47b90e551b41d87be68b85553c61123d8b39c427a76eda7ea2af5cbadfd6af3d"
 
 
 def test_every_surface_matches_its_pin():

@@ -14,9 +14,9 @@ from _oracles import (
 from gogkit.acceptance import _sl23, separation_targets
 from gogkit.derivation import accessibility_derivation, evaluate
 from gogkit.documents import parse_document
-from gogkit.errors import Exhausted, MixedOwners
+from gogkit.errors import Exhausted, MalformedWord, MixedOwners
 from gogkit.finite_group import FiniteGroup, Subgroup, make_group, subgroup_closure
-from gogkit.gog import Subgraph, ball, identity, invert, multiply, nf
+from gogkit.gog import LETTER, VERTEX, Subgraph, Word, ball, identity, invert, multiply, nf
 from gogkit.quotients import (
     FiniteQuotient,
     NonkernelCertificate,
@@ -514,3 +514,37 @@ def test_a_bad_spec_among_groups_fails_before_any_search(c4c6, monkeypatch):
     with pytest.raises(ValueError, match="unrecognized group shorthand"):
         search_quotient(c4c6, "separate", elements=[nf(c4c6, "v:g1")],
                         targets=[make_group("cyclic 12"), "cyclic twelve"])
+
+
+@pytest.mark.parametrize("degree", [7, 12])
+def test_a_degree_past_the_cap_fails_before_any_search(c4c6, degree, monkeypatch):
+    # S7 and up pass MAX_GROUP_ORDER, so a pool that reaches them can never be built.
+    def walk(*args):
+        raise AssertionError("a search started")
+
+    monkeypatch.setattr(gogkit.quotients, "_iter_quotients", walk)
+    error = f"^group 'symmetric {degree}' has more than 720 elements$"
+    with pytest.raises(ValueError, match=error):
+        search_quotient(c4c6, "separate", elements=[nf(c4c6, "v:g1")], targets=degree)
+    with pytest.raises(ValueError, match=error):
+        certify_nonkernel(accessibility_derivation(c4c6, "v", 5), nf(c4c6, "w:g1"), degree)
+
+
+def test_a_pool_up_to_degree_six_stays_lazy(c4c6, monkeypatch):
+    built = []
+    monkeypatch.setattr(gogkit.quotients, "make_group", lambda spec: built.append(spec) or make_group(spec))
+    q = search_quotient(c4c6, "separate", elements=[nf(c4c6, "v:g1")], targets=6)
+    assert q.target.name == "C12" and built == [f"cyclic {n}" for n in range(2, 13)]
+
+
+def test_image_of_checks_its_word_as_evaluate_does(c4c6, c6hnn, monkeypatch):
+    q = search_quotient(c4c6, "separate", elements=[nf(c4c6, "v:g1")])
+    for word in (((VERTEX, "w", 9),), ((LETTER, "e", 5),), Word(((VERTEX, "nope", 0),)), nf(c6hnn, "t(t)")):
+        with pytest.raises(MalformedWord):
+            q.image_of(word)
+    assert q.image_of(((VERTEX, "w", 1), (LETTER, "e", -1))) == q.image_of(nf(c4c6, "w:g1 * t(e)^-1"))
+    # An own normal form passes on the identity test alone.
+    import gogkit.gog
+
+    monkeypatch.setattr(gogkit.gog, "_check_word", None)
+    assert q.image_of(nf(c4c6, "v:g1")) == 3

@@ -88,6 +88,25 @@ def test_reverse_unknown_edge(c4c6):
         reverse_edge(c4c6, "zz")
 
 
+@pytest.mark.parametrize("word", [((VERTEX, "w", 9),), ((LETTER, "e", 7),), Word(((VERTEX, "nope", 0),))],
+                         ids=["handle", "exponent", "vertex"])
+def test_translate_checks_its_word_as_evaluate_does(c4c6, c6hnn, word, monkeypatch):
+    _, w = reverse_edge(c4c6, "e")
+    for apply in (partial(apply_psi, w), partial(apply_phi, w),
+                  partial(translate, w.psi, w.source, w.target)):
+        with pytest.raises(MalformedWord):
+            apply(word)
+    with pytest.raises(MalformedWord):
+        apply_psi(w, nf(c6hnn, "t(t)"))  # another graph's normal form is checked
+    # An own normal form passes on the identity test alone.
+    import gogkit.gog
+
+    x = nf(c4c6, "v:g1 * w:g1")
+    expected = apply_psi(w, x)
+    monkeypatch.setattr(gogkit.gog, "_check_word", None)
+    assert apply_psi(w, x) == expected
+
+
 def test_compose_witness_requires_shared_middle(c4c6, c6hnn):
     _, w1 = reverse_edge(c4c6, "e")
     _, w2 = reverse_edge(c6hnn, "t")

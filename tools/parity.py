@@ -4,10 +4,11 @@
     python3 tools/parity.py --parent HEAD~1  # both trees', naming the surfaces that differ
 
 A surface is one text the library or its CLI writes: ``verify all`` stdout,
-ball lists, tree balls as DOT, normal forms at every base, ``coset_rep``
-choices, document error texts, rewritten documents and their transcripts,
-first-hit quotients and ``Exhausted`` texts, derivation values on ball
-elements, derivation data.  Every input is fixed here, the random ones by
+alone and per ``--fixture``, ball lists, tree balls as DOT, ``tree fix`` and
+``tree conj`` output, normal forms at every base, ``coset_rep`` choices,
+document error texts, rewritten documents and their transcripts, first-hit
+quotients and ``Exhausted`` texts, ``quotient_from_images`` verdicts on homs
+and their mutations, derivation values on ball elements, derivation data.  Every input is fixed here, the random ones by
 seeds, so two trees that behave alike print the same lines.  The last line
 digests all the others.
 
@@ -15,8 +16,8 @@ With ``--parent REV``, REV is extracted by ``git archive``, as
 ``tools/bench_pairs.py`` does, and this script runs once against each tree's
 ``src/`` (``--src``).  It exits 1 when a surface differs.  It calls only
 public functions and a few long-standing private ones (``_reduce_from``,
-``acceptance._witnesses``, ``acceptance._derivations``), so an older tree
-runs it as it is.
+``acceptance._witnesses``, ``acceptance._derivations``,
+``quotients._iter_quotients``), so an older tree runs it as it is.
 """
 from __future__ import annotations
 
@@ -38,12 +39,13 @@ TARGETS = 4  # cyclic groups of order 2 to 24, then S3 and S4
 
 
 def _cli(*argv: str) -> list[str]:
+    """What the command writes, stdout then stderr, and its exit code."""
     from gogkit import cli
 
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
-    return out.getvalue().splitlines() + [f"exit {code}"]
+    return out.getvalue().splitlines() + err.getvalue().splitlines() + [f"exit {code}"]
 
 
 def _error_text(call) -> str:
@@ -227,6 +229,60 @@ def _evaluations():
             ]
 
 
+def _tree_fixes():
+    """``tree fix`` and ``tree conj`` on seeded finite subgroups, conjugates
+    s·h·s⁻¹ of vertex elements, and on one pair of ball elements each."""
+    from gogkit.fixtures import load_fixture
+    from gogkit.gog import ball, invert, multiply, vertex_element
+
+    for name in TABLE_FIXTURES:
+        g = load_fixture(name)
+        rng = random.Random(f"tree fix {name}")
+        pool, vertices = ball(g, 3), sorted(g.graph.vertices)
+        cases = []
+        for _ in range(8):
+            s, vid = rng.choice(pool), rng.choice(vertices)
+            handles = rng.sample(g.vertex_groups[vid].handles(), 2)
+            cases.append([multiply(multiply(s, vertex_element(g, vid, h)), invert(s)) for h in handles])
+        cases.append(rng.sample(pool, 2))
+        lines = []
+        for elements in cases:
+            text = "; ".join(x.text() for x in elements)
+            for op in ("fix", "conj"):
+                lines += [f"{op} {text}"] + _cli("tree", op, name, "--elements", text)
+        yield f"tree_fix/{name}", lines
+
+
+def _quotient_checks():
+    """Verdicts of ``quotient_from_images`` on every S4 hom of each table
+    fixture (``_iter_quotients``), and on two seeded one-entry mutations of
+    each: a vertex image entry, then a letter image (tree letters too)."""
+    from gogkit.finite_group import make_group
+    from gogkit.fixtures import load_fixture
+    from gogkit.quotients import _iter_quotients, quotient_data, quotient_from_images
+
+    s4 = make_group("symmetric 4")
+    values = [*range(s4.order), s4.order, -1, True]
+    for name in TABLE_FIXTURES:
+        g = load_fixture(name)
+        rng = random.Random(f"quotient check {name}")
+        lines = []
+        for q in _iter_quotients(g, s4):
+            vertex_images = {v: list(a) for v, a in q.vertex_images.items()}
+            letter_images = dict(q.letter_images)
+            vid, eid = rng.choice(sorted(vertex_images)), rng.choice(sorted(letter_images))
+            i, a, b = rng.randrange(len(vertex_images[vid])), rng.choice(values), rng.choice(values)
+            cases = [("hom", vertex_images, letter_images),
+                     (f"{vid}[{i}]={a}", {**vertex_images, vid: vertex_images[vid][:i] + [a]
+                                          + vertex_images[vid][i + 1:]}, letter_images),
+                     (f"{eid}={b}", vertex_images, {**letter_images, eid: b})]
+            for label, vi, li in cases:
+                found = quotient_from_images(g, s4, vi, li)
+                lines.append(f"{label}: " + ("None" if found is None else
+                                             json.dumps(quotient_data(found), sort_keys=True)))
+        yield f"quotient-check/{name}", lines
+
+
 def _derivation_data():
     from gogkit.acceptance import DERIVATIONS
 
@@ -239,15 +295,21 @@ def _derivation_data():
 
 def surfaces():
     """(name, lines) for every surface, in a fixed order."""
+    from gogkit.fixtures import FIXTURE_NAMES
+
     yield "verify_all", _cli("verify", "all")
+    for name in FIXTURE_NAMES:
+        yield f"verify_all/{name}", _cli("verify", "all", "--fixture", name)
     yield from _balls()
     for name in TABLE_FIXTURES:
         yield f"tree_dot/{name}", _cli("tree", "ball", name, "--radius", "3", "--dot")
+    yield from _tree_fixes()
     yield from _normal_forms()
     yield from _coset_reps()
     yield from _broken_inclusions()
     yield from _rewrites()
     yield from _searches()
+    yield from _quotient_checks()
     yield from _evaluations()
     yield from _derivation_data()
 
