@@ -195,8 +195,9 @@ def cmd_tree_ball(args) -> int:
         print(ball_to_dot(tb), end="")
         return OK
     print(f"{len(tb.vertices)} vertices, {len(tb.edges)} edges (radius {args.radius})")
-    print(f"tree: {tb.is_tree()}")
-    return OK if tb.is_tree() else VIOLATION
+    is_tree = tb.is_tree()
+    print(f"tree: {is_tree}")
+    return OK if is_tree else VIOLATION
 
 
 def cmd_tree_fix(args) -> int:
@@ -212,7 +213,7 @@ def cmd_tree_fix(args) -> int:
 
 def cmd_quotient(args) -> int:
     g = _load(args.gog)
-    kwargs = {"targets": args.degree if args.degree else None}
+    kwargs = {"targets": args.degree}
     if args.op == "separate":
         if not args.elements:
             raise ValueError("separate needs --elements")
@@ -376,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--subgroup", help="handles like '0,2' (embed)")
         q.add_argument("--subgraph", help="'v1,v2:e1,e2' (refine)")
         q.add_argument("--given", help="quotient JSON of the restriction (refine)")
-        q.add_argument("--degree", type=int, help="extend targets to symmetric groups of this degree")
+        q.add_argument("--degree", type=int, help="last symmetric degree of the targets (at most 6, the default)")
         q.add_argument("--out", help="write the found quotient as JSON")
         q.set_defaults(handler=cmd_quotient)
 

@@ -23,6 +23,7 @@ from .gog import (
     Word,
     _normal_form,
     _syllables,
+    _vertex_group,
     ball,
     multiply,
     parse_word,
@@ -260,8 +261,8 @@ def kernel_scan(d: Derivation, designation, radius: int) -> Report:
     Subgraph (membership in the subgraph's fundamental group).
     """
     g = d.owner
-    if not isinstance(designation, Subgraph) and designation not in g.vertex_groups:
-        raise ValueError(f"unknown vertex {designation!r}")
+    if not isinstance(designation, Subgraph):
+        _vertex_group(g, designation)
     report = Report()
     elements = ball(g, radius)
     mismatches = 0

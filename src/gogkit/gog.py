@@ -17,10 +17,13 @@ Words are checked where they enter, once per word, by the one gate
 ``vertex_element``, ``stable_letter``, ``_syllables`` (the gate of
 ``evaluate``, ``image_of`` and ``translate``) on a word or another graph's
 normal form, and the structure tree's edge cosets, whose handles are
-inclusion images.  ``table_group`` is the one test that a vertex carries a
-finite table, ``table_subgroup`` the one test that a subgroup is one of that
-table, and ``inclusion_problems`` the one check of the edge inclusions, read
-by ``validate`` and by ``parse_document``.  Inside, the
+inclusion images.  Each argument naming a part of g passes one gate here:
+``_owned`` (a normal form of g, else MixedOwners), ``_vertex_group`` and
+``_edge_ends`` (a vertex or edge id, else ValueError quoting it).
+``table_group`` is the one test that a vertex carries a finite table,
+``table_subgroup`` the one test that a subgroup is one of that table, and
+``inclusion_problems`` the one check of the edge inclusions, read by
+``validate`` and by ``parse_document``.  Inside, the
 reducer trusts its handles: words built from g's own normal forms
 (``multiply``, ``invert``, ``ball``, one-syllable units, ``evaluate``'s moved
 values) go through the one trusted entry ``_normal_form``,
@@ -235,10 +238,17 @@ class GraphOfGroups:
 
 
 def _vertex_group(g: GraphOfGroups, vid: str):
-    """The vertex group at ``vid``; ValueError for an unknown vertex."""
+    """The vertex gate: the vertex group at ``vid``, else ValueError."""
     if vid not in g.vertex_groups:
-        raise ValueError(f"unknown vertex {vid!r}")
+        raise ValueError(f"unknown vertex {quote(vid)}")
     return g.vertex_groups[vid]
+
+
+def _edge_ends(g: GraphOfGroups, eid: str) -> tuple[str, str]:
+    """The edge gate: the ends (d0, d1) of edge ``eid``, else ValueError."""
+    if eid not in g.graph.d0:
+        raise ValueError(f"unknown edge {quote(eid)}")
+    return g.graph.d0[eid], g.graph.d1[eid]
 
 
 def table_group(g: GraphOfGroups, vid: str) -> FiniteGroup:
@@ -501,7 +511,7 @@ def _side_crossing(g: GraphOfGroups, eid: str, side: int) -> _Crossing:
         raise ValueError(f"side must be 0 or 1, got {side!r}")
     crossing = _tables(g)[3].get((eid, 1 - 2 * side))
     if crossing is None:
-        raise ValueError(f"unknown edge {eid!r}")
+        _edge_ends(g, eid)  # raises: every edge of g has its crossings
     return crossing
 
 
@@ -672,19 +682,21 @@ def stable_letter(g: GraphOfGroups, eid: str, exp: int = 1) -> NormalForm:
     return _normal_form(g, (syl,))
 
 
-def _check_owner(x: NormalForm, y: NormalForm):
-    if x.owner is not y.owner:
-        raise MixedOwners("normal forms belong to different graphs of groups")
+def _owned(g: GraphOfGroups, x: NormalForm) -> tuple:
+    """The owner gate: the syllables of x, a normal form of g, else MixedOwners."""
+    if x.owner is not g:
+        raise MixedOwners("normal form belongs to a different graph of groups")
+    return x.syllables
 
 
 def multiply(x: NormalForm, y: NormalForm) -> NormalForm:
     """x·y; an identity factor returns the other, since normal forms are canonical."""
-    _check_owner(x, y)
-    if not y.syllables:
+    tail = _owned(x.owner, y)
+    if not tail:
         return x
     if not x.syllables:
         return y
-    return _normal_form(x.owner, x.syllables + y.syllables)
+    return _normal_form(x.owner, x.syllables + tail)
 
 
 def invert(x: NormalForm) -> NormalForm:
@@ -703,8 +715,7 @@ def invert_word(g: GraphOfGroups, w: Word | NormalForm) -> Word:
 
 
 def equal(x: NormalForm, y: NormalForm) -> bool:
-    _check_owner(x, y)
-    return x.syllables == y.syllables
+    return x.syllables == _owned(x.owner, y)
 
 
 # ---------------------------------------------------------------------------
@@ -914,9 +925,7 @@ def _syllables_within(syllables: tuple, vertices, edges) -> bool:
 def subgraph_group_membership(g: GraphOfGroups, sub: Subgraph, x: NormalForm) -> bool:
     """True iff every syllable of x lives in the subgraph."""
     _check_subgraph(g, sub)
-    if x.owner is not g:
-        raise MixedOwners("normal form belongs to a different graph of groups")
-    return _syllables_within(x.syllables, sub.vertices, sub.edges)
+    return _syllables_within(_owned(g, x), sub.vertices, sub.edges)
 
 
 def vertex_group_membership(g: GraphOfGroups, vid: str, x: NormalForm) -> bool:
@@ -931,9 +940,7 @@ def vertex_group_membership(g: GraphOfGroups, vid: str, x: NormalForm) -> bool:
 def vertex_handle_of(g: GraphOfGroups, vid: str, x: NormalForm):
     """The handle of x at vertex ``vid`` when x lies there, else None."""
     vg = _vertex_group(g, vid)
-    if x.owner is not g:
-        raise MixedOwners("normal form belongs to a different graph of groups")
-    syllables = _reduce_from(g, x.syllables, vid)
+    syllables = _reduce_from(g, _owned(g, x), vid)
     if not syllables:
         return vg.identity()
     if len(syllables) == 1 and syllables[0][0] == VERTEX and syllables[0][1] == vid:

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from .errors import MixedOwners, RingMismatch, expect, member
-from .gog import GraphOfGroups, NormalForm, multiply, nf
+from .gog import GraphOfGroups, NormalForm, _owned, multiply, nf
 
 
 class RingVector:
@@ -85,8 +85,7 @@ def scale(u: RingVector, c: int) -> RingVector:
 
 def act_right(u: RingVector, x: NormalForm) -> RingVector:
     """Right translation: Σ c_w·w ↦ Σ c_w·(w·x)."""
-    if u.owner is not x.owner:
-        raise MixedOwners("ring vector and normal form belong to different owners")
+    _owned(u.owner, x)
     terms: dict[NormalForm, int] = {}
     for word, coeff in u.terms.items():
         moved = multiply(word, x)

@@ -42,7 +42,7 @@ from typing import Mapping
 
 from .derivation import TWISTED, evaluate
 from .documents import _group_spec
-from .errors import Exhausted, MixedOwners, expect, json_value, member
+from .errors import Exhausted, expect, json_value, member
 from .finite_group import (
     FiniteGroup,
     Subgroup,
@@ -60,6 +60,7 @@ from .gog import (
     TableVertexGroup,
     Word,
     _check_subgraph,
+    _owned,
     _rebuilt,
     _syllables,
     presentation,
@@ -107,10 +108,13 @@ class FiniteQuotient:
 
     def __post_init__(self):
         g, target = self.owner, self.target
-        letters = {eid: self.letter_images.get(eid) for eid in g.graph.edges}
-        arrays = {vid: tuple(self.vertex_images.get(vid) or ()) for vid in g.graph.vertices}
+        try:
+            letters = {eid: self.letter_images.get(eid) for eid in g.graph.edges}
+            arrays = {vid: tuple(self.vertex_images.get(vid) or ()) for vid in g.graph.vertices}
+        except (AttributeError, TypeError):  # a map that is not a mapping, an array not iterable
+            letters = arrays = None
         image = partial(_image, target, arrays, letters)
-        if not (
+        if arrays is None or not (
             all(type(i) is int and 0 <= i < target.order
                 for i in chain(letters.values(), *arrays.values()))
             and all(
@@ -344,9 +348,7 @@ def search_quotient(
         if not elements:
             raise ValueError("separate needs a non-empty element list")
         for x in elements:
-            if x.owner is not g:
-                raise MixedOwners("element belongs to a different graph of groups")
-            if not x.syllables:
+            if not _owned(g, x):
                 raise ValueError("cannot separate the identity from itself")
         if g.all_tables():
             keep = tuple((v, tuple(vg.handles())) for v, vg in sorted(g.vertex_groups.items()))
@@ -357,8 +359,6 @@ def search_quotient(
     elif goal == "embed":
         if vertex is None or subgroup is None:
             raise ValueError("embed needs a vertex id and a subgroup of its group")
-        if vertex not in g.vertex_groups:
-            raise ValueError(f"{vertex!r} is not a vertex")
         keep = ((vertex, table_subgroup(g, vertex, subgroup).elements),)
 
         def accept(q: FiniteQuotient) -> bool:

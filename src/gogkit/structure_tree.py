@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BallTooLarge, MixedOwners, NotFinite
+from .errors import BallTooLarge, NotFinite
 from .graph_core import FiniteGraph, SpanningTree
 from .gog import (
     BALL_CAP,
@@ -20,7 +20,9 @@ from .gog import (
     NormalForm,
     _canonical,
     _check_word,
+    _edge_ends,
     _normal_form,
+    _owned,
     _tables,
     _walk,
     invert,
@@ -77,20 +79,14 @@ def _vertex_at(g: GraphOfGroups, vid: str, prefix: tuple) -> TreeVertex:
 
 
 def _edge_at(g: GraphOfGroups, eid: str, prefix: tuple) -> TreeEdge:
-    if eid not in g.inclusions:
-        raise ValueError(f"unknown edge {eid!r}")
-    vid, images = g.graph.d0[eid], g.inclusions[eid][0]
+    vid, images = _edge_ends(g, eid)[0], g.inclusions[eid][0]
     # A graph built in code may hold inclusion images no check has seen.
     _check_word(g, tuple((VERTEX, vid, h) for h in images))
     return TreeEdge(eid, _least_coset_rep(g, prefix, vid, images))
 
 
 def _check_rep(g: GraphOfGroups, x: NormalForm | None) -> tuple:
-    if x is None:
-        return ()
-    if x.owner is not g:
-        raise MixedOwners("representative belongs to a different graph of groups")
-    return x.syllables
+    return () if x is None else _owned(g, x)
 
 
 def tree_vertex(g: GraphOfGroups, vid: str, x: NormalForm | None = None) -> TreeVertex:
@@ -214,11 +210,9 @@ def _elliptic_crossings(g: GraphOfGroups, x: NormalForm) -> list[tuple]:
     55, 1987; Serre, *Trees*, §I.6.4); else NotFinite, since a finite-order
     element fixes a vertex.
     """
-    if x.owner is not g:
-        raise MixedOwners("element belongs to a different graph of groups")
-    plan = _tables(g)
-    crossings, _ = _walk(plan, x.syllables, g.basepoint)
-    if len(_walk(plan, x.syllables * 2, g.basepoint)[0]) > len(crossings):
+    syllables, plan = _owned(g, x), _tables(g)
+    crossings, _ = _walk(plan, syllables, g.basepoint)
+    if len(_walk(plan, syllables * 2, g.basepoint)[0]) > len(crossings):
         raise NotFinite(f"{x.text()} has infinite order: it fixes no tree vertex")
     return crossings
 

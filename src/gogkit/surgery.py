@@ -39,7 +39,9 @@ from .gog import (
     Word,
     _check_subgraph,
     _check_word,
+    _edge_ends,
     _normal_form,
+    _owned,
     _rebuilt,
     _reduce_from,
     _syllables,
@@ -238,12 +240,11 @@ def witness_ball_report(w: GogIsoWitness, radius: int = 3) -> Report:
 
 def reverse_edge(g: GraphOfGroups, e: str) -> tuple[GraphOfGroups, GogIsoWitness]:
     """Flip the orientation of one edge; the stable letter maps to its inverse."""
-    if e not in g.graph.edges:
-        raise ValueError(f"unknown edge {e!r}")
+    d0, d1 = _edge_ends(g, e)
     out = _rebuilt(
         g,
-        d0={e: g.graph.d1[e]},
-        d1={e: g.graph.d0[e]},
+        d0={e: d1},
+        d1={e: d0},
         inclusions={e: g.inclusions[e][::-1]},
     )
     flip = {(LETTER, e, 1): Word(((LETTER, e, -1),))}
@@ -260,12 +261,10 @@ def collapse_tree_edge(g: GraphOfGroups, e: str) -> tuple[GraphOfGroups, GogIsoW
     Requires an inclusion of e that is onto its endpoint group, so the edge
     carries an isomorphism and the endpoint vertex is redundant.
     """
-    if e not in g.graph.edges:
-        raise ValueError(f"unknown edge {e!r}")
+    ends = _edge_ends(g, e)
     if e not in g.tree.edges:
         raise NotCollapsible(f"edge {e!r} is not in the spanning tree")
     order = g.edge_groups[e].order
-    ends = (g.graph.d0[e], g.graph.d1[e])
     side = next((s for s in (1, 0) if g.vertex_groups[ends[s]].order == order), None)
     if side is None:
         raise NotCollapsible(f"neither inclusion of {e!r} is onto its endpoint group")
@@ -526,9 +525,7 @@ class AmalgamDescription:
     lambda_subgraph: Subgraph
 
     def in_delta(self, x: NormalForm) -> bool:
-        if x.owner is not self.owner:
-            raise MixedOwners("normal form belongs to a different graph of groups")
-        syllables = _reduce_from(self.owner, x.syllables, self.delta_vertex)
+        syllables = _reduce_from(self.owner, _owned(self.owner, x), self.delta_vertex)
         return _syllables_within(syllables, self.delta_vertices, self.delta_edges)
 
     def in_lambda(self, x: NormalForm) -> bool:

@@ -464,6 +464,15 @@ def test_quotient_degree_past_the_cap_exits_2_before_any_search(capsys, tmp_path
     assert (code, out, err) == (2, "", "error: group 'symmetric 7' has more than 720 elements\n")
 
 
+def test_quotient_degree_is_passed_through_even_when_zero(capsys):
+    # --degree 0 leaves no symmetric group: the 23 cyclic targets, as targets=0 does.
+    code, out, err = run(capsys, "quotient", "separate", "c4c6",
+                         "--elements", "v:g1 * w:g1 * v:g3 * w:g5", "--degree", "0")
+    assert (code, out) == (3, "")
+    assert err == ("exhausted: no quotient in the candidate pool achieves goal 'separate' "
+                   "(23 targets, 8 quotients tried)\n")
+
+
 def test_quotient_separate_rejects_identity(capsys):
     code, _, err = run(capsys, "quotient", "separate", "c4c6", "--elements", "1")
     assert code == 2
@@ -585,6 +594,23 @@ def test_vertex_options_name_a_bad_vertex(capsys, argv, message):
 def test_subgroup_handles_are_checked(capsys, command, option, handles, message):
     code, out, err = run(capsys, *command.split(), "c4c6", "--vertex", "v", option, handles)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, start", [
+    (["quotient", "embed", "c4c6", "--subgroup", "0,2", "--vertex"], "unknown vertex 'zzz"),
+    (["surgery", "attach", "c4c6", "--chi", "0,2", "--vertex"], "unknown vertex 'zzz"),
+    (["surgery", "expand", "c4c6", "--vertex"], "unknown vertex 'zzz"),
+    (["deriv", "kernel-scan", "c4c6", "--kind", "access", "--base", "v", "--mod", "5",
+      "--radius", "2", "--subgroup"], "unknown vertex 'zzz"),
+    (["surgery", "reverse", "c4c6", "--edge"], "unknown edge 'zzz"),
+    (["surgery", "collapse", "c4c6", "--edge"], "unknown edge 'zzz"),
+], ids=["quotient-embed", "surgery-attach", "surgery-expand", "kernel-scan", "surgery-reverse",
+        "surgery-collapse"])
+def test_id_options_quote_a_long_unknown_id_briefly(capsys, argv, start):
+    code, out, err = run(capsys, *argv, "z" * 50_000)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + start)
+    assert err.count("\n") == 1 and len(err.encode()) < 400
 
 
 def test_surgery_unknown_edge(capsys):

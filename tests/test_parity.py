@@ -100,8 +100,9 @@ PINS = {
     "deriv/c4c2c4/dunwoody": (49, "b50fa9ed83a379c8e074910b7507f8d33d27234d944e84a0886dfb7df640c715"),
     "deriv/c2c2/access": (22, "9b5dab32917baa85ade7eb5391add871952dd6b12d63250f4f70c72bca99b9df"),
     "deriv/c2c2/dunwoody": (22, "9b5dab32917baa85ade7eb5391add871952dd6b12d63250f4f70c72bca99b9df"),
+    "entry-errors": (39, "0af653f9f712d0eb656cca98ae312c960b75b0b1805f18505a8be058ec8c9f14"),
 }
-COMBINED = "47b90e551b41d87be68b85553c61123d8b39c427a76eda7ea2af5cbadfd6af3d"
+COMBINED = "a0c411023c878856e08df4ac31939d04a7e1bc873c0f52b6f21e851754b8273c"
 
 
 def test_every_surface_matches_its_pin():

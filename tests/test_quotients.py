@@ -292,6 +292,25 @@ def test_quotient_from_images_refuses_a_bool_handle(c4c6):
     assert quotient_from_images(c4c6, c12, vertex_images, {"e": 0}) is None
 
 
+def test_a_vertex_image_that_is_no_sequence_defines_no_quotient(c4c6):
+    c2 = make_group("cyclic 2")
+    with pytest.raises(ValueError, match="^image tables do not define a homomorphism$"):
+        FiniteQuotient(c4c6, c2, {"v": 5, "w": (0,) * 6}, {"e": 0})
+    assert quotient_from_images(c4c6, c2, {"v": 5, "w": (0,) * 6}, {"e": 0}) is None
+
+
+@pytest.mark.parametrize("vertex_images, letter_images", [
+    ({"v": (0,) * 4, "w": (0,) * 6}, [("e", 0)]),
+    ([("v", (0,) * 4), ("w", (0,) * 6)], {"e": 0}),
+], ids=["letters", "vertices"])
+def test_image_maps_that_are_no_mappings_define_no_quotient(c4c6, vertex_images, letter_images):
+    c2 = make_group("cyclic 2")
+    assert quotient_from_images(c4c6, c2, {"v": (0,) * 4, "w": (0,) * 6}, {"e": 0}) is not None
+    with pytest.raises(ValueError, match="^image tables do not define a homomorphism$"):
+        FiniteQuotient(c4c6, c2, vertex_images, letter_images)
+    assert quotient_from_images(c4c6, c2, vertex_images, letter_images) is None
+
+
 DIFFERENTIAL_TARGETS = [f"cyclic {n}" for n in range(2, 25)] + ["symmetric 3", "symmetric 4"]
 
 
@@ -469,7 +488,7 @@ def test_exhausted_texts_name_the_goal(c4c6):
 
 def test_embed_rejects_unknown_vertex(c4c6):
     sub = subgroup_closure(c4c6.vertex_groups["v"].group, [1])
-    with pytest.raises(ValueError, match="not a vertex"):
+    with pytest.raises(ValueError, match="^unknown vertex 'zz'$"):
         search_quotient(c4c6, "embed", vertex="zz", subgroup=sub)
 
 

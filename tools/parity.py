@@ -8,8 +8,10 @@ alone and per ``--fixture``, ball lists, tree balls as DOT, ``tree fix`` and
 ``tree conj`` output, normal forms at every base, ``coset_rep`` choices,
 document error texts, rewritten documents and their transcripts, first-hit
 quotients and ``Exhausted`` texts, ``quotient_from_images`` verdicts on homs
-and their mutations, derivation values on ball elements, derivation data.  Every input is fixed here, the random ones by
-seeds, so two trees that behave alike print the same lines.  The last line
+and their mutations, derivation values on ball elements, derivation data,
+and what every CLI option naming a vertex or an edge writes for the unknown
+id ``zz``.  Every input is fixed here, the random ones by seeds, so two trees
+that behave alike print the same lines.  The last line
 digests all the others.
 
 With ``--parent REV``, REV is extracted by ``git archive``, as
@@ -293,6 +295,31 @@ def _derivation_data():
                 "deriv", "dunwoody", name, "--base", base, "--target", target, "--mod", "5")
 
 
+def _entry_errors():
+    """Each CLI command given the unknown id ``zz`` in one option that names a
+    vertex or an edge (a subgraph's too); ``--given`` is never read."""
+    scan = ("deriv", "kernel-scan", "c4c6", "--kind", "access", "--mod", "5", "--radius", "2")
+    commands = [
+        ("deriv", "access", "c4c6", "--base", "zz", "--mod", "5"),
+        ("deriv", "dunwoody", "c4c6", "--base", "zz", "--target", "w", "--mod", "5"),
+        ("deriv", "dunwoody", "c4c6", "--base", "v", "--target", "zz", "--mod", "5"),
+        scan + ("--base", "zz", "--subgroup", "v"),
+        scan + ("--base", "v", "--subgroup", "zz"),
+        scan + ("--base", "v", "--subgroup", "v,zz"),
+        ("quotient", "embed", "c4c6", "--vertex", "zz", "--subgroup", "0"),
+        ("quotient", "refine", "c4c6", "--subgraph", "v:zz", "--given", "unread.json"),
+        ("surgery", "reverse", "c4c6", "--edge", "zz"),
+        ("surgery", "collapse", "c4c6", "--edge", "zz"),
+        ("surgery", "expand", "c4c6", "--vertex", "zz"),
+        ("surgery", "attach", "c4c6", "--vertex", "zz", "--chi", "0"),
+        ("surgery", "amalgamate", "c4c6", "--subgraph", "zz"),
+    ]
+    lines = []
+    for argv in commands:
+        lines += [" ".join(argv)] + _cli(*argv)
+    yield "entry-errors", lines
+
+
 def surfaces():
     """(name, lines) for every surface, in a fixed order."""
     from gogkit.fixtures import FIXTURE_NAMES
@@ -312,6 +339,7 @@ def surfaces():
     yield from _quotient_checks()
     yield from _evaluations()
     yield from _derivation_data()
+    yield from _entry_errors()
 
 
 def digest_lines() -> list[str]:
